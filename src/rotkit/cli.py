@@ -46,8 +46,14 @@ def parse_rho(text: str) -> "float | Fraction":
     if text.strip().lower() == "golden":
         return GOLDEN_MEAN
     if "/" in text:
-        return Fraction(text)
-    return float(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise UsageError(f"rotation number {text!r} has a zero denominator") from exc
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"rotation number must be finite, got {text!r}")
+    return value
 
 
 def _parse_range(text: str) -> tuple[float, float]:

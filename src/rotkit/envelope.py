@@ -16,12 +16,13 @@ cross-check for the analytic forms.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .lifting import Continuity, Lifting, Monotonicity, evaluate_exact, split_floor
+from .lifting import Continuity, Lifting, Monotonicity, evaluate_exact
 
 GRID = 4096
 SECTION_EPS = 1e-12
@@ -418,9 +419,11 @@ def reparametrize_to_zero(F: Lifting, K: ConstantSection) -> tuple[Lifting, Cons
     shift = K.alpha + tol
     fund = F.fundamental
 
-    def g(x: float, _shift=shift, _fund=fund) -> float:
-        frac, whole = split_floor(x + _shift)
-        return _fund(frac) + whole - _shift
+    # F's gluing rule F(y) = fund(frac(y)) + floor(y), inlined
+    def g(x: float, _shift=shift, _fund=fund, _floor=math.floor) -> float:
+        y = x + _shift
+        s = _floor(y)
+        return _fund(y - s) + s - _shift
 
     g_exact = None
     if F.fundamental_exact is not None:

@@ -11,8 +11,11 @@ Three estimators for non-decreasing degree-one liftings:
 * rho_constant_section -- orbit of 0 for a map whose constant section starts
                       at the origin; the first iterate whose fractional part
                       falls inside the section certifies an exact rational
-                      rotation number, otherwise the direct estimate is
-                      returned after max_iter steps.
+                      rotation number, otherwise the direct estimate after
+                      max_iter steps is returned.  An orbit whose float state
+                      repeats without a hit can never hit, so the estimator
+                      stops there and rebuilds the max_iter-step estimate bit
+                      for bit; iterations_used stays the nominal max_iter.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
@@ -125,6 +128,16 @@ def _require_non_decreasing(F: Lifting, who: str) -> None:
         raise ValueError(f"{who} requires a non-decreasing lifting, got {F.label!r}")
 
 
+def _require_error(error: float) -> None:
+    if not (math.isfinite(error) and error > 0.0):
+        raise ValueError(f"error must be positive and finite, got {error}")
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
+
+
 def _normalized_fundamental(F: Lifting) -> tuple:
     """Shift F by -floor(F(0)) so the iteration starts in [0, 1)."""
     k0 = math.floor(F.fundamental(0.0))
@@ -145,8 +158,7 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR) -> RotationEstimate:
     error bound is 1/n.  There is deliberately no early-convergence test.
     """
     _require_non_decreasing(F, "rho_direct")
-    if error <= 0.0:
-        raise ValueError("error must be positive")
+    _require_error(error)
     n = math.ceil(1.0 / error)
     fund, k0 = _normalized_fundamental(F)
     floor = math.floor
@@ -239,20 +251,31 @@ def rho_constant_section(
     first n with fractional part x <= beta the section returns to itself
     (mod 1) and rho = m/n exactly, provided the accumulated rounding error
     stays below tol.  Cycles longer than ceil(1/error) are invisible and fall
-    back to the direct estimate.
+    back to the direct estimate (m + x)/max_iter of the orbit's state after
+    max_iter = ceil(1/error) steps.
+
+    The fallback may stop early.  The float state x is compared with a
+    checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's cycle detection).
+    Once x repeats without a hit the rest of the orbit is forced and never
+    hits, so the state after max_iter steps is rebuilt from whole periods
+    plus the remaining steps, bit-identical to the full loop.  The estimate
+    still reports the nominal iterations_used = max_iter.
     """
     _require_non_decreasing(G, "rho_constant_section")
     if beta <= 0.0:
         raise InvalidSection(f"test bound beta must be positive, got {beta}")
-    if error <= 0.0:
-        raise ValueError("error must be positive")
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
+    _require_error(error)
+    _require_tol(tol)
     max_iter = math.ceil(1.0 / error)
     fund = G.fundamental
     floor = math.floor
     x = 0.0
     m = 0
+    # Brent checkpoint: the state (cx, cm) after cn steps; it moves at n == nxt
+    cx = 0.0
+    cm = 0
+    cn = 0
+    nxt = 1
     for n in range(1, max_iter + 1):
         x = fund(x)
         if not 0.0 <= x < 1.0:
@@ -261,6 +284,25 @@ def rho_constant_section(
             x -= s
         if x <= beta:
             return RotationEstimate.exact(m, n)
+        if x == cx:
+            # the state after n steps is the one after cn: period n - cn,
+            # gaining m - cm per period; the first rem steps past n repeat
+            # steps cn+1 .. cn+rem, which missed the section
+            periods, rem = divmod(max_iter - n, n - cn)
+            gain = m - cm
+            for _ in range(rem):
+                x = fund(x)
+                if not 0.0 <= x < 1.0:
+                    s = floor(x)
+                    m += s
+                    x -= s
+            m += periods * gain
+            break
+        if n == nxt:
+            cx = x
+            cm = m
+            cn = n
+            nxt = 2 * n
     return RotationEstimate.approx(
         value=(m + x) / max_iter, error_bound=1.0 / max_iter, iterations_used=max_iter
     )
@@ -313,12 +355,17 @@ def rotation_interval(
     for benchmarking).  Works for continuous liftings and for heavy
     (downward-jumping) ones, whose envelopes are continuous.
     """
-    lo = _rho_of_envelope(lower_map(F), error, tol, method)
-    hi = _rho_of_envelope(upper_map(F), error, tol, method)
+    lo_env = lower_map(F)
+    # a non-decreasing map without a family builder is its own envelope
+    # (one grid scan); both endpoints are still estimated, lower then upper
+    hi_env = lo_env if F.is_non_decreasing and F.envelope_builder is None else upper_map(F)
+    lo = _rho_of_envelope(lo_env, error, tol, method)
+    hi = _rho_of_envelope(hi_env, error, tol, method)
     return RotationInterval(lower=lo, upper=hi)
 
 
 def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> RotationEstimate:
+    _require_tol(tol)  # a NaN tol would fail the width test and silently force the fallback
     if method == "csb":
         sec = widest_section(env.sections)
         if sec is not None and sec.width > 2.0 * tol:

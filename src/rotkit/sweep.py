@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -66,6 +67,8 @@ class SweepConfig:
     def validate(self) -> None:
         if self.mu_step <= 0.0:
             raise UsageError("mu_step must be positive")
+        if not (math.isfinite(self.error) and math.isfinite(self.tol)):
+            raise UsageError("error and tol must be finite")
         if self.error <= 0.0 or self.tol < 0.0:
             raise UsageError("error must be positive and tol non-negative")
         if self.a_steps < 1 or self.omega_steps < 1:
@@ -161,8 +164,14 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return pts
 
 
+def _pool_size(workers: int, n_tasks: int) -> int:
+    """Worker processes worth starting: no more than the CPUs or the tasks."""
+    return max(1, min(workers, os.cpu_count() or 1, n_tasks))
+
+
 def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
         return [worker(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 8))
     with Pool(processes=workers) as pool:

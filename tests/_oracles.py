@@ -3,8 +3,9 @@
 Nothing in here calls the estimator code paths it is used to check: the
 direct-sweep oracle re-implements the plain iteration with its own
 floor/fraction handling (plus cycle extrapolation, which is bit-identical
-because a float orbit that revisits a state repeats forever), and the exact
-certifier iterates in rational arithmetic only.
+because a float orbit that revisits a state repeats forever), the
+section-orbit oracle runs the constant-section loop to the end with no
+shortcut, and the exact certifier iterates in rational arithmetic only.
 """
 
 from __future__ import annotations
@@ -55,6 +56,27 @@ def direct_value_oracle(fund, error: float) -> float:
         xs.append(x)
         ms.append(m)
     return (m + x) / n_max + k0
+
+
+def section_orbit_oracle(fund, beta: float, error: float) -> tuple:
+    """Plain constant-section loop: every iterate up to ceil(1/error), no cycle test.
+
+    Returns (kind, value, m, n, iterations_used) as the estimator reports
+    them: the first iterate with fractional part <= beta gives the exact
+    m/n, otherwise the direct value after max_iter steps.
+    """
+    max_iter = math.ceil(1.0 / error)
+    x = 0.0
+    m = 0
+    for n in range(1, max_iter + 1):
+        x = fund(x)
+        if not 0.0 <= x < 1.0:
+            s = math.floor(x)
+            m += s
+            x -= s
+        if x <= beta:
+            return "exact", m / n, m, n, n
+    return "approx", (m + x) / max_iter, None, None, max_iter
 
 
 def exact_section_certificate(

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from rotkit.cli import main, parse_rho
 from rotkit.families import GOLDEN_MEAN
 
@@ -11,6 +13,33 @@ def test_parse_rho_forms():
     assert parse_rho("0.25") == 0.25
     assert parse_rho("golden") == GOLDEN_MEAN
     assert parse_rho(" GOLDEN ") == GOLDEN_MEAN
+
+
+def test_parse_rho_rejects_non_finite_and_zero_denominator():
+    from rotkit.sweep import UsageError
+
+    for text in ("nan", "inf", "-inf", "1/0"):
+        with pytest.raises(UsageError):
+            parse_rho(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["staircase", "--mu-step", "0.25", "--tol", "nan"],
+        ["staircase", "--mu-step", "0.25", "--error", "inf"],
+        ["staircase", "--mu-step", "0.25", "--error", "nan"],
+        ["invert", "--rho", "1/2", "--error", "inf"],
+        ["invert", "--rho", "1/2", "--tol", "nan"],
+        ["tongue", "--family", "pwl", "--steps", "2", "--rho", "nan"],
+        ["tongue", "--family", "pwl", "--steps", "2", "--rho", "inf"],
+        ["invert", "--rho", "nan"],
+    ],
+)
+def test_non_finite_inputs_exit_one(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rotkit: error: ") and err.count("\n") == 1
 
 
 def test_staircase_csv_output(tmp_path):

@@ -26,7 +26,13 @@ from rotkit import (
     standard_map,
     upper_map,
 )
-from _oracles import direct_value_oracle, exact_section_certificate, ell_of_n, random_flat_pl_lifting
+from _oracles import (
+    direct_value_oracle,
+    ell_of_n,
+    exact_section_certificate,
+    random_flat_pl_lifting,
+    section_orbit_oracle,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -203,6 +209,88 @@ def test_exactness_cross_check_in_rationals():
         assert cert.as_fraction == est.as_fraction
 
 
+def test_csb_rejects_non_finite_error_and_tol():
+    G, K = _reparametrized_fmu(0.3)
+    for error in (math.inf, math.nan, -1e-3, 0.0):
+        with pytest.raises(ValueError):
+            rho_constant_section(G, K.beta, error, 1e-10)
+        with pytest.raises(ValueError):
+            rho_direct(f_mu(0.3), error)
+    for tol in (math.nan, math.inf, -1e-10):
+        with pytest.raises(ValueError):
+            rho_constant_section(G, K.beta, 1e-4, tol)
+        with pytest.raises(ValueError):
+            rho_csb(f_mu(0.3), 1e-4, tol)
+
+
+# ---------------------------------------------------------------------------
+# float-cycle shortcut: bit-identical to the plain section-orbit loop
+
+
+def _assert_matches_oracle(G, beta, error, tol=1e-10):
+    est = rho_constant_section(G, beta, error, tol)
+    kind, value, m, n, used = section_orbit_oracle(G.fundamental, beta, error)
+    assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
+    return est
+
+
+def _section_inputs(F, alpha, beta, tol=1e-10):
+    G, K = reparametrize_to_zero(F, ConstantSection(alpha, beta, tol))
+    return G, K.beta
+
+
+def test_shortcut_bit_identical_at_fmu_tangencies():
+    for mu in (0, 1):
+        G, K = _reparametrized_fmu(mu)
+        est = _assert_matches_oracle(G, K.beta, 1e-5)
+        assert est.kind == "approx" and est.iterations_used == 100_000
+
+
+def test_shortcut_bit_identical_on_counterexample():
+    G, beta = _section_inputs(counterexample_map(), 0.8, 1.0)
+    est = _assert_matches_oracle(G, beta, 1e-5)
+    assert est.kind == "approx"
+
+
+@pytest.mark.parametrize("family", ["pwl", "disc"])
+def test_shortcut_bit_identical_on_tongue_exhausts(family, monkeypatch):
+    import rotkit.rotnum as rotnum
+    from rotkit.sweep import SweepConfig, arnold_tongue
+
+    calls = []
+    real = rotnum.rho_constant_section
+
+    def recording(G, beta, error, tol):
+        est = real(G, beta, error, tol)
+        calls.append((G, beta, error, tol, est))
+        return est
+
+    monkeypatch.setattr(rotnum, "rho_constant_section", recording)
+    cfg = SweepConfig(family=family, a_steps=4, omega_steps=4, error=1e-4, tol=1e-10)
+    arnold_tongue(cfg, Fraction(1, 2))
+    exhausts = [c for c in calls if c[4].kind == "approx"]
+    assert exhausts
+    for G, beta, error, tol, _ in exhausts:
+        _assert_matches_oracle(G, beta, error, tol)
+
+
+def test_shortcut_bit_identical_on_random_pl_maps():
+    rng = random.Random(2)
+    for _ in range(20):
+        F, beta, _, _ = random_flat_pl_lifting(rng)
+        G, beta_f = _section_inputs(F, 0.0, float(beta))
+        _assert_matches_oracle(G, beta_f, 1e-4)
+
+
+@pytest.mark.parametrize("omega, m, n", [(0.0, 0, 1), (1.0, 1, 1), (0.25, 1, 4)])
+def test_repeated_state_inside_section_is_exact(omega, m, n):
+    # the orbit returns to its starting state 0, which lies in the section:
+    # the hit test wins over the cycle test (for n = 1 the state also equals
+    # the starting checkpoint)
+    est = _assert_matches_oracle(_rigid(omega), 0.1, 1e-4)
+    assert est.is_exact and (est.m, est.n) == (m, n)
+
+
 # ---------------------------------------------------------------------------
 # rotation intervals
 
@@ -210,6 +298,22 @@ def test_exactness_cross_check_in_rationals():
 def test_rotation_interval_monotone_degenerate():
     ri = rotation_interval(standard_map(0, 0.5), 1e-4)
     assert ri.lower.value == 0.0 and ri.upper.value == 0.0
+
+
+def test_rotation_interval_builds_self_envelope_once(monkeypatch):
+    import rotkit.envelope as envelope
+
+    scans = []
+    real = envelope.find_maximal_sections
+
+    def counting(E):
+        scans.append(E)
+        return real(E)
+
+    monkeypatch.setattr(envelope, "find_maximal_sections", counting)
+    ri = rotation_interval(standard_map(0.3, 0.5), 1e-4)
+    assert len(scans) == 1
+    assert ri.lower == ri.upper
 
 
 def test_rotation_interval_disc_full_unit():

@@ -12,6 +12,7 @@ from rotkit.sweep import (
     IntervalRow,
     SweepConfig,
     UsageError,
+    _pool_size,
     arnold_tongue,
     benchmark,
     devils_staircase,
@@ -37,6 +38,24 @@ def test_mu_grid_endpoints_exact():
     assert len(grid) == 1001
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+@pytest.mark.parametrize("field, value", [("tol", math.nan), ("tol", math.inf), ("error", math.inf), ("error", math.nan)])
+def test_config_rejects_non_finite_error_and_tol(field, value):
+    with pytest.raises(UsageError):
+        _cfg(**{field: value}).validate()
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    import rotkit.sweep as sweep
+
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    assert _pool_size(1000, 10_000) == 4
+    assert _pool_size(8, 3) == 3
+    assert _pool_size(2, 10) == 2
+    assert _pool_size(8, 0) == 1
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1
 
 
 def test_staircase_rows_and_fallbacks():
