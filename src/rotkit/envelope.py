@@ -401,6 +401,25 @@ def find_maximal_sections(E: MonotoneEnvelope) -> list[ConstantSection]:
     return sections
 
 
+def section_origin(alpha: float, beta: float, tol: float) -> tuple[float, float]:
+    """Shift and test bound that move the section [alpha, beta] to the origin.
+
+    Conjugating by the rotation x -> x + shift with shift = alpha + tol turns
+    the section, padded by tol on each side, into [-tol, beta' + tol] with
+    beta' = (beta - alpha) - 2*tol; returns (shift, beta').  Raises
+    SectionTooSmall when the section is no wider than 2*tol, and ValueError
+    when the padded section claims a diameter of 1 or more.
+    """
+    width = beta - alpha
+    if width <= 2.0 * tol:
+        raise SectionTooSmall(
+            f"section width {width:.3g} <= 2*tol = {2.0 * tol:.3g}; use the direct estimator"
+        )
+    if width + 2.0 * tol >= 1.0:
+        raise ValueError("constant section of a degree-one lifting has diameter < 1")
+    return alpha + tol, width - 2.0 * tol
+
+
 def reparametrize_to_zero(F: Lifting, K: ConstantSection) -> tuple[Lifting, ConstantSection]:
     """Conjugate F by a rotation so the section starts at the origin.
 
@@ -408,15 +427,11 @@ def reparametrize_to_zero(F: Lifting, K: ConstantSection) -> tuple[Lifting, Cons
     number and turns the section into [-tol, beta' + tol] with
     beta' = width - 2*tol; the returned section is that pre-shrunk test
     interval [0, beta'] carrying the same tol, ready for the constant-section
-    algorithm's single comparison x <= beta'.
+    algorithm's single comparison x <= beta'.  The estimators apply the same
+    shift inline (rho_constant_section's shift keyword) instead of building G.
     """
     tol = K.tol
-    width = K.beta - K.alpha
-    if width <= 2.0 * tol:
-        raise SectionTooSmall(
-            f"section width {width:.3g} <= 2*tol = {2.0 * tol:.3g}; use the direct estimator"
-        )
-    shift = K.alpha + tol
+    shift, beta = section_origin(K.alpha, K.beta, tol)
     fund = F.fundamental
 
     # F's gluing rule F(y) = fund(frac(y)) + floor(y), inlined
@@ -439,4 +454,4 @@ def reparametrize_to_zero(F: Lifting, K: ConstantSection) -> tuple[Lifting, Cons
         label=f"{F.label}@+{shift:.8g}",
         fundamental_exact=g_exact,
     )
-    return G, ConstantSection(alpha=0.0, beta=width - 2.0 * tol, tol=tol)
+    return G, ConstantSection(alpha=0.0, beta=beta, tol=tol)

@@ -4,7 +4,10 @@ Every constructor returns an immutable Lifting with a float fundamental, an
 exact-rational twin of the same map (built from the binary values of the
 float parameters unless true rationals are passed in), and, where a closed
 form exists, registered analytic envelopes.  Trigonometric families get no
-exact twin.
+exact twin.  Construction converts parameters to floats only: a family's
+exact twin builds its Fractions on its first call and reuses them, so float
+sweeps never pay for them (an envelope builder converts the ones it needs
+when it runs).  Non-finite parameters raise InvalidParam.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
 value like a = 2*pi means coefficient 1; a can also be given directly as
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .envelope import ConstantSection, MonotoneEnvelope
 from .lifting import Continuity, Lifting, Monotonicity
@@ -28,28 +32,50 @@ class InvalidParam(ValueError):
     """Family parameter outside its documented domain."""
 
 
-def _as_pair(value) -> tuple[float, Fraction]:
-    """Float value plus an exact Fraction twin of a numeric parameter."""
-    if isinstance(value, Fraction):
-        return float(value), value
-    if isinstance(value, int):
-        return float(value), Fraction(value)
+def _as_float(value, name: str) -> float:
+    """Float value of a numeric parameter (a str is parsed as a Fraction); must be finite."""
     if isinstance(value, str):
-        q = Fraction(value)
-        return float(q), q
-    return float(value), Fraction(float(value))
+        value = Fraction(value)
+    f = float(value)
+    if not math.isfinite(f):
+        raise InvalidParam(f"{name} must be finite, got {f}")
+    return f
 
 
-def _coefficient(a, a_over_2pi) -> tuple[float, float, Fraction]:
-    """Resolve (a, a/(2*pi)) from either parametrization."""
+def _as_exact(value) -> Fraction:
+    """Exact twin of a parameter: a float's binary value; a Fraction, int or str as given."""
+    if isinstance(value, (Fraction, int, str)):
+        return Fraction(value)
+    return Fraction(float(value))
+
+
+def _lazy_twin(build, *params):
+    """Exact evaluator build(*twins), made on its first call from the parameters' exact twins."""
+    twin = None
+
+    def fundamental_exact(q: Fraction) -> Fraction:
+        nonlocal twin
+        if twin is None:
+            twin = build(*[_as_exact(p) for p in params])
+        return twin(q)
+
+    return fundamental_exact
+
+
+def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
+    """Resolve (a, a/(2*pi)) from either parametrization.
+
+    The third item is the parameter whose exact twin is the coefficient's:
+    a_over_2pi as given, or the float a/(2*pi).
+    """
     if (a is None) == (a_over_2pi is None):
         raise InvalidParam("give exactly one of a or a_over_2pi")
     if a_over_2pi is not None:
-        c, c_q = _as_pair(a_over_2pi)
-        return c * TWO_PI, c, c_q
-    a_f = float(a)
+        c = _as_float(a_over_2pi, "a_over_2pi")
+        return c * TWO_PI, c, a_over_2pi
+    a_f = _as_float(a, "a")
     c = a_f / TWO_PI
-    return a_f, c, Fraction(c)
+    return a_f, c, c
 
 
 def _memo_pair(build):
@@ -63,12 +89,10 @@ def _memo_pair(build):
     return builder
 
 
-def _self_pair(sections: tuple[ConstantSection, ...]):
-    def build(F: Lifting):
-        env = MonotoneEnvelope(lifting=F, sections=sections, source="analytic")
-        return env, env
-
-    return _memo_pair(build)
+def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting):
+    """A non-decreasing map with known sections is its own upper and lower envelope."""
+    env = MonotoneEnvelope(lifting=F, sections=sections, source="analytic")
+    return env, env
 
 
 def _root_on_increasing(f, target: float, lo: float, hi: float) -> float:
@@ -87,6 +111,19 @@ def _root_on_increasing(f, target: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # the one-parameter staircase family
 
+_FOUR_THIRDS = Fraction(4, 3)
+_THREE_QUARTERS = Fraction(3, 4)
+_FMU_ENVELOPES = partial(_own_envelope, (ConstantSection(0.75, 1.0),))
+
+
+def _fmu_exact(mu_q: Fraction):
+    def fund_exact(q: Fraction) -> Fraction:
+        if q > _THREE_QUARTERS:
+            return mu_q + 1
+        return _FOUR_THIRDS * q + mu_q
+
+    return fund_exact
+
 
 def f_mu(mu) -> Lifting:
     """Lifting with fundamental (4/3)x + mu on [0, 3/4] and mu + 1 above.
@@ -94,7 +131,7 @@ def f_mu(mu) -> Lifting:
     Non-decreasing and continuous, with the constant section [3/4, 1]; the
     rotation number as a function of mu draws a Devil's staircase.
     """
-    mu_f, mu_q = _as_pair(mu)
+    mu_f = _as_float(mu, "mu")
     if not 0.0 <= mu_f <= 1.0:
         raise InvalidParam(f"mu must lie in [0, 1], got {mu_f}")
 
@@ -103,21 +140,13 @@ def f_mu(mu) -> Lifting:
             return mu_f + 1.0
         return (4.0 / 3.0) * x + mu_f
 
-    four_thirds = Fraction(4, 3)
-    three_quarters = Fraction(3, 4)
-
-    def fund_exact(q: Fraction) -> Fraction:
-        if q > three_quarters:
-            return mu_q + 1
-        return four_thirds * q + mu_q
-
     return Lifting(
         fundamental=fund,
         monotone_class=Monotonicity.NON_DECREASING,
         continuity_class=Continuity.CONTINUOUS,
         label=f"F_mu(mu={mu_f:.8g})",
-        fundamental_exact=fund_exact,
-        envelope_builder=_self_pair((ConstantSection(0.75, 1.0),)),
+        fundamental_exact=_lazy_twin(_fmu_exact, mu),
+        envelope_builder=_FMU_ENVELOPES,
     )
 
 
@@ -144,7 +173,7 @@ def tau_exact(q: Fraction) -> Fraction:
 
 def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """x + omega - (a/2pi) sin(2 pi x); invertible exactly when a <= 1."""
-    omega_f, _ = _as_pair(omega)
+    omega_f = _as_float(omega, "omega")
     a_f, c, _ = _coefficient(a, a_over_2pi)
     if a_f < 0.0:
         raise InvalidParam(f"a must be non-negative, got {a_f}")
@@ -213,34 +242,38 @@ def _standard_envelopes(F: Lifting, omega: float, a: float, c: float):
     )
 
 
+def _pwl_exact(omega_q: Fraction, c_q: Fraction):
+    def fund_exact(q: Fraction) -> Fraction:
+        return q + omega_q - c_q * tau_exact(q)
+
+    return fund_exact
+
+
 def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """Piecewise-linear standard map x + omega - (a/2pi) tau(<x>).
 
     Slope of the outer branches is 1 - 4a/(2 pi), so the map stops being
     non-decreasing beyond a = pi/2.
     """
-    omega_f, omega_q = _as_pair(omega)
-    a_f, c, c_q = _coefficient(a, a_over_2pi)
+    omega_f = _as_float(omega, "omega")
+    a_f, c, c_param = _coefficient(a, a_over_2pi)
     if a_f < 0.0:
         raise InvalidParam(f"a must be non-negative, got {a_f}")
 
     def fund(x: float) -> float:
         return x + omega_f - c * tau(x)
 
-    def fund_exact(q: Fraction) -> Fraction:
-        return q + omega_q - c_q * tau_exact(q)
-
     return Lifting(
         fundamental=fund,
         monotone_class=Monotonicity.NON_DECREASING if c <= 0.25 else Monotonicity.GENERAL,
         continuity_class=Continuity.CONTINUOUS,
         label=f"T(omega={omega_f:.8g}, a={a_f:.8g})",
-        fundamental_exact=fund_exact,
-        envelope_builder=_memo_pair(lambda F: _pwl_envelopes(F, omega_f, omega_q, c, c_q)),
+        fundamental_exact=_lazy_twin(_pwl_exact, omega, c_param),
+        envelope_builder=_memo_pair(lambda F: _pwl_envelopes(F, omega, c, c_param)),
     )
 
 
-def _pwl_envelopes(F: Lifting, omega: float, omega_q: Fraction, c: float, c_q: Fraction):
+def _pwl_envelopes(F: Lifting, omega_param, c: float, c_param):
     if c < 0.25:
         env = MonotoneEnvelope(F, (), "analytic")
         return env, env
@@ -252,6 +285,8 @@ def _pwl_envelopes(F: Lifting, omega: float, omega_q: Fraction, c: float, c_q: F
     t = F.fundamental
     peak = t(0.75)
     trough = t(0.25)
+    omega_q = _as_exact(omega_param)
+    c_q = _as_exact(c_param)
     # crossings of peak-1 / trough+1 on the middle branch of slope 1 + 4c
     xu_q = (12 * c_q - 1) / (4 * (1 + 4 * c_q))
     xl_q = (5 + 4 * c_q) / (4 * (1 + 4 * c_q))
@@ -309,6 +344,14 @@ def _pwl_envelopes(F: Lifting, omega: float, omega_q: Fraction, c: float, c_q: F
     )
 
 
+def _disc_exact(omega_q: Fraction, c_q: Fraction):
+    def fund_exact(q: Fraction) -> Fraction:
+        frac = q - (q.numerator // q.denominator)
+        return q + omega_q + c_q * frac
+
+    return fund_exact
+
+
 def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """Discontinuous standard map x + omega + (a/2pi) <x>.
 
@@ -316,18 +359,14 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     and carry constant sections for a > 0.  The value at integers uses
     <x> = 0; one-sided limits are exposed separately.
     """
-    omega_f, omega_q = _as_pair(omega)
-    a_f, c, c_q = _coefficient(a, a_over_2pi)
+    omega_f = _as_float(omega, "omega")
+    a_f, c, c_param = _coefficient(a, a_over_2pi)
     if a_f < 0.0:
         raise InvalidParam(f"a must be non-negative for a heavy map, got {a_f}")
 
     def fund(x: float) -> float:
         frac = x - math.floor(x)
         return x + omega_f + c * frac
-
-    def fund_exact(q: Fraction) -> Fraction:
-        frac = q - (q.numerator // q.denominator)
-        return q + omega_q + c_q * frac
 
     def left_lim(x: float) -> float:
         # treat <.> continuously from the left: at 1 this is 1 + omega + c
@@ -343,19 +382,21 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         monotone_class=Monotonicity.NON_DECREASING if c == 0.0 else Monotonicity.GENERAL,
         continuity_class=Continuity.CONTINUOUS if c == 0.0 else Continuity.HEAVY,
         label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
-        fundamental_exact=fund_exact,
+        fundamental_exact=_lazy_twin(_disc_exact, omega, c_param),
         left_limit=None if c == 0.0 else left_lim,
         right_limit=None if c == 0.0 else right_lim,
-        envelope_builder=_memo_pair(lambda F: _disc_envelopes(F, omega_f, omega_q, c, c_q)),
+        envelope_builder=_memo_pair(lambda F: _disc_envelopes(F, omega_f, omega, c, c_param)),
     )
 
 
-def _disc_envelopes(F: Lifting, omega: float, omega_q: Fraction, c: float, c_q: Fraction):
+def _disc_envelopes(F: Lifting, omega: float, omega_param, c: float, c_param):
     if c == 0.0:
         env = MonotoneEnvelope(F, (), "analytic")
         return env, env
 
     slope = 1.0 + c
+    omega_q = _as_exact(omega_param)
+    c_q = _as_exact(c_param)
     qu_q = c_q / (1 + c_q)
     pl_q = 1 / (1 + c_q)
     qu = float(qu_q)
@@ -404,6 +445,8 @@ def _disc_envelopes(F: Lifting, omega: float, omega_q: Fraction, c: float, c_q: 
 # ---------------------------------------------------------------------------
 # the no-cycle-through-the-section example
 
+_COUNTEREXAMPLE_ENVELOPES = partial(_own_envelope, (ConstantSection(0.8, 1.0),))
+
 
 def counterexample_map() -> Lifting:
     """Five-piece non-decreasing lifting whose section meets no lifted cycle.
@@ -440,7 +483,7 @@ def counterexample_map() -> Lifting:
         continuity_class=Continuity.CONTINUOUS,
         label="counterexample",
         fundamental_exact=fund_exact,
-        envelope_builder=_self_pair((ConstantSection(0.8, 1.0),)),
+        envelope_builder=_COUNTEREXAMPLE_ENVELOPES,
     )
 
 

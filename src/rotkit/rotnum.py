@@ -8,14 +8,17 @@ Three estimators for non-decreasing degree-one liftings:
                       rotation number from adjacent index pairs (Simo's
                       continuation-method estimator); no a-priori error bound
                       unless the rotation number is Diophantine.
-* rho_constant_section -- orbit of 0 for a map whose constant section starts
-                      at the origin; the first iterate whose fractional part
-                      falls inside the section certifies an exact rational
-                      rotation number, otherwise the direct estimate after
-                      max_iter steps is returned.  An orbit whose float state
-                      repeats without a hit can never hit, so the estimator
-                      stops there and rebuilds the max_iter-step estimate bit
-                      for bit; iterations_used stays the nominal max_iter.
+* rho_constant_section -- orbit of a constant section's start, iterated on
+                      the conjugate whose section starts at the origin (the
+                      rotation by the keyword shift is applied inline, with
+                      no wrapper lifting); the first iterate whose
+                      fractional part falls inside the section certifies an
+                      exact rational rotation number, otherwise the direct
+                      estimate after max_iter steps is returned.  An orbit
+                      whose float state repeats without a hit can never
+                      hit, so the estimator stops there and rebuilds the
+                      max_iter-step estimate bit for bit; iterations_used
+                      stays the nominal max_iter.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .envelope import ConstantSection, lower_map, reparametrize_to_zero, upper_map, widest_section
+from .envelope import lower_map, section_origin, upper_map, widest_section
 from .lifting import Lifting, evaluate_exact
 
 DEFAULT_ERROR = 1e-6
@@ -241,17 +244,27 @@ def simo_error_bound(c: float, nu: float, n: int) -> float:
 
 
 def rho_constant_section(
-    G: Lifting, beta: float, error: float = DEFAULT_ERROR, tol: float = DEFAULT_TOL
+    G: Lifting,
+    beta: float,
+    error: float = DEFAULT_ERROR,
+    tol: float = DEFAULT_TOL,
+    *,
+    shift: float = 0.0,
 ) -> RotationEstimate:
-    """Exact-when-possible rotation number of a map with a section at the origin.
+    """Exact-when-possible rotation number of a map with a section at shift.
 
-    pre: G is non-decreasing and [-tol, beta + tol] is a constant section of
-    G (reparametrize_to_zero produces exactly this, with beta already shrunk
-    by tol on each side).  The orbit of 0 is the orbit of the section; at the
-    first n with fractional part x <= beta the section returns to itself
-    (mod 1) and rho = m/n exactly, provided the accumulated rounding error
-    stays below tol.  Cycles longer than ceil(1/error) are invisible and fall
-    back to the direct estimate (m + x)/max_iter of the orbit's state after
+    pre: G is non-decreasing and [shift - tol, shift + beta + tol] is a
+    constant section of G, with beta already shrunk by tol on each side
+    (envelope.section_origin computes shift and beta from a section).  The
+    estimator iterates the conjugate x -> G(x + shift) - shift, whose
+    section starts at the origin, with the float operations of
+    reparametrize_to_zero's wrapper in the same order; with shift=0.0 it
+    iterates G itself, so G may also be a map reparametrize_to_zero built.
+    The orbit of 0 is the orbit of the section; at the first n with
+    fractional part x <= beta the section returns to itself (mod 1) and
+    rho = m/n exactly, provided the accumulated rounding error stays below
+    tol.  Cycles longer than ceil(1/error) are invisible and fall back to the
+    direct estimate (m + x)/max_iter of the orbit's state after
     max_iter = ceil(1/error) steps.
 
     The fallback may stop early.  The float state x is compared with a
@@ -277,7 +290,10 @@ def rho_constant_section(
     cn = 0
     nxt = 1
     for n in range(1, max_iter + 1):
-        x = fund(x)
+        # G's gluing rule at x + shift, conjugated back by -shift
+        y = x + shift
+        s = floor(y)
+        x = fund(y - s) + s - shift
         if not 0.0 <= x < 1.0:
             s = floor(x)
             m += s
@@ -291,7 +307,9 @@ def rho_constant_section(
             periods, rem = divmod(max_iter - n, n - cn)
             gain = m - cm
             for _ in range(rem):
-                x = fund(x)
+                y = x + shift
+                s = floor(y)
+                x = fund(y - s) + s - shift
                 if not 0.0 <= x < 1.0:
                     s = floor(x)
                     m += s
@@ -369,9 +387,8 @@ def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> Rota
     if method == "csb":
         sec = widest_section(env.sections)
         if sec is not None and sec.width > 2.0 * tol:
-            guarded = ConstantSection(alpha=sec.alpha, beta=sec.beta, tol=tol)
-            G, K0 = reparametrize_to_zero(env.lifting, guarded)
-            return rho_constant_section(G, K0.beta, error, tol)
+            shift, beta = section_origin(sec.alpha, sec.beta, tol)
+            return rho_constant_section(env.lifting, beta, error, tol, shift=shift)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
     return rho_direct(env.lifting, error)

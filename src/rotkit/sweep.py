@@ -65,6 +65,10 @@ class SweepConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        for name in ("mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.mu_step <= 0.0:
             raise UsageError("mu_step must be positive")
         if not (math.isfinite(self.error) and math.isfinite(self.tol)):
@@ -332,8 +336,8 @@ def invert_staircase(
     """
     if not 0.0 < target < 1.0:
         raise UsageError("target must lie strictly inside (0, 1)")
-    if eps <= 0.0:
-        raise UsageError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise UsageError(f"eps must be positive and finite, got {eps}")
     lo, hi = 0.0, 1.0
     rho_mid = math.nan
     for k in range(1, max_bisections + 1):

@@ -42,6 +42,27 @@ def test_non_finite_inputs_exit_one(argv, tmp_path, capsys):
     assert err.startswith("rotkit: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "--family", "standard", "--steps", "2", "--omega", "inf"],
+        ["interval", "--family", "pwl", "--steps", "2", "--omega", "nan"],
+        ["interval", "--family", "disc", "--steps", "2", "--a-range", "0:inf"],
+        ["staircase", "--mu-step", "inf"],
+        ["staircase", "--mu-step", "nan"],
+        ["tongue", "--family", "pwl", "--steps", "2", "--omega-range", "nan:1"],
+        ["invert", "--rho", "1/2", "--eps", "nan"],
+        ["invert", "--rho", "1/2", "--eps", "inf"],
+    ],
+)
+def test_non_finite_sweep_parameters_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rotkit: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_staircase_csv_output(tmp_path):
     out = tmp_path / "stairs.csv"
     code = main(

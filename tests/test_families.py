@@ -175,3 +175,66 @@ def test_coefficient_parametrizations_match():
         pwl_standard(0)
     with pytest.raises(InvalidParam):
         pwl_standard(0, 1.0, a_over_2pi=Fraction(1, 2))
+
+
+def test_exact_twins_are_lazy_and_keep_parameter_semantics():
+    # a float parameter's twin is its binary value; Fraction, int and str are taken as given
+    q = Fraction(1, 5)
+    assert f_mu(0.1).fundamental_exact(q) == Fraction(4, 3) * q + Fraction(0.1)
+    assert Fraction(0.1) != Fraction(1, 10)
+    for mu in (Fraction(1, 3), "1/3"):
+        F = f_mu(mu)
+        first = F.fundamental_exact(q)
+        assert first == Fraction(4, 3) * q + Fraction(1, 3)
+        assert F.fundamental_exact(q) == first
+        assert F.fundamental_exact(Fraction(9, 10)) == Fraction(4, 3)
+    assert f_mu(1).fundamental_exact(Fraction(0)) == 1
+    for omega, omega_q in ((0.1, Fraction(0.1)), (Fraction(1, 10), Fraction(1, 10))):
+        T = pwl_standard(omega, a_over_2pi=Fraction(1, 8))
+        first = T.fundamental_exact(q)
+        assert first == q + omega_q - Fraction(1, 8) * 4 * q
+        assert T.fundamental_exact(q) == first
+        D = disc_standard(omega, a_over_2pi=Fraction(1, 2))
+        first = D.fundamental_exact(q)
+        assert first == q + omega_q + Fraction(1, 2) * q
+        assert D.fundamental_exact(q) == first
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: f_mu(v),
+        lambda v: standard_map(v, 1.0),
+        lambda v: standard_map(0.0, v),
+        lambda v: pwl_standard(v, 1.0),
+        lambda v: pwl_standard(0.0, a_over_2pi=v),
+        lambda v: disc_standard(v, 1.0),
+        lambda v: disc_standard(0.0, v),
+    ],
+)
+def test_non_finite_parameters_rejected(make):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParam):
+            make(value)
+
+
+def test_exact_twin_built_on_first_call_only(monkeypatch):
+    import rotkit.families as families
+
+    made = []
+    real = families._as_exact
+
+    def counting(value):
+        made.append(value)
+        return real(value)
+
+    monkeypatch.setattr(families, "_as_exact", counting)
+    F = f_mu(0.25)
+    T = pwl_standard(0.25, 9.0)
+    assert made == []
+    for _ in range(3):
+        F.fundamental_exact(Fraction(1, 2))
+    assert made == [0.25]
+    T.fundamental_exact(Fraction(1, 2))
+    T.fundamental_exact(Fraction(1, 3))
+    assert made == [0.25, 0.25, 9.0 / TWO_PI]

@@ -14,6 +14,7 @@ from rotkit import (
     disc_standard,
     evaluate_exact,
     f_mu,
+    lower_map,
     pwl_standard,
     reparametrize_to_zero,
     rho_constant_section,
@@ -25,7 +26,9 @@ from rotkit import (
     simo_error_bound,
     standard_map,
     upper_map,
+    widest_section,
 )
+from rotkit.envelope import section_origin
 from _oracles import (
     direct_value_oracle,
     ell_of_n,
@@ -234,6 +237,17 @@ def _assert_matches_oracle(G, beta, error, tol=1e-10):
     return est
 
 
+def _shifted(fund, shift):
+    """x -> G(x + shift) - shift for G with fundamental fund, via G's gluing rule."""
+
+    def g(x):
+        y = x + shift
+        s = math.floor(y)
+        return fund(y - s) + s - shift
+
+    return g
+
+
 def _section_inputs(F, alpha, beta, tol=1e-10):
     G, K = reparametrize_to_zero(F, ConstantSection(alpha, beta, tol))
     return G, K.beta
@@ -260,9 +274,9 @@ def test_shortcut_bit_identical_on_tongue_exhausts(family, monkeypatch):
     calls = []
     real = rotnum.rho_constant_section
 
-    def recording(G, beta, error, tol):
-        est = real(G, beta, error, tol)
-        calls.append((G, beta, error, tol, est))
+    def recording(G, beta, error, tol, *, shift=0.0):
+        est = real(G, beta, error, tol, shift=shift)
+        calls.append((G, beta, error, shift, est))
         return est
 
     monkeypatch.setattr(rotnum, "rho_constant_section", recording)
@@ -270,8 +284,9 @@ def test_shortcut_bit_identical_on_tongue_exhausts(family, monkeypatch):
     arnold_tongue(cfg, Fraction(1, 2))
     exhausts = [c for c in calls if c[4].kind == "approx"]
     assert exhausts
-    for G, beta, error, tol, _ in exhausts:
-        _assert_matches_oracle(G, beta, error, tol)
+    for G, beta, error, shift, est in exhausts:
+        kind, value, m, n, used = section_orbit_oracle(_shifted(G.fundamental, shift), beta, error)
+        assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
 
 
 def test_shortcut_bit_identical_on_random_pl_maps():
@@ -280,6 +295,52 @@ def test_shortcut_bit_identical_on_random_pl_maps():
         F, beta, _, _ = random_flat_pl_lifting(rng)
         G, beta_f = _section_inputs(F, 0.0, float(beta))
         _assert_matches_oracle(G, beta_f, 1e-4)
+
+
+def _assert_shift_matches_reparametrized(F, alpha, beta, error=1e-4, tol=1e-10):
+    # the shift keyword iterates F as reparametrize_to_zero's G, bit for bit
+    G, K = reparametrize_to_zero(F, ConstantSection(alpha, beta, tol))
+    shift = alpha + tol
+    assert section_origin(alpha, beta, tol) == (shift, K.beta)
+    ref = rho_constant_section(G, K.beta, error, tol)
+    est = rho_constant_section(F, K.beta, error, tol, shift=shift)
+    assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (
+        ref.kind,
+        ref.value.hex(),
+        ref.m,
+        ref.n,
+        ref.iterations_used,
+    )
+    return est
+
+
+def test_shift_bit_identical_on_fmu():
+    mus = [0.0, 1.0, 819 / 3124, 819 / 3124 - 1e-16] + [i / 199 for i in range(200)]
+    kinds = set()
+    for mu in mus:
+        kinds.add(_assert_shift_matches_reparametrized(f_mu(mu), 0.75, 1.0).kind)
+    assert kinds == {"exact", "approx"}
+
+
+@pytest.mark.parametrize(
+    "make, a",
+    [(standard_map, 1.5), (standard_map, 9.0), (pwl_standard, 4.0), (pwl_standard, 9.0), (disc_standard, 3.0)],
+)
+def test_shift_bit_identical_on_envelopes(make, a):
+    for omega in (0.0, 0.13, 0.5, 0.71):
+        F = make(omega, a)
+        for env in (upper_map(F), lower_map(F)):
+            sec = widest_section(env.sections)
+            _assert_shift_matches_reparametrized(env.lifting, sec.alpha, sec.beta)
+
+
+def test_shift_bit_identical_on_counterexample_and_random_pl_maps():
+    est = _assert_shift_matches_reparametrized(counterexample_map(), 0.8, 1.0, 1e-5)
+    assert est.kind == "approx"
+    rng = random.Random(7)
+    for _ in range(20):
+        F, beta, _, _ = random_flat_pl_lifting(rng)
+        _assert_shift_matches_reparametrized(F, 0.0, float(beta))
 
 
 @pytest.mark.parametrize("omega, m, n", [(0.0, 0, 1), (1.0, 1, 1), (0.25, 1, 4)])

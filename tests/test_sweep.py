@@ -46,6 +46,15 @@ def test_config_rejects_non_finite_error_and_tol(field, value):
         _cfg(**{field: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "field", ["mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"]
+)
+def test_config_rejects_non_finite_grid_values(field):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match=field):
+            _cfg(**{field: value}).validate()
+
+
 def test_pool_size_is_clamped(monkeypatch):
     import rotkit.sweep as sweep
 
@@ -214,6 +223,12 @@ def test_invert_validation():
         invert_staircase(1.5, 1e-3)
     with pytest.raises(UsageError):
         invert_staircase(0.5, 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_invert_rejects_non_finite_eps(eps):
+    with pytest.raises(UsageError, match="eps"):
+        invert_staircase(0.5, eps, error=1e-4)
 
 
 def test_benchmark_rows():
