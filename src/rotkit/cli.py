@@ -2,8 +2,8 @@
 
 Subcommands: staircase, interval, tongue, invert, bench.  Every sweep writes
 plot-ready CSV to --out (default stdout).  Exit codes: 0 success, 1 usage
-error, 2 when some grid cells failed (failures are flagged in-file and the
-sweep continues).
+error or an --out that cannot be written, 2 when some grid cells failed
+(failures are flagged in-file and the sweep continues).
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help (0) or usage error (1)
         code = exc.code if isinstance(exc.code, int) else 1
         return code
-    except (UsageError, InvalidParam, ValueError) as exc:
+    except (UsageError, InvalidParam, ValueError, OSError) as exc:
         sys.stderr.write(f"rotkit: error: {exc}\n")
         return 1
 

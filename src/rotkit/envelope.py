@@ -6,7 +6,7 @@ inf{F(y) : y >= x}.  Both are again degree-one liftings, they coincide with
 F exactly when F is non-decreasing, and whenever they differ they carry
 non-degenerate constant sections.  Those sections are what the exact
 rotation-number algorithm feeds on, so this module also extracts maximal
-sections and reparametrizes a lifting so a chosen section starts at 0.
+sections; rotnum's estimator rotates the chosen one to the origin itself.
 
 Families with closed-form envelopes register a builder on the Lifting; the
 generic numeric constructor (uniform grid, running extremum, local
@@ -16,13 +16,11 @@ cross-check for the analytic forms.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .lifting import Continuity, Lifting, Monotonicity, evaluate_exact
+from .lifting import Continuity, Lifting, Monotonicity
 
 GRID = 4096
 SECTION_EPS = 1e-12
@@ -33,27 +31,21 @@ class NumericEnvelopeFailure(RuntimeError):
     """Grid refinement could not certify a monotone envelope to tolerance."""
 
 
-class SectionTooSmall(ValueError):
-    """Section narrower than 2*tol: the exact algorithm cannot use it."""
-
-
 @dataclass(frozen=True)
 class ConstantSection:
     """A closed interval [alpha, beta] on which a monotone lifting is constant.
 
-    tol is the padding claimed around the stored endpoints: the true
-    constant section contains [alpha - tol, beta + tol].  Sections found
-    numerically carry tol = 0 and store the refined true endpoints.
+    alpha may be negative when the section straddles an integer.  Sections
+    found numerically store the refined true endpoints.
     """
 
     alpha: float
     beta: float
-    tol: float = 0.0
 
     def __post_init__(self) -> None:
         if self.beta < self.alpha:
             raise ValueError(f"empty section: [{self.alpha}, {self.beta}]")
-        if self.beta - self.alpha + 2.0 * self.tol >= 1.0:
+        if self.beta - self.alpha >= 1.0:
             raise ValueError("constant section of a degree-one lifting has diameter < 1")
 
     @property
@@ -71,8 +63,7 @@ class MonotoneEnvelope:
 
 
 def _self_envelope(F: Lifting) -> MonotoneEnvelope:
-    probe = MonotoneEnvelope(lifting=F, sections=(), source="analytic")
-    return MonotoneEnvelope(F, tuple(find_maximal_sections(probe)), "analytic")
+    return MonotoneEnvelope(F, tuple(find_maximal_sections(F)), "analytic")
 
 
 def upper_map(F: Lifting) -> MonotoneEnvelope:
@@ -287,8 +278,7 @@ def _numeric_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
         )
         ok, last_error = _certify(lifting, F, 2 * n, upper)
         if ok:
-            env = MonotoneEnvelope(lifting=lifting, sections=(), source="numeric")
-            return MonotoneEnvelope(lifting, tuple(find_maximal_sections(env)), "numeric")
+            return MonotoneEnvelope(lifting, tuple(find_maximal_sections(lifting)), "numeric")
     raise NumericEnvelopeFailure(f"{F.label}: {last_error}")
 
 
@@ -333,21 +323,21 @@ def _refine_section_edge(
     return lo
 
 
-def find_maximal_sections(E: MonotoneEnvelope) -> list[ConstantSection]:
-    """All inclusion-maximal constant sections of the envelope within one period.
+def find_maximal_sections(F: Lifting) -> list[ConstantSection]:
+    """All inclusion-maximal constant sections of a non-decreasing lifting within one period.
 
     Grid scan for runs of (near-)equal samples, then bisection refinement of
     both endpoints; a run hugging x=1 merges with a level-minus-one run
     hugging x=0 into a single section represented with a negative alpha.
-    Returns [] when the envelope is strictly increasing on the grid.
+    Returns [] when the lifting is strictly increasing on the grid.
 
-    Endpoints at transversal crossings resolve to ~1e-13; where the envelope
+    Endpoints at transversal crossings resolve to ~1e-13; where the lifting
     leaves its level tangentially (a smooth local extremum) the endpoint is
     only float-determined to sqrt(ulp / curvature), a few 1e-9 for the
     sine-based family.  Sections narrower than one grid cell are invisible.
     """
-    fund = E.lifting.fundamental
-    xs, fs = _sample(E.lifting, GRID)
+    fund = F.fundamental
+    xs, fs = _sample(F, GRID)
 
     runs: list[tuple[int, int]] = []
     i = 0
@@ -399,59 +389,3 @@ def find_maximal_sections(E: MonotoneEnvelope) -> list[ConstantSection]:
         sections.append(ConstantSection(alpha=r[0], beta=r[1]))
     sections.sort(key=lambda s: s.alpha)
     return sections
-
-
-def section_origin(alpha: float, beta: float, tol: float) -> tuple[float, float]:
-    """Shift and test bound that move the section [alpha, beta] to the origin.
-
-    Conjugating by the rotation x -> x + shift with shift = alpha + tol turns
-    the section, padded by tol on each side, into [-tol, beta' + tol] with
-    beta' = (beta - alpha) - 2*tol; returns (shift, beta').  Raises
-    SectionTooSmall when the section is no wider than 2*tol, and ValueError
-    when the padded section claims a diameter of 1 or more.
-    """
-    width = beta - alpha
-    if width <= 2.0 * tol:
-        raise SectionTooSmall(
-            f"section width {width:.3g} <= 2*tol = {2.0 * tol:.3g}; use the direct estimator"
-        )
-    if width + 2.0 * tol >= 1.0:
-        raise ValueError("constant section of a degree-one lifting has diameter < 1")
-    return alpha + tol, width - 2.0 * tol
-
-
-def reparametrize_to_zero(F: Lifting, K: ConstantSection) -> tuple[Lifting, ConstantSection]:
-    """Conjugate F by a rotation so the section starts at the origin.
-
-    G(x) = F(x + delta) - delta with delta = alpha + tol keeps the rotation
-    number and turns the section into [-tol, beta' + tol] with
-    beta' = width - 2*tol; the returned section is that pre-shrunk test
-    interval [0, beta'] carrying the same tol, ready for the constant-section
-    algorithm's single comparison x <= beta'.  The estimators apply the same
-    shift inline (rho_constant_section's shift keyword) instead of building G.
-    """
-    tol = K.tol
-    shift, beta = section_origin(K.alpha, K.beta, tol)
-    fund = F.fundamental
-
-    # F's gluing rule F(y) = fund(frac(y)) + floor(y), inlined
-    def g(x: float, _shift=shift, _fund=fund, _floor=math.floor) -> float:
-        y = x + _shift
-        s = _floor(y)
-        return _fund(y - s) + s - _shift
-
-    g_exact = None
-    if F.fundamental_exact is not None:
-        shift_q = Fraction(shift)
-
-        def g_exact(q: Fraction, _F=F, _sq=shift_q) -> Fraction:
-            return evaluate_exact(_F, q + _sq) - _sq
-
-    G = Lifting(
-        fundamental=g,
-        monotone_class=F.monotone_class,
-        continuity_class=F.continuity_class,
-        label=f"{F.label}@+{shift:.8g}",
-        fundamental_exact=g_exact,
-    )
-    return G, ConstantSection(alpha=0.0, beta=beta, tol=tol)

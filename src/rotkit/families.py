@@ -357,7 +357,7 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
 
     Heavy: the jump at every integer falls, so the envelopes are continuous
     and carry constant sections for a > 0.  The value at integers uses
-    <x> = 0; one-sided limits are exposed separately.
+    <x> = 0, the right limit; the left limit at 1 is 1 + omega + a/(2pi).
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
@@ -368,23 +368,12 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         frac = x - math.floor(x)
         return x + omega_f + c * frac
 
-    def left_lim(x: float) -> float:
-        # treat <.> continuously from the left: at 1 this is 1 + omega + c
-        return (1.0 + c) * x + omega_f
-
-    def right_lim(x: float) -> float:
-        if x >= 1.0:
-            return omega_f + 1.0
-        return (1.0 + c) * x + omega_f
-
     return Lifting(
         fundamental=fund,
         monotone_class=Monotonicity.NON_DECREASING if c == 0.0 else Monotonicity.GENERAL,
         continuity_class=Continuity.CONTINUOUS if c == 0.0 else Continuity.HEAVY,
         label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
         fundamental_exact=_lazy_twin(_disc_exact, omega, c_param),
-        left_limit=None if c == 0.0 else left_lim,
-        right_limit=None if c == 0.0 else right_lim,
         envelope_builder=_memo_pair(lambda F: _disc_envelopes(F, omega_f, omega, c, c_param)),
     )
 

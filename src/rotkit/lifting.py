@@ -1,13 +1,15 @@
-"""Degree-one circle map liftings and exact floor/fraction orbit iteration.
+"""Degree-one circle map liftings and their evaluation at any point.
 
 A lifting F of a degree-one circle map is fully determined by its
 restriction to the fundamental domain [0, 1] together with the gluing rule
 
     F(x) = F|[0,1](frac(x)) + floor(x),
 
-which gives F(x + 1) = F(x) + 1 for all x.  All objects here are immutable
-and every operation is pure, so liftings can be shared freely between
-worker processes.
+which gives F(x + 1) = F(x) + 1 for all x.  evaluate and evaluate_exact
+apply that rule in floats and in rationals; orbits are iterated by the
+estimators in rotnum, each with its own floor/fraction loop.  All objects
+here are immutable and every operation is pure, so liftings can be shared
+freely between worker processes.
 """
 
 from __future__ import annotations
@@ -34,15 +36,6 @@ class Continuity(Enum):
     HEAVY = "heavy"
 
 
-def split_floor(x: float) -> tuple[float, int]:
-    """Split x into (frac, floor) with frac in [0, 1).
-
-    Uses the mathematical floor: split_floor(-0.2) == (0.8, -1).
-    """
-    s = math.floor(x)
-    return x - s, s
-
-
 @dataclass(frozen=True)
 class Lifting:
     """A degree-one lifting given by its fundamental-domain restriction.
@@ -50,9 +43,6 @@ class Lifting:
     fundamental evaluates F|[0,1] in floats.  fundamental_exact, when
     present, evaluates the same restriction in exact rational arithmetic
     (Fraction in, Fraction out) and is what oracle-style cross checks use.
-    left_limit / right_limit expose one-sided limits of the fundamental
-    restriction for heavy (discontinuous) liftings; None means the map is
-    continuous and the limit equals the value.
     """
 
     fundamental: Callable[[float], float]
@@ -60,37 +50,20 @@ class Lifting:
     continuity_class: Continuity
     label: str
     fundamental_exact: Callable[[Fraction], Fraction] | None = None
-    left_limit: Callable[[float], float] | None = None
-    right_limit: Callable[[float], float] | None = None
     # family-registered closed-form envelopes; called with the lifting itself
     envelope_builder: Callable[["Lifting"], "tuple[MonotoneEnvelope, MonotoneEnvelope]"] | None = field(
         default=None, repr=False, compare=False
     )
 
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
-
     @property
     def is_non_decreasing(self) -> bool:
         return self.monotone_class is Monotonicity.NON_DECREASING
 
-    def fundamental_left(self, x: float) -> float:
-        """Left limit of the fundamental restriction at x in (0, 1]."""
-        if self.left_limit is not None:
-            return self.left_limit(x)
-        return self.fundamental(x)
-
-    def fundamental_right(self, x: float) -> float:
-        """Right limit of the fundamental restriction at x in [0, 1)."""
-        if self.right_limit is not None:
-            return self.right_limit(x)
-        return self.fundamental(x)
-
 
 def evaluate(F: Lifting, x: float) -> float:
     """Evaluate the globally defined lifting at any finite x."""
-    frac, whole = split_floor(x)
-    return F.fundamental(frac) + whole
+    whole = math.floor(x)
+    return F.fundamental(x - whole) + whole
 
 
 def evaluate_exact(F: Lifting, x: Fraction) -> Fraction:
@@ -99,46 +72,3 @@ def evaluate_exact(F: Lifting, x: Fraction) -> Fraction:
         raise ValueError(f"lifting {F.label!r} has no exact-rational evaluator")
     whole = x.numerator // x.denominator
     return F.fundamental_exact(x - whole) + whole
-
-
-@dataclass(frozen=True)
-class OrbitAccumulator:
-    """Floor/fraction split of F^n(0): x + m == F^n(0) with x in [0, 1)."""
-
-    x: float
-    m: int
-    n: int
-
-
-def orbit_step(F: Lifting, s: OrbitAccumulator) -> OrbitAccumulator:
-    """Advance the accumulator one iterate, with exactly one floor call."""
-    value = F.fundamental(s.x)
-    frac, whole = split_floor(value)
-    return OrbitAccumulator(x=frac, m=s.m + whole, n=s.n + 1)
-
-
-def iterate_n(F: Lifting, n: int, x0: float = 0.0) -> OrbitAccumulator:
-    """n-fold orbit_step starting from x0 (default 0, as the estimators do)."""
-    if n < 0:
-        raise ValueError("iterate count must be non-negative")
-    acc = OrbitAccumulator(x=x0, m=0, n=0)
-    for _ in range(n):
-        acc = orbit_step(F, acc)
-    return acc
-
-
-def iterate_n_exact(F: Lifting, n: int, x0: Fraction = Fraction(0)) -> tuple[Fraction, int]:
-    """Exact-rational twin of iterate_n; returns (frac, floor) of F^n(x0)."""
-    if n < 0:
-        raise ValueError("iterate count must be non-negative")
-    x = x0
-    m = 0
-    fund = F.fundamental_exact
-    if fund is None:
-        raise ValueError(f"lifting {F.label!r} has no exact-rational evaluator")
-    for _ in range(n):
-        value = fund(x)
-        whole = value.numerator // value.denominator
-        m += whole
-        x = value - whole
-    return x, m

@@ -10,10 +10,10 @@ Three estimators for non-decreasing degree-one liftings:
                       unless the rotation number is Diophantine.
 * rho_constant_section -- orbit of a constant section's start, iterated on
                       the conjugate whose section starts at the origin (the
-                      rotation by the keyword shift is applied inline, with
-                      no wrapper lifting); the first iterate whose
-                      fractional part falls inside the section certifies an
-                      exact rational rotation number, otherwise the direct
+                      rotation by the keyword shift is applied inside the
+                      loop); the first iterate whose fractional part
+                      falls inside the section certifies an exact
+                      rational rotation number, otherwise the direct
                       estimate after max_iter steps is returned.  An orbit
                       whose float state repeats without a hit can never
                       hit, so the estimator stops there and rebuilds the
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .envelope import lower_map, section_origin, upper_map, widest_section
+from .envelope import lower_map, upper_map, widest_section
 from .lifting import Lifting, evaluate_exact
 
 DEFAULT_ERROR = 1e-6
@@ -254,18 +254,17 @@ def rho_constant_section(
     """Exact-when-possible rotation number of a map with a section at shift.
 
     pre: G is non-decreasing and [shift - tol, shift + beta + tol] is a
-    constant section of G, with beta already shrunk by tol on each side
-    (envelope.section_origin computes shift and beta from a section).  The
-    estimator iterates the conjugate x -> G(x + shift) - shift, whose
-    section starts at the origin, with the float operations of
-    reparametrize_to_zero's wrapper in the same order; with shift=0.0 it
-    iterates G itself, so G may also be a map reparametrize_to_zero built.
-    The orbit of 0 is the orbit of the section; at the first n with
-    fractional part x <= beta the section returns to itself (mod 1) and
-    rho = m/n exactly, provided the accumulated rounding error stays below
-    tol.  Cycles longer than ceil(1/error) are invisible and fall back to the
-    direct estimate (m + x)/max_iter of the orbit's state after
-    max_iter = ceil(1/error) steps.
+    constant section of G, with beta already shrunk by tol on each side: a
+    section [alpha, b] gives shift = alpha + tol and beta = (b - alpha) -
+    2*tol.  The estimator iterates the conjugate x -> G(x + shift) - shift,
+    whose section starts at the origin, through G's gluing rule
+    y = x + shift, G(y) = fund(y - floor(y)) + floor(y); with shift=0.0 it
+    iterates G itself.  The orbit of 0 is the orbit of the section; at the
+    first n with fractional part x <= beta the section returns to itself
+    (mod 1) and rho = m/n exactly, provided the accumulated rounding error
+    stays below tol.  Cycles longer than ceil(1/error) are invisible and
+    fall back to the direct estimate (m + x)/max_iter of the orbit's state
+    after max_iter = ceil(1/error) steps.
 
     The fallback may stop early.  The float state x is compared with a
     checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's cycle detection).
@@ -354,9 +353,9 @@ def rho_constant_section_exact(
 def rho_csb(F: Lifting, error: float = DEFAULT_ERROR, tol: float = DEFAULT_TOL) -> RotationEstimate:
     """Constant-section estimate of a non-decreasing lifting.
 
-    Reparametrizes the widest maximal section (ties to the leftmost) so it
-    starts at the origin and runs rho_constant_section; falls back to
-    rho_direct when no section wider than 2*tol exists.
+    Rotates the widest maximal section (ties to the leftmost) to the origin
+    and runs rho_constant_section; falls back to rho_direct when no section
+    wider than 2*tol exists.
     """
     _require_non_decreasing(F, "rho_csb")
     return _rho_of_envelope(upper_map(F), error, tol)
@@ -387,7 +386,9 @@ def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> Rota
     if method == "csb":
         sec = widest_section(env.sections)
         if sec is not None and sec.width > 2.0 * tol:
-            shift, beta = section_origin(sec.alpha, sec.beta, tol)
+            # rotated by -shift the section is [-tol, beta + tol]; x <= beta keeps tol off each edge
+            shift = sec.alpha + tol
+            beta = (sec.beta - sec.alpha) - 2.0 * tol
             return rho_constant_section(env.lifting, beta, error, tol, shift=shift)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")

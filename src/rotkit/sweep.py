@@ -244,9 +244,11 @@ def _interval_cell(args: tuple) -> IntervalRow:
 
 
 def _interval_method(cfg: SweepConfig) -> str:
-    if "simo" in cfg.algorithms:
+    if len(cfg.algorithms) != 1:
+        raise UsageError("pick exactly one algorithm for an interval or tongue sweep")
+    if cfg.algorithms[0] == "simo":
         raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
-    return "direct" if cfg.algorithms == ("direct",) else "csb"
+    return cfg.algorithms[0]
 
 
 def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
@@ -338,6 +340,8 @@ def invert_staircase(
         raise UsageError("target must lie strictly inside (0, 1)")
     if not (math.isfinite(eps) and eps > 0.0):
         raise UsageError(f"eps must be positive and finite, got {eps}")
+    if max_bisections < 1:
+        raise UsageError(f"max_bisections must be at least 1, got {max_bisections}")
     lo, hi = 0.0, 1.0
     rho_mid = math.nan
     for k in range(1, max_bisections + 1):

@@ -5,7 +5,8 @@ direct-sweep oracle re-implements the plain iteration with its own
 floor/fraction handling (plus cycle extrapolation, which is bit-identical
 because a float orbit that revisits a state repeats forever), the
 section-orbit oracle runs the constant-section loop to the end with no
-shortcut, and the exact certifier iterates in rational arithmetic only.
+shortcut (on a section rotated to the origin by _shifted, written out here),
+and the exact certifier iterates in rational arithmetic only.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def direct_value_oracle(fund, error: float) -> float:
         xs.append(x)
         ms.append(m)
     return (m + x) / n_max + k0
+
+
+def _shifted(fund, shift):
+    """x -> G(x + shift) - shift for G with fundamental fund, via G's gluing rule."""
+
+    def g(x):
+        y = x + shift
+        s = math.floor(y)
+        return fund(y - s) + s - shift
+
+    return g
 
 
 def section_orbit_oracle(fund, beta: float, error: float) -> tuple:

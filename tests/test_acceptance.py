@@ -15,16 +15,14 @@ from fractions import Fraction
 import pytest
 
 from rotkit import (
-    ConstantSection,
     PeriodicOrbitDetected,
     counterexample_map,
     disc_standard,
     evaluate_exact,
     f_mu,
     pwl_standard,
-    reparametrize_to_zero,
-    rho_constant_section,
     rho_constant_section_exact,
+    rho_csb,
     rho_direct,
     rho_simo,
     rotation_interval,
@@ -90,9 +88,7 @@ def test_criterion_01b_staircase_monotone_and_plateau(staircase_full):
 
 def test_criterion_02_tangency_guard():
     mu_star = 819 / 3124 - 1e-16
-    F = f_mu(mu_star)
-    G, K = reparametrize_to_zero(F, ConstantSection(0.75, 1.0, TOL))
-    est = rho_constant_section(G, K.beta, ERROR, TOL)
+    est = rho_csb(f_mu(mu_star), ERROR, TOL)
     assert (est.m, est.n) != (2, 5)
     assert abs(est.value - 0.3983) < 1e-3
 
@@ -115,8 +111,7 @@ def test_criterion_02_tangency_guard():
 
 def test_criterion_03_counterexample_fallback():
     C = counterexample_map()
-    G, K = reparametrize_to_zero(C, ConstantSection(0.8, 1.0, TOL))
-    est = rho_constant_section(G, K.beta, ERROR, TOL)
+    est = rho_csb(C, ERROR, TOL)
     assert est.kind == "approx"
     assert abs(est.value - 1.0 / 3.0) < ERROR
 

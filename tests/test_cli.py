@@ -192,6 +192,40 @@ def test_failed_cells_exit_two(tmp_path, monkeypatch):
     assert "error" in out.read_text()
 
 
+def test_oversized_tol_does_not_abort_tongue(tmp_path):
+    # a section wider than 2*tol is still used when width + 2*tol >= 1
+    base = ["tongue", "--family", "standard", "--steps", "3", "--a-range", "10:12", "--error", "1e-3"]
+    big = tmp_path / "big.csv"
+    small = tmp_path / "small.csv"
+    assert main([*base, "--tol", "0.3", "--out", str(big)]) == 0
+    assert main([*base, "--tol", "1e-10", "--out", str(small)]) == 0
+    big_rows = big.read_text().splitlines()
+    small_rows = small.read_text().splitlines()
+    assert len(big_rows) == len(small_rows) == 10
+    for b, s in zip(big_rows[1:], small_rows[1:]):
+        a_b, omega_b, member_b, lo_b, hi_b = b.split(",")
+        a_s, omega_s, member_s, lo_s, hi_s = s.split(",")
+        assert (a_b, omega_b, member_b) == (a_s, omega_s, member_s)
+        assert abs(float(lo_b) - float(lo_s)) <= 2e-3
+        assert abs(float(hi_b) - float(hi_s)) <= 2e-3
+
+
+def test_invert_rejects_non_positive_budget(tmp_path, capsys):
+    out = tmp_path / "inv.csv"
+    assert main(["invert", "--rho", "1/2", "--max-bisections", "-5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rotkit: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_one(where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.csv"
+    assert main(["invert", "--rho", "1/2", "--error", "1e-4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rotkit: error: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_one():
     assert main(["staircase", "--mu-step", "-1"]) == 1
     assert main(["interval", "--family", "nope"]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,20 +8,22 @@ import pytest
 from rotkit import (
     ConstantSection,
     NumericEnvelopeFailure,
-    SectionTooSmall,
     counterexample_map,
     disc_standard,
     f_mu,
     find_maximal_sections,
     lower_map,
     pwl_standard,
-    reparametrize_to_zero,
+    rho_constant_section,
+    rho_csb,
+    rho_direct,
     standard_map,
     upper_map,
     widest_section,
 )
 from rotkit.envelope import MonotoneEnvelope, _numeric_envelope
 from rotkit.lifting import Continuity, Lifting, Monotonicity
+from _oracles import _shifted
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,16 +169,15 @@ def test_envelope_idempotence():
 def test_find_maximal_sections_examples():
     assert [(s.alpha, s.beta) for s in upper_map(f_mu(0.4)).sections] == [(0.75, 1.0)]
     # numeric scan agrees with the registration
-    env = MonotoneEnvelope(f_mu(0.4), (), "analytic")
-    (sec,) = find_maximal_sections(env)
+    (sec,) = find_maximal_sections(f_mu(0.4))
     assert sec.alpha == pytest.approx(0.75, abs=1e-12)
     assert sec.beta == 1.0
 
     rigid = standard_map(0.123, 0)
-    assert find_maximal_sections(MonotoneEnvelope(rigid, (), "analytic")) == []
+    assert find_maximal_sections(rigid) == []
 
     up = upper_map(pwl_standard(0, 2.5 * math.pi))
-    found = find_maximal_sections(up)
+    found = find_maximal_sections(up.lifting)
     (sec,) = found
     assert sec.alpha == pytest.approx(-0.25, abs=1e-10)
     assert sec.beta == pytest.approx(7.0 / 12.0, abs=1e-10)
@@ -189,31 +191,36 @@ def test_widest_section_tie_break():
     assert widest_section([]) is None
 
 
-def test_reparametrize_fmu():
+def test_reparametrize_wrapped_representative():
+    # the section of F_mu written as [-1/4, 0] rotates to the origin the same
+    # way as [3/4, 1]: same conjugate map, same certified rotation number
     mu = 0.3
     tol = 1e-10
     F = f_mu(mu)
-    G, K = reparametrize_to_zero(F, ConstantSection(0.75, 1.0, tol))
-    assert K.alpha == 0.0
-    assert K.beta == pytest.approx(0.25, abs=1e-9)
-    assert G.fundamental(0.0) == pytest.approx(mu + 0.25, abs=1e-9)
-    assert abs(G.fundamental(1.0) - G.fundamental(0.0) - 1.0) < 1e-12
-
-
-def test_reparametrize_wrapped_representative():
-    # the section of F_mu written as [-1/4, 0] normalizes the same way
-    mu = 0.3
-    F = f_mu(mu)
-    G, K = reparametrize_to_zero(F, ConstantSection(-0.25, 0.0, 1e-10))
-    assert K.alpha == 0.0
-    assert K.beta == pytest.approx(0.25, abs=1e-9)
-    assert G.fundamental(0.0) == pytest.approx(mu + 0.25, abs=1e-9)
+    g = _shifted(F.fundamental, -0.25 + tol)
+    assert g(0.0) == pytest.approx(mu + 0.25, abs=1e-9)
+    assert abs(g(1.0) - g(0.0) - 1.0) < 1e-12
+    beta = 0.25 - 2.0 * tol
+    wrapped = rho_constant_section(F, beta, 1e-4, tol, shift=-0.25 + tol)
+    est = rho_csb(F, 1e-4, tol)
+    assert wrapped.is_exact and wrapped.as_fraction == est.as_fraction
 
 
 def test_reparametrize_section_too_small():
+    # a registered section no wider than 2*tol is unusable: rho_csb falls
+    # back to the direct estimator
+    tol = 1e-10
     F = f_mu(0.3)
-    with pytest.raises(SectionTooSmall):
-        reparametrize_to_zero(F, ConstantSection(0.5, 0.5 + 1e-12, 1e-10))
+
+    def tiny_section(G):
+        env = MonotoneEnvelope(G, (ConstantSection(0.5, 0.5 + 1e-12),), "analytic")
+        return env, env
+
+    tiny = dataclasses.replace(F, envelope_builder=tiny_section)
+    est = rho_csb(tiny, 1e-4, tol)
+    assert est == rho_direct(F, 1e-4)
+    assert est.kind == "approx"
+    assert rho_csb(F, 1e-4, tol).is_exact
 
 
 def test_numeric_envelope_failure_on_unresolvable_map():
@@ -236,4 +243,4 @@ def test_constant_section_validation():
     with pytest.raises(ValueError):
         ConstantSection(0.5, 0.4)
     with pytest.raises(ValueError):
-        ConstantSection(0.0, 0.9999999999, 1e-3)
+        ConstantSection(0.0, 1.0)

@@ -75,7 +75,8 @@ def test_disc_standard_values_and_limits():
     D = disc_standard(0, TWO_PI)
     assert evaluate(D, 0.5) == pytest.approx(1.0, abs=1e-15)
     assert evaluate(D, 0.0) == 0.0
-    assert D.fundamental_left(1.0) == pytest.approx(2.0, abs=1e-15)
+    # left limit at 1
+    assert D.fundamental(math.nextafter(1.0, 0.0)) == pytest.approx(2.0, abs=1e-15)
     assert D.fundamental(1.0) == pytest.approx(1.0, abs=1e-15)
     assert D.continuity_class is Continuity.HEAVY
     with pytest.raises(InvalidParam):
@@ -84,8 +85,9 @@ def test_disc_standard_values_and_limits():
 
 def test_disc_standard_heavy_inequality_at_integers():
     D = disc_standard(0.3, 5.0)
-    # right limit <= value <= left limit at the wrap point
-    assert D.fundamental_right(0.0) <= D.fundamental(0.0) <= D.fundamental_left(1.0) - 1.0 + 1e-15
+    # right limit == value <= left limit at the wrap point
+    assert D.fundamental(math.nextafter(0.0, 1.0)) == pytest.approx(D.fundamental(0.0), abs=1e-15)
+    assert D.fundamental(0.0) <= D.fundamental(math.nextafter(1.0, 0.0)) - 1.0 + 1e-15
 
 
 def test_counterexample_pieces():

@@ -1,28 +1,38 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from rotkit import (
-    OrbitAccumulator,
     counterexample_map,
     evaluate,
     evaluate_exact,
     f_mu,
-    iterate_n,
-    iterate_n_exact,
-    orbit_step,
+    rho_direct,
     standard_map,
 )
-from rotkit.lifting import split_floor
+from rotkit.lifting import Continuity, Lifting, Monotonicity
 
 
 def test_split_floor_uses_mathematical_floor():
-    frac, whole = split_floor(-0.2)
-    assert whole == -1
-    assert frac == pytest.approx(0.8)
-    assert split_floor(2.25) == (0.25, 2)
-    assert split_floor(0.0) == (0.0, 0)
+    # evaluate hands the fundamental x - floor(x), with the mathematical floor
+    seen = []
+
+    def identity(x):
+        seen.append(x)
+        return x
+
+    F = Lifting(
+        fundamental=identity,
+        monotone_class=Monotonicity.NON_DECREASING,
+        continuity_class=Continuity.CONTINUOUS,
+        label="identity",
+    )
+    assert evaluate(F, -0.2) == pytest.approx(-0.2)
+    assert seen[-1] == pytest.approx(0.8)
+    assert evaluate(F, 2.25) == 2.25 and seen[-1] == 0.25
+    assert evaluate(F, 0.0) == 0.0 and seen[-1] == 0.0
 
 
 def test_eval_fmu_examples():
@@ -37,38 +47,34 @@ def test_eval_counterexample_flat_branch():
     assert evaluate(F, 0.9) == 1.2
 
 
-def test_orbit_step_fixed_point():
-    F = f_mu(0)
-    acc = orbit_step(F, OrbitAccumulator(x=0.0, m=0, n=0))
-    assert acc == OrbitAccumulator(x=0.0, m=0, n=1)
-
-
 def test_orbit_step_counterexample_split():
     F = counterexample_map()
-    acc = orbit_step(F, OrbitAccumulator(x=0.8, m=0, n=0))
-    assert acc.m == 1 and acc.n == 1
-    assert acc.x == pytest.approx(0.2, abs=1e-15)
+    value = evaluate(F, 0.8)
+    assert math.floor(value) == 1
+    assert value - 1 == pytest.approx(0.2, abs=1e-15)
+    assert evaluate_exact(F, Fraction(4, 5)) == Fraction(6, 5)
 
 
 def test_orbit_step_fmu_quarter_exact_value():
     # frozen from the rational oracle: F_{1/4}(0) = 1/4
     F = f_mu(Fraction(1, 4))
-    x, m = iterate_n_exact(F, 1)
-    assert (x, m) == (Fraction(1, 4), 0)
-    acc = orbit_step(F, OrbitAccumulator(x=0.0, m=0, n=0))
-    assert acc.x == 0.25 and acc.m == 0
+    assert evaluate_exact(F, Fraction(0)) == Fraction(1, 4)
+    assert evaluate(F, 0.0) == 0.25
 
 
 def test_iterate_n_examples():
-    assert iterate_n(f_mu(0), 10) == OrbitAccumulator(x=0.0, m=0, n=10)
+    y = 0.0
+    for _ in range(10):
+        y = evaluate(f_mu(0), y)
+    assert y == 0.0
     # rigid rotation by 1/3: exact arithmetic closes the cycle after 3 steps
-    x, m = iterate_n_exact(_rigid_third(), 3)
-    assert x == 0 and m == 1
+    q = Fraction(0)
+    for _ in range(3):
+        q = evaluate_exact(_rigid_third(), q)
+    assert q == 1
 
 
 def _rigid_third():
-    from rotkit.lifting import Continuity, Lifting, Monotonicity
-
     third = Fraction(1, 3)
     return Lifting(
         fundamental=lambda x: x + 1.0 / 3.0,
@@ -77,12 +83,6 @@ def _rigid_third():
         label="rigid-1/3",
         fundamental_exact=lambda q: q + third,
     )
-
-
-def test_iterate_n_exact_tangency_family():
-    F = f_mu(Fraction(819, 3124))
-    x, m = iterate_n_exact(F, 5)
-    assert x + m == Fraction(7, 4)
 
 
 def test_degree_one_gluing_on_families():
@@ -103,14 +103,16 @@ def test_periodicity_transport():
 
 
 def test_orbit_split_matches_global_evaluation():
-    # iterate_n's x + m tracks repeated global evaluation within n * 1e-13
+    # rho_direct's split orbit (m + x after n steps) tracks repeated global
+    # evaluation within n * 1e-13
     F = counterexample_map()
-    n = 2000
-    acc = iterate_n(F, n)
+    est = rho_direct(F, 1 / 2000)
+    n = est.iterations_used
+    assert n == 2000
     y = 0.0
     for _ in range(n):
         y = evaluate(F, y)
-    assert abs((acc.x + acc.m) - y) <= n * 1e-13
+    assert abs(est.value * n - y) <= n * 1e-13
 
 
 def test_orbit_monotone_in_start_point():
@@ -118,24 +120,11 @@ def test_orbit_monotone_in_start_point():
     n = 50
     values = []
     for i in range(64):
-        acc = iterate_n(F, n, x0=i / 64)
-        values.append(acc.x + acc.m)
+        y = i / 64
+        for _ in range(n):
+            y = evaluate(F, y)
+        values.append(y)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_orbit_fraction_stays_in_unit_interval():
-    from rotkit import pwl_standard
-
-    F = pwl_standard(0.3, 9.0)  # non-monotone, large swings
-    acc = OrbitAccumulator(x=0.0, m=0, n=0)
-    for _ in range(500):
-        acc = orbit_step(F, acc)
-        assert 0.0 <= acc.x < 1.0
-
-
-def test_iterate_requires_non_negative_count():
-    with pytest.raises(ValueError):
-        iterate_n(f_mu(0), -1)
 
 
 def test_exact_evaluator_missing():

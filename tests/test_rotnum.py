@@ -6,7 +6,6 @@ import pytest
 
 from rotkit import (
     GOLDEN_MEAN,
-    ConstantSection,
     InvalidSection,
     PeriodicOrbitDetected,
     RotationEstimate,
@@ -16,7 +15,6 @@ from rotkit import (
     f_mu,
     lower_map,
     pwl_standard,
-    reparametrize_to_zero,
     rho_constant_section,
     rho_constant_section_exact,
     rho_csb,
@@ -28,8 +26,8 @@ from rotkit import (
     upper_map,
     widest_section,
 )
-from rotkit.envelope import section_origin
 from _oracles import (
+    _shifted,
     direct_value_oracle,
     ell_of_n,
     exact_section_certificate,
@@ -140,9 +138,15 @@ def test_simo_error_bound_values():
 # constant-section algorithm
 
 
-def _reparametrized_fmu(mu, tol=1e-10):
-    F = f_mu(mu)
-    return reparametrize_to_zero(F, ConstantSection(0.75, 1.0, tol))
+def _section_origin(alpha, beta, tol=1e-10):
+    """Shift and test bound that rotate the section [alpha, beta], padded by tol, to the origin."""
+    return alpha + tol, (beta - alpha) - 2.0 * tol
+
+
+def _fmu_section(mu, tol=1e-10):
+    """f_mu and the shift and test bound of its section [3/4, 1]."""
+    shift, beta = _section_origin(0.75, 1.0, tol)
+    return f_mu(mu), beta, shift
 
 
 def test_csb_exact_rational_mode_certifies_two_fifths():
@@ -159,8 +163,8 @@ def test_csb_exact_rational_mode_certifies_two_fifths():
 
 def test_csb_tangency_guard_rejects_false_exact():
     mu_star = 819 / 3124 - 1e-16
-    G, K = _reparametrized_fmu(mu_star)
-    est = rho_constant_section(G, K.beta, 1e-6, 1e-10)
+    F, beta, shift = _fmu_section(mu_star)
+    est = rho_constant_section(F, beta, 1e-6, 1e-10, shift=shift)
     assert (est.m, est.n) != (2, 5)
     assert abs(est.value - 0.3983) < 1e-3
     # whatever the float path returned is re-certified on the same map in
@@ -172,24 +176,23 @@ def test_csb_tangency_guard_rejects_false_exact():
 
 
 def test_csb_counterexample_falls_back():
-    C = counterexample_map()
-    G, K = reparametrize_to_zero(C, ConstantSection(0.8, 1.0, 1e-10))
-    est = rho_constant_section(G, K.beta, 1e-6, 1e-10)
+    shift, beta = _section_origin(0.8, 1.0)
+    est = rho_constant_section(counterexample_map(), beta, 1e-6, 1e-10, shift=shift)
     assert est.kind == "approx"
     assert abs(est.value - 1.0 / 3.0) < 1e-6
 
 
 def test_csb_mu_zero_takes_approx_path():
-    G, K = _reparametrized_fmu(0.0)
-    est = rho_constant_section(G, K.beta, 1e-4, 1e-10)
+    F, beta, shift = _fmu_section(0.0)
+    est = rho_constant_section(F, beta, 1e-4, 1e-10, shift=shift)
     assert est.kind == "approx"
     assert abs(est.value) < 1e-4
 
 
 def test_csb_invalid_section():
-    G, K = _reparametrized_fmu(0.3)
+    F, _, shift = _fmu_section(0.3)
     with pytest.raises(InvalidSection):
-        rho_constant_section(G, 0.0, 1e-4)
+        rho_constant_section(F, 0.0, 1e-4, shift=shift)
 
 
 def test_csb_exact_matches_direct_on_plateaus():
@@ -213,15 +216,15 @@ def test_exactness_cross_check_in_rationals():
 
 
 def test_csb_rejects_non_finite_error_and_tol():
-    G, K = _reparametrized_fmu(0.3)
+    F, beta, shift = _fmu_section(0.3)
     for error in (math.inf, math.nan, -1e-3, 0.0):
         with pytest.raises(ValueError):
-            rho_constant_section(G, K.beta, error, 1e-10)
+            rho_constant_section(F, beta, error, 1e-10, shift=shift)
         with pytest.raises(ValueError):
             rho_direct(f_mu(0.3), error)
     for tol in (math.nan, math.inf, -1e-10):
         with pytest.raises(ValueError):
-            rho_constant_section(G, K.beta, 1e-4, tol)
+            rho_constant_section(F, beta, 1e-4, tol, shift=shift)
         with pytest.raises(ValueError):
             rho_csb(f_mu(0.3), 1e-4, tol)
 
@@ -230,39 +233,23 @@ def test_csb_rejects_non_finite_error_and_tol():
 # float-cycle shortcut: bit-identical to the plain section-orbit loop
 
 
-def _assert_matches_oracle(G, beta, error, tol=1e-10):
-    est = rho_constant_section(G, beta, error, tol)
-    kind, value, m, n, used = section_orbit_oracle(G.fundamental, beta, error)
+def _assert_matches_oracle(F, beta, error, tol=1e-10, shift=0.0):
+    est = rho_constant_section(F, beta, error, tol, shift=shift)
+    kind, value, m, n, used = section_orbit_oracle(_shifted(F.fundamental, shift), beta, error)
     assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
     return est
 
 
-def _shifted(fund, shift):
-    """x -> G(x + shift) - shift for G with fundamental fund, via G's gluing rule."""
-
-    def g(x):
-        y = x + shift
-        s = math.floor(y)
-        return fund(y - s) + s - shift
-
-    return g
-
-
-def _section_inputs(F, alpha, beta, tol=1e-10):
-    G, K = reparametrize_to_zero(F, ConstantSection(alpha, beta, tol))
-    return G, K.beta
-
-
 def test_shortcut_bit_identical_at_fmu_tangencies():
     for mu in (0, 1):
-        G, K = _reparametrized_fmu(mu)
-        est = _assert_matches_oracle(G, K.beta, 1e-5)
+        F, beta, shift = _fmu_section(mu)
+        est = _assert_matches_oracle(F, beta, 1e-5, shift=shift)
         assert est.kind == "approx" and est.iterations_used == 100_000
 
 
 def test_shortcut_bit_identical_on_counterexample():
-    G, beta = _section_inputs(counterexample_map(), 0.8, 1.0)
-    est = _assert_matches_oracle(G, beta, 1e-5)
+    shift, beta = _section_origin(0.8, 1.0)
+    est = _assert_matches_oracle(counterexample_map(), beta, 1e-5, shift=shift)
     assert est.kind == "approx"
 
 
@@ -293,32 +280,23 @@ def test_shortcut_bit_identical_on_random_pl_maps():
     rng = random.Random(2)
     for _ in range(20):
         F, beta, _, _ = random_flat_pl_lifting(rng)
-        G, beta_f = _section_inputs(F, 0.0, float(beta))
-        _assert_matches_oracle(G, beta_f, 1e-4)
+        shift, beta_f = _section_origin(0.0, float(beta))
+        _assert_matches_oracle(F, beta_f, 1e-4, shift=shift)
 
 
-def _assert_shift_matches_reparametrized(F, alpha, beta, error=1e-4, tol=1e-10):
-    # the shift keyword iterates F as reparametrize_to_zero's G, bit for bit
-    G, K = reparametrize_to_zero(F, ConstantSection(alpha, beta, tol))
-    shift = alpha + tol
-    assert section_origin(alpha, beta, tol) == (shift, K.beta)
-    ref = rho_constant_section(G, K.beta, error, tol)
-    est = rho_constant_section(F, K.beta, error, tol, shift=shift)
-    assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (
-        ref.kind,
-        ref.value.hex(),
-        ref.m,
-        ref.n,
-        ref.iterations_used,
-    )
-    return est
+def _assert_shift_matches_oracle(F, alpha, beta, error=1e-4, tol=1e-10):
+    # the shift keyword iterates F rotated by the section start, bit for bit
+    shift, beta_f = _section_origin(alpha, beta, tol)
+    return _assert_matches_oracle(F, beta_f, error, tol, shift=shift)
 
 
 def test_shift_bit_identical_on_fmu():
     mus = [0.0, 1.0, 819 / 3124, 819 / 3124 - 1e-16] + [i / 199 for i in range(200)]
     kinds = set()
     for mu in mus:
-        kinds.add(_assert_shift_matches_reparametrized(f_mu(mu), 0.75, 1.0).kind)
+        est = _assert_shift_matches_oracle(f_mu(mu), 0.75, 1.0)
+        assert rho_csb(f_mu(mu), 1e-4, 1e-10) == est
+        kinds.add(est.kind)
     assert kinds == {"exact", "approx"}
 
 
@@ -327,20 +305,24 @@ def test_shift_bit_identical_on_fmu():
     [(standard_map, 1.5), (standard_map, 9.0), (pwl_standard, 4.0), (pwl_standard, 9.0), (disc_standard, 3.0)],
 )
 def test_shift_bit_identical_on_envelopes(make, a):
+    import rotkit.rotnum as rotnum
+
     for omega in (0.0, 0.13, 0.5, 0.71):
         F = make(omega, a)
         for env in (upper_map(F), lower_map(F)):
             sec = widest_section(env.sections)
-            _assert_shift_matches_reparametrized(env.lifting, sec.alpha, sec.beta)
+            est = _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta)
+            # the sweeps' path builds the same shift and bound from the section
+            assert rotnum._rho_of_envelope(env, 1e-4, 1e-10) == est
 
 
 def test_shift_bit_identical_on_counterexample_and_random_pl_maps():
-    est = _assert_shift_matches_reparametrized(counterexample_map(), 0.8, 1.0, 1e-5)
+    est = _assert_shift_matches_oracle(counterexample_map(), 0.8, 1.0, 1e-5)
     assert est.kind == "approx"
     rng = random.Random(7)
     for _ in range(20):
         F, beta, _, _ = random_flat_pl_lifting(rng)
-        _assert_shift_matches_reparametrized(F, 0.0, float(beta))
+        _assert_shift_matches_oracle(F, 0.0, float(beta))
 
 
 @pytest.mark.parametrize("omega, m, n", [(0.0, 0, 1), (1.0, 1, 1), (0.25, 1, 4)])
@@ -416,9 +398,16 @@ def test_rotation_interval_numeric_envelope_path_matches_registered():
 
 
 def test_conjugacy_preserves_rotation_number():
+    from rotkit.lifting import Continuity, Lifting, Monotonicity
+
     for mu in (0.17, 0.42, 0.73):
-        F = f_mu(mu)
-        G, _ = _reparametrized_fmu(mu)
+        F, _, shift = _fmu_section(mu)
+        G = Lifting(
+            fundamental=_shifted(F.fundamental, shift),
+            monotone_class=Monotonicity.NON_DECREASING,
+            continuity_class=Continuity.CONTINUOUS,
+            label=f"{F.label}@+{shift}",
+        )
         a = rho_direct(F, 1e-4)
         b = rho_direct(G, 1e-4)
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound

@@ -146,6 +146,15 @@ def test_interval_graph_family_validation():
         rotation_interval_graph(_cfg(family="disc", algorithms=("simo",)))
 
 
+@pytest.mark.parametrize("algorithms", [("direct", "csb"), ("csb", "direct"), ("csb", "csb")])
+def test_interval_and_tongue_reject_multi_algorithm(algorithms):
+    cfg = _cfg(family="pwl", a_steps=1, omega_steps=1, algorithms=algorithms)
+    with pytest.raises(UsageError, match="exactly one algorithm"):
+        rotation_interval_graph(cfg)
+    with pytest.raises(UsageError, match="exactly one algorithm"):
+        arnold_tongue(cfg, Fraction(1, 2))
+
+
 def test_tongue_zero_omega_line_and_rigid_row():
     cfg = _cfg(
         family="standard",
@@ -223,6 +232,9 @@ def test_invert_validation():
         invert_staircase(1.5, 1e-3)
     with pytest.raises(UsageError):
         invert_staircase(0.5, 0.0)
+    for budget in (0, -5):
+        with pytest.raises(UsageError, match="max_bisections"):
+            invert_staircase(0.5, 1e-3, max_bisections=budget)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf])
