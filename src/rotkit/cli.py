@@ -9,6 +9,7 @@ error or an --out that cannot be written, 2 when some grid cells failed
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -130,7 +131,21 @@ def _out_stream(path: str):
     return open(path, "w", newline="")
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening --out would, before the sweep; creates and truncates nothing."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _run(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     workers = _threads(args)
     algorithms = tuple(a.strip() for a in getattr(args, "algorithm", "csb").split(",") if a.strip())
 

@@ -8,10 +8,12 @@ non-degenerate constant sections.  Those sections are what the exact
 rotation-number algorithm feeds on, so this module also extracts maximal
 sections; rotnum's estimator rotates the chosen one to the origin itself.
 
-Families with closed-form envelopes register a builder on the Lifting; the
-generic numeric constructor (uniform grid, running extremum, local
-refinement of every flat-run boundary) is the fallback and doubles as a
-cross-check for the analytic forms.
+Every family registers a builder on the Lifting that states its envelopes
+and their sections in closed form.  A map without one takes the generic
+path: a non-decreasing map is its own envelope, its sections found by a
+grid scan; otherwise the numeric constructor (uniform grid, running
+extremum, local refinement of every flat-run boundary) builds it.  Both
+double as cross-checks for the analytic forms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .lifting import Continuity, Lifting, Monotonicity
+from .lifting import Lifting
 
 GRID = 4096
 SECTION_EPS = 1e-12
@@ -272,8 +274,7 @@ def _numeric_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
 
         lifting = Lifting(
             fundamental=env_fund,
-            monotone_class=Monotonicity.NON_DECREASING,
-            continuity_class=Continuity.CONTINUOUS,
+            is_non_decreasing=True,
             label=f"{F.label}.{'upper' if upper else 'lower'}",
         )
         ok, last_error = _certify(lifting, F, 2 * n, upper)

@@ -1,13 +1,14 @@
 """Constructors for the map families the sweeps study.
 
 Every constructor returns an immutable Lifting with a float fundamental, an
-exact-rational twin of the same map (built from the binary values of the
-float parameters unless true rationals are passed in), and, where a closed
-form exists, registered analytic envelopes.  Trigonometric families get no
-exact twin.  Construction converts parameters to floats only: a family's
-exact twin builds its Fractions on its first call and reuses them, so float
-sweeps never pay for them (an envelope builder converts the ones it needs
-when it runs).  Non-finite parameters raise InvalidParam.
+exact-rational twin (from the binary values of float parameters unless true
+rationals are passed in; none for the trigonometric family) and an envelope
+builder.  The builder gives the envelopes in one of two forms: a
+non-decreasing map is its own envelope with its sections listed; otherwise
+each envelope is flat-branch-flat (_clamped), over Fractions too for the
+piecewise-linear families.  Construction converts parameters to floats only;
+twins and envelopes build their Fractions when first used.  Non-finite
+parameters raise InvalidParam.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
 value like a = 2*pi means coefficient 1; a can also be given directly as
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 
 from .envelope import ConstantSection, MonotoneEnvelope
-from .lifting import Continuity, Lifting, Monotonicity
+from .lifting import Lifting
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,12 +79,13 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
     return a_f, c, c
 
 
-def _memo_pair(build):
+def _memo_pair(build, *args):
+    """Envelope builder running build(F, *args) on its first call and reusing the pair."""
     cache: dict[str, tuple[MonotoneEnvelope, MonotoneEnvelope]] = {}
 
     def builder(F: Lifting):
         if "pair" not in cache:
-            cache["pair"] = build(F)
+            cache["pair"] = build(F, *args)
         return cache["pair"]
 
     return builder
@@ -93,6 +95,50 @@ def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting):
     """A non-decreasing map with known sections is its own upper and lower envelope."""
     env = MonotoneEnvelope(lifting=F, sections=sections, source="analytic")
     return env, env
+
+
+_NO_SECTIONS = partial(_own_envelope, ())
+
+
+def _clamped(branch, x_lo, lo, x_hi, hi):
+    """Flat-branch-flat map: lo up to x_lo, branch(x) up to x_hi, hi beyond.
+
+    Works on floats and on Fractions alike; the levels are passed in as
+    computed, so each side keeps its own arithmetic.
+    """
+
+    def fund(x):
+        if x <= x_lo:
+            return lo
+        if x <= x_hi:
+            return branch(x)
+        return hi
+
+    return fund
+
+
+def _envelope_pair(F: Lifting, upper: tuple, lower: tuple):
+    """Analytic (upper, lower) envelopes of F from (fundamental, exact twin, section) triples."""
+
+    def envelope(side: str, fund, exact, section: ConstantSection) -> MonotoneEnvelope:
+        lifting = Lifting(fund, is_non_decreasing=True, label=f"{F.label}.{side}", fundamental_exact=exact)
+        return MonotoneEnvelope(lifting, (section,), "analytic")
+
+    return envelope("upper", *upper), envelope("lower", *lower)
+
+
+def _extremal_envelope_maps(f, x_min, x_max, x_up, x_low):
+    """(upper, lower) envelope fundamentals of f, in f's own arithmetic.
+
+    f has one local min at x_min left of one local max at x_max and rises
+    between them.  The upper map is flat at f(x_max) - 1 up to x_up, where f
+    climbs to that level, follows f to x_max and stays at f(x_max); the
+    lower map stays at f(x_min) up to x_min, follows f to x_low, where f
+    reaches f(x_min) + 1, and stays there.
+    """
+    peak = f(x_max)
+    trough = f(x_min)
+    return _clamped(f, x_up, peak - 1, x_max, peak), _clamped(f, x_min, trough, x_low, trough + 1)
 
 
 def _root_on_increasing(f, target: float, lo: float, hi: float) -> float:
@@ -112,6 +158,7 @@ def _root_on_increasing(f, target: float, lo: float, hi: float) -> float:
 # the one-parameter staircase family
 
 _FOUR_THIRDS = Fraction(4, 3)
+_QUARTER = Fraction(1, 4)
 _THREE_QUARTERS = Fraction(3, 4)
 _FMU_ENVELOPES = partial(_own_envelope, (ConstantSection(0.75, 1.0),))
 
@@ -142,8 +189,7 @@ def f_mu(mu) -> Lifting:
 
     return Lifting(
         fundamental=fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=True,
         label=f"F_mu(mu={mu_f:.8g})",
         fundamental_exact=_lazy_twin(_fmu_exact, mu),
         envelope_builder=_FMU_ENVELOPES,
@@ -164,9 +210,9 @@ def tau(x: float) -> float:
 
 
 def tau_exact(q: Fraction) -> Fraction:
-    if q <= Fraction(1, 4):
+    if q <= _QUARTER:
         return 4 * q
-    if q <= Fraction(3, 4):
+    if q <= _THREE_QUARTERS:
         return 2 - 4 * q
     return 4 * (q - 1)
 
@@ -181,65 +227,27 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     def fund(x: float) -> float:
         return x + omega_f - c * math.sin(TWO_PI * x)
 
-    non_decreasing = a_f <= 1.0
-    builder = None
-    if not non_decreasing:
-        builder = _memo_pair(lambda F: _standard_envelopes(F, omega_f, a_f, c))
-
+    non_decreasing = a_f <= 1.0  # then strictly increasing: its own envelope, with no section
     return Lifting(
         fundamental=fund,
-        monotone_class=Monotonicity.NON_DECREASING if non_decreasing else Monotonicity.GENERAL,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=non_decreasing,
         label=f"S(omega={omega_f:.8g}, a={a_f:.8g})",
-        envelope_builder=builder,
+        envelope_builder=_NO_SECTIONS if non_decreasing else _memo_pair(_standard_envelopes, a_f),
     )
 
 
-def _standard_envelopes(F: Lifting, omega: float, a: float, c: float):
-    """Envelopes of the standard map for a > 1 from its critical points.
+def _standard_envelopes(F: Lifting, a: float):
+    """Envelopes of the standard map s for a > 1.
 
-    s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at
-    x2 = 1 - x1; each flat ends where s crosses the extreme value (shifted by
-    one period) on the increasing middle branch.
+    s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at x2 = 1 - x1.
     """
     s = F.fundamental
     x1 = math.acos(1.0 / a) / TWO_PI
     x2 = 1.0 - x1
-    s1 = s(x1)
-    s2 = s(x2)
-    u = _root_on_increasing(s, s2 - 1.0, x1, x2)
-    low = _root_on_increasing(s, s1 + 1.0, x1, x2)
-
-    def upper_fund(x: float) -> float:
-        if x <= u:
-            return s2 - 1.0
-        if x <= x2:
-            return s(x)
-        return s2
-
-    def lower_fund(x: float) -> float:
-        if x <= x1:
-            return s1
-        if x <= low:
-            return s(x)
-        return s1 + 1.0
-
-    upper = Lifting(
-        fundamental=upper_fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
-        label=f"{F.label}.upper",
-    )
-    lower = Lifting(
-        fundamental=lower_fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
-        label=f"{F.label}.lower",
-    )
-    return (
-        MonotoneEnvelope(upper, (ConstantSection(x2 - 1.0, u),), "analytic"),
-        MonotoneEnvelope(lower, (ConstantSection(low - 1.0, x1),), "analytic"),
-    )
+    u = _root_on_increasing(s, s(x2) - 1.0, x1, x2)
+    low = _root_on_increasing(s, s(x1) + 1.0, x1, x2)
+    upper, lower = _extremal_envelope_maps(s, x1, x2, u, low)
+    return _envelope_pair(F, (upper, None, ConstantSection(x2 - 1.0, u)), (lower, None, ConstantSection(low - 1.0, x1)))
 
 
 def _pwl_exact(omega_q: Fraction, c_q: Fraction):
@@ -247,6 +255,10 @@ def _pwl_exact(omega_q: Fraction, c_q: Fraction):
         return q + omega_q - c_q * tau_exact(q)
 
     return fund_exact
+
+
+# c == 1/4: the outer branches are exactly flat; one section straddling the origin
+_PWL_FLAT_OUTER = partial(_own_envelope, (ConstantSection(-0.25, 0.25),))
 
 
 def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
@@ -263,84 +275,33 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     def fund(x: float) -> float:
         return x + omega_f - c * tau(x)
 
+    if c < 0.25:
+        builder = _NO_SECTIONS
+    elif c == 0.25:
+        builder = _PWL_FLAT_OUTER
+    else:
+        builder = _memo_pair(_pwl_envelopes, omega, c_param)
     return Lifting(
         fundamental=fund,
-        monotone_class=Monotonicity.NON_DECREASING if c <= 0.25 else Monotonicity.GENERAL,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=c <= 0.25,
         label=f"T(omega={omega_f:.8g}, a={a_f:.8g})",
         fundamental_exact=_lazy_twin(_pwl_exact, omega, c_param),
-        envelope_builder=_memo_pair(lambda F: _pwl_envelopes(F, omega, c, c_param)),
+        envelope_builder=builder,
     )
 
 
-def _pwl_envelopes(F: Lifting, omega_param, c: float, c_param):
-    if c < 0.25:
-        env = MonotoneEnvelope(F, (), "analytic")
-        return env, env
-    if c == 0.25:
-        # outer branches are exactly flat; one section straddling the origin
-        env = MonotoneEnvelope(F, (ConstantSection(-0.25, 0.25),), "analytic")
-        return env, env
-
-    t = F.fundamental
-    peak = t(0.75)
-    trough = t(0.25)
-    omega_q = _as_exact(omega_param)
+def _pwl_envelopes(F: Lifting, omega_param, c_param):
     c_q = _as_exact(c_param)
     # crossings of peak-1 / trough+1 on the middle branch of slope 1 + 4c
     xu_q = (12 * c_q - 1) / (4 * (1 + 4 * c_q))
     xl_q = (5 + 4 * c_q) / (4 * (1 + 4 * c_q))
     xu = float(xu_q)
     xl = float(xl_q)
-
-    def upper_fund(x: float) -> float:
-        if x <= xu:
-            return peak - 1.0
-        if x <= 0.75:
-            return t(x)
-        return peak
-
-    def lower_fund(x: float) -> float:
-        if x <= 0.25:
-            return trough
-        if x <= xl:
-            return t(x)
-        return trough + 1.0
-
-    peak_q = Fraction(3, 4) + omega_q + c_q
-    trough_q = Fraction(1, 4) + omega_q - c_q
-
-    def upper_exact(q: Fraction) -> Fraction:
-        if q <= xu_q:
-            return peak_q - 1
-        if q <= Fraction(3, 4):
-            return q + omega_q - c_q * tau_exact(q)
-        return peak_q
-
-    def lower_exact(q: Fraction) -> Fraction:
-        if q <= Fraction(1, 4):
-            return trough_q
-        if q <= xl_q:
-            return q + omega_q - c_q * tau_exact(q)
-        return trough_q + 1
-
-    upper = Lifting(
-        fundamental=upper_fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
-        label=f"{F.label}.upper",
-        fundamental_exact=upper_exact,
-    )
-    lower = Lifting(
-        fundamental=lower_fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
-        label=f"{F.label}.lower",
-        fundamental_exact=lower_exact,
-    )
-    return (
-        MonotoneEnvelope(upper, (ConstantSection(-0.25, xu),), "analytic"),
-        MonotoneEnvelope(lower, (ConstantSection(xl - 1.0, 0.25),), "analytic"),
+    upper, lower = _extremal_envelope_maps(F.fundamental, 0.25, 0.75, xu, xl)
+    t_q = _pwl_exact(_as_exact(omega_param), c_q)
+    upper_q, lower_q = _extremal_envelope_maps(t_q, _QUARTER, _THREE_QUARTERS, xu_q, xl_q)
+    return _envelope_pair(
+        F, (upper, upper_q, ConstantSection(-0.25, xu)), (lower, lower_q, ConstantSection(xl - 1.0, 0.25))
     )
 
 
@@ -370,65 +331,38 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
 
     return Lifting(
         fundamental=fund,
-        monotone_class=Monotonicity.NON_DECREASING if c == 0.0 else Monotonicity.GENERAL,
-        continuity_class=Continuity.CONTINUOUS if c == 0.0 else Continuity.HEAVY,
+        is_non_decreasing=c == 0.0,
         label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
         fundamental_exact=_lazy_twin(_disc_exact, omega, c_param),
-        envelope_builder=_memo_pair(lambda F: _disc_envelopes(F, omega_f, omega, c, c_param)),
+        envelope_builder=_NO_SECTIONS if c == 0.0 else _memo_pair(_disc_envelopes, omega_f, omega, c, c_param),
     )
 
 
-def _disc_envelopes(F: Lifting, omega: float, omega_param, c: float, c_param):
-    if c == 0.0:
-        env = MonotoneEnvelope(F, (), "analytic")
-        return env, env
+def _disc_envelope_maps(omega, c, qu, pl):
+    """(upper, lower) envelope fundamentals of a disc map with c > 0, in the parameters' arithmetic.
 
-    slope = 1.0 + c
+    Both follow the line (1 + c)x + omega: the upper map is flat at the left
+    limit omega + c up to qu, the lower one at omega + 1 beyond pl; each
+    meets no flat at its other end of [0, 1].
+    """
+    slope = 1 + c
+
+    def line(x):
+        return slope * x + omega
+
+    return _clamped(line, qu, omega + c, 1, line(1)), _clamped(line, 0, line(0), pl, omega + 1)
+
+
+def _disc_envelopes(F: Lifting, omega: float, omega_param, c: float, c_param):
     omega_q = _as_exact(omega_param)
     c_q = _as_exact(c_param)
     qu_q = c_q / (1 + c_q)
     pl_q = 1 / (1 + c_q)
     qu = float(qu_q)
     pl = float(pl_q)
-
-    def upper_fund(x: float) -> float:
-        if x <= qu:
-            return omega + c
-        return slope * x + omega
-
-    def lower_fund(x: float) -> float:
-        if x <= pl:
-            return slope * x + omega
-        return omega + 1.0
-
-    def upper_exact(q: Fraction) -> Fraction:
-        if q <= qu_q:
-            return omega_q + c_q
-        return (1 + c_q) * q + omega_q
-
-    def lower_exact(q: Fraction) -> Fraction:
-        if q <= pl_q:
-            return (1 + c_q) * q + omega_q
-        return omega_q + 1
-
-    upper = Lifting(
-        fundamental=upper_fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
-        label=f"{F.label}.upper",
-        fundamental_exact=upper_exact,
-    )
-    lower = Lifting(
-        fundamental=lower_fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
-        label=f"{F.label}.lower",
-        fundamental_exact=lower_exact,
-    )
-    return (
-        MonotoneEnvelope(upper, (ConstantSection(0.0, qu),), "analytic"),
-        MonotoneEnvelope(lower, (ConstantSection(pl, 1.0),), "analytic"),
-    )
+    upper, lower = _disc_envelope_maps(omega, c, qu, pl)
+    upper_q, lower_q = _disc_envelope_maps(omega_q, c_q, qu_q, pl_q)
+    return _envelope_pair(F, (upper, upper_q, ConstantSection(0.0, qu)), (lower, lower_q, ConstantSection(pl, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +402,7 @@ def counterexample_map() -> Lifting:
 
     return Lifting(
         fundamental=fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=True,
         label="counterexample",
         fundamental_exact=fund_exact,
         envelope_builder=_COUNTEREXAMPLE_ENVELOPES,

@@ -7,16 +7,16 @@ restriction to the fundamental domain [0, 1] together with the gluing rule
 
 which gives F(x + 1) = F(x) + 1 for all x.  evaluate and evaluate_exact
 apply that rule in floats and in rationals; orbits are iterated by the
-estimators in rotnum, each with its own floor/fraction loop.  All objects
-here are immutable and every operation is pure, so liftings can be shared
-freely between worker processes.
+estimators in rotnum, each with its own floor/fraction loop.  F may jump,
+but only downward (a heavy lifting), so its monotone envelopes stay
+continuous.  All objects here are immutable and every operation is pure, so
+liftings can be shared freely between worker processes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
@@ -24,40 +24,24 @@ if TYPE_CHECKING:
     from .envelope import MonotoneEnvelope
 
 
-class Monotonicity(Enum):
-    NON_DECREASING = "non-decreasing"
-    GENERAL = "general"
-
-
-class Continuity(Enum):
-    CONTINUOUS = "continuous"
-    # "Heavy" liftings may jump, but only downward, so their monotone
-    # envelopes are still continuous and the rotation interval is defined.
-    HEAVY = "heavy"
-
-
 @dataclass(frozen=True)
 class Lifting:
     """A degree-one lifting given by its fundamental-domain restriction.
 
-    fundamental evaluates F|[0,1] in floats.  fundamental_exact, when
-    present, evaluates the same restriction in exact rational arithmetic
-    (Fraction in, Fraction out) and is what oracle-style cross checks use.
+    fundamental evaluates F|[0,1] in floats; the orbit estimators require
+    is_non_decreasing.  fundamental_exact, when present, evaluates the same
+    restriction in exact rational arithmetic (Fraction in, Fraction out) and
+    is what oracle-style cross checks use.  envelope_builder, when present,
+    returns F's (upper, lower) envelopes.
     """
 
     fundamental: Callable[[float], float]
-    monotone_class: Monotonicity
-    continuity_class: Continuity
+    is_non_decreasing: bool
     label: str
     fundamental_exact: Callable[[Fraction], Fraction] | None = None
-    # family-registered closed-form envelopes; called with the lifting itself
     envelope_builder: Callable[["Lifting"], "tuple[MonotoneEnvelope, MonotoneEnvelope]"] | None = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def is_non_decreasing(self) -> bool:
-        return self.monotone_class is Monotonicity.NON_DECREASING
 
 
 def evaluate(F: Lifting, x: float) -> float:

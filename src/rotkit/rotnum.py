@@ -373,9 +373,9 @@ def rotation_interval(
     (downward-jumping) ones, whose envelopes are continuous.
     """
     lo_env = lower_map(F)
-    # a non-decreasing map without a family builder is its own envelope
-    # (one grid scan); both endpoints are still estimated, lower then upper
-    hi_env = lo_env if F.is_non_decreasing and F.envelope_builder is None else upper_map(F)
+    # a non-decreasing map is its own upper and lower envelope (for a map
+    # without a builder, one grid scan); both endpoints are still estimated
+    hi_env = lo_env if F.is_non_decreasing else upper_map(F)
     lo = _rho_of_envelope(lo_env, error, tol, method)
     hi = _rho_of_envelope(hi_env, error, tol, method)
     return RotationInterval(lower=lo, upper=hi)

@@ -232,15 +232,19 @@ def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
 # ---------------------------------------------------------------------------
 # rotation-interval graphs
 
+# what one cell's numerics can raise once the config is valid (for example a
+# section whose width rounds to 1 at a huge coefficient): the cell is flagged
+_CELL_FAILURES = (NumericEnvelopeFailure, ValueError)
+
 
 def _interval_cell(args: tuple) -> IntervalRow:
     family, omega, a, error, tol, method = args
+    F = build_lifting(FamilyParams(family=family, omega=omega, a=a))  # InvalidParam is a usage error
     try:
-        F = build_lifting(FamilyParams(family=family, omega=omega, a=a))
         ri = rotation_interval(F, error, tol, method=method)
-        return IntervalRow(a=a, omega=omega, lo=ri.lower, hi=ri.upper, status="ok")
-    except NumericEnvelopeFailure:
+    except _CELL_FAILURES:
         return IntervalRow(a=a, omega=omega, lo=None, hi=None, status="error")
+    return IntervalRow(a=a, omega=omega, lo=ri.lower, hi=ri.upper, status="ok")
 
 
 def _interval_method(cfg: SweepConfig) -> str:
@@ -270,10 +274,10 @@ def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
 
 def _tongue_cell(args: tuple) -> TongueCell:
     family, omega, a, error, tol, method, t_num, t_den, t_float = args
+    F = build_lifting(FamilyParams(family=family, omega=omega, a=a))  # InvalidParam is a usage error
     try:
-        F = build_lifting(FamilyParams(family=family, omega=omega, a=a))
         ri = rotation_interval(F, error, tol, method=method)
-    except NumericEnvelopeFailure:
+    except _CELL_FAILURES:
         return TongueCell(a, omega, None, None, None, None, None, "error")
     lo, hi = ri.lower, ri.upper
     if t_num is not None and lo.is_exact and hi.is_exact:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rotkit.lifting import Continuity, Lifting, Monotonicity
+from rotkit.lifting import Lifting
 
 
 def direct_value_oracle(fund, error: float) -> float:
@@ -156,8 +156,7 @@ def random_flat_pl_lifting(rng: random.Random, pieces: int = 5):
 
     lifting = Lifting(
         fundamental=fund,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=True,
         label="random-pl",
         fundamental_exact=fund_exact,
     )

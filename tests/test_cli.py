@@ -219,11 +219,52 @@ def test_invert_rejects_non_positive_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
-def test_unwritable_out_exits_one(where, tmp_path, capsys):
+def test_unwritable_out_exits_one(where, tmp_path, capsys, monkeypatch):
+    import rotkit.sweep as sweep
+
+    cells = []
+    for name in ("rho_csb", "rotation_interval"):
+        monkeypatch.setattr(sweep, name, lambda *args, **kwargs: cells.append(args))
     out = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.csv"
-    assert main(["invert", "--rho", "1/2", "--error", "1e-4", "--out", str(out)]) == 1
+    for argv in (
+        ["invert", "--rho", "1/2", "--error", "1e-4"],
+        ["tongue", "--family", "standard", "--rho", "1/2", "--steps", "4", "--error", "1e-3"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rotkit: error: ") and err.count("\n") == 1
+    assert cells == []  # the output is checked before any cell runs
+
+
+def test_usage_error_keeps_existing_out(tmp_path, capsys):
+    out = tmp_path / "keep.csv"
+    out.write_text("earlier output\n")
+    for argv in (
+        ["tongue", "--family", "pwl", "--steps", "0"],
+        ["interval", "--family", "pwl", "--steps", "2", "--a-range=-1:1"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("rotkit: error: ")
+    assert out.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize("command", ["tongue", "interval"])
+def test_failing_cell_is_flagged_and_sweep_completes(command, tmp_path, capsys):
+    # at a ~ 5e16 the pwl section width rounds to 1.0, which ConstantSection rejects
+    out = tmp_path / "cells.csv"
+    argv = [command, "--family", "pwl", "--steps", "3", "--error", "1e-2"]
+    if command == "tongue":
+        argv += ["--rho", "1/2"]
+    assert main([*argv, "--a-range", "0:1e17", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == (9 if command == "tongue" else 3)
+    failed = [r for r in rows if ",error," in r]
+    assert failed and all(not r.startswith("0,") for r in failed)
+    # a negative a is still a usage error: one line, exit 1
+    assert main([*argv, "--a-range=-1:1", "--out", str(tmp_path / "neg.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("rotkit: error: ") and err.count("\n") == 1
+    assert err.startswith("rotkit: error: a must be non-negative") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_one():

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rotkit import (
     ConstantSection,
+    evaluate_exact,
     NumericEnvelopeFailure,
     counterexample_map,
     disc_standard,
@@ -22,7 +24,7 @@ from rotkit import (
     widest_section,
 )
 from rotkit.envelope import MonotoneEnvelope, _numeric_envelope
-from rotkit.lifting import Continuity, Lifting, Monotonicity
+from rotkit.lifting import Lifting
 from _oracles import _shifted
 
 TWO_PI = 2.0 * math.pi
@@ -32,8 +34,7 @@ def _plain(F, label="plain"):
     """Strip registered envelopes so construction goes through the numeric path."""
     return Lifting(
         fundamental=F.fundamental,
-        monotone_class=Monotonicity.GENERAL,
-        continuity_class=F.continuity_class,
+        is_non_decreasing=False,
         label=label,
     )
 
@@ -231,8 +232,7 @@ def test_numeric_envelope_failure_on_unresolvable_map():
 
     F = Lifting(
         fundamental=wild,
-        monotone_class=Monotonicity.GENERAL,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=False,
         label="wild",
     )
     with pytest.raises(NumericEnvelopeFailure):
@@ -244,3 +244,31 @@ def test_constant_section_validation():
         ConstantSection(0.5, 0.4)
     with pytest.raises(ValueError):
         ConstantSection(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        pwl_standard(0.3, 9.0),
+        pwl_standard(0.0, 2.5 * math.pi),
+        pwl_standard(Fraction(1, 3), a_over_2pi=Fraction(7, 5)),
+        pwl_standard(0.1, a_over_2pi=Fraction(1, 4) + Fraction(1, 10**6)),
+        disc_standard(0.25, 3.0),
+        disc_standard(0.0, TWO_PI),
+        disc_standard(Fraction(2, 7), a_over_2pi=Fraction(3, 2)),
+    ],
+    ids=lambda F: F.label,
+)
+def test_exact_envelope_twins_match_float_envelopes(F):
+    for env in (upper_map(F), lower_map(F)):
+        E = env.lifting
+        for i in range(1025):
+            q = Fraction(i, 1024)
+            assert float(E.fundamental_exact(q)) == pytest.approx(E.fundamental(float(q)), abs=1e-12)
+        # degree-one gluing, exactly and in floats
+        assert E.fundamental_exact(Fraction(1)) - E.fundamental_exact(Fraction(0)) == 1
+        assert E.fundamental(1.0) - E.fundamental(0.0) == pytest.approx(1.0, abs=1e-12)
+        # the registered section is a flat of the exact twin
+        (sec,) = env.sections
+        inside = [Fraction(sec.alpha) + k * Fraction(sec.width) / 8 for k in range(1, 8)]
+        assert len({evaluate_exact(E, x) for x in inside}) == 1

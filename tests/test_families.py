@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rotkit import (
-    Continuity,
     InvalidParam,
-    Monotonicity,
     counterexample_map,
     disc_standard,
     evaluate,
@@ -52,8 +50,8 @@ def test_standard_map_values():
 
 
 def test_standard_map_monotone_class():
-    assert standard_map(0, 1.0).monotone_class is Monotonicity.NON_DECREASING
-    assert standard_map(0, 1.0 + 1e-9).monotone_class is Monotonicity.GENERAL
+    assert standard_map(0, 1.0).is_non_decreasing is True
+    assert standard_map(0, 1.0 + 1e-9).is_non_decreasing is False
 
 
 def test_standard_map_odd_symmetry():
@@ -67,8 +65,8 @@ def test_pwl_standard_vertices():
     T = pwl_standard(0, 2.5 * math.pi)
     assert evaluate(T, 0.25) == pytest.approx(-1.0, abs=1e-14)
     assert evaluate(T, 0.75) == pytest.approx(2.0, abs=1e-14)
-    assert pwl_standard(0, math.pi / 2).monotone_class is Monotonicity.NON_DECREASING
-    assert pwl_standard(0, math.pi / 2 + 1e-9).monotone_class is Monotonicity.GENERAL
+    assert pwl_standard(0, math.pi / 2).is_non_decreasing is True
+    assert pwl_standard(0, math.pi / 2 + 1e-9).is_non_decreasing is False
 
 
 def test_disc_standard_values_and_limits():
@@ -78,7 +76,7 @@ def test_disc_standard_values_and_limits():
     # left limit at 1
     assert D.fundamental(math.nextafter(1.0, 0.0)) == pytest.approx(2.0, abs=1e-15)
     assert D.fundamental(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert D.continuity_class is Continuity.HEAVY
+    assert D.is_non_decreasing is False
     with pytest.raises(InvalidParam):
         disc_standard(0, -1.0)
 
@@ -158,7 +156,7 @@ def test_declared_monotone_families_are_monotone_on_grid():
         disc_standard(0.1, 0),
     )
     for F in maps:
-        assert F.monotone_class is Monotonicity.NON_DECREASING
+        assert F.is_non_decreasing is True
         prev = F.fundamental(0.0)
         for i in range(1, 4097):
             cur = F.fundamental(i / 4096)

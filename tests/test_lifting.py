@@ -12,7 +12,7 @@ from rotkit import (
     rho_direct,
     standard_map,
 )
-from rotkit.lifting import Continuity, Lifting, Monotonicity
+from rotkit.lifting import Lifting
 
 
 def test_split_floor_uses_mathematical_floor():
@@ -25,8 +25,7 @@ def test_split_floor_uses_mathematical_floor():
 
     F = Lifting(
         fundamental=identity,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=True,
         label="identity",
     )
     assert evaluate(F, -0.2) == pytest.approx(-0.2)
@@ -78,8 +77,7 @@ def _rigid_third():
     third = Fraction(1, 3)
     return Lifting(
         fundamental=lambda x: x + 1.0 / 3.0,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=True,
         label="rigid-1/3",
         fundamental_exact=lambda q: q + third,
     )

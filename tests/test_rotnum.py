@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -39,12 +40,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def _rigid(omega, omega_q=None):
-    from rotkit.lifting import Continuity, Lifting, Monotonicity
+    from rotkit.lifting import Lifting
 
     return Lifting(
         fundamental=lambda x: x + omega,
-        monotone_class=Monotonicity.NON_DECREASING,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=True,
         label=f"rigid({omega})",
         fundamental_exact=None if omega_q is None else (lambda q: q + omega_q),
     )
@@ -354,9 +354,26 @@ def test_rotation_interval_builds_self_envelope_once(monkeypatch):
         return real(E)
 
     monkeypatch.setattr(envelope, "find_maximal_sections", counting)
-    ri = rotation_interval(standard_map(0.3, 0.5), 1e-4)
+    builderless = dataclasses.replace(standard_map(0.3, 0.5), envelope_builder=None)
+    ri = rotation_interval(builderless, 1e-4)
     assert len(scans) == 1
     assert ri.lower == ri.upper
+
+
+def test_invertible_standard_map_runs_no_section_scan(monkeypatch):
+    # a <= 1 is strictly increasing: no section exists, so no grid scan runs;
+    # at omega = 1e9 the scan used to report rounding artefacts as sections
+    import rotkit.envelope as envelope
+
+    def no_scan(F):
+        raise AssertionError(f"grid scan of {F.label}")
+
+    monkeypatch.setattr(envelope, "find_maximal_sections", no_scan)
+    for omega, a in ((0.3, 0.5), (0.0, 1.0), (1e9, 1.0)):
+        S = standard_map(omega, a)
+        assert upper_map(S).sections == () and lower_map(S).sections == ()
+        ri = rotation_interval(S, 1e-4)
+        assert ri.lower == ri.upper == rho_direct(S, 1e-4)
 
 
 def test_rotation_interval_disc_full_unit():
@@ -382,13 +399,12 @@ def test_rotation_interval_pwl_degenerate_until_half_pi():
 
 
 def test_rotation_interval_numeric_envelope_path_matches_registered():
-    from rotkit.lifting import Continuity, Lifting, Monotonicity
+    from rotkit.lifting import Lifting
 
     T = pwl_standard(0, 2.5 * math.pi)
     plain = Lifting(
         fundamental=T.fundamental,
-        monotone_class=Monotonicity.GENERAL,
-        continuity_class=Continuity.CONTINUOUS,
+        is_non_decreasing=False,
         label="pwl-plain",
     )
     a = rotation_interval(T, 1e-4, 1e-10)
@@ -398,14 +414,13 @@ def test_rotation_interval_numeric_envelope_path_matches_registered():
 
 
 def test_conjugacy_preserves_rotation_number():
-    from rotkit.lifting import Continuity, Lifting, Monotonicity
+    from rotkit.lifting import Lifting
 
     for mu in (0.17, 0.42, 0.73):
         F, _, shift = _fmu_section(mu)
         G = Lifting(
             fundamental=_shifted(F.fundamental, shift),
-            monotone_class=Monotonicity.NON_DECREASING,
-            continuity_class=Continuity.CONTINUOUS,
+            is_non_decreasing=True,
             label=f"{F.label}@+{shift}",
         )
         a = rho_direct(F, 1e-4)
