@@ -172,6 +172,7 @@ def _run(args: argparse.Namespace) -> int:
             a_min=a_lo,
             a_max=a_hi,
             a_steps=args.steps,
+            omega_steps=1,  # one omega line: the grid-size budget counts a_steps cells
             error=args.error,
             tol=args.tol,
             algorithms=algorithms,

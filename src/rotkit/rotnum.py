@@ -3,7 +3,12 @@
 Three estimators for non-decreasing degree-one liftings:
 
 * rho_direct       -- F^n(0)/n with n = ceil(1/error); the error bound 1/n
-                      needs nothing beyond monotonicity.
+                      needs nothing beyond monotonicity.  By default it runs
+                      all n iterates (the paper's baseline); with
+                      stop_on_repeat it stops at the first repeated float
+                      state and rebuilds the same value bit for bit, which
+                      is how the csb method estimates an envelope that has
+                      no constant section.
 * rho_simo         -- sorts the fractional parts of an orbit and brackets the
                       rotation number from adjacent index pairs (Simo's
                       continuation-method estimator); no a-priori error bound
@@ -154,25 +159,70 @@ def _normalized_fundamental(F: Lifting) -> tuple:
     return shifted, k0
 
 
-def rho_direct(F: Lifting, error: float = DEFAULT_ERROR) -> RotationEstimate:
+def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
     """Estimate rho as F^n(0)/n with n = ceil(1/error) iterates.
 
     For non-decreasing liftings |rho - F^n(0)/n| < 1/n, so the returned
-    error bound is 1/n.  There is deliberately no early-convergence test.
+    error bound is 1/n.  By default there is deliberately no early stop:
+    every one of the n iterates runs, as in the paper's baseline.
+
+    With stop_on_repeat the float state is compared with a checkpoint moved
+    to iterates 1, 2, 4, 8, ... (Brent's cycle detection, as in
+    rho_constant_section).  Once it repeats the rest of the orbit is forced,
+    so the state after n steps is rebuilt from whole periods plus the
+    remaining steps: value, error_bound and the nominal iterations_used = n
+    are bit-identical to the full loop.
     """
     _require_non_decreasing(F, "rho_direct")
     _require_error(error)
     n = math.ceil(1.0 / error)
-    fund, k0 = _normalized_fundamental(F)
     floor = math.floor
     x = 0.0
     m = 0
-    for _ in range(n):
-        x = fund(x)
+    if not stop_on_repeat:
+        fund, k0 = _normalized_fundamental(F)
+        for _ in range(n):
+            x = fund(x)
+            if not 0.0 <= x < 1.0:
+                s = floor(x)
+                m += s
+                x -= s
+        return RotationEstimate.approx(value=(m + x) / n + k0, error_bound=1.0 / n, iterations_used=n)
+    # _normalized_fundamental's shift, inlined: the same float subtraction
+    # without a wrapper call per iterate (float(k0) is the operand Python
+    # converts the int to, so the bits agree; float - float is faster)
+    fund = F.fundamental
+    k0 = floor(fund(0.0))
+    k = float(k0)
+    # Brent checkpoint: the state (cx, cm) after ci steps; it moves at i == nxt
+    cx = 0.0
+    cm = 0
+    ci = 0
+    nxt = 1
+    for i in range(1, n + 1):
+        x = fund(x) - k
         if not 0.0 <= x < 1.0:
             s = floor(x)
             m += s
             x -= s
+        if x == cx:
+            # period i - ci, gaining m - cm per period; the first rem steps
+            # past i repeat steps ci+1 .. ci+rem
+            periods, rem = divmod(n - i, i - ci)
+            gain = m - cm
+            for _ in range(rem):
+                x = fund(x) - k
+                if not 0.0 <= x < 1.0:
+                    s = floor(x)
+                    m += s
+                    x -= s
+            m += periods * gain
+            break
+        if i == nxt:
+            cx = x
+            cm = m
+            ci = i
+            nxt = 2 * i
     return RotationEstimate.approx(value=(m + x) / n + k0, error_bound=1.0 / n, iterations_used=n)
 
 
@@ -354,8 +404,8 @@ def rho_csb(F: Lifting, error: float = DEFAULT_ERROR, tol: float = DEFAULT_TOL) 
     """Constant-section estimate of a non-decreasing lifting.
 
     Rotates the widest maximal section (ties to the leftmost) to the origin
-    and runs rho_constant_section; falls back to rho_direct when no section
-    wider than 2*tol exists.
+    and runs rho_constant_section; falls back to rho_direct with
+    stop_on_repeat when no section wider than 2*tol exists.
     """
     _require_non_decreasing(F, "rho_csb")
     return _rho_of_envelope(upper_map(F), error, tol)
@@ -368,9 +418,10 @@ def rotation_interval(
 
     With method="csb" each envelope goes through the constant-section
     algorithm when it has a section wider than 2*tol and through the direct
-    estimator otherwise; method="direct" forces the direct estimator (used
-    for benchmarking).  Works for continuous liftings and for heavy
-    (downward-jumping) ones, whose envelopes are continuous.
+    estimator with stop_on_repeat otherwise; method="direct" forces the plain
+    n-iterate direct estimator (used for benchmarking).  Works for continuous
+    liftings and for heavy (downward-jumping) ones, whose envelopes are
+    continuous.
     """
     lo_env = lower_map(F)
     # a non-decreasing map is its own upper and lower envelope (for a map
@@ -392,4 +443,6 @@ def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> Rota
             return rho_constant_section(env.lifting, beta, error, tol, shift=shift)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
-    return rho_direct(env.lifting, error)
+    # no usable section: csb still stops at a repeated float state, while
+    # method="direct" times the plain n-iterate baseline
+    return rho_direct(env.lifting, error, stop_on_repeat=method == "csb")

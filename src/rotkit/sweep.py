@@ -38,6 +38,11 @@ BENCH_HEADER = ["problem", "family", "algorithm", "seconds", "status"]
 
 ALGORITHMS = ("direct", "simo", "csb")
 
+# budgets a sweep must fit before any grid or orbit is allocated
+MAX_GRID_CELLS = 10**8
+MAX_ITERATES = 10**9  # ceil(1/error) iterates per estimate
+MAX_SIMO_N = 10**7
+
 
 class UsageError(ValueError):
     """Bad sweep configuration (empty grid, unknown algorithm, ...)."""
@@ -65,6 +70,13 @@ class SweepConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        """Raise UsageError for a configuration no sweep can run or finish.
+
+        Besides malformed values this enforces the budgets: at most
+        MAX_GRID_CELLS cells in the mu grid and in the a_steps x omega_steps
+        grid, at most MAX_ITERATES = ceil(1/error) iterates per estimate, and
+        simo_n in [2, MAX_SIMO_N].  Every sweep calls it before building a grid.
+        """
         for name in ("mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -79,6 +91,15 @@ class SweepConfig:
             raise UsageError("grids need at least one point")
         if self.mu_max < self.mu_min or self.a_max < self.a_min or self.omega_max < self.omega_min:
             raise UsageError("empty parameter range")
+        steps = (self.mu_max - self.mu_min) / self.mu_step
+        # the first test keeps round() away from huge and infinite ratios
+        if steps >= MAX_GRID_CELLS or round(steps) + 1 > MAX_GRID_CELLS:
+            raise UsageError(f"mu_step {self.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
+        if self.a_steps * self.omega_steps > MAX_GRID_CELLS:
+            raise UsageError(f"a {self.a_steps} x {self.omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
+        _check_iterates(self.error)
+        if not 2 <= self.simo_n <= MAX_SIMO_N:
+            raise UsageError(f"simo_n must lie in [2, {MAX_SIMO_N}], got {self.simo_n}")
         if not self.algorithms:
             raise UsageError("select at least one algorithm")
         for alg in self.algorithms:
@@ -86,6 +107,12 @@ class SweepConfig:
                 raise UsageError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
         if self.workers < 1:
             raise UsageError("worker count must be positive")
+
+
+def _check_iterates(error: float) -> None:
+    """Reject a positive error whose ceil(1/error) iterates exceed MAX_ITERATES."""
+    if error > 0.0 and 1.0 / error > MAX_ITERATES:
+        raise UsageError(f"error {error} asks for more than {MAX_ITERATES} iterates per estimate")
 
 
 @dataclass(frozen=True)
@@ -346,6 +373,7 @@ def invert_staircase(
         raise UsageError(f"eps must be positive and finite, got {eps}")
     if max_bisections < 1:
         raise UsageError(f"max_bisections must be at least 1, got {max_bisections}")
+    _check_iterates(error)
     lo, hi = 0.0, 1.0
     rho_mid = math.nan
     for k in range(1, max_bisections + 1):

@@ -236,6 +236,43 @@ def test_unwritable_out_exits_one(where, tmp_path, capsys, monkeypatch):
     assert cells == []  # the output is checked before any cell runs
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["staircase", "--mu-step", "1e-12"],
+        ["staircase", "--error", "1e-12"],
+        ["staircase", "--algorithm", "simo", "--simo-iters", "1"],
+        ["tongue", "--family", "pwl", "--rho", "1/2", "--steps", "100000"],
+        ["interval", "--family", "disc", "--error", "1e-12"],
+        ["invert", "--rho", "1/2", "--error", "1e-12"],
+        ["bench", "--problem", "staircase", "--steps", "100000"],
+    ],
+)
+def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch):
+    import rotkit.sweep as sweep
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a grid or a cell was built")
+
+    for name in ("mu_grid", "_linspace", "_run_ordered", "rho_csb", "f_mu"):
+        monkeypatch.setattr(sweep, name, no_allocation)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rotkit: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_interval_grid_budget_counts_one_omega_line(tmp_path, monkeypatch):
+    # an interval graph has a_steps cells: 200,000 points pass the 10**8-cell budget
+    import rotkit.sweep as sweep
+
+    sizes = []
+    monkeypatch.setattr(sweep, "_run_ordered", lambda worker, tasks, workers: sizes.append(len(tasks)) or [])
+    assert main(["interval", "--family", "disc", "--steps", "200000", "--out", str(tmp_path / "x.csv")]) == 0
+    assert sizes == [200_000]
+
+
 def test_usage_error_keeps_existing_out(tmp_path, capsys):
     out = tmp_path / "keep.csv"
     out.write_text("earlier output\n")

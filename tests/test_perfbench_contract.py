@@ -30,3 +30,46 @@ def test_traced_names_resolve():
     names += list(tracer.ESTIMATORS)
     missing = [f"{mod}.{attr}" for mod, attr in names if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
+    # the tracer classifies and digests each endpoint from the calls it sees on
+    # rotkit.rotnum.rho_direct: one call per no-section endpoint, two (one per
+    # endpoint) for a non-decreasing cell, in grid order
+    from fractions import Fraction
+
+    import rotkit.rotnum as rotnum
+    from rotkit.envelope import lower_map, upper_map, widest_section
+    from rotkit.families import FamilyParams, build_lifting
+    from rotkit.sweep import SweepConfig, _linspace, arnold_tongue
+
+    assert ("rotkit.rotnum", "rho_direct") in _load_tracer().ESTIMATORS
+    seen = []
+    real = rotnum.rho_direct
+
+    def recorder(G, error, **kwargs):
+        seen.append(G.label)
+        return real(G, error, **kwargs)
+
+    monkeypatch.setattr(rotnum, "rho_direct", recorder)
+    tol = 1e-10
+    for family in ("standard", "pwl", "disc"):
+        cfg = SweepConfig(family=family, a_min=0.0, a_max=2.0, a_steps=3, omega_steps=3, error=1e-3, tol=tol)
+        expected = []
+        nondecreasing = 0
+        for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps):
+            for omega in _linspace(cfg.omega_min, cfg.omega_max, cfg.omega_steps):
+                F = build_lifting(FamilyParams(family=family, omega=omega, a=a))
+                no_section = [
+                    env.lifting.label
+                    for env in (lower_map(F), upper_map(F))
+                    if (sec := widest_section(env.sections)) is None or sec.width <= 2.0 * tol
+                ]
+                if F.is_non_decreasing and no_section:
+                    assert no_section == [F.label, F.label]
+                    nondecreasing += 1
+                expected += no_section
+        seen.clear()
+        arnold_tongue(cfg, Fraction(1, 2))
+        assert seen == expected
+        assert nondecreasing >= cfg.omega_steps  # at least the a = 0 row

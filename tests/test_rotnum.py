@@ -90,6 +90,95 @@ def test_rho_direct_matches_independent_oracle():
 
 
 # ---------------------------------------------------------------------------
+# no-section fallback: rho_direct with stop_on_repeat, bit-identical to the plain loop
+
+
+def _fields(est):
+    return est.kind, est.value.hex(), est.error_bound, est.iterations_used
+
+
+def _assert_fallback_matches(G, error):
+    est = rho_direct(G, error, stop_on_repeat=True)
+    plain = rho_direct(G, error)
+    n = math.ceil(1.0 / error)
+    assert _fields(est) == _fields(plain) == ("approx", direct_value_oracle(G.fundamental, error).hex(), 1.0 / n, n)
+    return est
+
+
+@pytest.mark.parametrize("family", ["standard", "pwl", "disc"])
+@pytest.mark.parametrize("omega_range", [(0.0, 1.0), (3.0, 4.0), (-3.0, -2.0)])
+def test_fallback_bit_identical_on_tongue_no_section_endpoints(family, omega_range, monkeypatch):
+    # at a = 0, F(0) = omega: floor(F(0)) takes the values 0, 1; 3, 4 and -3,
+    # -2, so the k0 normalization is part of what must match
+    import rotkit.rotnum as rotnum
+    from rotkit.sweep import SweepConfig, arnold_tongue
+
+    calls = []
+    real = rotnum.rho_direct
+
+    def recording(G, error, **kwargs):
+        est = real(G, error, **kwargs)
+        calls.append((G, error, kwargs, est))
+        return est
+
+    monkeypatch.setattr(rotnum, "rho_direct", recording)
+    o_lo, o_hi = omega_range
+    cfg = SweepConfig(family=family, a_steps=4, omega_steps=4, omega_min=o_lo, omega_max=o_hi, error=1e-4, tol=1e-10)
+    arnold_tongue(cfg, Fraction(1, 2))
+    assert len(calls) == 8  # the a = 0 row: 4 non-decreasing cells without a section, 2 endpoints each
+    k0s = set()
+    for G, error, kwargs, est in calls:
+        assert kwargs == {"stop_on_repeat": True}
+        assert _fields(est) == _fields(_assert_fallback_matches(G, error))
+        k0s.add(math.floor(G.fundamental(0.0)))
+    assert k0s == set(range(math.floor(o_lo), math.floor(o_hi) + 1))
+
+
+def test_fallback_bit_identical_on_invertible_standard_fixed_point():
+    # a <= 1, omega 0: the fixed point 0 repeats at iterate 1
+    for a in (0.0, 0.5, 1.0):
+        S = standard_map(0.0, a)
+        est = _assert_fallback_matches(S, 1e-4)
+        assert est.value == 0.0
+        ri = rotation_interval(S, 1e-4)
+        assert _fields(ri.lower) == _fields(ri.upper) == _fields(est)
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.375, 2.625, -0.125])
+@pytest.mark.parametrize("error", [1e-3, 3e-4])
+def test_fallback_bit_identical_on_dyadic_rotation(omega, error):
+    # x + omega is exact in floats, so the orbit's period is reached exactly;
+    # error 3e-4 leaves rem > 0 leftover steps after the whole periods
+    est = _assert_fallback_matches(_rigid(omega), error)
+    assert abs(est.value - omega) <= est.error_bound
+
+
+def test_plain_rho_direct_runs_every_iterate_and_fallback_stops():
+    calls = [0]
+    base = standard_map(0.0, 0.5)
+
+    def counting(x, _f=base.fundamental):
+        calls[0] += 1
+        return _f(x)
+
+    S = dataclasses.replace(base, fundamental=counting)
+    for error in (1e-3, 1e-4, 3e-5):
+        calls[0] = 0
+        rho_direct(S, error)
+        # the paper's baseline: floor(F(0)) plus exactly ceil(1/error) iterates
+        assert calls[0] == 1 + math.ceil(1.0 / error)
+        calls[0] = 0
+        rho_direct(S, error, stop_on_repeat=True)
+        assert calls[0] == 2
+    calls[0] = 0
+    rotation_interval(S, 1e-4)  # the csb method's fallback, both endpoints
+    assert calls[0] == 4
+    calls[0] = 0
+    rotation_interval(S, 1e-4, method="direct")
+    assert calls[0] == 2 * (1 + 10_000)
+
+
+# ---------------------------------------------------------------------------
 # orbit-sorting bracket
 
 

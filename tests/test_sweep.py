@@ -55,6 +55,43 @@ def test_config_rejects_non_finite_grid_values(field):
             _cfg(**{field: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(mu_step=1e-12), "mu grid"),
+        (dict(mu_step=5e-324), "mu grid"),
+        (dict(mu_min=-1e308, mu_max=1e308, mu_step=1.0), "mu grid"),
+        (dict(mu_step=1e-8), "mu grid"),  # 10**8 + 1 cells, one too many
+        (dict(a_steps=100_000, omega_steps=100_000), r"\(a, omega\) grid"),
+        (dict(a_steps=10**8 + 1, omega_steps=1), r"\(a, omega\) grid"),
+        (dict(error=1e-12), "iterates"),
+        (dict(error=5e-324), "iterates"),
+        (dict(simo_n=1), "simo_n"),
+        (dict(simo_n=10**7 + 1), "simo_n"),
+    ],
+)
+def test_config_rejects_budgets_that_could_never_finish(overrides, match):
+    with pytest.raises(UsageError, match=match):
+        _cfg(**overrides).validate()
+
+
+def test_config_budgets_admit_their_limits():
+    # exactly 10**8 cells, ceil(1/error) = 10**9 iterates and simo_n in [2, 10**7] are allowed
+    _cfg(mu_step=1.0 / (10**8 - 1)).validate()
+    _cfg(a_steps=10**4, omega_steps=10**4).validate()
+    _cfg(error=1e-9).validate()
+    for simo_n in (2, 10**7):
+        _cfg(simo_n=simo_n).validate()
+
+
+def test_invert_rejects_iterate_budget(monkeypatch):
+    import rotkit.sweep as sweep
+
+    monkeypatch.setattr(sweep, "rho_csb", lambda *args: pytest.fail("an estimate ran"))
+    with pytest.raises(UsageError, match="iterates"):
+        invert_staircase(0.5, 1e-3, error=1e-12)
+
+
 def test_pool_size_is_clamped(monkeypatch):
     import rotkit.sweep as sweep
 
