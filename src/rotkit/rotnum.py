@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .envelope import lower_map, upper_map, widest_section
 from .lifting import Lifting, evaluate_exact
@@ -67,14 +68,14 @@ class PeriodicOrbitDetected(Exception):
         super().__init__(f"periodic orbit: rho = {rotation} from iterates {i} and {j}")
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
+class RotationEstimate(NamedTuple):
     """Either an exact rational m/n or a float estimate with an error bound.
 
     Exact estimates keep the raw pair (m, n) as produced by the hit; the
     reduced form is available as as_fraction.  Their error bound is 0.0,
     conditional on the rounding-error-below-tol assumption of the
-    constant-section algorithm.
+    constant-section algorithm.  A NamedTuple: one is built per estimate,
+    and a tuple is cheaper to build and to pickle than a frozen dataclass.
     """
 
     kind: str  # "exact" or "approx"
@@ -86,18 +87,11 @@ class RotationEstimate:
 
     @classmethod
     def exact(cls, m: int, n: int, iterations_used: int | None = None) -> "RotationEstimate":
-        return cls(
-            kind="exact",
-            value=m / n,
-            error_bound=0.0,
-            iterations_used=n if iterations_used is None else iterations_used,
-            m=m,
-            n=n,
-        )
+        return cls("exact", m / n, 0.0, n if iterations_used is None else iterations_used, m, n)
 
     @classmethod
     def approx(cls, value: float, error_bound: float, iterations_used: int) -> "RotationEstimate":
-        return cls(kind="approx", value=value, error_bound=error_bound, iterations_used=iterations_used)
+        return cls("approx", value, error_bound, iterations_used)
 
     @property
     def is_exact(self) -> bool:
@@ -146,19 +140,6 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
 
 
-def _normalized_fundamental(F: Lifting) -> tuple:
-    """Shift F by -floor(F(0)) so the iteration starts in [0, 1)."""
-    k0 = math.floor(F.fundamental(0.0))
-    if k0 == 0:
-        return F.fundamental, 0
-    fund = F.fundamental
-
-    def shifted(x: float, _f=fund, _k=k0) -> float:
-        return _f(x) - _k
-
-    return shifted, k0
-
-
 def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
     """Estimate rho as F^n(0)/n with n = ceil(1/error) iterates.
 
@@ -176,24 +157,23 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     _require_non_decreasing(F, "rho_direct")
     _require_error(error)
     n = math.ceil(1.0 / error)
+    fund = F.fundamental
     floor = math.floor
+    # the iteration starts in [0, 1): F is shifted by -floor(F(0)), inlined as
+    # fund(x) - k (float(k0) is the operand Python converts the int to, so the
+    # bits agree with fund(x) - k0; at k0 == 0, - 0.0 keeps every float as is)
+    k0 = floor(fund(0.0))
+    k = float(k0)
     x = 0.0
     m = 0
     if not stop_on_repeat:
-        fund, k0 = _normalized_fundamental(F)
         for _ in range(n):
-            x = fund(x)
+            x = fund(x) - k
             if not 0.0 <= x < 1.0:
                 s = floor(x)
                 m += s
                 x -= s
-        return RotationEstimate.approx(value=(m + x) / n + k0, error_bound=1.0 / n, iterations_used=n)
-    # _normalized_fundamental's shift, inlined: the same float subtraction
-    # without a wrapper call per iterate (float(k0) is the operand Python
-    # converts the int to, so the bits agree; float - float is faster)
-    fund = F.fundamental
-    k0 = floor(fund(0.0))
-    k = float(k0)
+        return RotationEstimate.approx((m + x) / n + k0, 1.0 / n, n)
     # Brent checkpoint: the state (cx, cm) after ci steps; it moves at i == nxt
     cx = 0.0
     cm = 0
@@ -223,7 +203,7 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
             cm = m
             ci = i
             nxt = 2 * i
-    return RotationEstimate.approx(value=(m + x) / n + k0, error_bound=1.0 / n, iterations_used=n)
+    return RotationEstimate.approx((m + x) / n + k0, 1.0 / n, n)
 
 
 def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
@@ -235,19 +215,26 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     back to both bounds.  Two fractional parts closer than 1e-14 mean the
     orbit is numerically periodic: PeriodicOrbitDetected then carries the
     exact cycle rotation number instead of a bracket.
+
+    The first such near-tie is found on the sorted values; the iterate
+    indices are looked up for that one pair, as a stable sort of the indices
+    by value would order them, and the indices themselves are sorted only
+    when there is no tie, for the bracket.
     """
     _require_non_decreasing(F, "rho_simo")
     if n < 2:
         raise ValueError("rho_simo needs at least 2 iterates")
-    fund, k0 = _normalized_fundamental(F)
+    fund = F.fundamental
     floor = math.floor
+    k0 = floor(fund(0.0))
+    k = float(k0)  # the shift by floor(F(0)), inlined as in rho_direct
 
     alphas = [0.0] * (n + 1)
     ks = [0] * (n + 1)
     x = 0.0
     m = 0
     for i in range(1, n + 1):
-        x = fund(x)
+        x = fund(x) - k
         if not 0.0 <= x < 1.0:
             s = floor(x)
             m += s
@@ -255,19 +242,23 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
         alphas[i] = x
         ks[i] = m
 
-    order = sorted(range(n + 1), key=alphas.__getitem__)
-    for t in range(n):
-        i0 = order[t]
-        i1 = order[t + 1]
-        if abs(alphas[i1] - alphas[i0]) <= SIMO_TIE_EPS:
-            i, j = (i0, i1) if i0 < i1 else (i1, i0)
+    values = sorted(alphas)
+    for lo, hi in zip(values, values[1:]):
+        if hi - lo <= SIMO_TIE_EPS:
+            # lo opens its run of equal values (else the pair before would
+            # have tied), and a stable sort of the indices lists a run in
+            # index order: the pair is lo's first iterate and lo's second,
+            # or hi's first when hi > lo
+            i = alphas.index(lo)
+            j = alphas.index(lo, i + 1) if hi == lo else alphas.index(hi)
+            if j < i:
+                i, j = j, i
             raise PeriodicOrbitDetected(Fraction(ks[j] - ks[i], j - i) + k0, i, j)
 
+    order = sorted(range(n + 1), key=alphas.__getitem__)
     rho_min = 0.0
     rho_max = 1.0
-    for t in range(n):
-        i0 = order[t]
-        i1 = order[t + 1]
+    for i0, i1 in zip(order, order[1:]):
         rho_aux = (ks[i1] - ks[i0]) / (i1 - i0)
         if i1 > i0:
             if rho_aux > rho_min:
@@ -370,9 +361,7 @@ def rho_constant_section(
             cm = m
             cn = n
             nxt = 2 * n
-    return RotationEstimate.approx(
-        value=(m + x) / max_iter, error_bound=1.0 / max_iter, iterations_used=max_iter
-    )
+    return RotationEstimate.approx((m + x) / max_iter, 1.0 / max_iter, max_iter)
 
 
 def rho_constant_section_exact(

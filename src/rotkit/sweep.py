@@ -14,8 +14,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from multiprocessing import Pool
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .families import FamilyParams, build_lifting, f_mu
 from .rotnum import (
@@ -115,8 +114,7 @@ def _check_iterates(error: float) -> None:
         raise UsageError(f"error {error} asks for more than {MAX_ITERATES} iterates per estimate")
 
 
-@dataclass(frozen=True)
-class StaircaseRow:
+class StaircaseRow(NamedTuple):
     mu: float
     rho: float
     kind: str
@@ -172,11 +170,16 @@ class BenchmarkRow:
 def mu_grid(cfg: SweepConfig) -> list[float]:
     """Accumulated-step grid {mu_min, +step, ...} with mu_max appended exactly.
 
+    mu_min stays in the grid whenever mu_max > mu_min, even for a step wider
+    than the range.
+
     Accumulation (rather than i*step) reproduces the classic sweep loop; the
     index-multiplication grid lands inside the tolerance deadband of the
     plateau-edge tangency at mu = 3/4 and would force a spurious fallback.
     """
     count = round((cfg.mu_max - cfg.mu_min) / cfg.mu_step)
+    if count == 0 and cfg.mu_max > cfg.mu_min:
+        count = 1  # round() gives 0 for a step more than twice the range
     grid = [cfg.mu_min] * max(count, 0)
     mu = cfg.mu_min
     for i in range(1, count):
@@ -204,6 +207,8 @@ def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
         return [worker(t) for t in tasks]
+    from multiprocessing import Pool  # imported here: a one-worker run never pays for it
+
     chunk = max(1, len(tasks) // (workers * 8))
     with Pool(processes=workers) as pool:
         return pool.map(worker, tasks, chunksize=chunk)
@@ -214,15 +219,8 @@ def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
 
 
 def _estimate_to_row(mu: float, est: RotationEstimate) -> StaircaseRow:
-    return StaircaseRow(
-        mu=mu,
-        rho=est.value,
-        kind=est.kind,
-        m=est.m,
-        n=est.n,
-        error_bound=None if est.is_exact else est.error_bound,
-        iterations=est.iterations_used,
-    )
+    kind, value, error_bound, iterations, m, n = est
+    return StaircaseRow(mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations)
 
 
 def _staircase_cell(args: tuple) -> StaircaseRow:
@@ -234,11 +232,7 @@ def _staircase_cell(args: tuple) -> StaircaseRow:
         return _estimate_to_row(mu, rho_direct(F, error))
     try:
         br = rho_simo(F, simo_n)
-        est = RotationEstimate.approx(
-            value=0.5 * (br.rho_min + br.rho_max),
-            error_bound=0.5 * (br.rho_max - br.rho_min),
-            iterations_used=simo_n,
-        )
+        est = RotationEstimate.approx(0.5 * (br.rho_min + br.rho_max), 0.5 * (br.rho_max - br.rho_min), simo_n)
     except PeriodicOrbitDetected as hit:
         est = RotationEstimate.exact(hit.rotation.numerator, hit.rotation.denominator, simo_n)
     return _estimate_to_row(mu, est)
@@ -450,8 +444,11 @@ def _writer(stream: IO[str]) -> "csv.writer":
 def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
     w = _writer(stream)
     w.writerow(STAIRCASE_HEADER)
-    for r in rows:
-        w.writerow([_fmt(r.mu), _fmt(r.rho), r.kind, _opt(r.m), _opt(r.n), _opt(r.error_bound), r.iterations])
+    # csv writes the ints m, n, iterations with str() and None as "", as _opt does
+    w.writerows(
+        (_fmt(mu), _fmt(rho), kind, m, n, None if err is None else _fmt(err), iterations)
+        for mu, rho, kind, m, n, err, iterations in rows
+    )
 
 
 def write_interval_csv(rows: Iterable[IntervalRow], stream: IO[str]) -> int:

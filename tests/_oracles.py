@@ -3,7 +3,8 @@
 Nothing in here calls the estimator code paths it is used to check: the
 direct-sweep oracle re-implements the plain iteration with its own
 floor/fraction handling (plus cycle extrapolation, which is bit-identical
-because a float orbit that revisits a state repeats forever), the
+because a float orbit that revisits a state repeats forever), the Simo
+oracle sorts the iterate indices and scans every adjacent pair, the
 section-orbit oracle runs the constant-section loop to the end with no
 shortcut (on a section rotated to the origin by _shifted, written out here),
 and the exact certifier iterates in rational arithmetic only.
@@ -57,6 +58,59 @@ def direct_value_oracle(fund, error: float) -> float:
         xs.append(x)
         ms.append(m)
     return (m + x) / n_max + k0
+
+
+def simo_oracle(fund, n: int) -> tuple:
+    """Simo's orbit-sorting estimator with the index sort first and a full tie scan.
+
+    Iterates F^1(0) .. F^n(0) with its own floor/fraction handling (after the
+    same floor(F(0)) normalization, through a wrapper closure), stably sorts
+    the iterate indices by fractional part, and scans adjacent pairs: the
+    first pair closer than 1e-14 gives ("cycle", rotation, i, j) with i < j;
+    otherwise adjacent pairs bound the rotation number and the result is
+    ("bracket", rho_min, rho_max).
+    """
+    k0 = math.floor(fund(0.0))
+    if k0:
+        inner = fund
+
+        def fund(x, _f=inner, _k=k0):  # noqa: F811 - deliberate shadowing
+            return _f(x) - _k
+
+    alphas = [0.0] * (n + 1)
+    ks = [0] * (n + 1)
+    x = 0.0
+    m = 0
+    for i in range(1, n + 1):
+        x = fund(x)
+        if not 0.0 <= x < 1.0:
+            s = math.floor(x)
+            m += s
+            x -= s
+        alphas[i] = x
+        ks[i] = m
+
+    order = sorted(range(n + 1), key=alphas.__getitem__)
+    for t in range(n):
+        i0 = order[t]
+        i1 = order[t + 1]
+        if abs(alphas[i1] - alphas[i0]) <= 1e-14:
+            i, j = (i0, i1) if i0 < i1 else (i1, i0)
+            return "cycle", Fraction(ks[j] - ks[i], j - i) + k0, i, j
+
+    rho_min = 0.0
+    rho_max = 1.0
+    for t in range(n):
+        i0 = order[t]
+        i1 = order[t + 1]
+        rho_aux = (ks[i1] - ks[i0]) / (i1 - i0)
+        if i1 > i0:
+            if rho_aux > rho_min:
+                rho_min = rho_aux
+        else:
+            if rho_aux < rho_max:
+                rho_max = rho_aux
+    return "bracket", rho_min + k0, rho_max + k0
 
 
 def _shifted(fund, shift):

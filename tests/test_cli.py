@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,24 @@ def test_staircase_csv_output(tmp_path):
     assert lines[0] == "mu,rho,kind,m,n,error_bound,iterations"
     assert len(lines) == 22
     assert lines[1].startswith("0,")
+
+
+def test_staircase_step_wider_than_range_keeps_both_ends(tmp_path):
+    out = tmp_path / "wide.csv"
+    assert main(["staircase", "--mu-step", "3", "--error", "1e-3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
+def test_import_leaves_multiprocessing_out():
+    # the pool's module is imported only when a sweep starts a pool
+    import rotkit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rotkit.__file__).resolve().parents[1])}
+    code = "import sys, rotkit.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_threads_are_byte_identical(tmp_path):

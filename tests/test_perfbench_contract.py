@@ -73,3 +73,47 @@ def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
         arnold_tongue(cfg, Fraction(1, 2))
         assert seen == expected
         assert nondecreasing >= cfg.omega_steps  # at least the a = 0 row
+
+
+def test_sweeps_hand_the_harness_lists_of_readable_picklable_rows():
+    # perfbench/child.py captures the rows passed to write_*_csv as one list
+    # and reads these attributes; a worker pool pickles rows and estimates
+    import pickle
+    from fractions import Fraction
+
+    from rotkit.rotnum import RotationEstimate
+    from rotkit.sweep import SweepConfig, arnold_tongue, devils_staircase
+
+    stairs = devils_staircase(SweepConfig(mu_step=0.25, error=1e-3))
+    simo = devils_staircase(SweepConfig(mu_step=0.25, algorithms=("simo",), simo_n=50))
+    tongue = arnold_tongue(SweepConfig(family="pwl", a_steps=2, omega_steps=2, error=1e-3), Fraction(1, 2))
+    for rows in (stairs, simo, tongue):
+        assert type(rows) is list and rows
+        assert pickle.loads(pickle.dumps(rows)) == rows
+    for r in stairs + simo:
+        assert isinstance(r.kind, str) and isinstance(r.rho, float) and isinstance(r.iterations, int)
+    for c in tongue:
+        assert c.status == "ok"
+        assert all(isinstance(v, float) for v in (c.lo, c.hi, c.lo_err, c.hi_err))
+    for est in (RotationEstimate.exact(2, 4, 7), RotationEstimate.approx(0.1, 1e-3, 1000)):
+        back = pickle.loads(pickle.dumps(est))
+        assert back == est and type(back) is RotationEstimate
+        assert (back.kind, back.value, back.error_bound, back.iterations_used, back.m, back.n) == tuple(est)
+
+
+def test_staircase_csv_text():
+    import io
+
+    from rotkit.sweep import StaircaseRow, write_staircase_csv
+
+    rows = [
+        StaircaseRow(mu=0.5, rho=0.6296296296296297, kind="exact", m=17, n=27, error_bound=None, iterations=27),
+        StaircaseRow(mu=0.1, rho=1 / 3, kind="approx", m=None, n=None, error_bound=1e-05, iterations=100000),
+    ]
+    buf = io.StringIO()
+    write_staircase_csv(rows, buf)
+    assert buf.getvalue() == (
+        "mu,rho,kind,m,n,error_bound,iterations\n"
+        "0.5,0.62962962962962965,exact,17,27,,27\n"
+        "0.10000000000000001,0.33333333333333331,approx,,,1.0000000000000001e-05,100000\n"
+    )

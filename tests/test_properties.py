@@ -1,9 +1,11 @@
-"""Property tests (hypothesis): the no-section fallback equals the plain direct loop.
+"""Property tests (hypothesis) over random non-decreasing PL maps, flat-topped and strictly increasing.
 
 rho_direct(..., stop_on_repeat=True) stops at the first repeated float state
-and rebuilds the ceil(1/error)-step estimate; over random non-decreasing PL
-maps, flat-topped and strictly increasing, every field must equal the plain
+and rebuilds the ceil(1/error)-step estimate: every field must equal the plain
 loop's bit for bit, and the value must equal the independent oracle's.
+rho_simo finds its first near-tie on the sorted values: its bracket, or the
+cycle's rotation number and iterate pair, must equal the index-sorting
+oracle's.
 """
 
 import math
@@ -15,12 +17,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rotkit import rho_direct  # noqa: E402
+from rotkit import PeriodicOrbitDetected, rho_direct, rho_simo  # noqa: E402
 from rotkit.lifting import Lifting  # noqa: E402
-from _oracles import direct_value_oracle, random_flat_pl_lifting  # noqa: E402
+from _oracles import direct_value_oracle, random_flat_pl_lifting, simo_oracle  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ERRORS = st.sampled_from([1e-2, 1e-3, 7e-4])
+SIMO_N = st.sampled_from([2, 3, 50, 400])
 
 
 def _assert_fallback_is_plain(F: Lifting, error: float) -> None:
@@ -34,6 +37,18 @@ def _assert_fallback_is_plain(F: Lifting, error: float) -> None:
     )
     assert fast.iterations_used == math.ceil(1.0 / error)
     assert fast.value == direct_value_oracle(F.fundamental, error)
+
+
+def _assert_simo_matches_oracle(F: Lifting, n: int) -> None:
+    try:
+        br = rho_simo(F, n)
+    except PeriodicOrbitDetected as hit:
+        outcome = ("cycle", hit.rotation, hit.i, hit.j)
+    else:
+        assert br.n == n
+        outcome = ("bracket", br.rho_min.hex(), br.rho_max.hex())
+    kind, *rest = simo_oracle(F.fundamental, n)
+    assert outcome == ((kind, *rest) if kind == "cycle" else (kind, *(v.hex() for v in rest)))
 
 
 @st.composite
@@ -68,3 +83,16 @@ def test_fallback_equals_plain_direct_on_flat_pl_maps(seed, pieces, error):
 @given(F=increasing_pl_liftings(), error=ERRORS)
 def test_fallback_equals_plain_direct_on_increasing_pl_maps(F, error):
     _assert_fallback_is_plain(F, error)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(2, 6), n=SIMO_N)
+def test_simo_matches_oracle_on_flat_pl_maps(seed, pieces, n):
+    F, _, _, _ = random_flat_pl_lifting(random.Random(seed), pieces)
+    _assert_simo_matches_oracle(F, n)
+
+
+@PROPERTY
+@given(F=increasing_pl_liftings(), n=SIMO_N)
+def test_simo_matches_oracle_on_increasing_pl_maps(F, n):
+    _assert_simo_matches_oracle(F, n)

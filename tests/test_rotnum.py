@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from _oracles import (
     exact_section_certificate,
     random_flat_pl_lifting,
     section_orbit_oracle,
+    simo_oracle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -211,6 +213,74 @@ def test_rho_simo_shift_is_added_back():
     assert info.value.rotation == Fraction(5, 4)
     br = rho_simo(_rigid(GOLDEN_MEAN + 2.0), 500)
     assert br.rho_min <= GOLDEN_MEAN + 2.0 <= br.rho_max
+
+
+def _simo_outcome(F, n):
+    """rho_simo's result in simo_oracle's shape, with bracket floats as hex."""
+    try:
+        br = rho_simo(F, n)
+    except PeriodicOrbitDetected as hit:
+        return "cycle", hit.rotation, hit.i, hit.j
+    assert br.n == n
+    return "bracket", br.rho_min.hex(), br.rho_max.hex()
+
+
+def _simo_oracle_outcome(F, n):
+    kind, *rest = simo_oracle(F.fundamental, n)
+    return (kind, *rest) if kind == "cycle" else (kind, *(v.hex() for v in rest))
+
+
+@pytest.mark.parametrize(
+    "n, kinds",
+    [
+        (2, {"bracket": 749, "cycle": 252}),
+        (3, {"bracket": 642, "cycle": 359}),
+        (50, {"cycle": 1001}),
+        (1000, {"cycle": 1001}),
+    ],
+)
+def test_rho_simo_matches_oracle_on_staircase_grid(n, kinds):
+    # the simo staircase grid at mu_step 1e-3, field for field
+    from rotkit.sweep import SweepConfig, mu_grid
+
+    seen = Counter()
+    for mu in mu_grid(SweepConfig(mu_step=1e-3)):
+        F = f_mu(mu)
+        outcome = _simo_outcome(F, n)
+        assert outcome == _simo_oracle_outcome(F, n), mu
+        seen[outcome[0]] += 1
+    assert seen == kinds
+
+
+def test_rho_simo_first_tie_of_rigid_tenth():
+    # x_11 = 0.09999999999999987 sorts just below x_1 = 0.1: at n = 12 the
+    # first tie is between unequal values; x_21 repeats x_11 exactly
+    R = _rigid(0.1)
+    assert _simo_outcome(R, 12) == _simo_oracle_outcome(R, 12) == ("cycle", Fraction(1, 10), 1, 11)
+    assert _simo_outcome(R, 21) == _simo_oracle_outcome(R, 21) == ("cycle", Fraction(1, 10), 11, 21)
+
+
+@pytest.mark.parametrize("omega", [3.31, -2.6])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda omega: standard_map(omega, 0.0),
+        lambda omega: standard_map(omega, 0.5),
+        lambda omega: standard_map(omega, 1.0),
+        lambda omega: pwl_standard(omega, a_over_2pi=0.1),
+        lambda omega: pwl_standard(omega, a_over_2pi=0.2),
+        lambda omega: disc_standard(omega, 0.0),
+    ],
+)
+def test_shifted_estimators_match_oracles(omega, make):
+    # floor(F(0)) = 3 or -3: the inlined shift must agree with the oracles'
+    # wrapper closure bit for bit, in the direct loop and in the sorting one
+    F = make(omega)
+    assert math.floor(F.fundamental(0.0)) == math.floor(omega)
+    for error in (1e-3, 3e-4):
+        assert rho_direct(F, error).value.hex() == direct_value_oracle(F.fundamental, error).hex()
+    for n in (2, 50, 1000):
+        assert _simo_outcome(F, n) == _simo_oracle_outcome(F, n)
 
 
 def test_simo_error_bound_values():

@@ -40,6 +40,22 @@ def test_mu_grid_endpoints_exact():
     assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize(
+    "lo, hi, step, expected",
+    [
+        (0.0, 1.0, 3.0, [0.0, 1.0]),  # round(1/3) = 0 steps: mu_min is still kept
+        (0.0, 1.0, 1.5, [0.0, 1.0]),
+        (0.0, 1.0, 1.0, [0.0, 1.0]),
+        (0.0, 1.0, 0.5, [0.0, 0.5, 1.0]),
+        (0.25, 0.5, 100.0, [0.25, 0.5]),
+        (0.5, 0.5, 1.0, [0.5]),  # a single-point range
+        (0.5, 0.5, 1e-3, [0.5]),
+    ],
+)
+def test_mu_grid_keeps_both_ends(lo, hi, step, expected):
+    assert mu_grid(_cfg(mu_min=lo, mu_max=hi, mu_step=step)) == expected
+
+
 @pytest.mark.parametrize("field, value", [("tol", math.nan), ("tol", math.inf), ("error", math.inf), ("error", math.nan)])
 def test_config_rejects_non_finite_error_and_tol(field, value):
     with pytest.raises(UsageError):
