@@ -83,22 +83,24 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--error", type=float, default=1e-6, help="estimator error target (default 1e-6)")
     common.add_argument("--tol", type=float, default=1e-10, help="rounding-error guard (default 1e-10)")
-    common.add_argument("--simo-iters", type=int, default=1000, help="iterates for the sorting estimator")
-    common.add_argument("--threads", type=int, default=None, help="workers (default $ROTKIT_THREADS or 1)")
     common.add_argument("--out", default="-", help="output CSV path, - for stdout")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--threads", type=int, default=None, help="workers (default $ROTKIT_THREADS or 1)")
+    simo = argparse.ArgumentParser(add_help=False)
+    simo.add_argument("--simo-iters", type=int, default=1000, help="iterates for the sorting estimator")
 
-    st = sub.add_parser("staircase", parents=[common], help="Devil's staircase of the fmu family")
+    st = sub.add_parser("staircase", parents=[common, pooled, simo], help="Devil's staircase of the fmu family")
     st.add_argument("--mu-step", type=float, default=1e-5)
     st.add_argument("--algorithm", default="csb", help="csb, direct or simo")
 
-    iv = sub.add_parser("interval", parents=[common], help="rotation interval as a function of a")
+    iv = sub.add_parser("interval", parents=[common, pooled], help="rotation interval as a function of a")
     iv.add_argument("--family", choices=FAMILY_CHOICES[1:], required=True)
     iv.add_argument("--omega", type=float, default=0.0)
     iv.add_argument("--a-range", default=f"0:{4 * math.pi}")
     iv.add_argument("--steps", type=int, default=512)
     iv.add_argument("--algorithm", default="csb", help="csb or direct")
 
-    tg = sub.add_parser("tongue", parents=[common], help="Arnold tongue membership grid over (a, omega)")
+    tg = sub.add_parser("tongue", parents=[common, pooled], help="Arnold tongue membership grid over (a, omega)")
     tg.add_argument("--family", choices=FAMILY_CHOICES[1:], required=True)
     tg.add_argument("--rho", default="0", help="target rotation number: p/q, decimal or golden")
     tg.add_argument("--a-range", default=f"0:{4 * math.pi}")
@@ -111,7 +113,7 @@ def build_parser() -> _Parser:
     inv.add_argument("--eps", type=float, default=1e-6)
     inv.add_argument("--max-bisections", type=int, default=200)
 
-    be = sub.add_parser("bench", parents=[common], help="time the selected algorithms on a problem")
+    be = sub.add_parser("bench", parents=[common, pooled, simo], help="time the selected algorithms on a problem")
     be.add_argument("--problem", default="staircase", help="comma list of staircase,interval,tongue")
     be.add_argument("--family", choices=FAMILY_CHOICES, default="standard")
     be.add_argument("--algorithm", default="direct,simo,csb")
@@ -146,7 +148,6 @@ def _check_out(path: str) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    workers = _threads(args)
     algorithms = tuple(a.strip() for a in getattr(args, "algorithm", "csb").split(",") if a.strip())
 
     if args.command == "staircase":
@@ -157,7 +158,7 @@ def _run(args: argparse.Namespace) -> int:
             tol=args.tol,
             simo_n=args.simo_iters,
             algorithms=algorithms,
-            workers=workers,
+            workers=_threads(args),
         )
         rows = devils_staircase(cfg)
         with _out_stream(args.out) as out:
@@ -176,7 +177,7 @@ def _run(args: argparse.Namespace) -> int:
             error=args.error,
             tol=args.tol,
             algorithms=algorithms,
-            workers=workers,
+            workers=_threads(args),
         )
         rows = rotation_interval_graph(cfg)
         with _out_stream(args.out) as out:
@@ -197,7 +198,7 @@ def _run(args: argparse.Namespace) -> int:
             error=args.error,
             tol=args.tol,
             algorithms=algorithms,
-            workers=workers,
+            workers=_threads(args),
         )
         rows = arnold_tongue(cfg, parse_rho(args.rho))
         with _out_stream(args.out) as out:
@@ -231,7 +232,7 @@ def _run(args: argparse.Namespace) -> int:
             tol=args.tol,
             simo_n=args.simo_iters,
             algorithms=algorithms,
-            workers=workers,
+            workers=_threads(args),
         )
         rows = benchmark(cfg, problems=problems, target=parse_rho(args.rho))
         with _out_stream(args.out) as out:

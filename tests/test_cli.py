@@ -112,6 +112,30 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert main(["staircase", "--mu-step", "0.05", "--error", "1e-4", "--out", str(out)]) == 1
 
 
+def test_invert_does_not_read_threads_env(tmp_path, monkeypatch):
+    # invert starts no pool, so a bad ROTKIT_THREADS is none of its business
+    monkeypatch.setenv("ROTKIT_THREADS", "x")
+    out = tmp_path / "inv.csv"
+    assert main(["invert", "--rho", "1/2", "--eps", "1e-3", "--error", "1e-4", "--out", str(out)]) == 0
+    assert ",ok," in out.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "--rho", "1/2", "--eps", "1e-3", "--error", "1e-3", "--threads", "2"],
+        ["invert", "--rho", "1/2", "--eps", "1e-3", "--error", "1e-3", "--simo-iters", "1"],
+        ["interval", "--family", "disc", "--steps", "2", "--error", "1e-3", "--simo-iters", "50"],
+        ["tongue", "--family", "pwl", "--steps", "2", "--error", "1e-3", "--simo-iters", "50"],
+    ],
+)
+def test_options_a_command_would_ignore_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_interval_cli(tmp_path):
     out = tmp_path / "iv.csv"
     code = main(

@@ -25,7 +25,7 @@ from rotkit import (
 )
 from rotkit.envelope import MonotoneEnvelope, _numeric_envelope
 from rotkit.lifting import Lifting
-from _oracles import _shifted
+from _oracles import _shifted, pl_lifting
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,6 +138,17 @@ def test_numeric_envelope_of_heavy_map():
         assert lo.lifting.fundamental(x) == pytest.approx(lo_a.fundamental(x), abs=1e-9)
 
 
+def test_numeric_lower_envelope_when_the_minimum_ties_with_f_of_zero():
+    # the period minimum sits one ulp below F(0): the flat of the lower map
+    # runs from 0 to the minimum, and must not start a grid cell late
+    xs = [0.0, 0.7, 0.78, 1.0]
+    ys = [0.22, 0.55, math.nextafter(0.22, 0.0), 1.22]
+    F = pl_lifting(xs, ys)
+    lo = lower_map(F)
+    assert [(s.alpha, s.beta) for s in lo.sections] == [(0.0, 0.78)]
+    assert lo.lifting.fundamental(0.0) == ys[2]
+
+
 def test_sandwich_and_monotone_properties():
     rng = random.Random(3)
     for F in (standard_map(0.37, 4.2), pwl_standard(0.5, 8.0), disc_standard(0.11, 2.0)):
@@ -159,12 +170,16 @@ def test_sandwich_and_monotone_properties():
 
 
 def test_envelope_idempotence():
+    # an envelope flagged non-decreasing is returned as it is; unflagged, it
+    # goes through the numeric construction, which must reproduce it
     for F in (standard_map(0, TWO_PI), pwl_standard(0.2, 7.0)):
-        up = upper_map(F)
-        up2 = upper_map(up.lifting)
-        for i in range(1001):
-            x = i / 1000
-            assert up2.lifting.fundamental(x) == pytest.approx(up.lifting.fundamental(x), abs=1e-10)
+        for envelope_map in (upper_map, lower_map):
+            env = envelope_map(F)
+            again = envelope_map(dataclasses.replace(env.lifting, is_non_decreasing=False))
+            assert again.source == "numeric"
+            for i in range(1001):
+                x = i / 1000
+                assert again.lifting.fundamental(x) == pytest.approx(env.lifting.fundamental(x), abs=1e-10)
 
 
 def test_find_maximal_sections_examples():

@@ -5,9 +5,12 @@ and rebuilds the ceil(1/error)-step estimate: every field must equal the plain
 loop's bit for bit, and the value must equal the independent oracle's.
 rho_simo finds its first near-tie on the sorted values: its bracket, or the
 cycle's rotation number and iterate pair, must equal the index-sorting
-oracle's.
+oracle's.  On random non-monotone PL maps, which take the numeric envelope
+path, both envelopes must sandwich the map, be non-decreasing and degree-one,
+match the knot oracle, and reproduce themselves when built again.
 """
 
+import dataclasses
 import math
 import random
 
@@ -17,9 +20,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rotkit import PeriodicOrbitDetected, rho_direct, rho_simo  # noqa: E402
+from rotkit import PeriodicOrbitDetected, lower_map, rho_direct, rho_simo, upper_map  # noqa: E402
 from rotkit.lifting import Lifting  # noqa: E402
-from _oracles import direct_value_oracle, random_flat_pl_lifting, simo_oracle  # noqa: E402
+from _oracles import (  # noqa: E402
+    direct_value_oracle,
+    pl_envelope_oracle,
+    random_flat_pl_lifting,
+    random_pl_lifting,
+    simo_oracle,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ERRORS = st.sampled_from([1e-2, 1e-3, 7e-4])
@@ -96,3 +105,24 @@ def test_simo_matches_oracle_on_flat_pl_maps(seed, pieces, n):
 @given(F=increasing_pl_liftings(), n=SIMO_N)
 def test_simo_matches_oracle_on_increasing_pl_maps(F, n):
     _assert_simo_matches_oracle(F, n)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), knots=st.integers(2, 6))
+def test_numeric_envelopes_of_random_pl_maps(seed, knots):
+    F, xs, ys = random_pl_lifting(random.Random(seed), knots)
+    f = F.fundamental
+    grid = sorted({i / 997 for i in range(998)} | set(xs))
+    for upper, envelope_map in ((True, upper_map), (False, lower_map)):
+        env = envelope_map(F)
+        assert env.source == "numeric"
+        e = env.lifting.fundamental
+        values = [e(x) for x in grid]
+        for x, v in zip(grid, values):
+            assert v >= f(x) if upper else v <= f(x)
+            assert abs(v - pl_envelope_oracle(f, xs, ys, x, upper)) <= 1e-9
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        assert abs(values[-1] - values[0] - 1.0) <= 1e-12
+        # built again from the envelope, taken as a map of unknown monotonicity
+        again = envelope_map(dataclasses.replace(env.lifting, is_non_decreasing=False)).lifting
+        assert max(abs(again.fundamental(x) - v) for x, v in zip(grid, values)) <= 1e-12

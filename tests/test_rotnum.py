@@ -557,19 +557,25 @@ def test_rotation_interval_pwl_degenerate_until_half_pi():
     assert ri.lower.value == ri.upper.value
 
 
-def test_rotation_interval_numeric_envelope_path_matches_registered():
-    from rotkit.lifting import Lifting
-
-    T = pwl_standard(0, 2.5 * math.pi)
-    plain = Lifting(
-        fundamental=T.fundamental,
-        is_non_decreasing=False,
-        label="pwl-plain",
-    )
-    a = rotation_interval(T, 1e-4, 1e-10)
+@pytest.mark.parametrize(
+    "F",
+    [
+        pwl_standard(0, 2.5 * math.pi),
+        # the README's user map: the same float function as its fundamental
+        standard_map(0.2, a_over_2pi=0.3),
+        disc_standard(0.2, 7.0),
+    ],
+    ids=["pwl", "readme-standard", "disc"],
+)
+def test_rotation_interval_numeric_envelope_path_matches_registered(F):
+    plain = dataclasses.replace(F, envelope_builder=None)
+    a = rotation_interval(F, 1e-4, 1e-10)
     b = rotation_interval(plain, 1e-4, 1e-10)
-    assert b.lower.value == pytest.approx(a.lower.value, abs=1e-9)
-    assert b.upper.value == pytest.approx(a.upper.value, abs=1e-9)
+    for registered, numeric in ((a.lower, b.lower), (a.upper, b.upper)):
+        assert numeric.kind == registered.kind
+        if registered.is_exact:
+            assert numeric.as_fraction == registered.as_fraction
+        assert numeric.value == pytest.approx(registered.value, abs=1e-9)
 
 
 def test_conjugacy_preserves_rotation_number():
