@@ -16,7 +16,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .families import GOLDEN_MEAN, InvalidParam
+from .families import CIRCLE_FAMILIES, GOLDEN_MEAN, InvalidParam
 from .sweep import (
     SweepConfig,
     UsageError,
@@ -31,8 +31,6 @@ from .sweep import (
     write_staircase_csv,
     write_tongue_csv,
 )
-
-FAMILY_CHOICES = ("fmu", "standard", "pwl", "disc")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,14 +92,14 @@ def build_parser() -> _Parser:
     st.add_argument("--algorithm", default="csb", help="csb, direct or simo")
 
     iv = sub.add_parser("interval", parents=[common, pooled], help="rotation interval as a function of a")
-    iv.add_argument("--family", choices=FAMILY_CHOICES[1:], required=True)
+    iv.add_argument("--family", choices=CIRCLE_FAMILIES, required=True)
     iv.add_argument("--omega", type=float, default=0.0)
     iv.add_argument("--a-range", default=f"0:{4 * math.pi}")
     iv.add_argument("--steps", type=int, default=512)
     iv.add_argument("--algorithm", default="csb", help="csb or direct")
 
     tg = sub.add_parser("tongue", parents=[common, pooled], help="Arnold tongue membership grid over (a, omega)")
-    tg.add_argument("--family", choices=FAMILY_CHOICES[1:], required=True)
+    tg.add_argument("--family", choices=CIRCLE_FAMILIES, required=True)
     tg.add_argument("--rho", default="0", help="target rotation number: p/q, decimal or golden")
     tg.add_argument("--a-range", default=f"0:{4 * math.pi}")
     tg.add_argument("--omega-range", default="0:1")
@@ -115,7 +113,7 @@ def build_parser() -> _Parser:
 
     be = sub.add_parser("bench", parents=[common, pooled, simo], help="time the selected algorithms on a problem")
     be.add_argument("--problem", default="staircase", help="comma list of staircase,interval,tongue")
-    be.add_argument("--family", choices=FAMILY_CHOICES, default="standard")
+    be.add_argument("--family", choices=CIRCLE_FAMILIES, default="standard")
     be.add_argument("--algorithm", default="direct,simo,csb")
     be.add_argument("--mu-step", type=float, default=1e-3)
     be.add_argument("--omega", type=float, default=0.0)

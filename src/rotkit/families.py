@@ -400,7 +400,8 @@ def counterexample_map() -> Lifting:
 # sweep plumbing: picklable parameter records
 
 
-FAMILY_NAMES = ("fmu", "standard", "pwl", "disc", "counterexample")
+# the circle-map families the interval and tongue sweeps take by name
+CIRCLE_FAMILIES = {"standard": standard_map, "pwl": pwl_standard, "disc": disc_standard}
 
 
 @dataclass(frozen=True)
@@ -408,20 +409,12 @@ class FamilyParams:
     """Picklable family selector so sweep workers can rebuild liftings."""
 
     family: str
-    mu: float | None = None
-    omega: float | None = None
-    a: float | None = None
+    omega: float
+    a: float
 
 
 def build_lifting(params: FamilyParams) -> Lifting:
-    if params.family == "fmu":
-        return f_mu(params.mu)
-    if params.family == "standard":
-        return standard_map(params.omega, params.a)
-    if params.family == "pwl":
-        return pwl_standard(params.omega, params.a)
-    if params.family == "disc":
-        return disc_standard(params.omega, params.a)
-    if params.family == "counterexample":
-        return counterexample_map()
-    raise InvalidParam(f"unknown family {params.family!r}; expected one of {FAMILY_NAMES}")
+    make = CIRCLE_FAMILIES.get(params.family)
+    if make is None:
+        raise InvalidParam(f"unknown family {params.family!r}; expected one of {tuple(CIRCLE_FAMILIES)}")
+    return make(params.omega, params.a)

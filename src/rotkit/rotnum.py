@@ -5,10 +5,10 @@ Three estimators for non-decreasing degree-one liftings:
 * rho_direct       -- F^n(0)/n with n = ceil(1/error); the error bound 1/n
                       needs nothing beyond monotonicity.  By default it runs
                       all n iterates (the paper's baseline); with
-                      stop_on_repeat it stops at the first repeated float
-                      state and rebuilds the same value bit for bit, which
-                      is how the csb method estimates an envelope that has
-                      no constant section.
+                      stop_on_repeat its main loop runs only the leftover
+                      steps after the first repeated float state, for the
+                      same value bit for bit, which is how the csb method
+                      estimates an envelope with no constant section.
 * rho_simo         -- sorts the fractional parts of an orbit and brackets the
                       rotation number from adjacent index pairs (Simo's
                       continuation-method estimator); no a-priori error bound
@@ -21,9 +21,10 @@ Three estimators for non-decreasing degree-one liftings:
                       rational rotation number, otherwise the direct
                       estimate after max_iter steps is returned.  An orbit
                       whose float state repeats without a hit can never
-                      hit, so the estimator stops there and rebuilds the
-                      max_iter-step estimate bit for bit; iterations_used
-                      stays the nominal max_iter.
+                      hit, so past the repeat the main loop runs only the
+                      leftover steps and rebuilds the max_iter-step
+                      estimate bit for bit; iterations_used stays the
+                      nominal max_iter.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
@@ -149,10 +150,10 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
 
     With stop_on_repeat the float state is compared with a checkpoint moved
     to iterates 1, 2, 4, 8, ... (Brent's cycle detection, as in
-    rho_constant_section).  Once it repeats the rest of the orbit is forced,
-    so the state after n steps is rebuilt from whole periods plus the
-    remaining steps: value, error_bound and the nominal iterations_used = n
-    are bit-identical to the full loop.
+    rho_constant_section).  Once it repeats the rest of the orbit is forced:
+    the gain of the whole periods left is added at once, and the main loop
+    runs only the remaining steps before it stops.  Value, error_bound and
+    the nominal iterations_used = n are bit-identical to the full loop.
     """
     _require_non_decreasing(F, "rho_direct")
     _require_error(error)
@@ -186,19 +187,15 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
             m += s
             x -= s
         if x == cx:
-            # period i - ci, gaining m - cm per period; the first rem steps
-            # past i repeat steps ci+1 .. ci+rem
+            # period i - ci, gaining m - cm: add the whole periods, run the
+            # rem leftover steps and stop (x >= 0 never meets cx = -1.0)
             periods, rem = divmod(n - i, i - ci)
-            gain = m - cm
-            for _ in range(rem):
-                x = fund(x) - k
-                if not 0.0 <= x < 1.0:
-                    s = floor(x)
-                    m += s
-                    x -= s
-            m += periods * gain
-            break
+            m += periods * (m - cm)
+            cx = -1.0
+            nxt = i + rem
         if i == nxt:
+            if cx < 0.0:
+                break
             cx = x
             cm = m
             ci = i
@@ -310,9 +307,10 @@ def rho_constant_section(
     The fallback may stop early.  The float state x is compared with a
     checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's cycle detection).
     Once x repeats without a hit the rest of the orbit is forced and never
-    hits, so the state after max_iter steps is rebuilt from whole periods
-    plus the remaining steps, bit-identical to the full loop.  The estimate
-    still reports the nominal iterations_used = max_iter.
+    hits: the gain of the whole periods left is added at once, and the main
+    loop runs only the remaining steps before it stops, so the state after
+    max_iter steps is bit-identical to the full loop's.  The estimate still
+    reports the nominal iterations_used = max_iter.
     """
     _require_non_decreasing(G, "rho_constant_section")
     if beta <= 0.0:
@@ -341,22 +339,16 @@ def rho_constant_section(
         if x <= beta:
             return RotationEstimate.exact(m, n)
         if x == cx:
-            # the state after n steps is the one after cn: period n - cn,
-            # gaining m - cm per period; the first rem steps past n repeat
-            # steps cn+1 .. cn+rem, which missed the section
+            # period n - cn, gaining m - cm: add the whole periods, run the
+            # rem leftover steps, which replay the missed steps cn+1 ..
+            # cn+rem, and stop (x >= 0 never meets cx = -1.0)
             periods, rem = divmod(max_iter - n, n - cn)
-            gain = m - cm
-            for _ in range(rem):
-                y = x + shift
-                s = floor(y)
-                x = fund(y - s) + s - shift
-                if not 0.0 <= x < 1.0:
-                    s = floor(x)
-                    m += s
-                    x -= s
-            m += periods * gain
-            break
+            m += periods * (m - cm)
+            cx = -1.0
+            nxt = n + rem
         if n == nxt:
+            if cx < 0.0:
+                break
             cx = x
             cm = m
             cn = n

@@ -16,13 +16,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .families import FamilyParams, build_lifting, f_mu
+from .families import CIRCLE_FAMILIES, FamilyParams, InvalidParam, build_lifting, f_mu
 from .rotnum import (
     DEFAULT_ERROR,
     DEFAULT_SIMO_N,
     DEFAULT_TOL,
     PeriodicOrbitDetected,
     RotationEstimate,
+    RotationInterval,
     rho_csb,
     rho_direct,
     rho_simo,
@@ -258,12 +259,25 @@ def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
 _CELL_FAILURES = (NumericEnvelopeFailure, ValueError)
 
 
-def _interval_cell(args: tuple) -> IntervalRow:
-    family, omega, a, error, tol, method = args
-    F = build_lifting(FamilyParams(family=family, omega=omega, a=a))  # InvalidParam is a usage error
+def _interval_or_none(args: tuple) -> RotationInterval | None:
+    """Rotation interval of an interval or tongue cell, None when its numerics fail.
+
+    A failure in the lifting build flags the cell too; InvalidParam stays a usage error.
+    """
+    family, omega, a, error, tol, method = args[:6]  # both cells' tasks start with these
     try:
-        ri = rotation_interval(F, error, tol, method=method)
+        F = build_lifting(FamilyParams(family=family, omega=omega, a=a))
+        return rotation_interval(F, error, tol, method=method)
+    except InvalidParam:
+        raise
     except _CELL_FAILURES:
+        return None
+
+
+def _interval_cell(args: tuple) -> IntervalRow:
+    _, omega, a, *_ = args
+    ri = _interval_or_none(args)
+    if ri is None:
         return IntervalRow(a=a, omega=omega, lo=None, hi=None, status="error")
     return IntervalRow(a=a, omega=omega, lo=ri.lower, hi=ri.upper, status="ok")
 
@@ -279,8 +293,8 @@ def _interval_method(cfg: SweepConfig) -> str:
 def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
     """Rotation-interval endpoints as a function of a, at fixed omega."""
     cfg.validate()
-    if cfg.family not in ("standard", "pwl", "disc"):
-        raise UsageError("interval graphs are defined for standard, pwl and disc")
+    if cfg.family not in CIRCLE_FAMILIES:
+        raise UsageError(f"interval graphs are defined for {', '.join(CIRCLE_FAMILIES)}")
     method = _interval_method(cfg)
     tasks = [
         (cfg.family, cfg.omega, a, cfg.error, cfg.tol, method)
@@ -294,11 +308,9 @@ def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
 
 
 def _tongue_cell(args: tuple) -> TongueCell:
-    family, omega, a, error, tol, method, t_num, t_den, t_float = args
-    F = build_lifting(FamilyParams(family=family, omega=omega, a=a))  # InvalidParam is a usage error
-    try:
-        ri = rotation_interval(F, error, tol, method=method)
-    except _CELL_FAILURES:
+    _, omega, a, _, _, _, t_num, t_den, t_float = args
+    ri = _interval_or_none(args)
+    if ri is None:
         return TongueCell(a, omega, None, None, None, None, None, "error")
     lo, hi = ri.lower, ri.upper
     if t_num is not None and lo.is_exact and hi.is_exact:
@@ -327,8 +339,8 @@ def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCe
     (a outer, omega inner) order.
     """
     cfg.validate()
-    if cfg.family not in ("standard", "pwl", "disc"):
-        raise UsageError("tongues are defined for standard, pwl and disc")
+    if cfg.family not in CIRCLE_FAMILIES:
+        raise UsageError(f"tongues are defined for {', '.join(CIRCLE_FAMILIES)}")
     method = _interval_method(cfg)
     if isinstance(target, Fraction):
         t_num, t_den, t_float = target.numerator, target.denominator, float(target)

@@ -348,6 +348,41 @@ def test_failing_cell_is_flagged_and_sweep_completes(command, tmp_path, capsys):
     assert err.startswith("rotkit: error: a must be non-negative") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["tongue", "interval"])
+def test_numeric_failure_in_the_lifting_build_flags_the_cell(command, tmp_path, capsys, monkeypatch):
+    import rotkit.sweep as sweep
+    from rotkit.envelope import NumericEnvelopeFailure
+
+    real, calls = sweep.build_lifting, [0]
+
+    def failing_second_build(params):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise NumericEnvelopeFailure("injected")
+        return real(params)
+
+    monkeypatch.setattr(sweep, "build_lifting", failing_second_build)
+    out = tmp_path / "cells.csv"
+    argv = [command, "--family", "standard", "--steps", "2", "--error", "1e-2", "--out", str(out)]
+    if command == "tongue":
+        argv += ["--rho", "1/2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == (4 if command == "tongue" else 2)
+    assert [i for i, r in enumerate(rows) if ",error," in r] == [1]
+
+
+def test_bench_family_takes_only_circle_families(tmp_path, capsys):
+    # the staircase problem ignores --family; fmu is not a choice
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--problem", "staircase", "--mu-step", "0.5", "--error", "1e-2", "--out", str(out)]
+    assert main([*argv, "--family", "fmu"]) == 1
+    assert "invalid choice: 'fmu'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--family", "disc"]) == 0
+
+
 def test_usage_errors_exit_one():
     assert main(["staircase", "--mu-step", "-1"]) == 1
     assert main(["interval", "--family", "nope"]) == 1

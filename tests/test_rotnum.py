@@ -33,6 +33,7 @@ from _oracles import (
     direct_value_oracle,
     ell_of_n,
     exact_section_certificate,
+    pl_lifting,
     random_flat_pl_lifting,
     section_orbit_oracle,
     simo_oracle,
@@ -482,6 +483,58 @@ def test_shift_bit_identical_on_counterexample_and_random_pl_maps():
     for _ in range(20):
         F, beta, _, _ = random_flat_pl_lifting(rng)
         _assert_shift_matches_oracle(F, 0.0, float(beta))
+
+
+def _two_cycle_map():
+    # flat on [0.4, 0.5] and flagged non-decreasing, with no envelope builder;
+    # the attracting float 2-cycle {1/4, 3/4} + Z misses the section
+    F = pl_lifting([0, 0.4, 0.5, 0.6, 0.9, 1], [0.625, 0.825, 0.825, 1.175, 1.325, 1.625])
+    return dataclasses.replace(F, is_non_decreasing=True)
+
+
+def _counting(F):
+    calls = [0]
+    fund = F.fundamental
+
+    def counted(x):
+        calls[0] += 1
+        return fund(x)
+
+    return dataclasses.replace(F, fundamental=counted), calls
+
+
+def test_leftover_steps_after_a_repeat_are_bit_identical():
+    # both orbits repeat at iterate 66 against the checkpoint at 64 (period
+    # 2): at error 1e-3 no step is left over, at 1/1001 one step is
+    F = _two_cycle_map()
+    env = upper_map(F)  # the builderless non-decreasing branch
+    assert env.lifting is F
+    sec = widest_section(env.sections)
+    assert sec.alpha == pytest.approx(0.4) and sec.beta == 0.5
+    shift, beta = _section_origin(sec.alpha, sec.beta)
+    csb_calls, direct_calls = [], []
+    for error in (1e-3, 1 / 1001):
+        G, calls = _counting(F)
+        est = rho_constant_section(G, beta, error, 1e-10, shift=shift)
+        kind, value, m, n, used = section_orbit_oracle(_shifted(F.fundamental, shift), beta, error)
+        assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
+        assert est.kind == "approx" and rho_csb(F, error) == est
+        csb_calls.append(calls[0])
+        G, calls = _counting(F)
+        est = rho_direct(G, error, stop_on_repeat=True)
+        assert _fields(est) == _fields(_assert_fallback_matches(F, error))
+        direct_calls.append(calls[0])
+    # the repeat is found at the same iterate; the one leftover step is run
+    assert csb_calls[1] == csb_calls[0] + 1 and csb_calls[0] < 100
+    assert direct_calls[1] == direct_calls[0] + 1 and direct_calls[0] < 100
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.55, 0.9])
+def test_rho_csb_of_builderless_fmu_matches_registered(mu):
+    # upper_map scans a builderless non-decreasing map for its own sections
+    registered = rho_csb(f_mu(mu), 1e-4)
+    scanned = rho_csb(dataclasses.replace(f_mu(mu), envelope_builder=None), 1e-4)
+    assert (scanned.kind, scanned.m, scanned.n) == (registered.kind, registered.m, registered.n)
 
 
 @pytest.mark.parametrize("omega, m, n", [(0.0, 0, 1), (1.0, 1, 1), (0.25, 1, 4)])
