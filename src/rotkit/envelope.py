@@ -9,10 +9,12 @@ rotation-number algorithm feeds on, so this module also extracts maximal
 sections; rotnum's estimator rotates the chosen one to the origin itself.
 
 Every family registers a builder on the Lifting that states its envelopes
-and their sections in closed form.  A map without one takes the generic
-path: a non-decreasing map is its own envelope, its sections found by a
-grid scan; otherwise the numeric constructor (uniform grid, running
-maximum, local refinement of every flat-run boundary) builds the upper map.
+and their sections in closed form; the exact twins of a piecewise-linear
+family's envelopes are read off _exact_envelope_knots of its rational knots.
+A map without a builder takes the generic path: a non-decreasing map is its
+own envelope, its sections found by a grid scan; otherwise the numeric
+constructor (uniform grid, running maximum, local refinement of every
+flat-run boundary) builds the upper map.
 The lower map is the reflected upper map: with G(x) = -F(-x), the lower map
 of F is x -> -G_u(-x), so the constructor runs on G and maps G's flat pieces
 back.  Both paths double as cross-checks for the analytic forms.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .lifting import Lifting
@@ -271,6 +274,37 @@ def _certify(env: Lifting, F: Lifting, n: int, upper: bool) -> tuple[bool, str]:
     if abs(e(1.0) - e(0.0) - 1.0) > 1e-10:
         return False, "degree-one gluing violated"
     return True, ""
+
+
+# ---------------------------------------------------------------------------
+# exact envelopes of piecewise-linear maps
+
+
+def _exact_envelope_knots(knots, upper: bool) -> list[tuple[Fraction, Fraction]]:
+    """Rational knots of the upper (or lower) map of a continuous or heavy PL map, given as for _knot_evaluator.
+
+    The upper map is a running maximum seeded with max y - 1, the sup of F
+    over y <= 0, that leaves each flat at the rational point where a piece
+    climbs back through it.  The lower map is the reflected upper map, as in
+    _numeric_envelope.
+    """
+    knots = [(Fraction(x), Fraction(y)) for x, y in knots]
+    if not upper:
+        mirrored = _exact_envelope_knots([(1 - x, 1 - y) for x, y in reversed(knots)], True)
+        return [(1 - x, 1 - y) for x, y in reversed(mirrored)]
+    level = max(y for _, y in knots) - 1
+    out = [(knots[0][0], level)]
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        if y1 > level:
+            # y0 <= level: the piece meets the running maximum at x0 or inside
+            cross = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+            if cross > out[-1][0]:
+                out.append((cross, level))
+            out.append((x1, y1))
+            level = y1
+    if out[-1][0] < knots[-1][0]:
+        out.append((knots[-1][0], level))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Constructors for the map families the sweeps study.
 
-Every constructor returns an immutable Lifting with a float fundamental, an
-exact-rational twin (from the binary values of float parameters unless true
-rationals are passed in; none for the trigonometric family) and an envelope
-builder.  The builder gives the envelopes in one of two forms: a
+Every constructor returns an immutable Lifting with a float fundamental and
+an envelope builder.  The builder gives the envelopes in one of two forms: a
 non-decreasing map is its own envelope with its sections listed; otherwise
-each envelope is flat-branch-flat (_clamped), over Fractions too for the
-piecewise-linear families.  Construction converts parameters to floats only;
-twins and envelopes build their Fractions when first used.  Non-finite
-parameters raise InvalidParam.
+each envelope is a flat-branch-flat float map (_clamped).  A
+piecewise-linear map states its exact side once, as rational knots (float
+parameters taken at their binary values): its exact twin and its envelopes'
+twins are derived from them on first call (_knot_twin), so float sweeps
+never pay for them.  Non-finite parameters raise InvalidParam.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
 value like a = 2*pi means coefficient 1; a can also be given directly as
@@ -22,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .envelope import ConstantSection, MonotoneEnvelope, _root_on_increasing
-from .lifting import Lifting
+from .envelope import ConstantSection, MonotoneEnvelope, _exact_envelope_knots, _root_on_increasing
+from .lifting import Lifting, _knot_evaluator
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -50,14 +49,15 @@ def _as_exact(value) -> Fraction:
     return Fraction(float(value))
 
 
-def _lazy_twin(build, *params):
-    """Exact evaluator build(*twins), made on its first call from the parameters' exact twins."""
+def _knot_twin(knots, params: tuple = (), upper: bool | None = None):
+    """Exact evaluator of the PL map through knots(*twins of params), or of its upper/lower map, made on first call."""
     twin = None
 
     def fundamental_exact(q: Fraction) -> Fraction:
         nonlocal twin
         if twin is None:
-            twin = build(*[_as_exact(p) for p in params])
+            points = knots(*[_as_exact(p) for p in params])
+            twin = _knot_evaluator(points if upper is None else _exact_envelope_knots(points, upper))
         return twin(q)
 
     return fundamental_exact
@@ -101,11 +101,7 @@ _NO_SECTIONS = partial(_own_envelope, ())
 
 
 def _clamped(branch, x_lo, lo, x_hi, hi):
-    """Flat-branch-flat map: lo up to x_lo, branch(x) up to x_hi, hi beyond.
-
-    Works on floats and on Fractions alike; the levels are passed in as
-    computed, so each side keeps its own arithmetic.
-    """
+    """Flat-branch-flat map: lo up to x_lo, branch(x) up to x_hi, hi beyond; the levels are passed in as computed."""
 
     def fund(x):
         if x <= x_lo:
@@ -117,46 +113,25 @@ def _clamped(branch, x_lo, lo, x_hi, hi):
     return fund
 
 
-def _envelope_pair(F: Lifting, upper: tuple, lower: tuple):
-    """Analytic (upper, lower) envelopes of F from (fundamental, exact twin, section) triples."""
+def _envelope_pair(F: Lifting, funds: tuple, sections: tuple, knots=None, params: tuple = ()):
+    """Analytic (upper, lower) envelopes of F from their fundamentals and sections; exact twins from knots, if given."""
 
-    def envelope(side: str, fund, exact, section: ConstantSection) -> MonotoneEnvelope:
+    def envelope(side: str, fund, section: ConstantSection) -> MonotoneEnvelope:
+        exact = None if knots is None else _knot_twin(knots, params, side == "upper")
         lifting = Lifting(fund, is_non_decreasing=True, label=f"{F.label}.{side}", fundamental_exact=exact)
         return MonotoneEnvelope(lifting, (section,), "analytic")
 
-    return envelope("upper", *upper), envelope("lower", *lower)
-
-
-def _extremal_envelope_maps(f, x_min, x_max, x_up, x_low):
-    """(upper, lower) envelope fundamentals of f, in f's own arithmetic.
-
-    f has one local min at x_min left of one local max at x_max and rises
-    between them.  The upper map is flat at f(x_max) - 1 up to x_up, where f
-    climbs to that level, follows f to x_max and stays at f(x_max); the
-    lower map stays at f(x_min) up to x_min, follows f to x_low, where f
-    reaches f(x_min) + 1, and stays there.
-    """
-    peak = f(x_max)
-    trough = f(x_min)
-    return _clamped(f, x_up, peak - 1, x_max, peak), _clamped(f, x_min, trough, x_low, trough + 1)
+    return envelope("upper", funds[0], sections[0]), envelope("lower", funds[1], sections[1])
 
 
 # ---------------------------------------------------------------------------
 # the one-parameter staircase family
 
-_FOUR_THIRDS = Fraction(4, 3)
-_QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
 _FMU_ENVELOPES = partial(_own_envelope, (ConstantSection(0.75, 1.0),))
 
 
-def _fmu_exact(mu_q: Fraction):
-    def fund_exact(q: Fraction) -> Fraction:
-        if q > _THREE_QUARTERS:
-            return mu_q + 1
-        return _FOUR_THIRDS * q + mu_q
-
-    return fund_exact
+def _fmu_knots(mu):
+    return [(0, mu), (Fraction(3, 4), mu + 1), (1, mu + 1)]
 
 
 def f_mu(mu) -> Lifting:
@@ -178,7 +153,7 @@ def f_mu(mu) -> Lifting:
         fundamental=fund,
         is_non_decreasing=True,
         label=f"F_mu(mu={mu_f:.8g})",
-        fundamental_exact=_lazy_twin(_fmu_exact, mu),
+        fundamental_exact=_knot_twin(_fmu_knots, (mu,)),
         envelope_builder=_FMU_ENVELOPES,
     )
 
@@ -194,14 +169,6 @@ def tau(x: float) -> float:
     if x <= 0.75:
         return 2.0 - 4.0 * x
     return 4.0 * (x - 1.0)
-
-
-def tau_exact(q: Fraction) -> Fraction:
-    if q <= _QUARTER:
-        return 4 * q
-    if q <= _THREE_QUARTERS:
-        return 2 - 4 * q
-    return 4 * (q - 1)
 
 
 def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
@@ -226,22 +193,26 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
 def _standard_envelopes(F: Lifting, a: float):
     """Envelopes of the standard map s for a > 1.
 
-    s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at x2 = 1 - x1.
+    s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at x2 = 1 - x1
+    and rises between them.  The upper map is flat at s(x2) - 1 up to u, where
+    s climbs to that level, follows s to x2 and stays at s(x2); the lower map
+    stays at s(x1) up to x1, follows s to low, where s reaches s(x1) + 1, and
+    stays there.
     """
     s = F.fundamental
     x1 = math.acos(1.0 / a) / TWO_PI
     x2 = 1.0 - x1
-    u = _root_on_increasing(s, s(x2) - 1.0, x1, x2)
-    low = _root_on_increasing(s, s(x1) + 1.0, x1, x2)
-    upper, lower = _extremal_envelope_maps(s, x1, x2, u, low)
-    return _envelope_pair(F, (upper, None, ConstantSection(x2 - 1.0, u)), (lower, None, ConstantSection(low - 1.0, x1)))
+    peak, trough = s(x2), s(x1)
+    u = _root_on_increasing(s, peak - 1.0, x1, x2)
+    low = _root_on_increasing(s, trough + 1.0, x1, x2)
+    funds = (_clamped(s, u, peak - 1, x2, peak), _clamped(s, x1, trough, low, trough + 1))
+    return _envelope_pair(F, funds, (ConstantSection(x2 - 1.0, u), ConstantSection(low - 1.0, x1)))
 
 
-def _pwl_exact(omega_q: Fraction, c_q: Fraction):
-    def fund_exact(q: Fraction) -> Fraction:
-        return q + omega_q - c_q * tau_exact(q)
-
-    return fund_exact
+def _pwl_knots(omega, c):
+    """Knots of x + omega - c tau(x); tau is 0, 1, -1, 0 at 0, 1/4, 3/4, 1."""
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
+    return [(0, omega), (quarter, quarter + omega - c), (three_quarters, three_quarters + omega + c), (1, 1 + omega)]
 
 
 # c == 1/4: the outer branches are exactly flat; one section straddling the origin
@@ -272,32 +243,28 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         fundamental=fund,
         is_non_decreasing=c <= 0.25,
         label=f"T(omega={omega_f:.8g}, a={a_f:.8g})",
-        fundamental_exact=_lazy_twin(_pwl_exact, omega, c_param),
+        fundamental_exact=_knot_twin(_pwl_knots, (omega, c_param)),
         envelope_builder=builder,
     )
 
 
 def _pwl_envelopes(F: Lifting, omega_param, c_param):
-    c_q = _as_exact(c_param)
-    # crossings of peak-1 / trough+1 on the middle branch of slope 1 + 4c
-    xu_q = (12 * c_q - 1) / (4 * (1 + 4 * c_q))
-    xl_q = (5 + 4 * c_q) / (4 * (1 + 4 * c_q))
-    xu = float(xu_q)
-    xl = float(xl_q)
-    upper, lower = _extremal_envelope_maps(F.fundamental, 0.25, 0.75, xu, xl)
-    t_q = _pwl_exact(_as_exact(omega_param), c_q)
-    upper_q, lower_q = _extremal_envelope_maps(t_q, _QUARTER, _THREE_QUARTERS, xu_q, xl_q)
-    return _envelope_pair(
-        F, (upper, upper_q, ConstantSection(-0.25, xu)), (lower, lower_q, ConstantSection(xl - 1.0, 0.25))
-    )
+    """Envelopes of a pwl map with c > 1/4, shaped as the standard map's with the min at 1/4 and the max at 3/4."""
+    p, d = _as_exact(c_param).as_integer_ratio()
+    # crossings (12c - 1)/(4(1 + 4c)) of peak-1 and (5 + 4c)/(4(1 + 4c)) of trough+1
+    # on the middle branch, correctly rounded as int/int divisions with c = p/d
+    xu = (12 * p - d) / (4 * (d + 4 * p))
+    xl = (5 * d + 4 * p) / (4 * (d + 4 * p))
+    t = F.fundamental
+    peak, trough = t(0.75), t(0.25)
+    funds = (_clamped(t, xu, peak - 1, 0.75, peak), _clamped(t, 0.25, trough, xl, trough + 1))
+    sections = (ConstantSection(-0.25, xu), ConstantSection(xl - 1.0, 0.25))
+    return _envelope_pair(F, funds, sections, _pwl_knots, (omega_param, c_param))
 
 
-def _disc_exact(omega_q: Fraction, c_q: Fraction):
-    def fund_exact(q: Fraction) -> Fraction:
-        frac = q - (q.numerator // q.denominator)
-        return q + omega_q + c_q * frac
-
-    return fund_exact
+def _disc_knots(omega, c):
+    """Knots of x + omega + c <x>: one line, with the left limit 1 + omega + c at 1."""
+    return [(0, omega), (1, 1 + omega + c)]
 
 
 def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
@@ -320,42 +287,39 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         fundamental=fund,
         is_non_decreasing=c == 0.0,
         label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
-        fundamental_exact=_lazy_twin(_disc_exact, omega, c_param),
+        fundamental_exact=_knot_twin(_disc_knots, (omega, c_param)),
         envelope_builder=_NO_SECTIONS if c == 0.0 else _memo_pair(_disc_envelopes, omega_f, omega, c, c_param),
     )
 
 
-def _disc_envelope_maps(omega, c, qu, pl):
-    """(upper, lower) envelope fundamentals of a disc map with c > 0, in the parameters' arithmetic.
+def _disc_envelopes(F: Lifting, omega: float, omega_param, c: float, c_param):
+    """Envelopes of a disc map with c > 0, both on the line (1 + c)x + omega.
 
-    Both follow the line (1 + c)x + omega: the upper map is flat at the left
-    limit omega + c up to qu, the lower one at omega + 1 beyond pl; each
-    meets no flat at its other end of [0, 1].
+    The upper map is flat at the left limit omega + c up to qu = c/(1 + c),
+    the lower one at omega + 1 beyond pl = 1/(1 + c).
     """
+    p, d = _as_exact(c_param).as_integer_ratio()  # c = p/d; qu and pl correctly rounded
+    qu = p / (d + p)
+    pl = d / (d + p)
     slope = 1 + c
 
     def line(x):
         return slope * x + omega
 
-    return _clamped(line, qu, omega + c, 1, line(1)), _clamped(line, 0, line(0), pl, omega + 1)
-
-
-def _disc_envelopes(F: Lifting, omega: float, omega_param, c: float, c_param):
-    omega_q = _as_exact(omega_param)
-    c_q = _as_exact(c_param)
-    qu_q = c_q / (1 + c_q)
-    pl_q = 1 / (1 + c_q)
-    qu = float(qu_q)
-    pl = float(pl_q)
-    upper, lower = _disc_envelope_maps(omega, c, qu, pl)
-    upper_q, lower_q = _disc_envelope_maps(omega_q, c_q, qu_q, pl_q)
-    return _envelope_pair(F, (upper, upper_q, ConstantSection(0.0, qu)), (lower, lower_q, ConstantSection(pl, 1.0)))
+    funds = (_clamped(line, qu, omega + c, 1, line(1)), _clamped(line, 0, line(0), pl, omega + 1))
+    sections = (ConstantSection(0.0, qu), ConstantSection(pl, 1.0))
+    return _envelope_pair(F, funds, sections, _disc_knots, (omega_param, c_param))
 
 
 # ---------------------------------------------------------------------------
 # the no-cycle-through-the-section example
 
 _COUNTEREXAMPLE_ENVELOPES = partial(_own_envelope, (ConstantSection(0.8, 1.0),))
+
+
+def _counterexample_knots():
+    """The float closure's knots, read as exact decimals."""
+    return [("0", "0.2"), ("0.1", "0.3"), ("0.3", "0.4"), ("0.4", "1.1"), ("0.8", "1.2"), ("1", "1.2")]
 
 
 def counterexample_map() -> Lifting:
@@ -376,22 +340,11 @@ def counterexample_map() -> Lifting:
             return 0.25 * x + 1.0
         return 1.2
 
-    def fund_exact(q: Fraction) -> Fraction:
-        if q <= Fraction(1, 10):
-            return q + Fraction(1, 5)
-        if q <= Fraction(3, 10):
-            return q / 2 + Fraction(1, 4)
-        if q <= Fraction(2, 5):
-            return 7 * q - Fraction(17, 10)
-        if q <= Fraction(4, 5):
-            return q / 4 + 1
-        return Fraction(6, 5)
-
     return Lifting(
         fundamental=fund,
         is_non_decreasing=True,
         label="counterexample",
-        fundamental_exact=fund_exact,
+        fundamental_exact=_knot_twin(_counterexample_knots),
         envelope_builder=_COUNTEREXAMPLE_ENVELOPES,
     )
 

@@ -16,6 +16,7 @@ liftings can be shared freely between worker processes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
@@ -56,3 +57,22 @@ def evaluate_exact(F: Lifting, x: Fraction) -> Fraction:
         raise ValueError(f"lifting {F.label!r} has no exact-rational evaluator")
     whole = x.numerator // x.denominator
     return F.fundamental_exact(x - whole) + whole
+
+
+def _knot_evaluator(knots) -> Callable[[Fraction], Fraction]:
+    """Exact [0, 1] restriction of the PL map through rational knots (x_0, y_0), ..., (x_k, y_k).
+
+    0 = x_0 < ... < x_k = 1; y_k may be a left limit (a heavy jump), and the
+    value at 1 is y_0 + 1, as the gluing rule needs.
+    """
+    knots = [(Fraction(x), Fraction(y)) for x, y in knots]
+    starts = [x for x, _ in knots[:-1]]
+    pieces = [(x0, y0, (y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
+
+    def fundamental_exact(q: Fraction) -> Fraction:
+        if q == 1:
+            return knots[0][1] + 1
+        x0, y0, slope = pieces[bisect_right(starts, q) - 1]
+        return y0 + slope * (q - x0)
+
+    return fundamental_exact

@@ -136,11 +136,6 @@ def _require_error(error: float) -> None:
         raise ValueError(f"error must be positive and finite, got {error}")
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be non-negative and finite, got {tol}")
-
-
 def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
     """Estimate rho as F^n(0)/n with n = ceil(1/error) iterates.
 
@@ -282,27 +277,22 @@ def simo_error_bound(c: float, nu: float, n: int) -> float:
 
 
 def rho_constant_section(
-    G: Lifting,
-    beta: float,
-    error: float = DEFAULT_ERROR,
-    tol: float = DEFAULT_TOL,
-    *,
-    shift: float = 0.0,
+    G: Lifting, beta: float, error: float = DEFAULT_ERROR, *, shift: float = 0.0
 ) -> RotationEstimate:
     """Exact-when-possible rotation number of a map with a section at shift.
 
-    pre: G is non-decreasing and [shift - tol, shift + beta + tol] is a
-    constant section of G, with beta already shrunk by tol on each side: a
-    section [alpha, b] gives shift = alpha + tol and beta = (b - alpha) -
-    2*tol.  The estimator iterates the conjugate x -> G(x + shift) - shift,
-    whose section starts at the origin, through G's gluing rule
-    y = x + shift, G(y) = fund(y - floor(y)) + floor(y); with shift=0.0 it
-    iterates G itself.  The orbit of 0 is the orbit of the section; at the
-    first n with fractional part x <= beta the section returns to itself
-    (mod 1) and rho = m/n exactly, provided the accumulated rounding error
-    stays below tol.  Cycles longer than ceil(1/error) are invisible and
-    fall back to the direct estimate (m + x)/max_iter of the orbit's state
-    after max_iter = ceil(1/error) steps.
+    pre: G is non-decreasing and [shift, shift + beta] lies inside a
+    constant section of G, with a margin on each side wider than the
+    rounding error the orbit accumulates (rho_csb leaves tol).  The
+    estimator iterates the conjugate x -> G(x + shift) - shift, whose
+    section starts at the origin, through G's gluing rule y = x + shift,
+    G(y) = fund(y - floor(y)) + floor(y); with shift=0.0 it iterates G
+    itself.  The orbit of 0 is the orbit of the section; at the first n
+    with fractional part x <= beta the section returns to itself (mod 1)
+    and rho = m/n exactly, provided the margin holds.  Cycles longer than
+    ceil(1/error) are invisible and fall back to the direct estimate
+    (m + x)/max_iter of the orbit's state after max_iter = ceil(1/error)
+    steps.
 
     The fallback may stop early.  The float state x is compared with a
     checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's cycle detection).
@@ -316,7 +306,6 @@ def rho_constant_section(
     if beta <= 0.0:
         raise InvalidSection(f"test bound beta must be positive, got {beta}")
     _require_error(error)
-    _require_tol(tol)
     max_iter = math.ceil(1.0 / error)
     fund = G.fundamental
     floor = math.floor
@@ -366,8 +355,6 @@ def rho_constant_section_exact(
     F^n(alpha); a hit certifies rho = m/n unconditionally.  Returns None when
     no cycle through the section shows up within max_iter iterates.
     """
-    if F.fundamental_exact is None:
-        raise ValueError(f"lifting {F.label!r} has no exact-rational evaluator")
     width = beta - alpha
     if width <= 0:
         raise InvalidSection("section must be non-degenerate")
@@ -414,14 +401,16 @@ def rotation_interval(
 
 
 def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> RotationEstimate:
-    _require_tol(tol)  # a NaN tol would fail the width test and silently force the fallback
+    # a NaN tol would fail the width test and silently force the fallback
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if method == "csb":
         sec = widest_section(env.sections)
         if sec is not None and sec.width > 2.0 * tol:
             # rotated by -shift the section is [-tol, beta + tol]; x <= beta keeps tol off each edge
             shift = sec.alpha + tol
             beta = (sec.beta - sec.alpha) - 2.0 * tol
-            return rho_constant_section(env.lifting, beta, error, tol, shift=shift)
+            return rho_constant_section(env.lifting, beta, error, shift=shift)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
     # no usable section: csb still stops at a repeated float state, while

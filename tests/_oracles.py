@@ -8,7 +8,9 @@ oracle sorts the iterate indices and scans every adjacent pair, the
 section-orbit oracle runs the constant-section loop to the end with no
 shortcut (on a section rotated to the origin by _shifted, written out here),
 the exact certifier iterates in rational arithmetic only, and the envelope
-oracle reads a piecewise-linear map's envelopes off its knots.
+oracle reads a piecewise-linear map's envelopes off its knots.  The
+hand-written Fraction twins of the piecewise-linear families and their
+envelopes check the twins the library derives from rational knots.
 """
 
 from __future__ import annotations
@@ -272,12 +274,109 @@ def random_pl_lifting(rng: random.Random, knots: int):
 
 
 def pl_envelope_oracle(fund, xs, ys, x: float, upper: bool) -> float:
-    """Envelope of a continuous PL lifting at x in [0, 1], from its knots.
+    """Envelope of a continuous or heavy PL lifting at x in [0, 1], from its knots.
 
-    The sup of F over y <= x is the largest of max F - 1 (all y <= 0), the
+    Floats in, floats out, or Fractions in, Fractions out.  ys[-1] may be the
+    left limit at 1, above fund(1) = ys[0] + 1.  The sup of F over y <= x is the largest of max F - 1 (all y <= 0), the
     knot values on [0, x] and F(x); the inf over y >= x mirrors it with
     min F + 1 (all y >= 1) and the knots on [x, 1].
     """
     if upper:
-        return max(max(ys) - 1.0, *(y for k, y in zip(xs, ys) if k <= x), fund(x))
-    return min(min(ys) + 1.0, *(y for k, y in zip(xs, ys) if k >= x), fund(x))
+        return max(max(ys) - 1, *(y for k, y in zip(xs, ys) if k <= x), fund(x))
+    return min(min(ys) + 1, *(y for k, y in zip(xs, ys) if k >= x), fund(x))
+
+
+# ---------------------------------------------------------------------------
+# hand-written exact twins of the piecewise-linear families
+
+
+def fmu_exact_oracle(mu: Fraction):
+    """(4/3)q + mu on [0, 3/4], mu + 1 above."""
+
+    def fund_exact(q: Fraction) -> Fraction:
+        if q > Fraction(3, 4):
+            return mu + 1
+        return Fraction(4, 3) * q + mu
+
+    return fund_exact
+
+
+def tau_exact_oracle(q: Fraction) -> Fraction:
+    if q <= Fraction(1, 4):
+        return 4 * q
+    if q <= Fraction(3, 4):
+        return 2 - 4 * q
+    return 4 * (q - 1)
+
+
+def pwl_exact_oracle(omega: Fraction, c: Fraction):
+    def fund_exact(q: Fraction) -> Fraction:
+        return q + omega - c * tau_exact_oracle(q)
+
+    return fund_exact
+
+
+def disc_exact_oracle(omega: Fraction, c: Fraction):
+    def fund_exact(q: Fraction) -> Fraction:
+        frac = q - (q.numerator // q.denominator)
+        return q + omega + c * frac
+
+    return fund_exact
+
+
+def counterexample_exact_oracle(q: Fraction) -> Fraction:
+    if q <= Fraction(1, 10):
+        return q + Fraction(1, 5)
+    if q <= Fraction(3, 10):
+        return q / 2 + Fraction(1, 4)
+    if q <= Fraction(2, 5):
+        return 7 * q - Fraction(17, 10)
+    if q <= Fraction(4, 5):
+        return q / 4 + 1
+    return Fraction(6, 5)
+
+
+def _clamped_oracle(branch, x_lo, lo, x_hi, hi):
+    def fund(q):
+        if q <= x_lo:
+            return lo
+        if q <= x_hi:
+            return branch(q)
+        return hi
+
+    return fund
+
+
+def pwl_envelope_exact_oracles(omega: Fraction, c: Fraction):
+    """(upper, lower) exact envelopes of the pwl map for c > 1/4, with their flats' ends (xu, xl).
+
+    The upper map is flat at t(3/4) - 1 up to xu, where the middle branch of
+    slope 1 + 4c climbs to it, follows t to 3/4 and stays at t(3/4); the
+    lower map stays at t(1/4) up to 1/4, follows t to xl, where t reaches
+    t(1/4) + 1, and stays there.
+    """
+    t = pwl_exact_oracle(omega, c)
+    xu = (12 * c - 1) / (4 * (1 + 4 * c))
+    xl = (5 + 4 * c) / (4 * (1 + 4 * c))
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
+    peak, trough = t(three_quarters), t(quarter)
+    upper = _clamped_oracle(t, xu, peak - 1, three_quarters, peak)
+    lower = _clamped_oracle(t, quarter, trough, xl, trough + 1)
+    return upper, lower, xu, xl
+
+
+def disc_envelope_exact_oracles(omega: Fraction, c: Fraction):
+    """(upper, lower) exact envelopes of the disc map for c > 0, with their flats' ends (qu, pl).
+
+    Both follow the line (1 + c)q + omega: the upper map is flat at the left
+    limit omega + c up to qu, the lower one at omega + 1 beyond pl.
+    """
+    qu = c / (1 + c)
+    pl = 1 / (1 + c)
+
+    def line(q):
+        return (1 + c) * q + omega
+
+    upper = _clamped_oracle(line, qu, omega + c, 1, line(1))
+    lower = _clamped_oracle(line, 0, line(0), pl, omega + 1)
+    return upper, lower, qu, pl

@@ -23,9 +23,19 @@ from rotkit import (
     upper_map,
     widest_section,
 )
-from rotkit.envelope import MonotoneEnvelope, _numeric_envelope
+from rotkit.envelope import MonotoneEnvelope, _exact_envelope_knots, _numeric_envelope
+from rotkit.families import _disc_knots, _pwl_knots
 from rotkit.lifting import Lifting
-from _oracles import _shifted, pl_lifting
+from _oracles import (
+    _shifted,
+    counterexample_exact_oracle,
+    disc_envelope_exact_oracles,
+    disc_exact_oracle,
+    fmu_exact_oracle,
+    pl_lifting,
+    pwl_envelope_exact_oracles,
+    pwl_exact_oracle,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,7 +227,7 @@ def test_reparametrize_wrapped_representative():
     assert g(0.0) == pytest.approx(mu + 0.25, abs=1e-9)
     assert abs(g(1.0) - g(0.0) - 1.0) < 1e-12
     beta = 0.25 - 2.0 * tol
-    wrapped = rho_constant_section(F, beta, 1e-4, tol, shift=-0.25 + tol)
+    wrapped = rho_constant_section(F, beta, 1e-4, shift=-0.25 + tol)
     est = rho_csb(F, 1e-4, tol)
     assert wrapped.is_exact and wrapped.as_fraction == est.as_fraction
 
@@ -287,3 +297,78 @@ def test_exact_envelope_twins_match_float_envelopes(F):
         (sec,) = env.sections
         inside = [Fraction(sec.alpha) + k * Fraction(sec.width) / 8 for k in range(1, 8)]
         assert len({evaluate_exact(E, x) for x in inside}) == 1
+
+
+# ---------------------------------------------------------------------------
+# exact twins derived from rational knots, against the hand-written twins
+
+_RNG = random.Random(11)
+EXACT_POINTS = (
+    [Fraction(i, 1024) for i in range(1025)]
+    + [Fraction(_RNG.randint(0, 10**9), 10**9) for _ in range(200)]
+    + [Fraction(_RNG.getrandbits(60), 2**60) for _ in range(50)]
+)
+PL_CASES = [
+    ("pwl", 0.3, {"a": 9.0}),
+    ("pwl", 0.0, {"a": 2.5 * math.pi}),
+    ("pwl", 3.31, {"a": math.pi / 2 + 1e-9}),  # c just above 1/4 in floats
+    ("pwl", Fraction(1, 3), {"a_over_2pi": Fraction(7, 5)}),
+    ("pwl", 0.1, {"a_over_2pi": Fraction(1, 4) + Fraction(1, 10**6)}),
+    ("pwl", Fraction(-2, 7), {"a_over_2pi": Fraction(1, 4) + Fraction(1, 10**15)}),
+    ("disc", 0.25, {"a": 3.0}),
+    ("disc", 0.0, {"a": TWO_PI}),
+    ("disc", 3.31, {"a": 1e-9}),
+    ("disc", Fraction(2, 7), {"a_over_2pi": Fraction(3, 2)}),
+    ("disc", 0.5, {"a_over_2pi": Fraction(1, 10**12)}),
+]
+_FAMILY = {
+    "pwl": (pwl_standard, _pwl_knots, pwl_exact_oracle, pwl_envelope_exact_oracles),
+    "disc": (disc_standard, _disc_knots, disc_exact_oracle, disc_envelope_exact_oracles),
+}
+
+
+def _pl_case(family, omega, kw):
+    """The map, its knots, its hand-written twin and hand-written (upper, lower, flat end, flat end)."""
+    make, knots, twin, envelopes = _FAMILY[family]
+    # exact twins of the parameters: a float's binary value, a Fraction as given
+    c = Fraction(kw["a_over_2pi"]) if "a_over_2pi" in kw else Fraction(kw["a"] / TWO_PI)
+    omega_q = Fraction(omega)
+    return make(omega, **kw), knots(omega_q, c), twin(omega_q, c), envelopes(omega_q, c)
+
+
+@pytest.mark.parametrize("family, omega, kw", PL_CASES)
+def test_knot_twins_match_hand_written_twins(family, omega, kw):
+    F, _, twin, (upper, lower, _, _) = _pl_case(family, omega, kw)
+    assert not F.is_non_decreasing
+    for mine, oracle in ((F, twin), (upper_map(F).lifting, upper), (lower_map(F).lifting, lower)):
+        assert [mine.fundamental_exact(q) for q in EXACT_POINTS] == [oracle(q) for q in EXACT_POINTS]
+
+
+def test_knot_twins_of_non_decreasing_maps_match_hand_written_twins():
+    cases = [(f_mu(mu), fmu_exact_oracle(Fraction(mu))) for mu in (0, 1, 0.3, Fraction(819, 3124), "1/3")]
+    cases.append((counterexample_map(), counterexample_exact_oracle))
+    for omega, c in ((0.7, Fraction(1, 4)), (Fraction(1, 9), Fraction(1, 5)), (0.2, Fraction(0))):
+        cases.append((pwl_standard(omega, a_over_2pi=c), pwl_exact_oracle(Fraction(omega), c)))
+    cases.append((disc_standard(0.4, 0), disc_exact_oracle(Fraction(0.4), Fraction(0))))
+    for F, oracle in cases:
+        assert [F.fundamental_exact(q) for q in EXACT_POINTS] == [oracle(q) for q in EXACT_POINTS]
+        # a non-decreasing map is its own envelope, twin included
+        assert upper_map(F).lifting is F and lower_map(F).lifting is F
+
+
+@pytest.mark.parametrize("family, omega, kw", PL_CASES)
+def test_registered_sections_are_the_exact_flats(family, omega, kw):
+    F, knots, _, (_, _, x_up, x_low) = _pl_case(family, omega, kw)
+    for upper, env in ((True, upper_map(F)), (False, lower_map(F))):
+        exact = _exact_envelope_knots(knots, upper)
+        flats = [(x0, x1) for (x0, y0), (x1, y1) in zip(exact, exact[1:]) if y0 == y1]
+        assert (x_up if upper else x_low) in {x for flat in flats for x in flat}  # the hand-written crossing
+        if len(flats) == 2 and flats[0][0] == 0 and flats[1][1] == 1:
+            # a flat ending at 1 and one starting at 0 form one section across 0
+            expected = [(float(flats[1][0]) - 1.0, float(flats[0][1]))]
+        else:
+            expected = [(float(x0), float(x1)) for x0, x1 in flats]
+        assert [(s.alpha, s.beta) for s in env.sections] == expected
+        # the float map passes through the floats of the exact knots
+        for x, y in exact:
+            assert env.lifting.fundamental(float(x)) == pytest.approx(float(y), abs=1e-12)

@@ -14,6 +14,7 @@ from rotkit import (
     pwl_standard,
     standard_map,
     tau,
+    upper_map,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -238,3 +239,32 @@ def test_exact_twin_built_on_first_call_only(monkeypatch):
     T.fundamental_exact(Fraction(1, 2))
     T.fundamental_exact(Fraction(1, 3))
     assert made == [0.25, 0.25, 9.0 / TWO_PI]
+
+
+@pytest.mark.parametrize("family", ["pwl", "disc"])
+def test_tongue_sweep_builds_no_exact_twin(family, monkeypatch):
+    # twins of the maps and of their envelopes come from knots on first call;
+    # a float sweep must never build one
+    import rotkit.envelope as envelope
+    import rotkit.families as families
+    import rotkit.lifting as lifting
+    from rotkit.sweep import SweepConfig, arnold_tongue
+
+    calls = []
+    for module, name in ((lifting, "_knot_evaluator"), (envelope, "_exact_envelope_knots")):
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(families, name, counting)
+    cells = arnold_tongue(SweepConfig(family=family, a_steps=4, omega_steps=4, error=1e-4), Fraction(1, 2))
+    assert len(cells) == 16 and calls == []
+    # three of the four a rows are not non-decreasing, so their cells built envelopes
+    assert not disc_standard(0, 4 * math.pi / 3).is_non_decreasing
+    assert not pwl_standard(0, 4 * math.pi / 3).is_non_decreasing
+    # the counters do see a twin that is used
+    assert upper_map(pwl_standard(0.3, 9.0)).lifting.fundamental_exact(Fraction(1, 2)) is not None
+    assert calls == ["_exact_envelope_knots", "_knot_evaluator"]

@@ -7,12 +7,15 @@ rho_simo finds its first near-tie on the sorted values: its bracket, or the
 cycle's rotation number and iterate pair, must equal the index-sorting
 oracle's.  On random non-monotone PL maps, which take the numeric envelope
 path, both envelopes must sandwich the map, be non-decreasing and degree-one,
-match the knot oracle, and reproduce themselves when built again.
+match the knot oracle, and reproduce themselves when built again.  On random
+rational PL knots, continuous or heavy, the exact upper and lower maps derived
+from the knots must have the same four properties, exactly.
 """
 
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rotkit import PeriodicOrbitDetected, lower_map, rho_direct, rho_simo, upper_map  # noqa: E402
-from rotkit.lifting import Lifting  # noqa: E402
+from rotkit.envelope import _exact_envelope_knots  # noqa: E402
+from rotkit.lifting import Lifting, _knot_evaluator  # noqa: E402
 from _oracles import (  # noqa: E402
     direct_value_oracle,
     pl_envelope_oracle,
@@ -126,3 +130,37 @@ def test_numeric_envelopes_of_random_pl_maps(seed, knots):
         # built again from the envelope, taken as a map of unknown monotonicity
         again = envelope_map(dataclasses.replace(env.lifting, is_non_decreasing=False)).lifting
         assert max(abs(again.fundamental(x) - v) for x, v in zip(grid, values)) <= 1e-12
+
+
+@st.composite
+def rational_pl_knots(draw) -> list:
+    """Knots 0 < x_1 < ... < 1 on the 1/60 grid, y = x + an offset; y_k = y_0 + 1, or above it for a heavy map."""
+    inner = draw(st.lists(st.integers(1, 59), min_size=1, max_size=6, unique=True))
+    xs = [Fraction(0)] + [Fraction(i, 60) for i in sorted(inner)] + [Fraction(1)]
+    offsets = [Fraction(draw(st.integers(-80, 80)), 100) for _ in xs[:-1]]
+    y0 = Fraction(draw(st.integers(-300, 300)), 100)
+    ys = [y0 + x + r for x, r in zip(xs, offsets)]
+    jump = Fraction(draw(st.sampled_from([0, 0, 1, 37])), 50)  # the heavy jump at the integers
+    return list(zip(xs, ys + [ys[0] + 1 + jump]))
+
+
+@PROPERTY
+@given(knots=rational_pl_knots())
+def test_exact_envelopes_of_random_rational_pl_maps(knots):
+    f = _knot_evaluator(knots)
+    xs = [x for x, _ in knots]
+    ys = [y for _, y in knots]
+    envelopes = {upper: _exact_envelope_knots(knots, upper) for upper in (True, False)}
+    breaks = {x for k in (knots, *envelopes.values()) for x, _ in k}
+    grid = sorted(breaks | {Fraction(i, 256) for i in range(257)})
+    for upper, env_knots in envelopes.items():
+        e = _knot_evaluator(env_knots)
+        values = [e(q) for q in grid]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] - values[0] == 1 and env_knots[-1][1] == env_knots[0][1] + 1
+        for q, v in zip(grid, values):
+            assert v >= f(q) if upper else v <= f(q)
+            assert v == pl_envelope_oracle(f, xs, ys, q, upper)
+        # idempotent: the envelope of a non-decreasing map is that map
+        assert _exact_envelope_knots(env_knots, upper) == env_knots
+        assert _exact_envelope_knots(env_knots, not upper) == env_knots

@@ -324,7 +324,7 @@ def test_csb_exact_rational_mode_certifies_two_fifths():
 def test_csb_tangency_guard_rejects_false_exact():
     mu_star = 819 / 3124 - 1e-16
     F, beta, shift = _fmu_section(mu_star)
-    est = rho_constant_section(F, beta, 1e-6, 1e-10, shift=shift)
+    est = rho_constant_section(F, beta, 1e-6, shift=shift)
     assert (est.m, est.n) != (2, 5)
     assert abs(est.value - 0.3983) < 1e-3
     # whatever the float path returned is re-certified on the same map in
@@ -337,14 +337,14 @@ def test_csb_tangency_guard_rejects_false_exact():
 
 def test_csb_counterexample_falls_back():
     shift, beta = _section_origin(0.8, 1.0)
-    est = rho_constant_section(counterexample_map(), beta, 1e-6, 1e-10, shift=shift)
+    est = rho_constant_section(counterexample_map(), beta, 1e-6, shift=shift)
     assert est.kind == "approx"
     assert abs(est.value - 1.0 / 3.0) < 1e-6
 
 
 def test_csb_mu_zero_takes_approx_path():
     F, beta, shift = _fmu_section(0.0)
-    est = rho_constant_section(F, beta, 1e-4, 1e-10, shift=shift)
+    est = rho_constant_section(F, beta, 1e-4, shift=shift)
     assert est.kind == "approx"
     assert abs(est.value) < 1e-4
 
@@ -379,12 +379,10 @@ def test_csb_rejects_non_finite_error_and_tol():
     F, beta, shift = _fmu_section(0.3)
     for error in (math.inf, math.nan, -1e-3, 0.0):
         with pytest.raises(ValueError):
-            rho_constant_section(F, beta, error, 1e-10, shift=shift)
+            rho_constant_section(F, beta, error, shift=shift)
         with pytest.raises(ValueError):
             rho_direct(f_mu(0.3), error)
     for tol in (math.nan, math.inf, -1e-10):
-        with pytest.raises(ValueError):
-            rho_constant_section(F, beta, 1e-4, tol, shift=shift)
         with pytest.raises(ValueError):
             rho_csb(f_mu(0.3), 1e-4, tol)
 
@@ -393,8 +391,8 @@ def test_csb_rejects_non_finite_error_and_tol():
 # float-cycle shortcut: bit-identical to the plain section-orbit loop
 
 
-def _assert_matches_oracle(F, beta, error, tol=1e-10, shift=0.0):
-    est = rho_constant_section(F, beta, error, tol, shift=shift)
+def _assert_matches_oracle(F, beta, error, shift=0.0):
+    est = rho_constant_section(F, beta, error, shift=shift)
     kind, value, m, n, used = section_orbit_oracle(_shifted(F.fundamental, shift), beta, error)
     assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
     return est
@@ -421,8 +419,8 @@ def test_shortcut_bit_identical_on_tongue_exhausts(family, monkeypatch):
     calls = []
     real = rotnum.rho_constant_section
 
-    def recording(G, beta, error, tol, *, shift=0.0):
-        est = real(G, beta, error, tol, shift=shift)
+    def recording(G, beta, error, *, shift=0.0):
+        est = real(G, beta, error, shift=shift)
         calls.append((G, beta, error, shift, est))
         return est
 
@@ -447,7 +445,7 @@ def test_shortcut_bit_identical_on_random_pl_maps():
 def _assert_shift_matches_oracle(F, alpha, beta, error=1e-4, tol=1e-10):
     # the shift keyword iterates F rotated by the section start, bit for bit
     shift, beta_f = _section_origin(alpha, beta, tol)
-    return _assert_matches_oracle(F, beta_f, error, tol, shift=shift)
+    return _assert_matches_oracle(F, beta_f, error, shift=shift)
 
 
 def test_shift_bit_identical_on_fmu():
@@ -515,7 +513,7 @@ def test_leftover_steps_after_a_repeat_are_bit_identical():
     csb_calls, direct_calls = [], []
     for error in (1e-3, 1 / 1001):
         G, calls = _counting(F)
-        est = rho_constant_section(G, beta, error, 1e-10, shift=shift)
+        est = rho_constant_section(G, beta, error, shift=shift)
         kind, value, m, n, used = section_orbit_oracle(_shifted(F.fundamental, shift), beta, error)
         assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
         assert est.kind == "approx" and rho_csb(F, error) == est
