@@ -144,65 +144,30 @@ def _check_out(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
+def _config(args: argparse.Namespace) -> SweepConfig:
+    """The SweepConfig of a sweep subcommand, from the options it defines; SweepConfig's defaults fill the rest."""
+    fields = {
+        "error": args.error,
+        "tol": args.tol,
+        "algorithms": tuple(a.strip() for a in args.algorithm.split(",") if a.strip()),
+        "workers": _threads(args),
+    }
+    for option, field in (("family", "family"), ("mu_step", "mu_step"), ("omega", "omega"), ("simo_iters", "simo_n")):
+        if option in args:
+            fields[field] = getattr(args, option)
+    if "a_range" in args:
+        fields["a_min"], fields["a_max"] = _parse_range(args.a_range)
+        fields["a_steps"] = args.steps
+    if "omega_range" in args:
+        fields["omega_min"], fields["omega_max"] = _parse_range(args.omega_range)
+        fields["omega_steps"] = args.steps
+    elif "a_range" in args:
+        fields["omega_steps"] = 1  # an interval graph's one omega line: the grid-size budget counts a_steps cells
+    return SweepConfig(**fields)
+
+
 def _run(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    algorithms = tuple(a.strip() for a in getattr(args, "algorithm", "csb").split(",") if a.strip())
-
-    if args.command == "staircase":
-        cfg = SweepConfig(
-            family="fmu",
-            mu_step=args.mu_step,
-            error=args.error,
-            tol=args.tol,
-            simo_n=args.simo_iters,
-            algorithms=algorithms,
-            workers=_threads(args),
-        )
-        rows = devils_staircase(cfg)
-        with _out_stream(args.out) as out:
-            write_staircase_csv(rows, out)
-        return 0
-
-    if args.command == "interval":
-        a_lo, a_hi = _parse_range(args.a_range)
-        cfg = SweepConfig(
-            family=args.family,
-            omega=args.omega,
-            a_min=a_lo,
-            a_max=a_hi,
-            a_steps=args.steps,
-            omega_steps=1,  # one omega line: the grid-size budget counts a_steps cells
-            error=args.error,
-            tol=args.tol,
-            algorithms=algorithms,
-            workers=_threads(args),
-        )
-        rows = rotation_interval_graph(cfg)
-        with _out_stream(args.out) as out:
-            failures = write_interval_csv(rows, out)
-        return 2 if failures else 0
-
-    if args.command == "tongue":
-        a_lo, a_hi = _parse_range(args.a_range)
-        o_lo, o_hi = _parse_range(args.omega_range)
-        cfg = SweepConfig(
-            family=args.family,
-            a_min=a_lo,
-            a_max=a_hi,
-            a_steps=args.steps,
-            omega_min=o_lo,
-            omega_max=o_hi,
-            omega_steps=args.steps,
-            error=args.error,
-            tol=args.tol,
-            algorithms=algorithms,
-            workers=_threads(args),
-        )
-        rows = arnold_tongue(cfg, parse_rho(args.rho))
-        with _out_stream(args.out) as out:
-            failures = write_tongue_csv(rows, out)
-        return 2 if failures else 0
-
     if args.command == "invert":
         target = float(parse_rho(args.rho))
         result = invert_staircase(
@@ -212,32 +177,21 @@ def _run(args: argparse.Namespace) -> int:
             write_invert_csv(result, target, args.eps, out)
         return 0
 
-    if args.command == "bench":
-        a_lo, a_hi = _parse_range(args.a_range)
-        o_lo, o_hi = _parse_range(args.omega_range)
+    # sweeps and writers are looked up when called, not from a table built at import:
+    # perfbench and the tests patch these names on this module
+    cfg = _config(args)
+    if args.command == "staircase":
+        rows, write = devils_staircase(cfg), write_staircase_csv
+    elif args.command == "interval":
+        rows, write = rotation_interval_graph(cfg), write_interval_csv
+    elif args.command == "tongue":
+        rows, write = arnold_tongue(cfg, parse_rho(args.rho)), write_tongue_csv
+    else:
         problems = tuple(p.strip() for p in args.problem.split(",") if p.strip())
-        cfg = SweepConfig(
-            family=args.family,
-            mu_step=args.mu_step,
-            omega=args.omega,
-            a_min=a_lo,
-            a_max=a_hi,
-            a_steps=args.steps,
-            omega_min=o_lo,
-            omega_max=o_hi,
-            omega_steps=args.steps,
-            error=args.error,
-            tol=args.tol,
-            simo_n=args.simo_iters,
-            algorithms=algorithms,
-            workers=_threads(args),
-        )
-        rows = benchmark(cfg, problems=problems, target=parse_rho(args.rho))
-        with _out_stream(args.out) as out:
-            write_benchmark_csv(rows, out)
-        return 0
-
-    raise UsageError(f"unknown command {args.command!r}")
+        rows, write = benchmark(cfg, problems=problems, target=parse_rho(args.rho)), write_benchmark_csv
+    with _out_stream(args.out) as out:
+        failures = write(rows, out)  # the interval and tongue writers count failed cells
+    return 2 if failures else 0
 
 
 def main(argv=None) -> int:

@@ -4,6 +4,12 @@ Grid cells are independent pure computations, so sweeps parallelize over a
 process pool; results are collected in grid order and the emitted CSV is
 byte-identical for any worker count.  Floats are printed with up to 17
 significant digits (lossless round-trip).
+
+A cell's task is the sweep's SweepConfig followed by its grid point:
+(cfg, mu) for the staircase, (cfg, a) for an interval graph (omega is
+cfg.omega) and (cfg, a, omega, target) for a tongue, where the target is the
+Fraction or float the caller passed.  A pooled chunk of tasks pickles the
+shared config once.  Every row a sweep returns is a typing.NamedTuple.
 """
 
 from __future__ import annotations
@@ -125,8 +131,7 @@ class StaircaseRow(NamedTuple):
     iterations: int
 
 
-@dataclass(frozen=True)
-class IntervalRow:
+class IntervalRow(NamedTuple):
     a: float
     omega: float
     lo: RotationEstimate | None
@@ -134,8 +139,7 @@ class IntervalRow:
     status: str  # "ok" or "error"
 
 
-@dataclass(frozen=True)
-class TongueCell:
+class TongueCell(NamedTuple):
     a: float
     omega: float
     member: bool | None
@@ -146,8 +150,7 @@ class TongueCell:
     status: str
 
 
-@dataclass(frozen=True)
-class InvertResult:
+class InvertResult(NamedTuple):
     status: str  # "ok" or "ill_conditioned"
     mu: float
     rho: float
@@ -155,8 +158,7 @@ class InvertResult:
     bracket_width: float
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     problem: str
     family: str
     algorithm: str
@@ -224,13 +226,15 @@ def _estimate_to_row(mu: float, est: RotationEstimate) -> StaircaseRow:
     return StaircaseRow(mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations)
 
 
-def _staircase_cell(args: tuple) -> StaircaseRow:
-    mu, algorithm, error, tol, simo_n = args
+def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
+    cfg, mu = task
+    algorithm = cfg.algorithms[0]
     F = f_mu(mu)
     if algorithm == "csb":
-        return _estimate_to_row(mu, rho_csb(F, error, tol))
+        return _estimate_to_row(mu, rho_csb(F, cfg.error, cfg.tol))
     if algorithm == "direct":
-        return _estimate_to_row(mu, rho_direct(F, error))
+        return _estimate_to_row(mu, rho_direct(F, cfg.error))
+    simo_n = cfg.simo_n
     try:
         br = rho_simo(F, simo_n)
         est = RotationEstimate.approx(0.5 * (br.rho_min + br.rho_max), 0.5 * (br.rho_max - br.rho_min), simo_n)
@@ -246,78 +250,69 @@ def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
         raise UsageError("the staircase sweep is defined for the fmu family")
     if len(cfg.algorithms) != 1:
         raise UsageError("pick exactly one algorithm for a staircase sweep")
-    alg = cfg.algorithms[0]
-    tasks = [(mu, alg, cfg.error, cfg.tol, cfg.simo_n) for mu in mu_grid(cfg)]
+    tasks = [(cfg, mu) for mu in mu_grid(cfg)]
     return _run_ordered(_staircase_cell, tasks, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
-# rotation-interval graphs
+# rotation-interval graphs and Arnold tongues
 
 # what one cell's numerics can raise once the config is valid (for example a
 # section whose width rounds to 1 at a huge coefficient): the cell is flagged
 _CELL_FAILURES = (NumericEnvelopeFailure, ValueError)
 
 
-def _interval_or_none(args: tuple) -> RotationInterval | None:
+def _check_circle_sweep(cfg: SweepConfig, what: str) -> None:
+    """Raise UsageError unless cfg is valid for an interval or tongue sweep."""
+    cfg.validate()
+    if cfg.family not in CIRCLE_FAMILIES:
+        raise UsageError(f"{what} are defined for {', '.join(CIRCLE_FAMILIES)}")
+    if len(cfg.algorithms) != 1:
+        raise UsageError("pick exactly one algorithm for an interval or tongue sweep")
+    if cfg.algorithms[0] == "simo":
+        raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
+
+
+def _interval_or_none(cfg: SweepConfig, a: float, omega: float) -> RotationInterval | None:
     """Rotation interval of an interval or tongue cell, None when its numerics fail.
 
     A failure in the lifting build flags the cell too; InvalidParam stays a usage error.
     """
-    family, omega, a, error, tol, method = args[:6]  # both cells' tasks start with these
     try:
-        F = build_lifting(FamilyParams(family=family, omega=omega, a=a))
-        return rotation_interval(F, error, tol, method=method)
+        F = build_lifting(FamilyParams(family=cfg.family, omega=omega, a=a))
+        return rotation_interval(F, cfg.error, cfg.tol, method=cfg.algorithms[0])
     except InvalidParam:
         raise
     except _CELL_FAILURES:
         return None
 
 
-def _interval_cell(args: tuple) -> IntervalRow:
-    _, omega, a, *_ = args
-    ri = _interval_or_none(args)
+def _interval_cell(task: tuple[SweepConfig, float]) -> IntervalRow:
+    cfg, a = task
+    ri = _interval_or_none(cfg, a, cfg.omega)
     if ri is None:
-        return IntervalRow(a=a, omega=omega, lo=None, hi=None, status="error")
-    return IntervalRow(a=a, omega=omega, lo=ri.lower, hi=ri.upper, status="ok")
-
-
-def _interval_method(cfg: SweepConfig) -> str:
-    if len(cfg.algorithms) != 1:
-        raise UsageError("pick exactly one algorithm for an interval or tongue sweep")
-    if cfg.algorithms[0] == "simo":
-        raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
-    return cfg.algorithms[0]
+        return IntervalRow(a=a, omega=cfg.omega, lo=None, hi=None, status="error")
+    return IntervalRow(a=a, omega=cfg.omega, lo=ri.lower, hi=ri.upper, status="ok")
 
 
 def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
     """Rotation-interval endpoints as a function of a, at fixed omega."""
-    cfg.validate()
-    if cfg.family not in CIRCLE_FAMILIES:
-        raise UsageError(f"interval graphs are defined for {', '.join(CIRCLE_FAMILIES)}")
-    method = _interval_method(cfg)
-    tasks = [
-        (cfg.family, cfg.omega, a, cfg.error, cfg.tol, method)
-        for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
-    ]
+    _check_circle_sweep(cfg, "interval graphs")
+    tasks = [(cfg, a) for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)]
     return _run_ordered(_interval_cell, tasks, cfg.workers)
 
 
-# ---------------------------------------------------------------------------
-# Arnold tongues
-
-
-def _tongue_cell(args: tuple) -> TongueCell:
-    _, omega, a, _, _, _, t_num, t_den, t_float = args
-    ri = _interval_or_none(args)
+def _tongue_cell(task: tuple[SweepConfig, float, float, float | Fraction]) -> TongueCell:
+    cfg, a, omega, target = task
+    ri = _interval_or_none(cfg, a, omega)
     if ri is None:
         return TongueCell(a, omega, None, None, None, None, None, "error")
     lo, hi = ri.lower, ri.upper
-    if t_num is not None and lo.is_exact and hi.is_exact:
-        target = Fraction(t_num, t_den)
+    if isinstance(target, Fraction) and lo.is_exact and hi.is_exact:
         member = lo.as_fraction <= target <= hi.as_fraction
     else:
-        member = (lo.value - lo.error_bound) <= t_float <= (hi.value + hi.error_bound)
+        t = float(target)  # an inexact interval is compared in floats, also for a Fraction target
+        member = (lo.value - lo.error_bound) <= t <= (hi.value + hi.error_bound)
     return TongueCell(
         a=a,
         omega=omega,
@@ -338,16 +333,9 @@ def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCe
     is inflated by the endpoint error bounds.  Cells are emitted in row-major
     (a outer, omega inner) order.
     """
-    cfg.validate()
-    if cfg.family not in CIRCLE_FAMILIES:
-        raise UsageError(f"tongues are defined for {', '.join(CIRCLE_FAMILIES)}")
-    method = _interval_method(cfg)
-    if isinstance(target, Fraction):
-        t_num, t_den, t_float = target.numerator, target.denominator, float(target)
-    else:
-        t_num, t_den, t_float = None, None, float(target)
+    _check_circle_sweep(cfg, "tongues")
     tasks = [
-        (cfg.family, omega, a, cfg.error, cfg.tol, method, t_num, t_den, t_float)
+        (cfg, a, omega, target)
         for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
         for omega in _linspace(cfg.omega_min, cfg.omega_max, cfg.omega_steps)
     ]
@@ -412,10 +400,14 @@ def benchmark(
     [0, 1], so interval and tongue problems mark it n/a.
     """
     cfg.validate()
-    rows: list[BenchmarkRow] = []
+    problems = tuple(problems)
+    if not problems:
+        raise UsageError("select at least one benchmark problem")
     for problem in problems:
         if problem not in ("staircase", "interval", "tongue"):
             raise UsageError(f"unknown benchmark problem {problem!r}")
+    rows: list[BenchmarkRow] = []
+    for problem in problems:
         family = "fmu" if problem == "staircase" else cfg.family
         for alg in cfg.algorithms:
             if problem != "staircase" and alg == "simo":
@@ -441,14 +433,6 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _opt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return _fmt(x)
-    return str(x)
-
-
 def _writer(stream: IO[str]) -> "csv.writer":
     return csv.writer(stream, lineterminator="\n")
 
@@ -456,7 +440,7 @@ def _writer(stream: IO[str]) -> "csv.writer":
 def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
     w = _writer(stream)
     w.writerow(STAIRCASE_HEADER)
-    # csv writes the ints m, n, iterations with str() and None as "", as _opt does
+    # csv writes the ints m, n, iterations with str() and None as ""
     w.writerows(
         (_fmt(mu), _fmt(rho), kind, m, n, None if err is None else _fmt(err), iterations)
         for mu, rho, kind, m, n, err, iterations in rows
@@ -504,8 +488,10 @@ def write_tongue_csv(rows: Iterable[TongueCell], stream: IO[str]) -> int:
 def write_benchmark_csv(rows: Iterable[BenchmarkRow], stream: IO[str]) -> None:
     w = _writer(stream)
     w.writerow(BENCH_HEADER)
-    for r in rows:
-        w.writerow([r.problem, r.family, r.algorithm, _opt(r.seconds), r.status])
+    w.writerows(
+        (problem, family, algorithm, None if seconds is None else _fmt(seconds), status)
+        for problem, family, algorithm, seconds, status in rows
+    )
 
 
 def write_invert_csv(result: InvertResult, target: float, eps: float, stream: IO[str]) -> None:

@@ -95,10 +95,25 @@ def test_import_leaves_multiprocessing_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_threads_are_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "base",
+    [
+        pytest.param(["staircase", "--mu-step", "0.002", "--error", "1e-4"], id="staircase"),
+        pytest.param(["interval", "--family", "standard", "--steps", "24", "--error", "1e-4"], id="interval"),
+        pytest.param(
+            ["tongue", "--family", "pwl", "--rho", "1/2", "--steps", "6", "--error", "1e-4"],
+            id="tongue-half",
+        ),
+        pytest.param(
+            ["tongue", "--family", "standard", "--rho", "golden", "--steps", "6", "--error", "1e-4"],
+            id="tongue-golden",
+        ),
+    ],
+)
+def test_threads_are_byte_identical(base, tmp_path):
+    # pooled tasks carry the SweepConfig and, for a tongue, a Fraction or float target
     out1 = tmp_path / "t1.csv"
     out8 = tmp_path / "t8.csv"
-    base = ["staircase", "--mu-step", "0.002", "--error", "1e-4"]
     assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
     assert main(base + ["--threads", "8", "--out", str(out8)]) == 0
     assert out1.read_bytes() == out8.read_bytes()
@@ -290,6 +305,8 @@ def test_unwritable_out_exits_one(where, tmp_path, capsys, monkeypatch):
         ["interval", "--family", "disc", "--error", "1e-12"],
         ["invert", "--rho", "1/2", "--error", "1e-12"],
         ["bench", "--problem", "staircase", "--steps", "100000"],
+        ["bench", "--problem", "staircase,bogus", "--algorithm", "direct", "--mu-step", "1e-3", "--error", "1e-5"],
+        ["bench", "--problem", ","],
     ],
 )
 def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch):
@@ -305,6 +322,77 @@ def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("rotkit: error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, options, fields, rest",
+    [
+        (
+            "staircase",
+            "--mu-step 0.125 --algorithm direct --simo-iters 77",
+            dict(family="fmu", mu_step=0.125, simo_n=77, algorithms=("direct",)),
+            (),
+        ),
+        (
+            "interval",
+            "--family pwl --omega 0.3 --a-range 1:2 --steps 7 --algorithm direct",
+            dict(family="pwl", omega=0.3, a_min=1.0, a_max=2.0, a_steps=7, omega_steps=1, algorithms=("direct",)),
+            (),
+        ),
+        (
+            "tongue",
+            "--family disc --rho 2/5 --a-range 1:2 --omega-range 0.25:0.75 --steps 7 --algorithm direct",
+            dict(
+                family="disc",
+                a_min=1.0,
+                a_max=2.0,
+                a_steps=7,
+                omega_min=0.25,
+                omega_max=0.75,
+                omega_steps=7,
+                algorithms=("direct",),
+            ),
+            (Fraction(2, 5),),
+        ),
+        (
+            "bench",
+            "--problem interval,tongue --family pwl --algorithm csb,direct --mu-step 0.125 --omega 0.3"
+            " --a-range 1:2 --omega-range 0.25:0.75 --steps 7 --rho 1/3 --simo-iters 77",
+            dict(
+                family="pwl",
+                mu_step=0.125,
+                omega=0.3,
+                a_min=1.0,
+                a_max=2.0,
+                a_steps=7,
+                omega_min=0.25,
+                omega_max=0.75,
+                omega_steps=7,
+                simo_n=77,
+                algorithms=("csb", "direct"),
+            ),
+            (("interval", "tongue"), Fraction(1, 3)),
+        ),
+    ],
+)
+def test_every_option_reaches_the_sweep_config(command, options, fields, rest, tmp_path, monkeypatch):
+    # the SweepConfig main hands to the sweep when every option is away from its default
+    import dataclasses
+
+    import rotkit.cli as cli
+    from rotkit.sweep import SweepConfig
+
+    seen = []
+    monkeypatch.setattr(cli, "devils_staircase", lambda cfg: seen.append((cfg,)) or [])
+    monkeypatch.setattr(cli, "rotation_interval_graph", lambda cfg: seen.append((cfg,)) or [])
+    monkeypatch.setattr(cli, "arnold_tongue", lambda cfg, target: seen.append((cfg, target)) or [])
+    monkeypatch.setattr(cli, "benchmark", lambda cfg, problems, target: seen.append((cfg, problems, target)) or [])
+    argv = [command, *options.split(), "--error", "1e-3", "--tol", "1e-9", "--out", str(tmp_path / "x.csv")]
+    expected = SweepConfig(error=1e-3, tol=1e-9, workers=3, **fields)
+    monkeypatch.setenv("ROTKIT_THREADS", "5")
+    assert main([*argv, "--threads", "3"]) == 0
+    assert main(argv) == 0  # without --threads, ROTKIT_THREADS applies
+    assert seen == [(expected, *rest), (dataclasses.replace(expected, workers=5), *rest)]
 
 
 def test_interval_grid_budget_counts_one_omega_line(tmp_path, monkeypatch):

@@ -8,7 +8,10 @@ importing the benchmark harness, and resolves every name it lists.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
+
+from rotkit.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -117,3 +120,47 @@ def test_staircase_csv_text():
         "0.5,0.62962962962962965,exact,17,27,,27\n"
         "0.10000000000000001,0.33333333333333331,approx,,,1.0000000000000001e-05,100000\n"
     )
+
+
+def test_stamped_cells_and_captured_rows_see_each_cell_once_in_grid_order(tmp_path, monkeypatch):
+    # perfbench/child.py --stamp replaces sweep._staircase_cell and
+    # sweep._tongue_cell with a one-argument wrapper, and captures the list
+    # main hands to rotkit.cli.write_*_csv; both must see every cell once
+    import rotkit.cli as cli
+    import rotkit.sweep as sweep
+    from rotkit.sweep import SweepConfig, _linspace, mu_grid
+
+    for cell, writer, argv, point, grid in (
+        (
+            "_staircase_cell",
+            "write_staircase_csv",
+            ["staircase", "--mu-step", "0.125", "--error", "1e-3"],
+            lambda row: row.mu,
+            mu_grid(SweepConfig(mu_step=0.125)),
+        ),
+        (
+            "_tongue_cell",
+            "write_tongue_csv",
+            ["tongue", "--family", "pwl", "--rho", "1/2", "--steps", "3", "--error", "1e-3"],
+            lambda row: (row.a, row.omega),
+            [(a, omega) for a in _linspace(0.0, 4.0 * math.pi, 3) for omega in _linspace(0.0, 1.0, 3)],
+        ),
+    ):
+        recorded, written = [], []
+        real_cell, real_writer = getattr(sweep, cell), getattr(cli, writer)
+
+        def recorder(task, _real=real_cell):
+            row = _real(task)
+            recorded.append(row)
+            return row
+
+        def capture(rows, stream, _real=real_writer):
+            written.append(rows)
+            return _real(rows, stream)
+
+        monkeypatch.setattr(sweep, cell, recorder)
+        monkeypatch.setattr(cli, writer, capture)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(written) == 1 and type(written[0]) is list
+        assert written[0] == recorded
+        assert [point(row) for row in recorded] == grid
