@@ -12,6 +12,7 @@ import argparse
 import errno
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -60,6 +61,28 @@ def _parse_range(text: str) -> tuple[float, float]:
     if not sep:
         raise UsageError(f"range must look like lo:hi, got {text!r}")
     return float(lo), float(hi)
+
+
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--option -1/2" into "--option=-1/2".
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number, so the spaced forms "--rho -1/2", "--omega-range
+    -3:-2" and "--error -1e-6" would fail with "expected one argument".  A
+    token that starts with "-" and a digit or "." after a long option other
+    than --help is that option's value, attached with "=".
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and not "--help".startswith(prev) and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -197,7 +220,7 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
         return _run(args)
     except SystemExit as exc:  # argparse --help (0) or usage error (1)
         code = exc.code if isinstance(exc.code, int) else 1

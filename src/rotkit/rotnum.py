@@ -12,7 +12,10 @@ Three estimators for non-decreasing degree-one liftings:
 * rho_simo         -- sorts the fractional parts of an orbit and brackets the
                       rotation number from adjacent index pairs (Simo's
                       continuation-method estimator); no a-priori error bound
-                      unless the rotation number is Diophantine.
+                      unless the rotation number is Diophantine.  Its loop
+                      stops at the first repeated float state and fills in
+                      the rest of the stored orbit by repeating the period,
+                      for the full orbit's result bit for bit.
 * rho_constant_section -- orbit of a constant section's start, iterated on
                       the conjugate whose section starts at the origin (the
                       rotation by the keyword shift is applied inside the
@@ -208,10 +211,19 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     orbit is numerically periodic: PeriodicOrbitDetected then carries the
     exact cycle rotation number instead of a bracket.
 
-    The first such near-tie is found on the sorted values; the iterate
-    indices are looked up for that one pair, as a stable sort of the indices
-    by value would order them, and the indices themselves are sorted only
-    when there is no tie, for the bracket.
+    The orbit loop stops at the first repeated float state: the state is
+    compared with a checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's
+    cycle detection, as in rho_direct with stop_on_repeat).  Past a repeat
+    the orbit is forced, so the rest of the n + 1 fractional parts is filled
+    in by repeating the detected period, and the integer parts are rebuilt
+    lap by lap for the two iterates of the reported tie only.  Every result
+    is bit-identical to the full n-iterate loop's; a repeat always ties, so
+    a bracket only ever comes from a full orbit.
+
+    The first near-tie is found on the sorted values; the iterate indices are
+    looked up for that one pair, as a stable sort of the indices by value
+    would order them, and the indices themselves are sorted only when there
+    is no tie, for the bracket.
     """
     _require_non_decreasing(F, "rho_simo")
     if n < 2:
@@ -221,18 +233,39 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     k0 = floor(fund(0.0))
     k = float(k0)  # the shift by floor(F(0)), inlined as in rho_direct
 
-    alphas = [0.0] * (n + 1)
-    ks = [0] * (n + 1)
+    # fractional and integer parts of iterates 0, 1, ... up to the first repeat
+    alphas = [0.0]
+    ks = [0]
     x = 0.0
     m = 0
+    # Brent checkpoint: the state cx after ci steps; it moves at i == nxt
+    cx = 0.0
+    ci = 0
+    nxt = 1
     for i in range(1, n + 1):
         x = fund(x) - k
         if not 0.0 <= x < 1.0:
             s = floor(x)
             m += s
             x -= s
-        alphas[i] = x
-        ks[i] = m
+        if x == cx:
+            break
+        alphas.append(x)
+        ks.append(m)
+        if i == nxt:
+            cx = x
+            ci = i
+            nxt = 2 * i
+    stored = len(ks)
+    if stored <= n:
+        # the break's iterate, stored, repeats iterate ci: from ci on the orbit
+        # has period stored - ci and gains m - ks[ci] a lap; fill by list repetition
+        period = stored - ci
+        gain = m - ks[ci]
+        cycle = alphas[ci:]
+        laps, rem = divmod(n + 1 - stored, period)
+        alphas += cycle * laps
+        alphas += cycle[:rem]
 
     values = sorted(alphas)
     for lo, hi in zip(values, values[1:]):
@@ -245,8 +278,14 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
             j = alphas.index(lo, i + 1) if hi == lo else alphas.index(hi)
             if j < i:
                 i, j = j, i
-            raise PeriodicOrbitDetected(Fraction(ks[j] - ks[i], j - i) + k0, i, j)
+            # every value is stored at its first iterate, so only lo's second
+            # one can lie past the repeat: whole laps after its stored twin
+            kj = ks[j] if j < stored else ks[ci + (j - ci) % period] + (j - ci) // period * gain
+            raise PeriodicOrbitDetected(Fraction(kj - ks[i], j - i) + k0, i, j)
 
+    # a repeated state appears twice in alphas and so always ties above:
+    # the bracket reads a full, unrepeated orbit
+    assert stored == n + 1
     order = sorted(range(n + 1), key=alphas.__getitem__)
     rho_min = 0.0
     rho_max = 1.0

@@ -5,6 +5,7 @@ direct-sweep oracle re-implements the plain iteration with its own
 floor/fraction handling (plus cycle extrapolation, which is bit-identical
 because a float orbit that revisits a state repeats forever), the Simo
 oracle sorts the iterate indices and scans every adjacent pair, the
+first-repeat scan looks float states up in a dict, the
 section-orbit oracle runs the constant-section loop to the end with no
 shortcut (on a section rotated to the origin by _shifted, written out here),
 the exact certifier iterates in rational arithmetic only, and the envelope
@@ -115,6 +116,25 @@ def simo_oracle(fund, n: int) -> tuple:
             if rho_aux < rho_max:
                 rho_max = rho_aux
     return "bracket", rho_min + k0, rho_max + k0
+
+
+def first_repeat(fund, n: int) -> tuple[int, int] | None:
+    """(i, j): the first iterate j <= n whose float state equals that of an earlier iterate i.
+
+    Plain dict scan over the fractional parts of F^0(0) .. F^n(0), after the
+    same floor(F(0)) normalization the library applies; j - i is the period
+    of the float cycle and i its pre-period.  None when no state repeats.
+    """
+    k0 = math.floor(fund(0.0))
+    seen = {0.0: 0}
+    x = 0.0
+    for j in range(1, n + 1):
+        x = fund(x) - k0
+        x -= math.floor(x)
+        if x in seen:
+            return seen[x], j
+        seen[x] = j
+    return None
 
 
 def _shifted(fund, shift):

@@ -504,3 +504,65 @@ def test_module_entry_point(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["tongue", "--family", "disc", "--steps", "2", "--error", "1e-2", "--rho", "-1/2", "--omega-range", "-3:-2"],
+        ["tongue", "--family", "pwl", "--steps", "2", "--error", "1e-2", "--rho", "-.5", "--a-range", "0:1"],
+        ["interval", "--family", "standard", "--steps", "2", "--error", "1e-2", "--omega", "-2.6"],
+        ["interval", "--family", "disc", "--steps", "2", "--error", "1e-2", "--omega", "-1"],
+    ],
+)
+def test_negative_values_parse_with_a_space(spaced, tmp_path, capsys):
+    # "--rho -1/2" reads as "--rho=-1/2": same exit code and bytes
+    joined = []
+    for token in spaced:
+        if token.startswith("-") and not token.startswith("--") and joined:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert joined != spaced
+    codes, outputs = [], []
+    for argv in (spaced, joined):
+        out = tmp_path / "out.csv"
+        codes.append(main([*argv, "--out", str(out)]))
+        outputs.append(out.read_bytes())
+        assert capsys.readouterr().err == ""
+    assert codes[0] == codes[1] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["interval", "--family", "pwl", "--steps", "2", "--a-range", "-1:1"], "a must be non-negative"),
+        (["staircase", "--mu-step", "0.5", "--error", "-1e-6"], "error must be positive"),
+        (["staircase", "--mu-step", "-0.5"], "mu_step"),
+    ],
+)
+def test_spaced_negative_values_reach_validation(argv, message, tmp_path, capsys):
+    # a spaced negative value is the option's value, rejected by its own check
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rotkit: error: ") and message in err and err.count("\n") == 1
+
+
+def test_help_and_dash_values_keep_their_meaning(capsys):
+    # "--help" keeps its meaning before a negative token, and "--out -" is stdout
+    assert main(["tongue", "--help", "-3"]) == 0
+    assert "usage: rotkit tongue" in capsys.readouterr().out
+    assert main(["staircase", "--mu-step", "0.5", "--error", "1e-2", "--out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("mu,rho,kind")
+
+
+def test_negative_values_parse_with_a_space_from_the_command_line(tmp_path):
+    # main() with no argv reads sys.argv, through the same joining
+    import rotkit
+
+    out = tmp_path / "t.csv"
+    argv = ["tongue", "--family", "disc", "--steps", "2", "--error", "1e-2", "--rho", "-1/2", "--omega-range", "-3:-2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(rotkit.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "rotkit", *argv, "--out", str(out)], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[0] == "a,omega,member,lo,hi"

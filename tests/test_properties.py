@@ -3,11 +3,13 @@
 rho_direct(..., stop_on_repeat=True) stops at the first repeated float state
 and rebuilds the ceil(1/error)-step estimate: every field must equal the plain
 loop's bit for bit, and the value must equal the independent oracle's.
-rho_simo finds its first near-tie on the sorted values: its bracket, or the
-cycle's rotation number and iterate pair, must equal the index-sorting
-oracle's.  On random non-monotone PL maps, which take the numeric envelope
-path, both envelopes must sandwich the map, be non-decreasing and degree-one,
-match the knot oracle, and reproduce themselves when built again.  On random
+rho_simo stops at the first repeated float state, fills in the rest of the
+orbit by periodicity and finds its first near-tie on the sorted values: its
+bracket, or the cycle's rotation number and iterate pair, must equal the
+index-sorting oracle's full loop, with n on either side of that stop.  On
+random non-monotone PL maps, which take the numeric envelope path, both
+envelopes must sandwich the map, be non-decreasing and degree-one, match the
+knot oracle, and reproduce themselves when built again.  On random
 rational PL knots, continuous or heavy, the exact upper and lower maps derived
 from the knots must have the same four properties, exactly.
 """
@@ -37,6 +39,7 @@ from _oracles import (  # noqa: E402
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ERRORS = st.sampled_from([1e-2, 1e-3, 7e-4])
 SIMO_N = st.sampled_from([2, 3, 50, 400])
+AROUND_REPEAT_N = st.integers(2, 600)
 
 
 def _assert_fallback_is_plain(F: Lifting, error: float) -> None:
@@ -108,6 +111,27 @@ def test_simo_matches_oracle_on_flat_pl_maps(seed, pieces, n):
 @PROPERTY
 @given(F=increasing_pl_liftings(), n=SIMO_N)
 def test_simo_matches_oracle_on_increasing_pl_maps(F, n):
+    _assert_simo_matches_oracle(F, n)
+
+
+@PROPERTY
+@given(shift=st.integers(-3, 3), q=st.integers(0, 8), p=st.integers(0, 255), n=AROUND_REPEAT_N)
+def test_simo_matches_oracle_on_dyadic_rigid_rotations(shift, q, p, n):
+    # every iterate of x + shift + p/2^q is exact: the orbit returns to 0.0
+    # after at most 2^q steps, and rho_simo's stop at that repeat falls
+    # before, at or after n
+    omega = shift + (p % 2**q) / 2**q
+    F = Lifting(fundamental=lambda x: x + omega, is_non_decreasing=True, label=f"rigid({omega})")
+    _assert_simo_matches_oracle(F, n)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(2, 6), n=AROUND_REPEAT_N)
+def test_simo_completion_matches_oracle_on_flat_pl_maps(seed, pieces, n):
+    # a flat map's orbit repeats once it lands on the flat: n in [2, 600]
+    # falls on either side of rho_simo's stop, and the filled-in orbit must
+    # give the full loop's outcome
+    F, _, _, _ = random_flat_pl_lifting(random.Random(seed), pieces)
     _assert_simo_matches_oracle(F, n)
 
 

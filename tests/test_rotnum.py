@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from _oracles import (
     direct_value_oracle,
     ell_of_n,
     exact_section_certificate,
+    first_repeat,
     pl_lifting,
     random_flat_pl_lifting,
     section_orbit_oracle,
@@ -259,6 +261,117 @@ def test_rho_simo_first_tie_of_rigid_tenth():
     R = _rigid(0.1)
     assert _simo_outcome(R, 12) == _simo_oracle_outcome(R, 12) == ("cycle", Fraction(1, 10), 1, 11)
     assert _simo_outcome(R, 21) == _simo_oracle_outcome(R, 21) == ("cycle", Fraction(1, 10), 11, 21)
+
+
+def _brent_stop(i, j):
+    """Iterate at which a checkpoint moved to iterates 1, 2, 4, ... first sees x_j == x_i repeat.
+
+    The checkpoint at c (c = 0 first) is compared up to iterate max(2c, 1);
+    it sees the cycle once c >= i, at c + (j - i), if the period fits.
+    """
+    period = j - i
+    c = 0
+    while c < i or period > max(c, 1):
+        c = max(2 * c, 1)
+    return c + period
+
+
+SIMO_EDGE_MAPS = {
+    "fmu(0)": lambda: f_mu(0.0),
+    "fmu(1)": lambda: f_mu(1.0),
+    "rigid(1/4)": lambda: _rigid(0.25),
+    "fmu(0.011)": lambda: f_mu(0.011),
+    "fmu(0.2)": lambda: f_mu(0.2),
+    "fmu(0.5)": lambda: f_mu(0.5),
+    "standard(3.31, 1)": lambda: standard_map(3.31, 1.0),
+    "pwl(-2.6, 1)": lambda: pwl_standard(-2.6, 1.0),
+    # 0 -> 3/8 -> 5/8 -> 1/4 -> 5/8: the checkpoint at 2 opens the cycle, so
+    # only the fill repeats a state, and 1/4 sorts below 5/8
+    "2-cycle after 2": lambda: dataclasses.replace(
+        pl_lifting([0, 0.25, 0.375, 0.625, 1], [0.375, 0.625, 0.625, 1.25, 1.375]), is_non_decreasing=True
+    ),
+}
+
+
+def test_rho_simo_matches_oracle_at_the_completion_edges():
+    # rho_simo stops at the first repeated float state and fills the rest of
+    # the orbit by periodicity; n is placed around that stop from the orbit's
+    # first repeat, so that the fill is empty, one step, whole laps or whole
+    # laps plus period - 1 steps, and every outcome must equal the full loop's
+    edges = set()
+    for label, make in SIMO_EDGE_MAPS.items():
+        F = make()
+        fund = F.fundamental
+        k0 = math.floor(fund(0.0))
+        i, j = first_repeat(fund, 10_000)
+        stop, period = _brent_stop(i, j), j - i
+        if stop == 1:
+            edges.add("repeat at iterate 1, k0 = 1" if k0 == 1 else "repeat at iterate 1")
+        if i == 0:
+            edges.add("return to 0.0")
+        elif stop - period == i:
+            edges.add("checkpoint opens the cycle")
+        if k0 not in (0, 1):
+            edges.add("k0 shift")
+        ns = {2, 3, 50, 1000, stop - 1, stop, stop + 1, stop - 1 + period, stop + 2 * period - 2}
+        for n in sorted(n for n in ns if n >= 2):
+            outcome = _simo_outcome(F, n)
+            assert outcome == _simo_oracle_outcome(F, n), (label, n)
+            if stop <= n:
+                assert outcome[0] == "cycle", (label, n)  # a repeat always ties
+                rem = (n + 1 - stop) % period
+                if stop == n:
+                    edges.add("repeat at n")
+                elif rem in (0, period - 1):
+                    edges.add("rem 0" if rem == 0 else "rem p-1")
+                if outcome[3] >= stop:
+                    edges.add("tie past the stop")
+    assert edges >= {
+        "repeat at iterate 1",
+        "repeat at iterate 1, k0 = 1",
+        "return to 0.0",
+        "checkpoint opens the cycle",
+        "k0 shift",
+        "repeat at n",
+        "rem 0",
+        "rem p-1",
+        "tie past the stop",
+    }
+
+
+def test_rho_simo_stops_at_the_first_repeated_state():
+    # the 1,001-cell simo staircase grid at n = 1000: floor(F(0)) plus at most
+    # 59 iterates per cell, where the full loop ran 1001
+    from rotkit.sweep import SweepConfig, mu_grid
+
+    counts = []
+    for mu in mu_grid(SweepConfig(mu_step=1e-3)):
+        F, calls = _counting(f_mu(mu))
+        with pytest.raises(PeriodicOrbitDetected):
+            rho_simo(F, 1000)
+        counts.append(calls[0])
+    assert max(counts) <= 64
+    # a rotation by the golden mean never repeats a float state: every iterate runs
+    R = _rigid(GOLDEN_MEAN)
+    assert first_repeat(R.fundamental, 1000) is None
+    for n in (2, 1000):
+        G, calls = _counting(R)
+        assert rho_simo(G, n).n == n
+        assert calls[0] == n + 1
+
+
+def test_rho_simo_memory_stays_bounded():
+    # 10^6 iterates of an orbit with period 27: past the repeat the stored
+    # orbit is one list of references to 27 floats, with no integer parts
+    F = f_mu(0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PeriodicOrbitDetected):
+            rho_simo(F, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("omega", [3.31, -2.6])
