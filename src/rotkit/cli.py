@@ -98,7 +98,8 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="rotkit", description=__doc__)
+    # no prefix matching: "--omega" on tongue must not become "--omega-range"
+    parser = _Parser(prog="rotkit", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -110,18 +111,18 @@ def build_parser() -> _Parser:
     simo = argparse.ArgumentParser(add_help=False)
     simo.add_argument("--simo-iters", type=int, default=1000, help="iterates for the sorting estimator")
 
-    st = sub.add_parser("staircase", parents=[common, pooled, simo], help="Devil's staircase of the fmu family")
+    st = sub.add_parser("staircase", parents=[common, pooled, simo], help="Devil's staircase of the fmu family", allow_abbrev=False)
     st.add_argument("--mu-step", type=float, default=1e-5)
     st.add_argument("--algorithm", default="csb", help="csb, direct or simo")
 
-    iv = sub.add_parser("interval", parents=[common, pooled], help="rotation interval as a function of a")
+    iv = sub.add_parser("interval", parents=[common, pooled], help="rotation interval as a function of a", allow_abbrev=False)
     iv.add_argument("--family", choices=CIRCLE_FAMILIES, required=True)
     iv.add_argument("--omega", type=float, default=0.0)
     iv.add_argument("--a-range", default=f"0:{4 * math.pi}")
     iv.add_argument("--steps", type=int, default=512)
     iv.add_argument("--algorithm", default="csb", help="csb or direct")
 
-    tg = sub.add_parser("tongue", parents=[common, pooled], help="Arnold tongue membership grid over (a, omega)")
+    tg = sub.add_parser("tongue", parents=[common, pooled], help="Arnold tongue membership grid over (a, omega)", allow_abbrev=False)
     tg.add_argument("--family", choices=CIRCLE_FAMILIES, required=True)
     tg.add_argument("--rho", default="0", help="target rotation number: p/q, decimal or golden")
     tg.add_argument("--a-range", default=f"0:{4 * math.pi}")
@@ -129,12 +130,12 @@ def build_parser() -> _Parser:
     tg.add_argument("--steps", type=int, default=512, help="grid points per axis")
     tg.add_argument("--algorithm", default="csb", help="csb or direct")
 
-    inv = sub.add_parser("invert", parents=[common], help="find mu with rho(F_mu) near a target")
+    inv = sub.add_parser("invert", parents=[common], help="find mu with rho(F_mu) near a target", allow_abbrev=False)
     inv.add_argument("--rho", required=True, help="target rotation number: p/q, decimal or golden")
     inv.add_argument("--eps", type=float, default=1e-6)
     inv.add_argument("--max-bisections", type=int, default=200)
 
-    be = sub.add_parser("bench", parents=[common, pooled, simo], help="time the selected algorithms on a problem")
+    be = sub.add_parser("bench", parents=[common, pooled, simo], help="time the selected algorithms on a problem", allow_abbrev=False)
     be.add_argument("--problem", default="staircase", help="comma list of staircase,interval,tongue")
     be.add_argument("--family", choices=CIRCLE_FAMILIES, default="standard")
     be.add_argument("--algorithm", default="direct,simo,csb")

@@ -13,9 +13,10 @@ Three estimators for non-decreasing degree-one liftings:
                       rotation number from adjacent index pairs (Simo's
                       continuation-method estimator); no a-priori error bound
                       unless the rotation number is Diophantine.  Its loop
-                      stops at the first repeated float state and fills in
-                      the rest of the stored orbit by repeating the period,
-                      for the full orbit's result bit for bit.
+                      stops at the first repeated float state and completes
+                      one lap past the repeat, for the full orbit's result
+                      bit for bit in O(preperiod + period) memory; only an
+                      orbit that never repeats (a bracket) keeps O(n).
 * rho_constant_section -- orbit of a constant section's start, iterated on
                       the conjugate whose section starts at the origin (the
                       rotation by the keyword shift is applied inside the
@@ -214,11 +215,15 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     The orbit loop stops at the first repeated float state: the state is
     compared with a checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's
     cycle detection, as in rho_direct with stop_on_repeat).  Past a repeat
-    the orbit is forced, so the rest of the n + 1 fractional parts is filled
-    in by repeating the detected period, and the integer parts are rebuilt
-    lap by lap for the two iterates of the reported tie only.  Every result
-    is bit-identical to the full n-iterate loop's; a repeat always ties, so
-    a bracket only ever comes from a full orbit.
+    the orbit is forced: it completes one lap past the repeat (cut short at
+    n), since a value recurs in the full orbit exactly when it recurs one
+    period after its first iterate, inside that lap.  The sorted lap-long
+    window therefore has the full orbit's first tie at the same iterates,
+    and the integer part is rebuilt by whole laps for the tie's second
+    iterate only.  Every result is bit-identical to the full n-iterate
+    loop's, and memory and time are O(preperiod + period) whatever n is; a
+    repeat always ties, so a bracket only ever comes from a full orbit,
+    which keeps O(n).
 
     The first near-tie is found on the sorted values; the iterate indices are
     looked up for that one pair, as a stable sort of the indices by value
@@ -259,13 +264,13 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     stored = len(ks)
     if stored <= n:
         # the break's iterate, stored, repeats iterate ci: from ci on the orbit
-        # has period stored - ci and gains m - ks[ci] a lap; fill by list repetition
+        # has period stored - ci and gains m - ks[ci] a lap.  It completes one
+        # lap past the repeat (cut short at n): a value recurs in the full
+        # orbit exactly when it recurs in that window, one period after its
+        # first iterate, so the sorted window has the full orbit's first tie
         period = stored - ci
         gain = m - ks[ci]
-        cycle = alphas[ci:]
-        laps, rem = divmod(n + 1 - stored, period)
-        alphas += cycle * laps
-        alphas += cycle[:rem]
+        alphas += alphas[ci : ci + n + 1 - stored]
 
     values = sorted(alphas)
     for lo, hi in zip(values, values[1:]):

@@ -1,4 +1,9 @@
+import argparse
+import importlib.util
+import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rotkit.cli import main, parse_rho
+from rotkit.cli import _attach_negative_values, build_parser, main, parse_rho
 from rotkit.families import GOLDEN_MEAN
 
 
@@ -566,3 +571,64 @@ def test_negative_values_parse_with_a_space_from_the_command_line(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "rotkit", *argv, "--out", str(out)], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == "a,omega,member,lo,hi"
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("option, value", [("--omega", "0:1"), ("--omega-r", "0:1"), ("--omega", "-2.6")])
+def test_abbreviated_options_are_usage_errors(option, value, tmp_path, capsys):
+    # tongue has only --omega-range; prefix matching used to read all three as it
+    out = tmp_path / "t.csv"
+    assert main(["tongue", "--family", "disc", "--steps", "2", option, value, "--out", str(out)]) == 1
+    assert "unrecognized arguments: " + option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _rotkit_options() -> set:
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {option for parser in subcommands.choices.values() for option in parser._option_string_actions}
+
+
+def test_option_spellings_in_the_repo_are_full_names():
+    # an option spelled by a prefix of a longer one would now be rejected;
+    # the abbreviations of the test above are the only ones on purpose
+    options = _rotkit_options()
+    on_purpose = {"--omega-r"}
+    files = [REPO / "README.md", *sorted((REPO / "tests").glob("*.py")), *sorted((REPO / "perfbench").iterdir())]
+    for path in files:
+        if not path.is_file():
+            continue
+        for token in set(re.findall(r"--[a-z][a-z0-9-]*", path.read_text())) - options - on_purpose:
+            assert not any(option.startswith(token) for option in options), (path.name, token)
+
+
+def _load(name: str, path: Path, monkeypatch):
+    # registered while the test runs: dataclasses and run.py's "from child import" look it up
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _perfbench_command_lines(monkeypatch) -> list:
+    _load("child", REPO / "perfbench" / "child.py", monkeypatch)
+    run = _load("perfbench_run", REPO / "perfbench" / "run.py", monkeypatch)
+    lines = []
+    for name in run.WORKLOAD_NAMES:
+        for scale in run.SCALES:
+            for seed in (0, 1):
+                workload = run.make_workload(name, seed, scale)
+                lines += [shlex.join(job.argv) for job in (*workload.jobs, *workload.pooled)]
+    return lines
+
+
+def test_command_lines_of_the_readme_and_perfbench_parse(monkeypatch):
+    readme = re.findall(r"^rotkit ((?:staircase|interval|tongue|invert|bench)\b.*)$", (REPO / "README.md").read_text(), re.M)
+    golden = json.loads((REPO / "perfbench" / "golden.json").read_text())
+    lines = [*readme, *golden, *_perfbench_command_lines(monkeypatch)]
+    assert len(readme) >= 5 and len(golden) >= 5
+    for line in lines:
+        args = build_parser().parse_args(_attach_negative_values(shlex.split(line)))
+        assert args.command == line.split()[0], line

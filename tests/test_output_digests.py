@@ -2,8 +2,9 @@
 
 These SHA-256 digests cover a float and a golden tongue target, an interval
 graph at omega 0.3, the direct estimator on an interval graph and on the
-staircase, and a rational and an irrational inversion.  Each command runs
-through the CLI in-process.
+staircase, the sorting estimator at the largest allowed --simo-iters (10^7,
+whose full stored orbit took about 2 s and 260 MB), and a rational and an
+irrational inversion.  Each command runs through the CLI in-process.
 """
 
 import hashlib
@@ -24,6 +25,8 @@ DIGESTS = {
         "36f79edaa4d69add885873b13f65f71abb9eff081d78d6c253593379bc55208e",
     "staircase --algorithm direct --mu-step 1e-2 --error 1e-4":
         "10e24038aa8fb8e0ace667ab83d91c7a5847eda31e8e561d386dd176869c7312",
+    "staircase --algorithm simo --simo-iters 10000000 --mu-step 0.5":
+        "dbbf88f6970019abe5123b8c6ca70fdb235d54ad79a1745e45f0fbfd07764127",
     "invert --rho 1/3 --error 1e-5": "0dc8be4cbf06710eadec1e7f19f6be4657d960f5a104360cc9174dc88340a974",
     "invert --rho golden --error 1e-5": "e2ec880210c80f59aaeca3b0446d59b4db3ad797ccb3fefbdf6cc0d3d23df443",
 }

@@ -3,13 +3,14 @@
 rho_direct(..., stop_on_repeat=True) stops at the first repeated float state
 and rebuilds the ceil(1/error)-step estimate: every field must equal the plain
 loop's bit for bit, and the value must equal the independent oracle's.
-rho_simo stops at the first repeated float state, fills in the rest of the
-orbit by periodicity and finds its first near-tie on the sorted values: its
-bracket, or the cycle's rotation number and iterate pair, must equal the
-index-sorting oracle's full loop, with n on either side of that stop.  On
-random non-monotone PL maps, which take the numeric envelope path, both
-envelopes must sandwich the map, be non-decreasing and degree-one, match the
-knot oracle, and reproduce themselves when built again.  On random
+rho_simo stops at the first repeated float state, completes one lap past it
+and finds its first near-tie on the sorted values: its bracket, or the
+cycle's rotation number and iterate pair, must equal the index-sorting
+oracle's full loop, with n on either side of that stop; and once one lap past
+the orbit's first repeat fits in n, the result no longer depends on n, up to
+n = 10^6.  On random non-monotone PL maps, which take the numeric envelope
+path, both envelopes must sandwich the map, be non-decreasing and degree-one,
+match the knot oracle, and reproduce themselves when built again.  On random
 rational PL knots, continuous or heavy, the exact upper and lower maps derived
 from the knots must have the same four properties, exactly.
 """
@@ -30,6 +31,7 @@ from rotkit.envelope import _exact_envelope_knots  # noqa: E402
 from rotkit.lifting import Lifting, _knot_evaluator  # noqa: E402
 from _oracles import (  # noqa: E402
     direct_value_oracle,
+    first_repeat,
     pl_envelope_oracle,
     random_flat_pl_lifting,
     random_pl_lifting,
@@ -133,6 +135,25 @@ def test_simo_completion_matches_oracle_on_flat_pl_maps(seed, pieces, n):
     # give the full loop's outcome
     F, _, _, _ = random_flat_pl_lifting(random.Random(seed), pieces)
     _assert_simo_matches_oracle(F, n)
+
+
+def _simo_cycle(F: Lifting, n: int) -> tuple:
+    with pytest.raises(PeriodicOrbitDetected) as hit:
+        rho_simo(F, n)
+    return hit.value.rotation, hit.value.i, hit.value.j
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(2, 6))
+def test_simo_is_constant_in_n_once_a_lap_fits(seed, pieces):
+    # from n0 = i + 2 (j - i) - 1 on, every value of the float cycle recurs
+    # in the orbit and none is added: the first tie and its iterates are fixed
+    F, _, _, _ = random_flat_pl_lifting(random.Random(seed), pieces)
+    repeat = first_repeat(F.fundamental, 10_000)
+    hypothesis.assume(repeat is not None)
+    i, j = repeat
+    n0 = max(j + (j - i) - 1, 2)
+    assert _simo_cycle(F, n0) == _simo_cycle(F, 10**6)
 
 
 @PROPERTY

@@ -294,10 +294,11 @@ SIMO_EDGE_MAPS = {
 
 
 def test_rho_simo_matches_oracle_at_the_completion_edges():
-    # rho_simo stops at the first repeated float state and fills the rest of
-    # the orbit by periodicity; n is placed around that stop from the orbit's
-    # first repeat, so that the fill is empty, one step, whole laps or whole
-    # laps plus period - 1 steps, and every outcome must equal the full loop's
+    # rho_simo stops at the first repeated float state and completes one lap
+    # past it (cut short at n); n is placed around that stop from the orbit's
+    # first repeat, so that the full orbit is the stored one plus one step,
+    # part of a lap, one lap, or whole laps plus period - 1 steps, and every
+    # outcome must equal the full loop's
     edges = set()
     for label, make in SIMO_EDGE_MAPS.items():
         F = make()
@@ -326,6 +327,10 @@ def test_rho_simo_matches_oracle_at_the_completion_edges():
                     edges.add("rem 0" if rem == 0 else "rem p-1")
                 if outcome[3] >= stop:
                     edges.add("tie past the stop")
+                if period > 1 and outcome[3] == stop + period - 1:
+                    edges.add("tie at the window's last slot")
+                if stop < n and n + 1 - stop < period:
+                    edges.add("n cuts the lap short")
     assert edges >= {
         "repeat at iterate 1",
         "repeat at iterate 1, k0 = 1",
@@ -336,6 +341,8 @@ def test_rho_simo_matches_oracle_at_the_completion_edges():
         "rem 0",
         "rem p-1",
         "tie past the stop",
+        "tie at the window's last slot",
+        "n cuts the lap short",
     }
 
 
@@ -360,18 +367,35 @@ def test_rho_simo_stops_at_the_first_repeated_state():
         assert calls[0] == n + 1
 
 
+def test_rho_simo_cost_does_not_grow_with_n():
+    # f_mu(0.5) repeats at iterate 59 (period 27): every n past one lap beyond
+    # the repeat stores, sorts and scans the same 86 values and reports the
+    # same tie, with the same calls of the fundamental
+    outcomes = set()
+    counts = set()
+    for n in (10**3, 10**6, 10**7):
+        F, calls = _counting(f_mu(0.5))
+        with pytest.raises(PeriodicOrbitDetected) as hit:
+            rho_simo(F, n)
+        outcomes.add((hit.value.rotation, hit.value.i, hit.value.j))
+        counts.add(calls[0])
+    assert outcomes == {(Fraction(17, 27), 8, 35)}
+    assert len(counts) == 1
+
+
 def test_rho_simo_memory_stays_bounded():
-    # 10^6 iterates of an orbit with period 27: past the repeat the stored
-    # orbit is one list of references to 27 floats, with no integer parts
+    # up to 10^7 iterates of an orbit with period 27: past the repeat only one
+    # lap is appended, so the peak does not depend on n
     F = f_mu(0.5)
-    tracemalloc.start()
-    try:
-        with pytest.raises(PeriodicOrbitDetected):
-            rho_simo(F, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    for n in (10**3, 10**6, 10**7):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PeriodicOrbitDetected):
+                rho_simo(F, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3, n
 
 
 @pytest.mark.parametrize("omega", [3.31, -2.6])
