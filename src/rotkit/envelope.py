@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lifting import Lifting
 
@@ -60,9 +60,12 @@ class ConstantSection:
         return self.beta - self.alpha
 
 
-@dataclass(frozen=True)
-class MonotoneEnvelope:
-    """A non-decreasing envelope lifting plus its maximal constant sections."""
+class MonotoneEnvelope(NamedTuple):
+    """A non-decreasing envelope lifting plus its maximal constant sections.
+
+    A NamedTuple, like RotationEstimate: a non-decreasing family map builds
+    one on every upper_map call, and a tuple is the cheapest record to build.
+    """
 
     lifting: Lifting
     sections: tuple[ConstantSection, ...]

@@ -93,7 +93,7 @@ def _memo_pair(build, *args):
 
 def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting):
     """A non-decreasing map with known sections is its own upper and lower envelope."""
-    env = MonotoneEnvelope(lifting=F, sections=sections, source="analytic")
+    env = MonotoneEnvelope(F, sections, "analytic")
     return env, env
 
 
@@ -149,13 +149,8 @@ def f_mu(mu) -> Lifting:
             return mu_f + 1.0
         return (4.0 / 3.0) * x + mu_f
 
-    return Lifting(
-        fundamental=fund,
-        is_non_decreasing=True,
-        label=f"F_mu(mu={mu_f:.8g})",
-        fundamental_exact=_knot_twin(_fmu_knots, (mu,)),
-        envelope_builder=_FMU_ENVELOPES,
-    )
+    # positional: the staircase builds one per cell, and keywords cost more
+    return Lifting(fund, True, f"F_mu(mu={mu_f:.8g})", _knot_twin(_fmu_knots, (mu,)), _FMU_ENVELOPES)
 
 
 # ---------------------------------------------------------------------------

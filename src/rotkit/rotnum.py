@@ -286,7 +286,8 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
             # every value is stored at its first iterate, so only lo's second
             # one can lie past the repeat: whole laps after its stored twin
             kj = ks[j] if j < stored else ks[ci + (j - ci) % period] + (j - ci) // period * gain
-            raise PeriodicOrbitDetected(Fraction(kj - ks[i], j - i) + k0, i, j)
+            # one Fraction: (kj - ks[i]) / (j - i) + k0 over the common denominator
+            raise PeriodicOrbitDetected(Fraction(kj - ks[i] + k0 * (j - i), j - i), i, j)
 
     # a repeated state appears twice in alphas and so always ties above:
     # the bracket reads a full, unrepeated orbit
@@ -370,7 +371,8 @@ def rho_constant_section(
             m += s
             x -= s
         if x <= beta:
-            return RotationEstimate.exact(m, n)
+            # RotationEstimate.exact(m, n), built without the classmethod call
+            return RotationEstimate("exact", m / n, 0.0, n, m, n)
         if x == cx:
             # period n - cn, gaining m - cm: add the whole periods, run the
             # rem leftover steps, which replay the missed steps cn+1 ..

@@ -3,7 +3,9 @@
 Grid cells are independent pure computations, so sweeps parallelize over a
 process pool; results are collected in grid order and the emitted CSV is
 byte-identical for any worker count.  Floats are printed with up to 17
-significant digits (lossless round-trip).
+significant digits (lossless round-trip).  The writers format each CSV line
+directly and stream the lines out, without the csv module: no field ever
+needs quoting, so the bytes are the ones csv.writer would write.
 
 A cell's task is the sweep's SweepConfig followed by its grid point:
 (cfg, mu) for the staircase, (cfg, a) for an interval graph (omega is
@@ -14,7 +16,6 @@ shared config once.  Every row a sweep returns is a typing.NamedTuple.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -406,6 +407,9 @@ def benchmark(
     for problem in problems:
         if problem not in ("staircase", "interval", "tongue"):
             raise UsageError(f"unknown benchmark problem {problem!r}")
+        # also before a simo-only run, whose n/a rows would carry the family unchecked
+        if problem != "staircase" and cfg.family not in CIRCLE_FAMILIES:
+            raise UsageError(f"interval and tongue benchmarks are defined for {', '.join(CIRCLE_FAMILIES)}")
     rows: list[BenchmarkRow] = []
     for problem in problems:
         family = "fmu" if problem == "staircase" else cfg.family
@@ -427,84 +431,59 @@ def benchmark(
 
 # ---------------------------------------------------------------------------
 # CSV emission
+#
+# Every field is a .17g float, an int, "" or a fixed word (exact, approx,
+# error, ok, n/a, ill_conditioned, or a validated family, problem or
+# algorithm name), so none needs quoting.
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _writer(stream: IO[str]) -> "csv.writer":
-    return csv.writer(stream, lineterminator="\n")
+def _header(names: list[str]) -> str:
+    return ",".join(names) + "\n"
 
 
 def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
-    w = _writer(stream)
-    w.writerow(STAIRCASE_HEADER)
-    # csv writes the ints m, n, iterations with str() and None as ""
-    w.writerows(
-        (_fmt(mu), _fmt(rho), kind, m, n, None if err is None else _fmt(err), iterations)
+    stream.write(_header(STAIRCASE_HEADER))
+    stream.writelines(
+        f"{mu:.17g},{rho:.17g},{kind},{'' if m is None else m},{'' if n is None else n},"
+        f"{'' if err is None else format(err, '.17g')},{iterations}\n"
         for mu, rho, kind, m, n, err, iterations in rows
     )
 
 
-def write_interval_csv(rows: Iterable[IntervalRow], stream: IO[str]) -> int:
+def write_interval_csv(rows: Sequence[IntervalRow], stream: IO[str]) -> int:
     """Emit interval rows; returns the number of failed cells."""
-    w = _writer(stream)
-    w.writerow(INTERVAL_HEADER)
-    failures = 0
-    for r in rows:
-        if r.status != "ok":
-            failures += 1
-            w.writerow([_fmt(r.a), _fmt(r.omega), "", "error", "", "", "error", ""])
-            continue
-        w.writerow(
-            [
-                _fmt(r.a),
-                _fmt(r.omega),
-                _fmt(r.lo.value),
-                r.lo.kind,
-                _fmt(r.lo.error_bound),
-                _fmt(r.hi.value),
-                r.hi.kind,
-                _fmt(r.hi.error_bound),
-            ]
-        )
-    return failures
+    stream.write(_header(INTERVAL_HEADER))
+    stream.writelines(
+        f"{a:.17g},{omega:.17g},{lo.value:.17g},{lo.kind},{lo.error_bound:.17g},"
+        f"{hi.value:.17g},{hi.kind},{hi.error_bound:.17g}\n"
+        if status == "ok"
+        else f"{a:.17g},{omega:.17g},,error,,,error,\n"
+        for a, omega, lo, hi, status in rows
+    )
+    return sum(1 for r in rows if r.status != "ok")
 
 
-def write_tongue_csv(rows: Iterable[TongueCell], stream: IO[str]) -> int:
-    w = _writer(stream)
-    w.writerow(TONGUE_HEADER)
-    failures = 0
-    for r in rows:
-        if r.status != "ok":
-            failures += 1
-            w.writerow([_fmt(r.a), _fmt(r.omega), "error", "", ""])
-            continue
-        w.writerow([_fmt(r.a), _fmt(r.omega), int(r.member), _fmt(r.lo), _fmt(r.hi)])
-    return failures
+def write_tongue_csv(rows: Sequence[TongueCell], stream: IO[str]) -> int:
+    """Emit tongue cells, member as 0 or 1; returns the number of failed cells."""
+    stream.write(_header(TONGUE_HEADER))
+    stream.writelines(
+        f"{a:.17g},{omega:.17g},{member:d},{lo:.17g},{hi:.17g}\n"
+        if status == "ok"
+        else f"{a:.17g},{omega:.17g},error,,\n"
+        for a, omega, member, lo, hi, _, _, status in rows
+    )
+    return sum(1 for r in rows if r.status != "ok")
 
 
 def write_benchmark_csv(rows: Iterable[BenchmarkRow], stream: IO[str]) -> None:
-    w = _writer(stream)
-    w.writerow(BENCH_HEADER)
-    w.writerows(
-        (problem, family, algorithm, None if seconds is None else _fmt(seconds), status)
+    stream.write(_header(BENCH_HEADER))
+    stream.writelines(
+        f"{problem},{family},{algorithm},{'' if seconds is None else format(seconds, '.17g')},{status}\n"
         for problem, family, algorithm, seconds, status in rows
     )
 
 
 def write_invert_csv(result: InvertResult, target: float, eps: float, stream: IO[str]) -> None:
-    w = _writer(stream)
-    w.writerow(["target", "eps", "status", "mu", "rho", "bisections", "bracket_width"])
-    w.writerow(
-        [
-            _fmt(target),
-            _fmt(eps),
-            result.status,
-            _fmt(result.mu),
-            _fmt(result.rho),
-            result.bisections,
-            _fmt(result.bracket_width),
-        ]
-    )
+    status, mu, rho, bisections, bracket_width = result
+    stream.write(_header(["target", "eps", "status", "mu", "rho", "bisections", "bracket_width"]))
+    stream.write(f"{target:.17g},{eps:.17g},{status},{mu:.17g},{rho:.17g},{bisections},{bracket_width:.17g}\n")

@@ -100,6 +100,17 @@ def test_import_leaves_multiprocessing_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_csv_out():
+    # the writers format each line themselves
+    import rotkit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rotkit.__file__).resolve().parents[1])}
+    code = "import sys, rotkit.cli; print('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "base",
     [

@@ -122,6 +122,81 @@ def test_staircase_csv_text():
     )
 
 
+def test_interval_csv_text():
+    import io
+
+    from rotkit.rotnum import RotationEstimate
+    from rotkit.sweep import IntervalRow, write_interval_csv
+
+    rows = [
+        IntervalRow(1e-05, -0.0, RotationEstimate.exact(1, 2), RotationEstimate.approx(0.1, 5e-324, 10), "ok"),
+        IntervalRow(0.1, 3.31, None, None, "error"),
+    ]
+    buf = io.StringIO()
+    assert write_interval_csv(rows, buf) == 1
+    assert buf.getvalue() == (
+        "a,omega,lo,lo_kind,lo_err,hi,hi_kind,hi_err\n"
+        "1.0000000000000001e-05,-0,0.5,exact,0,0.10000000000000001,approx,4.9406564584124654e-324\n"
+        "0.10000000000000001,3.3100000000000001,,error,,,error,\n"
+    )
+
+
+def test_tongue_csv_text():
+    import io
+
+    from rotkit.sweep import TongueCell, write_tongue_csv
+
+    rows = [
+        TongueCell(0.1, -0.0, True, 0.5, 0.5, 0.0, 0.0, "ok"),
+        TongueCell(1e-05, 5e-324, False, 0.1, 0.25, 1e-04, 1e-04, "ok"),
+        TongueCell(2.0, 3.31, None, None, None, None, None, "error"),
+    ]
+    buf = io.StringIO()
+    assert write_tongue_csv(rows, buf) == 1
+    assert buf.getvalue() == (
+        "a,omega,member,lo,hi\n"
+        "0.10000000000000001,-0,1,0.5,0.5\n"
+        "1.0000000000000001e-05,4.9406564584124654e-324,0,0.10000000000000001,0.25\n"
+        "2,3.3100000000000001,error,,\n"
+    )
+
+
+def test_benchmark_csv_text():
+    import io
+
+    from rotkit.sweep import BenchmarkRow, write_benchmark_csv
+
+    rows = [
+        BenchmarkRow("staircase", "fmu", "direct", 0.1, "ok"),
+        BenchmarkRow("tongue", "standard", "simo", None, "n/a"),
+        BenchmarkRow("interval", "disc", "csb", 5e-324, "ok"),
+    ]
+    buf = io.StringIO()
+    write_benchmark_csv(rows, buf)
+    assert buf.getvalue() == (
+        "problem,family,algorithm,seconds,status\n"
+        "staircase,fmu,direct,0.10000000000000001,ok\n"
+        "tongue,standard,simo,,n/a\n"
+        "interval,disc,csb,4.9406564584124654e-324,ok\n"
+    )
+
+
+def test_invert_csv_text():
+    import io
+
+    from rotkit.sweep import InvertResult, write_invert_csv
+
+    buf = io.StringIO()
+    write_invert_csv(InvertResult("ok", 0.5, 0.5, 1, 1.0), 0.5, 1e-05, buf)
+    write_invert_csv(InvertResult("ill_conditioned", 0.1, -0.0, 200, 5e-324), 0.1, 1e-05, buf)
+    assert buf.getvalue() == (
+        "target,eps,status,mu,rho,bisections,bracket_width\n"
+        "0.5,1.0000000000000001e-05,ok,0.5,0.5,1,1\n"
+        "target,eps,status,mu,rho,bisections,bracket_width\n"
+        "0.10000000000000001,1.0000000000000001e-05,ill_conditioned,0.10000000000000001,-0,200,4.9406564584124654e-324\n"
+    )
+
+
 def test_stamped_cells_and_captured_rows_see_each_cell_once_in_grid_order(tmp_path, monkeypatch):
     # perfbench/child.py --stamp replaces sweep._staircase_cell and
     # sweep._tongue_cell with a one-argument wrapper, and captures the list

@@ -319,6 +319,9 @@ def test_benchmark_validation():
         benchmark(_cfg(algorithms=()), problems=("staircase",))
     with pytest.raises(UsageError):
         benchmark(_cfg(), problems=("nonsense",))
+    # a simo-only interval benchmark runs no sweep, so the family is checked up front
+    with pytest.raises(UsageError, match="defined for"):
+        benchmark(_cfg(family="fmu", algorithms=("simo",)), problems=("interval",))
 
 
 def test_csv_headers_and_roundtrip():
