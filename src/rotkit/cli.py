@@ -159,6 +159,8 @@ def _check_out(path: str) -> None:
     """Raise the OSError that opening --out would, before the sweep; creates and truncates nothing."""
     if path == "-":
         return
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or "."
@@ -185,8 +187,6 @@ def _config(args: argparse.Namespace) -> SweepConfig:
     if "omega_range" in args:
         fields["omega_min"], fields["omega_max"] = _parse_range(args.omega_range)
         fields["omega_steps"] = args.steps
-    elif "a_range" in args:
-        fields["omega_steps"] = 1  # an interval graph's one omega line: the grid-size budget counts a_steps cells
     return SweepConfig(**fields)
 
 

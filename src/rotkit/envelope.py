@@ -8,13 +8,16 @@ non-degenerate constant sections.  Those sections are what the exact
 rotation-number algorithm feeds on, so this module also extracts maximal
 sections; rotnum's estimator rotates the chosen one to the origin itself.
 
-Every family registers a builder on the Lifting that states its envelopes
-and their sections in closed form; the exact twins of a piecewise-linear
-family's envelopes are read off _exact_envelope_knots of its rational knots.
-A map without a builder takes the generic path: a non-decreasing map is its
-own envelope, its sections found by a grid scan; otherwise the numeric
-constructor (uniform grid, running maximum, local refinement of every
-flat-run boundary) builds the upper map.
+Every family registers a builder on the Lifting, called as builder(F,
+upper), that states one envelope and its sections in closed form and
+computes nothing for the other side; nothing is cached, so asking for a side
+twice builds it twice.  The exact twins of a piecewise-linear family's
+envelopes are read off _exact_envelope_knots of its rational knots.  A map
+without a builder takes the generic path (_generic_envelope): a
+non-decreasing map is its own envelope, its sections found by a grid scan;
+otherwise the numeric constructor (uniform grid, running maximum, local
+refinement of every flat-run boundary) builds the upper map.  Either way the
+envelope's source is "numeric"; a builder's is "analytic".
 The lower map is the reflected upper map: with G(x) = -F(-x), the lower map
 of F is x -> -G_u(-x), so the constructor runs on G and maps G's flat pieces
 back.  Both paths double as cross-checks for the analytic forms.
@@ -69,29 +72,24 @@ class MonotoneEnvelope(NamedTuple):
 
     lifting: Lifting
     sections: tuple[ConstantSection, ...]
-    source: str  # "analytic" or "numeric"
-
-
-def _self_envelope(F: Lifting) -> MonotoneEnvelope:
-    return MonotoneEnvelope(F, tuple(find_maximal_sections(F)), "analytic")
+    source: str  # "analytic" (a family's builder) or "numeric" (scanned or constructed)
 
 
 def upper_map(F: Lifting) -> MonotoneEnvelope:
     """Smallest non-decreasing lifting above F (sup over the left half-line)."""
-    if F.envelope_builder is not None:
-        return F.envelope_builder(F)[0]
-    if F.is_non_decreasing:
-        return _self_envelope(F)
-    return _numeric_envelope(F, upper=True)
+    return (F.envelope_builder or _generic_envelope)(F, True)
 
 
 def lower_map(F: Lifting) -> MonotoneEnvelope:
     """Largest non-decreasing lifting below F (inf over the right half-line)."""
-    if F.envelope_builder is not None:
-        return F.envelope_builder(F)[1]
+    return (F.envelope_builder or _generic_envelope)(F, False)
+
+
+def _generic_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
+    """Envelope of a map without a builder: a non-decreasing map is its own, with scanned sections."""
     if F.is_non_decreasing:
-        return _self_envelope(F)
-    return _numeric_envelope(F, upper=False)
+        return MonotoneEnvelope(F, tuple(find_maximal_sections(F)), "numeric")
+    return _numeric_envelope(F, upper)
 
 
 def widest_section(sections: "list[ConstantSection] | tuple[ConstantSection, ...]") -> ConstantSection | None:

@@ -1,9 +1,10 @@
 """Constructors for the map families the sweeps study.
 
 Every constructor returns an immutable Lifting with a float fundamental and
-an envelope builder.  The builder gives the envelopes in one of two forms: a
-non-decreasing map is its own envelope with its sections listed; otherwise
-each envelope is a flat-branch-flat float map (_clamped).  A
+an envelope builder: a function of (F, upper) bound with functools.partial to
+what both sides share, which builds the one side asked for and caches
+nothing.  A non-decreasing map is its own envelope with its sections listed;
+otherwise each envelope is a flat-branch-flat float map (_clamped).  A
 piecewise-linear map states its exact side once, as rational knots (float
 parameters taken at their binary values): its exact twin and its envelopes'
 twins are derived from them on first call (_knot_twin), so float sweeps
@@ -49,6 +50,13 @@ def _as_exact(value) -> Fraction:
     return Fraction(float(value))
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(p, d) in lowest terms with p/d a parameter's exact twin; a float's comes straight off its binary value."""
+    if isinstance(value, float):
+        return value.as_integer_ratio()
+    return _as_exact(value).as_integer_ratio()
+
+
 def _knot_twin(knots, params: tuple = (), upper: bool | None = None):
     """Exact evaluator of the PL map through knots(*twins of params), or of its upper/lower map, made on first call."""
     twin = None
@@ -79,22 +87,9 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
     return a_f, c, c
 
 
-def _memo_pair(build, *args):
-    """Envelope builder running build(F, *args) on its first call and reusing the pair."""
-    cache: dict[str, tuple[MonotoneEnvelope, MonotoneEnvelope]] = {}
-
-    def builder(F: Lifting):
-        if "pair" not in cache:
-            cache["pair"] = build(F, *args)
-        return cache["pair"]
-
-    return builder
-
-
-def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting):
+def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting, upper: bool) -> MonotoneEnvelope:
     """A non-decreasing map with known sections is its own upper and lower envelope."""
-    env = MonotoneEnvelope(F, sections, "analytic")
-    return env, env
+    return MonotoneEnvelope(F, sections, "analytic")
 
 
 _NO_SECTIONS = partial(_own_envelope, ())
@@ -113,15 +108,11 @@ def _clamped(branch, x_lo, lo, x_hi, hi):
     return fund
 
 
-def _envelope_pair(F: Lifting, funds: tuple, sections: tuple, knots=None, params: tuple = ()):
-    """Analytic (upper, lower) envelopes of F from their fundamentals and sections; exact twins from knots, if given."""
-
-    def envelope(side: str, fund, section: ConstantSection) -> MonotoneEnvelope:
-        exact = None if knots is None else _knot_twin(knots, params, side == "upper")
-        lifting = Lifting(fund, is_non_decreasing=True, label=f"{F.label}.{side}", fundamental_exact=exact)
-        return MonotoneEnvelope(lifting, (section,), "analytic")
-
-    return envelope("upper", funds[0], sections[0]), envelope("lower", funds[1], sections[1])
+def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection, knots=None, params: tuple = ()):
+    """Analytic upper (or lower) envelope of F from its fundamental and section; its exact twin from knots, if given."""
+    exact = None if knots is None else _knot_twin(knots, params, upper)
+    lifting = Lifting(fund, True, f"{F.label}.{'upper' if upper else 'lower'}", exact)
+    return MonotoneEnvelope(lifting, (section,), "analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +172,12 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
         fundamental=fund,
         is_non_decreasing=non_decreasing,
         label=f"S(omega={omega_f:.8g}, a={a_f:.8g})",
-        envelope_builder=_NO_SECTIONS if non_decreasing else _memo_pair(_standard_envelopes, a_f),
+        envelope_builder=_NO_SECTIONS if non_decreasing else partial(_standard_envelope, math.acos(1.0 / a_f) / TWO_PI),
     )
 
 
-def _standard_envelopes(F: Lifting, a: float):
-    """Envelopes of the standard map s for a > 1.
+def _standard_envelope(x1: float, F: Lifting, upper: bool) -> MonotoneEnvelope:
+    """Upper (or lower) envelope of the standard map s for a > 1.
 
     s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at x2 = 1 - x1
     and rises between them.  The upper map is flat at s(x2) - 1 up to u, where
@@ -195,13 +186,14 @@ def _standard_envelopes(F: Lifting, a: float):
     stays there.
     """
     s = F.fundamental
-    x1 = math.acos(1.0 / a) / TWO_PI
     x2 = 1.0 - x1
-    peak, trough = s(x2), s(x1)
-    u = _root_on_increasing(s, peak - 1.0, x1, x2)
+    if upper:
+        peak = s(x2)
+        u = _root_on_increasing(s, peak - 1.0, x1, x2)
+        return _envelope(F, upper, _clamped(s, u, peak - 1, x2, peak), ConstantSection(x2 - 1.0, u))
+    trough = s(x1)
     low = _root_on_increasing(s, trough + 1.0, x1, x2)
-    funds = (_clamped(s, u, peak - 1, x2, peak), _clamped(s, x1, trough, low, trough + 1))
-    return _envelope_pair(F, funds, (ConstantSection(x2 - 1.0, u), ConstantSection(low - 1.0, x1)))
+    return _envelope(F, upper, _clamped(s, x1, trough, low, trough + 1), ConstantSection(low - 1.0, x1))
 
 
 def _pwl_knots(omega, c):
@@ -233,7 +225,7 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     elif c == 0.25:
         builder = _PWL_FLAT_OUTER
     else:
-        builder = _memo_pair(_pwl_envelopes, omega, c_param)
+        builder = partial(_pwl_envelope, *_ratio(c_param), (omega, c_param))
     return Lifting(
         fundamental=fund,
         is_non_decreasing=c <= 0.25,
@@ -243,18 +235,20 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     )
 
 
-def _pwl_envelopes(F: Lifting, omega_param, c_param):
-    """Envelopes of a pwl map with c > 1/4, shaped as the standard map's with the min at 1/4 and the max at 3/4."""
-    p, d = _as_exact(c_param).as_integer_ratio()
+def _pwl_envelope(p: int, d: int, params: tuple, F: Lifting, upper: bool) -> MonotoneEnvelope:
+    """Upper (or lower) envelope of a pwl map, c = p/d > 1/4 (min at 1/4, max at 3/4); params: (omega, c) of its knots."""
     # crossings (12c - 1)/(4(1 + 4c)) of peak-1 and (5 + 4c)/(4(1 + 4c)) of trough+1
-    # on the middle branch, correctly rounded as int/int divisions with c = p/d
-    xu = (12 * p - d) / (4 * (d + 4 * p))
-    xl = (5 * d + 4 * p) / (4 * (d + 4 * p))
+    # on the middle branch, correctly rounded as int/int divisions
     t = F.fundamental
-    peak, trough = t(0.75), t(0.25)
-    funds = (_clamped(t, xu, peak - 1, 0.75, peak), _clamped(t, 0.25, trough, xl, trough + 1))
-    sections = (ConstantSection(-0.25, xu), ConstantSection(xl - 1.0, 0.25))
-    return _envelope_pair(F, funds, sections, _pwl_knots, (omega_param, c_param))
+    if upper:
+        xu = (12 * p - d) / (4 * (d + 4 * p))
+        peak = t(0.75)
+        fund, section = _clamped(t, xu, peak - 1, 0.75, peak), ConstantSection(-0.25, xu)
+    else:
+        xl = (5 * d + 4 * p) / (4 * (d + 4 * p))
+        trough = t(0.25)
+        fund, section = _clamped(t, 0.25, trough, xl, trough + 1), ConstantSection(xl - 1.0, 0.25)
+    return _envelope(F, upper, fund, section, _pwl_knots, params)
 
 
 def _disc_knots(omega, c):
@@ -283,27 +277,29 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         is_non_decreasing=c == 0.0,
         label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
         fundamental_exact=_knot_twin(_disc_knots, (omega, c_param)),
-        envelope_builder=_NO_SECTIONS if c == 0.0 else _memo_pair(_disc_envelopes, omega_f, omega, c, c_param),
+        envelope_builder=_NO_SECTIONS if c == 0.0 else partial(_disc_envelope, omega_f, c, *_ratio(c_param), (omega, c_param)),
     )
 
 
-def _disc_envelopes(F: Lifting, omega: float, omega_param, c: float, c_param):
-    """Envelopes of a disc map with c > 0, both on the line (1 + c)x + omega.
+def _disc_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lifting, upper: bool):
+    """Upper (or lower) envelope of a disc map with c = p/d > 0; params are the (omega, c) of its knots.
 
-    The upper map is flat at the left limit omega + c up to qu = c/(1 + c),
-    the lower one at omega + 1 beyond pl = 1/(1 + c).
+    Both lie on the line (1 + c)x + omega.  The upper map is flat at the left
+    limit omega + c up to qu = c/(1 + c), the lower one at omega + 1 beyond
+    pl = 1/(1 + c); both edges are correctly rounded int/int divisions.
     """
-    p, d = _as_exact(c_param).as_integer_ratio()  # c = p/d; qu and pl correctly rounded
-    qu = p / (d + p)
-    pl = d / (d + p)
     slope = 1 + c
 
     def line(x):
         return slope * x + omega
 
-    funds = (_clamped(line, qu, omega + c, 1, line(1)), _clamped(line, 0, line(0), pl, omega + 1))
-    sections = (ConstantSection(0.0, qu), ConstantSection(pl, 1.0))
-    return _envelope_pair(F, funds, sections, _disc_knots, (omega_param, c_param))
+    if upper:
+        qu = p / (d + p)
+        fund, section = _clamped(line, qu, omega + c, 1, line(1)), ConstantSection(0.0, qu)
+    else:
+        pl = d / (d + p)
+        fund, section = _clamped(line, 0, line(0), pl, omega + 1), ConstantSection(pl, 1.0)
+    return _envelope(F, upper, fund, section, _disc_knots, params)
 
 
 # ---------------------------------------------------------------------------

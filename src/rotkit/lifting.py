@@ -33,14 +33,15 @@ class Lifting:
     is_non_decreasing.  fundamental_exact, when present, evaluates the same
     restriction in exact rational arithmetic (Fraction in, Fraction out) and
     is what oracle-style cross checks use.  envelope_builder, when present,
-    returns F's (upper, lower) envelopes.
+    is called as envelope_builder(F, upper) and returns F's upper envelope
+    when upper is true, its lower one otherwise.
     """
 
     fundamental: Callable[[float], float]
     is_non_decreasing: bool
     label: str
     fundamental_exact: Callable[[Fraction], Fraction] | None = None
-    envelope_builder: Callable[["Lifting"], "tuple[MonotoneEnvelope, MonotoneEnvelope]"] | None = field(
+    envelope_builder: Callable[["Lifting", bool], "MonotoneEnvelope"] | None = field(
         default=None, repr=False, compare=False
     )
 

@@ -298,7 +298,8 @@ def _interval_cell(task: tuple[SweepConfig, float]) -> IntervalRow:
 
 def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
     """Rotation-interval endpoints as a function of a, at fixed omega."""
-    _check_circle_sweep(cfg, "interval graphs")
+    # one omega line, whatever omega_steps says: the grid budget counts a_steps cells
+    _check_circle_sweep(replace(cfg, omega_steps=1), "interval graphs")
     tasks = [(cfg, a) for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)]
     return _run_ordered(_interval_cell, tasks, cfg.workers)
 

@@ -293,19 +293,19 @@ def test_invert_rejects_non_positive_budget(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty"])
 def test_unwritable_out_exits_one(where, tmp_path, capsys, monkeypatch):
     import rotkit.sweep as sweep
 
     cells = []
     for name in ("rho_csb", "rotation_interval"):
         monkeypatch.setattr(sweep, name, lambda *args, **kwargs: cells.append(args))
-    out = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.csv"
+    out = {"directory": str(tmp_path), "missing-parent": str(tmp_path / "no-such-dir" / "x.csv"), "empty": ""}[where]
     for argv in (
         ["invert", "--rho", "1/2", "--error", "1e-4"],
         ["tongue", "--family", "standard", "--rho", "1/2", "--steps", "4", "--error", "1e-3"],
     ):
-        assert main([*argv, "--out", str(out)]) == 1
+        assert main([*argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("rotkit: error: ") and err.count("\n") == 1
     assert cells == []  # the output is checked before any cell runs
@@ -352,7 +352,7 @@ def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch)
         (
             "interval",
             "--family pwl --omega 0.3 --a-range 1:2 --steps 7 --algorithm direct",
-            dict(family="pwl", omega=0.3, a_min=1.0, a_max=2.0, a_steps=7, omega_steps=1, algorithms=("direct",)),
+            dict(family="pwl", omega=0.3, a_min=1.0, a_max=2.0, a_steps=7, algorithms=("direct",)),
             (),
         ),
         (

@@ -57,6 +57,16 @@ def test_monotone_map_is_its_own_envelope():
     assert [(s.alpha, s.beta) for s in up.sections] == [(0.8, 1.0)]
 
 
+def test_envelope_source_says_where_the_envelope_came_from():
+    # a family's builder states its envelopes; a builderless map's sections come from the grid scan
+    F = f_mu(0.3)
+    scanned = dataclasses.replace(F, envelope_builder=None)
+    assert upper_map(F).source == lower_map(F).source == "analytic"
+    assert upper_map(scanned).source == lower_map(scanned).source == "numeric"
+    assert upper_map(scanned).lifting is scanned
+    assert upper_map(scanned).sections == upper_map(F).sections == (ConstantSection(0.75, 1.0),)
+
+
 def test_invertible_standard_map_is_its_own_envelope():
     S = standard_map(0.3, 0.8)
     assert lower_map(S).lifting is S
@@ -238,9 +248,8 @@ def test_reparametrize_section_too_small():
     tol = 1e-10
     F = f_mu(0.3)
 
-    def tiny_section(G):
-        env = MonotoneEnvelope(G, (ConstantSection(0.5, 0.5 + 1e-12),), "analytic")
-        return env, env
+    def tiny_section(G, upper):
+        return MonotoneEnvelope(G, (ConstantSection(0.5, 0.5 + 1e-12),), "analytic")
 
     tiny = dataclasses.replace(F, envelope_builder=tiny_section)
     est = rho_csb(tiny, 1e-4, tol)

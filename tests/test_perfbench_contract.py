@@ -78,6 +78,61 @@ def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
         assert nondecreasing >= cfg.omega_steps  # at least the a = 0 row
 
 
+def test_each_tongue_cell_builds_each_envelope_side_once_through_the_traced_names(monkeypatch):
+    # the tracer times rotkit.rotnum.upper_map and lower_map as its "maps" group
+    # (envelope.maps_us); a refactor that stopped calling them there would leave
+    # that metric quietly empty.  A non-monotone cell calls each once, and each
+    # call runs the lifting's builder for its one side; a non-decreasing cell
+    # is its own envelope, taken once through lower_map.
+    import dataclasses
+    from fractions import Fraction
+
+    import rotkit.rotnum as rotnum
+    import rotkit.sweep as sweep
+    from rotkit.sweep import SweepConfig, arnold_tongue
+
+    maps = {(mod, attr) for mod, attr, _, group in _load_tracer().SPANS if group == "maps"}
+    assert maps == {("rotkit.rotnum", "upper_map"), ("rotkit.rotnum", "lower_map")}
+    events = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            events.append(name)
+            return real(*args)
+
+        return wrapper
+
+    def counted_builder(builder):
+        def wrapper(F, upper):
+            events.append(("builder", upper))
+            return builder(F, upper)
+
+        return wrapper
+
+    real_build = sweep.build_lifting
+
+    def build(params):
+        F = real_build(params)
+        events.append(("cell", F.is_non_decreasing))
+        return dataclasses.replace(F, envelope_builder=counted_builder(F.envelope_builder))
+
+    monkeypatch.setattr(sweep, "build_lifting", build)
+    for name in ("upper_map", "lower_map"):
+        monkeypatch.setattr(rotnum, name, counted(name, getattr(rotnum, name)))
+    for family in ("standard", "pwl", "disc"):
+        events.clear()
+        cfg = SweepConfig(family=family, a_min=0.0, a_max=9.0, a_steps=4, omega_steps=3, error=1e-3)
+        assert all(c.status == "ok" for c in arnold_tongue(cfg, Fraction(1, 2)))
+        cells = [e[1] for e in events if e[0] == "cell"]
+        assert len(cells) == 12 and 0 < sum(cells) < 12
+        expected = []
+        for non_decreasing in cells:
+            expected += [("cell", non_decreasing), "lower_map", ("builder", False)]
+            if not non_decreasing:
+                expected += ["upper_map", ("builder", True)]
+        assert events == expected
+
+
 def test_sweeps_hand_the_harness_lists_of_readable_picklable_rows():
     # perfbench/child.py captures the rows passed to write_*_csv as one list
     # and reads these attributes; a worker pool pickles rows and estimates

@@ -100,6 +100,25 @@ def test_config_budgets_admit_their_limits():
         _cfg(simo_n=simo_n).validate()
 
 
+def test_interval_graph_budget_counts_a_steps_alone(monkeypatch):
+    # an interval graph runs one omega line, whatever omega_steps says; a tongue runs them all
+    import rotkit.sweep as sweep
+
+    sizes = []
+    monkeypatch.setattr(sweep, "_run_ordered", lambda worker, tasks, workers: sizes.append(len(tasks)) or [])
+    assert SweepConfig().omega_steps == 512
+    assert rotation_interval_graph(SweepConfig(family="pwl", a_steps=200_000)) == []
+    assert rotation_interval_graph(SweepConfig(family="pwl", a_steps=7, omega_steps=0)) == []
+    assert sizes == [200_000, 7]
+    with pytest.raises(UsageError, match=r"a 200000 x 512 \(a, omega\) grid"):
+        arnold_tongue(SweepConfig(family="pwl", a_steps=200_000), Fraction(1, 2))
+    with pytest.raises(UsageError, match=r"a 100000001 x 1 \(a, omega\) grid"):
+        rotation_interval_graph(SweepConfig(family="pwl", a_steps=10**8 + 1))
+    with pytest.raises(UsageError, match="at least one point"):
+        rotation_interval_graph(SweepConfig(family="pwl", a_steps=0))
+    assert sizes == [200_000, 7]
+
+
 def test_invert_rejects_iterate_budget(monkeypatch):
     import rotkit.sweep as sweep
 
