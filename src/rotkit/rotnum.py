@@ -9,8 +9,9 @@ Three estimators for non-decreasing degree-one liftings:
                       steps after the first repeated float state, for the
                       same value bit for bit, which is how the csb method
                       estimates an envelope with no constant section.
-* rho_simo         -- sorts the fractional parts of an orbit and brackets the
-                      rotation number from adjacent index pairs (Simo's
+* rho_simo         -- sorts the iterate indices of an orbit by fractional
+                      part, once, and reads the first near-tie or else the
+                      bracket off adjacent index pairs (Simo's
                       continuation-method estimator); no a-priori error bound
                       unless the rotation number is Diophantine.  Its loop
                       stops at the first repeated float state and completes
@@ -225,10 +226,9 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     repeat always ties, so a bracket only ever comes from a full orbit,
     which keeps O(n).
 
-    The first near-tie is found on the sorted values; the iterate indices are
-    looked up for that one pair, as a stable sort of the indices by value
-    would order them, and the indices themselves are sorted only when there
-    is no tie, for the bracket.
+    The iterate indices are sorted by value once: the first adjacent pair
+    closer than 1e-14 is the tie, and with no tie the same order gives the
+    bracket.
     """
     _require_non_decreasing(F, "rho_simo")
     if n < 2:
@@ -272,19 +272,12 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
         gain = m - ks[ci]
         alphas += alphas[ci : ci + n + 1 - stored]
 
-    values = sorted(alphas)
-    for lo, hi in zip(values, values[1:]):
-        if hi - lo <= SIMO_TIE_EPS:
-            # lo opens its run of equal values (else the pair before would
-            # have tied), and a stable sort of the indices lists a run in
-            # index order: the pair is lo's first iterate and lo's second,
-            # or hi's first when hi > lo
-            i = alphas.index(lo)
-            j = alphas.index(lo, i + 1) if hi == lo else alphas.index(hi)
-            if j < i:
-                i, j = j, i
-            # every value is stored at its first iterate, so only lo's second
-            # one can lie past the repeat: whole laps after its stored twin
+    order = sorted(range(len(alphas)), key=alphas.__getitem__)
+    for i0, i1 in zip(order, order[1:]):
+        if alphas[i1] - alphas[i0] <= SIMO_TIE_EPS:
+            i, j = (i0, i1) if i0 < i1 else (i1, i0)
+            # every value is stored at its first iterate, so only j can lie
+            # past the stored ones: whole laps after its stored twin
             kj = ks[j] if j < stored else ks[ci + (j - ci) % period] + (j - ci) // period * gain
             # one Fraction: (kj - ks[i]) / (j - i) + k0 over the common denominator
             raise PeriodicOrbitDetected(Fraction(kj - ks[i] + k0 * (j - i), j - i), i, j)
@@ -292,7 +285,6 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     # a repeated state appears twice in alphas and so always ties above:
     # the bracket reads a full, unrepeated orbit
     assert stored == n + 1
-    order = sorted(range(n + 1), key=alphas.__getitem__)
     rho_min = 0.0
     rho_max = 1.0
     for i0, i1 in zip(order, order[1:]):

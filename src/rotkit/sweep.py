@@ -79,10 +79,9 @@ class SweepConfig:
     def validate(self) -> None:
         """Raise UsageError for a configuration no sweep can run or finish.
 
-        Besides malformed values this enforces the budgets: at most
-        MAX_GRID_CELLS cells in the mu grid and in the a_steps x omega_steps
-        grid, at most MAX_ITERATES = ceil(1/error) iterates per estimate, and
-        simo_n in [2, MAX_SIMO_N].  Every sweep calls it before building a grid.
+        Besides malformed values this enforces the budgets of one estimate:
+        at most MAX_ITERATES = ceil(1/error) iterates and simo_n in [2,
+        MAX_SIMO_N].  Every sweep calls it, and _check_grid, before its grid.
         """
         for name in ("mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
             value = getattr(self, name)
@@ -94,16 +93,8 @@ class SweepConfig:
             raise UsageError("error and tol must be finite")
         if self.error <= 0.0 or self.tol < 0.0:
             raise UsageError("error must be positive and tol non-negative")
-        if self.a_steps < 1 or self.omega_steps < 1:
-            raise UsageError("grids need at least one point")
         if self.mu_max < self.mu_min or self.a_max < self.a_min or self.omega_max < self.omega_min:
             raise UsageError("empty parameter range")
-        steps = (self.mu_max - self.mu_min) / self.mu_step
-        # the first test keeps round() away from huge and infinite ratios
-        if steps >= MAX_GRID_CELLS or round(steps) + 1 > MAX_GRID_CELLS:
-            raise UsageError(f"mu_step {self.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
-        if self.a_steps * self.omega_steps > MAX_GRID_CELLS:
-            raise UsageError(f"a {self.a_steps} x {self.omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
         _check_iterates(self.error)
         if not 2 <= self.simo_n <= MAX_SIMO_N:
             raise UsageError(f"simo_n must lie in [2, {MAX_SIMO_N}], got {self.simo_n}")
@@ -114,6 +105,21 @@ class SweepConfig:
                 raise UsageError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
         if self.workers < 1:
             raise UsageError("worker count must be positive")
+
+
+def _check_grid(cfg: SweepConfig, problem: str) -> None:
+    """Raise UsageError unless the grid that problem builds from a valid cfg has 1 to MAX_GRID_CELLS cells."""
+    if problem == "staircase":
+        steps = (cfg.mu_max - cfg.mu_min) / cfg.mu_step
+        # the first test keeps round() away from huge and infinite ratios
+        if steps >= MAX_GRID_CELLS or round(steps) + 1 > MAX_GRID_CELLS:
+            raise UsageError(f"mu_step {cfg.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
+        return
+    omega_steps = cfg.omega_steps if problem == "tongue" else 1  # an interval graph is one omega line
+    if cfg.a_steps < 1 or omega_steps < 1:
+        raise UsageError("grids need at least one point")
+    if cfg.a_steps * omega_steps > MAX_GRID_CELLS:
+        raise UsageError(f"a {cfg.a_steps} x {omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
 
 
 def _check_iterates(error: float) -> None:
@@ -247,6 +253,7 @@ def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
 def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
     """Rotation number of the staircase family over the mu grid, in mu order."""
     cfg.validate()
+    _check_grid(cfg, "staircase")
     if cfg.family != "fmu":
         raise UsageError("the staircase sweep is defined for the fmu family")
     if len(cfg.algorithms) != 1:
@@ -263,9 +270,10 @@ def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
 _CELL_FAILURES = (NumericEnvelopeFailure, ValueError)
 
 
-def _check_circle_sweep(cfg: SweepConfig, what: str) -> None:
+def _check_circle_sweep(cfg: SweepConfig, problem: str, what: str) -> None:
     """Raise UsageError unless cfg is valid for an interval or tongue sweep."""
     cfg.validate()
+    _check_grid(cfg, problem)
     if cfg.family not in CIRCLE_FAMILIES:
         raise UsageError(f"{what} are defined for {', '.join(CIRCLE_FAMILIES)}")
     if len(cfg.algorithms) != 1:
@@ -298,8 +306,7 @@ def _interval_cell(task: tuple[SweepConfig, float]) -> IntervalRow:
 
 def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
     """Rotation-interval endpoints as a function of a, at fixed omega."""
-    # one omega line, whatever omega_steps says: the grid budget counts a_steps cells
-    _check_circle_sweep(replace(cfg, omega_steps=1), "interval graphs")
+    _check_circle_sweep(cfg, "interval", "interval graphs")
     tasks = [(cfg, a) for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)]
     return _run_ordered(_interval_cell, tasks, cfg.workers)
 
@@ -335,7 +342,7 @@ def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCe
     is inflated by the endpoint error bounds.  Cells are emitted in row-major
     (a outer, omega inner) order.
     """
-    _check_circle_sweep(cfg, "tongues")
+    _check_circle_sweep(cfg, "tongue", "tongues")
     tasks = [
         (cfg, a, omega, target)
         for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
@@ -411,6 +418,7 @@ def benchmark(
         # also before a simo-only run, whose n/a rows would carry the family unchecked
         if problem != "staircase" and cfg.family not in CIRCLE_FAMILIES:
             raise UsageError(f"interval and tongue benchmarks are defined for {', '.join(CIRCLE_FAMILIES)}")
+        _check_grid(cfg, problem)
     rows: list[BenchmarkRow] = []
     for problem in problems:
         family = "fmu" if problem == "staircase" else cfg.family

@@ -320,7 +320,7 @@ def test_unwritable_out_exits_one(where, tmp_path, capsys, monkeypatch):
         ["tongue", "--family", "pwl", "--rho", "1/2", "--steps", "100000"],
         ["interval", "--family", "disc", "--error", "1e-12"],
         ["invert", "--rho", "1/2", "--error", "1e-12"],
-        ["bench", "--problem", "staircase", "--steps", "100000"],
+        ["bench", "--problem", "tongue", "--steps", "100000"],
         ["bench", "--problem", "staircase,bogus", "--algorithm", "direct", "--mu-step", "1e-3", "--error", "1e-5"],
         ["bench", "--problem", ","],
     ],

@@ -23,7 +23,7 @@ from rotkit import (
     upper_map,
     widest_section,
 )
-from rotkit.envelope import MonotoneEnvelope, _exact_envelope_knots, _numeric_envelope
+from rotkit.envelope import MonotoneEnvelope, _certify, _exact_envelope_knots, _numeric_envelope
 from rotkit.families import _disc_knots, _pwl_knots
 from rotkit.lifting import Lifting
 from _oracles import (
@@ -271,6 +271,18 @@ def test_numeric_envelope_failure_on_unresolvable_map():
     )
     with pytest.raises(NumericEnvelopeFailure):
         upper_map(F)
+
+
+def test_certify_names_each_failure():
+    F = standard_map(0.0, 2.0)  # not monotone, so not its own upper envelope
+    ok, why = _certify(F, F, 64, True)
+    assert not ok and why.startswith("monotonicity violated near x=")
+    below = Lifting(fundamental=lambda x: x - 0.5, is_non_decreasing=True, label="below")
+    ok, why = _certify(below, F, 64, True)
+    assert not ok and why.startswith("envelope crosses the map near x=")
+    steep = Lifting(fundamental=lambda x: 2.0 * x + 5.0, is_non_decreasing=True, label="steep")
+    assert _certify(steep, F, 64, True) == (False, "degree-one gluing violated")
+    assert _certify(upper_map(F).lifting, F, 64, True) == (True, "")
 
 
 def test_constant_section_validation():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from rotkit import (
+    FamilyParams,
     InvalidParam,
+    build_lifting,
     counterexample_map,
     disc_standard,
     evaluate,
@@ -217,6 +219,18 @@ def test_non_finite_parameters_rejected(make):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParam):
             make(value)
+
+
+@pytest.mark.parametrize("make", [standard_map, pwl_standard, disc_standard])
+def test_negative_coefficient_rejected(make):
+    with pytest.raises(InvalidParam, match="non-negative"):
+        make(0.0, -1.0)
+
+
+def test_build_lifting_rejects_unknown_family():
+    # the staircase family has no coefficient a and is not a circle family
+    with pytest.raises(InvalidParam, match="unknown family 'fmu'"):
+        build_lifting(FamilyParams(family="fmu", omega=0.0, a=1.0))
 
 
 def test_exact_twin_built_on_first_call_only(monkeypatch):

@@ -181,6 +181,8 @@ def test_plain_rho_direct_runs_every_iterate_and_fallback_stops():
     calls[0] = 0
     rotation_interval(S, 1e-4, method="direct")
     assert calls[0] == 2 * (1 + 10_000)
+    with pytest.raises(ValueError, match="unknown rotation-interval method 'simo'"):
+        rotation_interval(S, 1e-4, method="simo")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,12 @@ def test_rho_simo_counterexample_brackets_third():
         assert hit.rotation == Fraction(1, 3)
     else:
         assert br.rho_min <= 1.0 / 3.0 <= br.rho_max
+
+
+def test_rho_simo_needs_two_iterates():
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match="at least 2 iterates"):
+            rho_simo(_rigid(GOLDEN_MEAN), n)
 
 
 def test_rho_simo_detects_rational_cycle():
@@ -383,6 +391,19 @@ def test_rho_simo_cost_does_not_grow_with_n():
     assert len(counts) == 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _rigid(GOLDEN_MEAN), lambda: standard_map(0.3, 0.5), lambda: standard_map(3.31, 0.9)],
+    ids=["rigid(golden)", "standard(0.3, 0.5)", "standard(3.31, 0.9)"],
+)
+def test_rho_simo_bracket_matches_oracle_at_scale(make):
+    # no float state repeats within 10^5 iterates: the bracket sorts the whole stored orbit
+    F = make()
+    outcome = _simo_outcome(F, 10**5)
+    assert outcome[0] == "bracket"
+    assert outcome == _simo_oracle_outcome(F, 10**5)
+
+
 def test_rho_simo_memory_stays_bounded():
     # up to 10^7 iterates of an orbit with period 27: past the repeat only one
     # lap is appended, so the peak does not depend on n
@@ -429,6 +450,8 @@ def test_simo_error_bound_values():
         simo_error_bound(0, 2, 10)
     with pytest.raises(ValueError):
         simo_error_bound(1, 1.5, 10)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        simo_error_bound(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +500,8 @@ def test_csb_counterexample_falls_back():
     est = rho_constant_section(counterexample_map(), beta, 1e-6, shift=shift)
     assert est.kind == "approx"
     assert abs(est.value - 1.0 / 3.0) < 1e-6
+    # in rationals too, no cycle passes through the section [4/5, 1]
+    assert rho_constant_section_exact(counterexample_map(), Fraction(4, 5), Fraction(1), 500) is None
 
 
 def test_csb_mu_zero_takes_approx_path():
@@ -490,6 +515,8 @@ def test_csb_invalid_section():
     F, _, shift = _fmu_section(0.3)
     with pytest.raises(InvalidSection):
         rho_constant_section(F, 0.0, 1e-4, shift=shift)
+    with pytest.raises(InvalidSection, match="non-degenerate"):
+        rho_constant_section_exact(f_mu(Fraction(3, 10)), Fraction(3, 4), Fraction(3, 4), 10)
 
 
 def test_csb_exact_matches_direct_on_plateaus():

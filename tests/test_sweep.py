@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from rotkit.families import f_mu
+from rotkit.rotnum import rho_simo
 from rotkit.sweep import (
     BENCH_HEADER,
     INTERVAL_HEADER,
@@ -12,6 +14,7 @@ from rotkit.sweep import (
     IntervalRow,
     SweepConfig,
     UsageError,
+    _check_grid,
     _pool_size,
     arnold_tongue,
     benchmark,
@@ -71,6 +74,13 @@ def test_config_rejects_non_finite_grid_values(field):
             _cfg(**{field: value}).validate()
 
 
+def _check_every_grid(cfg):
+    """The config check, then the grid check of each problem, as the sweeps run them."""
+    cfg.validate()
+    for problem in ("staircase", "interval", "tongue"):
+        _check_grid(cfg, problem)
+
+
 @pytest.mark.parametrize(
     "overrides, match",
     [
@@ -84,20 +94,45 @@ def test_config_rejects_non_finite_grid_values(field):
         (dict(error=5e-324), "iterates"),
         (dict(simo_n=1), "simo_n"),
         (dict(simo_n=10**7 + 1), "simo_n"),
+        (dict(mu_min=0.5, mu_max=0.25), "empty parameter range"),
+        (dict(a_min=1.0, a_max=0.0), "empty parameter range"),
+        (dict(algorithms=("csb", "bogus")), "unknown algorithm 'bogus'"),
+        (dict(workers=0), "worker count must be positive"),
     ],
 )
 def test_config_rejects_budgets_that_could_never_finish(overrides, match):
     with pytest.raises(UsageError, match=match):
-        _cfg(**overrides).validate()
+        _check_every_grid(_cfg(**overrides))
 
 
 def test_config_budgets_admit_their_limits():
     # exactly 10**8 cells, ceil(1/error) = 10**9 iterates and simo_n in [2, 10**7] are allowed
-    _cfg(mu_step=1.0 / (10**8 - 1)).validate()
-    _cfg(a_steps=10**4, omega_steps=10**4).validate()
+    _check_every_grid(_cfg(mu_step=1.0 / (10**8 - 1)))
+    _check_every_grid(_cfg(a_steps=10**4, omega_steps=10**4))
     _cfg(error=1e-9).validate()
     for simo_n in (2, 10**7):
         _cfg(simo_n=simo_n).validate()
+
+
+def test_each_sweep_budgets_only_the_grid_it_builds(monkeypatch, tmp_path):
+    # a 20000 x 20000 (a, omega) grid is over budget, but only a tongue builds it
+    import rotkit.sweep as sweep
+    from rotkit.cli import main
+
+    sizes = []
+    monkeypatch.setattr(sweep, "_run_ordered", lambda worker, tasks, workers: sizes.append(len(tasks)) or [])
+    out = str(tmp_path / "bench.csv")
+    assert main(["bench", "--problem", "interval", "--steps", "20000", "--algorithm", "csb", "--out", out]) == 0
+    assert main(["bench", "--problem", "staircase", "--steps", "20000", "--mu-step", "0.5", "--algorithm", "csb", "--out", out]) == 0
+    assert devils_staircase(SweepConfig(mu_step=0.5, error=1e-3, a_steps=20000, omega_steps=20000)) == []
+    assert devils_staircase(SweepConfig(mu_step=0.5, error=1e-3, a_steps=0)) == []
+    tongue = SweepConfig(family="pwl", a_steps=2, omega_steps=2, mu_step=1e-9, error=1e-3)
+    assert arnold_tongue(tongue, Fraction(1, 2)) == []
+    assert sizes == [20000, 3, 3, 3, 4]
+    # benchmark checks every selected problem's grid before the first one runs
+    with pytest.raises(UsageError, match=r"a 20000 x 20000 \(a, omega\) grid exceeds 100000000 cells"):
+        benchmark(SweepConfig(family="pwl", mu_step=0.5, a_steps=20000, omega_steps=20000), problems=("staircase", "tongue"))
+    assert sizes == [20000, 3, 3, 3, 4]
 
 
 def test_interval_graph_budget_counts_a_steps_alone(monkeypatch):
@@ -178,6 +213,14 @@ def test_staircase_simo_rows():
     for r in rows:
         if r.kind == "approx":
             assert r.error_bound is not None and r.error_bound >= 0.0
+    # at simo_n = 2 five of the nine orbits end in a bracket: the row is its midpoint and half-width
+    rows = devils_staircase(_cfg(mu_step=0.125, error=1e-3, algorithms=("simo",), simo_n=2))
+    brackets = [r for r in rows if r.kind == "approx"]
+    assert len(rows) == 9 and len(brackets) == 5
+    for r in brackets:
+        br = rho_simo(f_mu(r.mu), 2)
+        mid, half = 0.5 * (br.rho_min + br.rho_max), 0.5 * (br.rho_max - br.rho_min)
+        assert (r.rho, r.m, r.n, r.error_bound, r.iterations) == (mid, None, None, half, 2)
 
 
 def test_staircase_worker_determinism():
@@ -191,6 +234,8 @@ def test_staircase_rejects_multi_algorithm():
         devils_staircase(_cfg(algorithms=("csb", "direct")))
     with pytest.raises(UsageError):
         devils_staircase(_cfg(algorithms=()))
+    with pytest.raises(UsageError, match="fmu family"):
+        devils_staircase(_cfg(family="pwl"))
 
 
 def test_interval_graph_monotone_family_degenerate():
@@ -297,6 +342,9 @@ def test_invert_golden_ill_conditioned():
     assert res.status == "ill_conditioned"
     assert res.bisections <= 200
     assert res.bracket_width < 1e-9
+    # a budget of three bisections runs out with the bracket 1/8 wide
+    res = invert_staircase(0.4, 1e-12, max_bisections=3, error=1e-3)
+    assert (res.status, res.bisections, res.bracket_width) == ("ill_conditioned", 3, 0.125)
 
 
 def test_invert_validation():
@@ -331,6 +379,14 @@ def test_benchmark_rows():
     by_alg = {r.algorithm: r for r in rows}
     assert by_alg["simo"].status == "n/a" and by_alg["simo"].seconds is None
     assert by_alg["direct"].status == "ok" and by_alg["csb"].status == "ok"
+
+    cfg = _cfg(family="pwl", a_steps=2, omega_steps=2, error=1e-3, algorithms=("csb", "simo"))
+    rows = benchmark(cfg, problems=("tongue",))
+    assert [(r.problem, r.family, r.algorithm, r.status) for r in rows] == [
+        ("tongue", "pwl", "csb", "ok"),
+        ("tongue", "pwl", "simo", "n/a"),
+    ]
+    assert rows[0].seconds > 0.0 and rows[1].seconds is None
 
 
 def test_benchmark_validation():
