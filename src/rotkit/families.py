@@ -4,11 +4,18 @@ Every constructor returns an immutable Lifting with a float fundamental and
 an envelope builder: a function of (F, upper) bound with functools.partial to
 what both sides share, which builds the one side asked for and caches
 nothing.  A non-decreasing map is its own envelope with its sections listed;
-otherwise each envelope is a flat-branch-flat float map (_clamped).  A
+otherwise each envelope is a flat-branch-flat float map.  A
 piecewise-linear map states its exact side once, as rational knots (float
 parameters taken at their binary values): its exact twin and its envelopes'
 twins are derived from them on first call (_knot_twin), so float sweeps
 never pay for them.  Non-finite parameters raise InvalidParam.
+
+The float maps are what the orbit estimators call once per iterate, so each
+is one Python frame per evaluation, its constants in closure cells: a
+family's fundamental writes its formula out (pwl inlines the pieces of tau,
+disc skips the floor on [0, 1)), and each envelope side is one closure with
+the branch written between its two flats, the same float operations as the
+fundamental's.  tau stays as the reference the tests compare against.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
 value like a = 2*pi means coefficient 1; a can also be given directly as
@@ -95,19 +102,6 @@ def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting, upper: bool
 _NO_SECTIONS = partial(_own_envelope, ())
 
 
-def _clamped(branch, x_lo, lo, x_hi, hi):
-    """Flat-branch-flat map: lo up to x_lo, branch(x) up to x_hi, hi beyond; the levels are passed in as computed."""
-
-    def fund(x):
-        if x <= x_lo:
-            return lo
-        if x <= x_hi:
-            return branch(x)
-        return hi
-
-    return fund
-
-
 def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection, knots=None, params: tuple = ()):
     """Analytic upper (or lower) envelope of F from its fundamental and section; its exact twin from knots, if given."""
     exact = None if knots is None else _knot_twin(knots, params, upper)
@@ -164,20 +158,24 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     if a_f < 0.0:
         raise InvalidParam(f"a must be non-negative, got {a_f}")
 
+    sin, two_pi = math.sin, TWO_PI
+
     def fund(x: float) -> float:
-        return x + omega_f - c * math.sin(TWO_PI * x)
+        return x + omega_f - c * sin(two_pi * x)
 
     non_decreasing = a_f <= 1.0  # then strictly increasing: its own envelope, with no section
     return Lifting(
         fundamental=fund,
         is_non_decreasing=non_decreasing,
         label=f"S(omega={omega_f:.8g}, a={a_f:.8g})",
-        envelope_builder=_NO_SECTIONS if non_decreasing else partial(_standard_envelope, math.acos(1.0 / a_f) / TWO_PI),
+        envelope_builder=_NO_SECTIONS
+        if non_decreasing
+        else partial(_standard_envelope, omega_f, c, math.acos(1.0 / a_f) / TWO_PI),
     )
 
 
-def _standard_envelope(x1: float, F: Lifting, upper: bool) -> MonotoneEnvelope:
-    """Upper (or lower) envelope of the standard map s for a > 1.
+def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: bool) -> MonotoneEnvelope:
+    """Upper (or lower) envelope of the standard map s = x + omega - c sin(2 pi x) for a > 1.
 
     s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at x2 = 1 - x1
     and rises between them.  The upper map is flat at s(x2) - 1 up to u, where
@@ -186,14 +184,33 @@ def _standard_envelope(x1: float, F: Lifting, upper: bool) -> MonotoneEnvelope:
     stays there.
     """
     s = F.fundamental
+    sin, two_pi = math.sin, TWO_PI
     x2 = 1.0 - x1
     if upper:
         peak = s(x2)
         u = _root_on_increasing(s, peak - 1.0, x1, x2)
-        return _envelope(F, upper, _clamped(s, u, peak - 1, x2, peak), ConstantSection(x2 - 1.0, u))
+        flat = peak - 1
+
+        def fund(x: float) -> float:
+            if x <= u:
+                return flat
+            if x <= x2:
+                return x + omega - c * sin(two_pi * x)
+            return peak
+
+        return _envelope(F, upper, fund, ConstantSection(x2 - 1.0, u))
     trough = s(x1)
     low = _root_on_increasing(s, trough + 1.0, x1, x2)
-    return _envelope(F, upper, _clamped(s, x1, trough, low, trough + 1), ConstantSection(low - 1.0, x1))
+    top = trough + 1
+
+    def fund(x: float) -> float:
+        if x <= x1:
+            return trough
+        if x <= low:
+            return x + omega - c * sin(two_pi * x)
+        return top
+
+    return _envelope(F, upper, fund, ConstantSection(low - 1.0, x1))
 
 
 def _pwl_knots(omega, c):
@@ -218,14 +235,19 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         raise InvalidParam(f"a must be non-negative, got {a_f}")
 
     def fund(x: float) -> float:
-        return x + omega_f - c * tau(x)
+        # x + omega - c tau(x), tau's three pieces written out
+        if x <= 0.25:
+            return x + omega_f - c * (4.0 * x)
+        if x <= 0.75:
+            return x + omega_f - c * (2.0 - 4.0 * x)
+        return x + omega_f - c * (4.0 * (x - 1.0))
 
     if c < 0.25:
         builder = _NO_SECTIONS
     elif c == 0.25:
         builder = _PWL_FLAT_OUTER
     else:
-        builder = partial(_pwl_envelope, *_ratio(c_param), (omega, c_param))
+        builder = partial(_pwl_envelope, omega_f, c, *_ratio(c_param), (omega, c_param))
     return Lifting(
         fundamental=fund,
         is_non_decreasing=c <= 0.25,
@@ -235,19 +257,41 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     )
 
 
-def _pwl_envelope(p: int, d: int, params: tuple, F: Lifting, upper: bool) -> MonotoneEnvelope:
-    """Upper (or lower) envelope of a pwl map, c = p/d > 1/4 (min at 1/4, max at 3/4); params: (omega, c) of its knots."""
+def _pwl_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lifting, upper: bool) -> MonotoneEnvelope:
+    """Upper (or lower) envelope of a pwl map, c = p/d > 1/4 (min at 1/4, max at 3/4); params: (omega, c) of its knots.
+
+    Between its flats each side follows the middle branch x + omega - c (2 - 4x)
+    alone: both flats' ends lie in [1/4, 3/4].
+    """
     # crossings (12c - 1)/(4(1 + 4c)) of peak-1 and (5 + 4c)/(4(1 + 4c)) of trough+1
     # on the middle branch, correctly rounded as int/int divisions
     t = F.fundamental
     if upper:
         xu = (12 * p - d) / (4 * (d + 4 * p))
         peak = t(0.75)
-        fund, section = _clamped(t, xu, peak - 1, 0.75, peak), ConstantSection(-0.25, xu)
+        flat = peak - 1
+
+        def fund(x: float) -> float:
+            if x <= xu:
+                return flat
+            if x <= 0.75:
+                return x + omega - c * (2.0 - 4.0 * x)
+            return peak
+
+        section = ConstantSection(-0.25, xu)
     else:
         xl = (5 * d + 4 * p) / (4 * (d + 4 * p))
         trough = t(0.25)
-        fund, section = _clamped(t, 0.25, trough, xl, trough + 1), ConstantSection(xl - 1.0, 0.25)
+        top = trough + 1
+
+        def fund(x: float) -> float:
+            if x <= 0.25:
+                return trough
+            if x <= xl:
+                return x + omega - c * (2.0 - 4.0 * x)
+            return top
+
+        section = ConstantSection(xl - 1.0, 0.25)
     return _envelope(F, upper, fund, section, _pwl_knots, params)
 
 
@@ -268,8 +312,10 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     if a_f < 0.0:
         raise InvalidParam(f"a must be non-negative for a heavy map, got {a_f}")
 
+    floor = math.floor
+
     def fund(x: float) -> float:
-        frac = x - math.floor(x)
+        frac = x if 0.0 <= x < 1.0 else x - floor(x)
         return x + omega_f + c * frac
 
     return Lifting(
@@ -289,16 +335,30 @@ def _disc_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lif
     pl = 1/(1 + c); both edges are correctly rounded int/int divisions.
     """
     slope = 1 + c
-
-    def line(x):
-        return slope * x + omega
-
     if upper:
         qu = p / (d + p)
-        fund, section = _clamped(line, qu, omega + c, 1, line(1)), ConstantSection(0.0, qu)
+        flat, end = omega + c, slope * 1.0 + omega
+
+        def fund(x: float) -> float:
+            if x <= qu:
+                return flat
+            if x <= 1.0:
+                return slope * x + omega
+            return end
+
+        section = ConstantSection(0.0, qu)
     else:
         pl = d / (d + p)
-        fund, section = _clamped(line, 0, line(0), pl, omega + 1), ConstantSection(pl, 1.0)
+        start, flat = slope * 0.0 + omega, omega + 1
+
+        def fund(x: float) -> float:
+            if x <= 0.0:
+                return start
+            if x <= pl:
+                return slope * x + omega
+            return flat
+
+        section = ConstantSection(pl, 1.0)
     return _envelope(F, upper, fund, section, _disc_knots, params)
 
 

@@ -29,7 +29,9 @@ Three estimators for non-decreasing degree-one liftings:
                       hit, so past the repeat the main loop runs only the
                       leftover steps and rebuilds the max_iter-step
                       estimate bit for bit; iterations_used stays the
-                      nominal max_iter.
+                      nominal max_iter.  A step whose rotated point already
+                      lies in [0, 1) skips the floor of the gluing rule,
+                      with the same bits.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
@@ -324,7 +326,11 @@ def rho_constant_section(
     estimator iterates the conjugate x -> G(x + shift) - shift, whose
     section starts at the origin, through G's gluing rule y = x + shift,
     G(y) = fund(y - floor(y)) + floor(y); with shift=0.0 it iterates G
-    itself.  The orbit of 0 is the orbit of the section; at the first n
+    itself.  When y already lies in [0, 1) the step is fund(y) - shift, with
+    no floor and no int arithmetic: y - 0 is y, and fund(y) + 0 - shift can
+    differ from fund(y) - shift only in the sign of a zero, when fund(y) is
+    -0.0 and shift is 0.0; a zero state is a hit, whose estimate does not
+    read it.  The orbit of 0 is the orbit of the section; at the first n
     with fractional part x <= beta the section returns to itself (mod 1)
     and rho = m/n exactly, provided the margin holds.  Cycles longer than
     ceil(1/error) are invisible and fall back to the direct estimate
@@ -354,10 +360,14 @@ def rho_constant_section(
     cn = 0
     nxt = 1
     for n in range(1, max_iter + 1):
-        # G's gluing rule at x + shift, conjugated back by -shift
+        # G's gluing rule at x + shift, conjugated back by -shift; inside
+        # [0, 1) the floor is 0 and the rule is fund(y) (see the docstring)
         y = x + shift
-        s = floor(y)
-        x = fund(y - s) + s - shift
+        if 0.0 <= y < 1.0:
+            x = fund(y) - shift
+        else:
+            s = floor(y)
+            x = fund(y - s) + s - shift
         if not 0.0 <= x < 1.0:
             s = floor(x)
             m += s

@@ -81,20 +81,18 @@ class SweepConfig:
 
         Besides malformed values this enforces the budgets of one estimate:
         at most MAX_ITERATES = ceil(1/error) iterates and simo_n in [2,
-        MAX_SIMO_N].  Every sweep calls it, and _check_grid, before its grid.
+        MAX_SIMO_N].  Every sweep calls it, and _check_grid, before its grid;
+        the ranges and steps of a grid are _check_grid's, checked only for
+        the sweeps that build it.
         """
         for name in ("mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
-        if self.mu_step <= 0.0:
-            raise UsageError("mu_step must be positive")
         if not (math.isfinite(self.error) and math.isfinite(self.tol)):
             raise UsageError("error and tol must be finite")
         if self.error <= 0.0 or self.tol < 0.0:
             raise UsageError("error must be positive and tol non-negative")
-        if self.mu_max < self.mu_min or self.a_max < self.a_min or self.omega_max < self.omega_min:
-            raise UsageError("empty parameter range")
         _check_iterates(self.error)
         if not 2 <= self.simo_n <= MAX_SIMO_N:
             raise UsageError(f"simo_n must lie in [2, {MAX_SIMO_N}], got {self.simo_n}")
@@ -108,14 +106,26 @@ class SweepConfig:
 
 
 def _check_grid(cfg: SweepConfig, problem: str) -> None:
-    """Raise UsageError unless the grid that problem builds from a valid cfg has 1 to MAX_GRID_CELLS cells."""
+    """Raise UsageError unless the grid that problem builds from a valid cfg has 1 to MAX_GRID_CELLS cells.
+
+    Only the ranges and steps that problem reads are checked: the mu range
+    and step of a staircase, the a range of an interval graph, the a and
+    omega ranges of a tongue.
+    """
     if problem == "staircase":
+        if cfg.mu_step <= 0.0:
+            raise UsageError("mu_step must be positive")
+        if cfg.mu_max < cfg.mu_min:
+            raise UsageError("empty parameter range")
         steps = (cfg.mu_max - cfg.mu_min) / cfg.mu_step
         # the first test keeps round() away from huge and infinite ratios
         if steps >= MAX_GRID_CELLS or round(steps) + 1 > MAX_GRID_CELLS:
             raise UsageError(f"mu_step {cfg.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
         return
-    omega_steps = cfg.omega_steps if problem == "tongue" else 1  # an interval graph is one omega line
+    tongue = problem == "tongue"
+    if cfg.a_max < cfg.a_min or (tongue and cfg.omega_max < cfg.omega_min):
+        raise UsageError("empty parameter range")
+    omega_steps = cfg.omega_steps if tongue else 1  # an interval graph is one omega line
     if cfg.a_steps < 1 or omega_steps < 1:
         raise UsageError("grids need at least one point")
     if cfg.a_steps * omega_steps > MAX_GRID_CELLS:

@@ -3,6 +3,9 @@
 rho_direct(..., stop_on_repeat=True) stops at the first repeated float state
 and rebuilds the ceil(1/error)-step estimate: every field must equal the plain
 loop's bit for bit, and the value must equal the independent oracle's.
+rho_constant_section, whose step skips the floor of the gluing rule when the
+rotated point already lies in [0, 1), must equal the plain section-orbit loop
+bit for bit at any shift.
 rho_simo stops at the first repeated float state, completes one lap past it
 and finds its first near-tie on the sorted values: its bracket, or the
 cycle's rotation number and iterate pair, must equal the index-sorting
@@ -26,15 +29,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rotkit import PeriodicOrbitDetected, lower_map, rho_direct, rho_simo, upper_map  # noqa: E402
+from rotkit import PeriodicOrbitDetected, lower_map, rho_constant_section, rho_direct, rho_simo, upper_map  # noqa: E402
 from rotkit.envelope import _exact_envelope_knots  # noqa: E402
 from rotkit.lifting import Lifting, _knot_evaluator  # noqa: E402
 from _oracles import (  # noqa: E402
+    _shifted,
     direct_value_oracle,
     first_repeat,
     pl_envelope_oracle,
     random_flat_pl_lifting,
     random_pl_lifting,
+    section_orbit_oracle,
     simo_oracle,
 )
 
@@ -101,6 +106,27 @@ def test_fallback_equals_plain_direct_on_flat_pl_maps(seed, pieces, error):
 @given(F=increasing_pl_liftings(), error=ERRORS)
 def test_fallback_equals_plain_direct_on_increasing_pl_maps(F, error):
     _assert_fallback_is_plain(F, error)
+
+
+ONE_MINUS_ULP = math.nextafter(1.0, 0.0)
+# whole periods, the flat's start and the edges of [0, 1), or anywhere
+SHIFTS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, ONE_MINUS_ULP, -ONE_MINUS_ULP, 1e-10, -1e-10]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(2, 6), error=ERRORS, shift=SHIFTS, part=st.sampled_from([1, 2, 4]))
+def test_constant_section_matches_plain_loop_at_any_shift(seed, pieces, error, shift, part):
+    # F is flat on [0, beta]: a shift near a whole period hits its section,
+    # any other one still has to give the plain loop's estimate
+    F, beta, _, _ = random_flat_pl_lifting(random.Random(seed), pieces)
+    beta_f = float(beta) / part
+    est = rho_constant_section(F, beta_f, error, shift=shift)
+    kind, value, m, n, used = section_orbit_oracle(_shifted(F.fundamental, shift), beta_f, error)
+    assert (est.kind, est.value.hex(), est.m, est.n, est.iterations_used) == (kind, value.hex(), m, n, used)
 
 
 @PROPERTY

@@ -647,6 +647,44 @@ def test_shift_bit_identical_on_counterexample_and_random_pl_maps():
         _assert_shift_matches_oracle(F, 0.0, float(beta))
 
 
+# the csb step skips the floor when y = x + shift lies in [0, 1): shifts that
+# put y exactly on 0.0, on 1 - ulp, below 0 and at or above 1
+EDGE_SHIFTS = [0.0, -0.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), -0.25, -0.5, 0.75, -1.0, 2.5]
+
+
+@pytest.mark.parametrize("shift", EDGE_SHIFTS)
+def test_floor_free_step_bit_identical_on_dyadic_rotations(shift):
+    # every iterate of x + p/2^q is exact, so y lands on 0.0 whenever x == -shift;
+    # beta = 2^-6 lies below every nonzero orbit point
+    for q in range(5):
+        for p in range(2**q):
+            _assert_matches_oracle(_rigid(p / 2**q), 2.0**-6, 1e-3, shift=shift)
+
+
+def test_floor_free_step_bit_identical_on_a_negative_zero_value():
+    # at shift 0.0 the step gives fund(y) - 0.0 = -0.0 where the gluing rule's
+    # fund(y) + 0 - 0.0 gives 0.0: both are a hit at n = 1, which reads no state
+    from rotkit.lifting import Lifting
+
+    F = Lifting(fundamental=lambda x: -0.0, is_non_decreasing=True, label="negative zero")
+    est = _assert_matches_oracle(F, 0.5, 1e-3, shift=0.0)
+    assert (est.kind, est.m, est.n) == ("exact", 0, 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, -3])
+@pytest.mark.parametrize("make, a", [(standard_map, 1.5), (standard_map, 9.0), (pwl_standard, 4.0), (disc_standard, 3.0)])
+def test_shift_bit_identical_on_envelopes_whole_periods_away(make, a, k):
+    # omega + k lifts the same circle map with other float roundings, as the
+    # benchmark's seeded tongues do; tol = 0.0 puts the shift on the section's
+    # start, 0.0 itself for disc's upper map
+    for omega in (0.13, 0.5, 0.71):
+        F = make(omega + k, a)
+        for env in (upper_map(F), lower_map(F)):
+            sec = widest_section(env.sections)
+            for tol in (1e-10, 0.0):
+                _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta, tol=tol)
+
+
 def _two_cycle_map():
     # flat on [0.4, 0.5] and flagged non-decreasing, with no envelope builder;
     # the attracting float 2-cycle {1/4, 3/4} + Z misses the section

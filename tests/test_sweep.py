@@ -154,6 +154,26 @@ def test_interval_graph_budget_counts_a_steps_alone(monkeypatch):
     assert sizes == [200_000, 7]
 
 
+def test_each_sweep_checks_only_the_ranges_it_reads():
+    # a tongue and an interval graph build no mu grid; a staircase builds no (a, omega) grid
+    bad_mu = dict(mu_min=0.5, mu_max=0.25)
+    tongue = dict(family="pwl", a_steps=2, omega_steps=2, error=1e-3)
+    for overrides in (bad_mu, dict(mu_step=0.0), dict(mu_step=-1.0)):
+        assert len(arnold_tongue(SweepConfig(**tongue, **overrides), Fraction(1, 2))) == 4
+        interval = SweepConfig(family="pwl", a_steps=2, error=1e-3, omega_min=1.0, omega_max=0.0, **overrides)
+        assert [r.status for r in rotation_interval_graph(interval)] == ["ok", "ok"]
+    for overrides in (dict(a_min=1.0, a_max=0.0), dict(omega_min=1.0, omega_max=0.0)):
+        assert len(devils_staircase(_cfg(mu_step=0.5, **overrides))) == 3
+    # and each still rejects the ranges and steps it does read
+    for overrides in (bad_mu, dict(mu_step=0.0)):
+        with pytest.raises(UsageError, match="empty parameter range|mu_step must be positive"):
+            devils_staircase(_cfg(**overrides))
+    with pytest.raises(UsageError, match="empty parameter range"):
+        arnold_tongue(SweepConfig(**tongue, omega_min=1.0, omega_max=0.0), Fraction(1, 2))
+    with pytest.raises(UsageError, match="empty parameter range"):
+        rotation_interval_graph(SweepConfig(family="pwl", a_steps=2, error=1e-3, a_min=1.0, a_max=0.0))
+
+
 def test_invert_rejects_iterate_budget(monkeypatch):
     import rotkit.sweep as sweep
 
