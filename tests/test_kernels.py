@@ -42,11 +42,11 @@ def _same(got: float, want: float) -> bool:
 def _points(*specials: float) -> list[float]:
     """A dense grid, the knots, the ends of [0, 1], points outside it, and each special point, its neighbours and its fraction."""
     pts = {i / 1024 for i in range(1025)} | {i / 997 for i in range(998)}
-    pts |= {0.25, 0.75, -0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)}
+    pts |= {1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)}
     pts |= {-1.5, -0.25, -1e-300, 1e-300, 1.25, 2.0, 3.5, -7.75}
     for s in (0.25, 0.75, *specials):
         pts |= {s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf), s - math.floor(s)}
-    return sorted(pts, key=lambda x: (x, math.copysign(1.0, x))) + [-0.0]
+    return sorted(pts) + [-0.0]  # the set holds 0.0 == -0.0 once
 
 
 def _assert_bitwise(f, ref, points) -> None:
