@@ -1,23 +1,26 @@
 """Parameter sweeps over the map families, with deterministic CSV emission.
 
-Grid cells are independent pure computations, so sweeps parallelize over a
-process pool; results are collected in grid order and the emitted CSV is
-byte-identical for any worker count.  Floats are printed with up to 17
-significant digits (lossless round-trip).  The writers format each CSV line
-directly and stream the lines out, without the csv module: no field ever
-needs quoting, so the bytes are the ones csv.writer would write.
+Each sweep opens with SweepConfig.validate(problem), the one check of its
+preconditions.  Grid cells are independent pure computations, so sweeps
+parallelize over a process pool; results are collected in grid order and the
+emitted CSV is byte-identical for any worker count.  Floats are printed with
+up to 17 significant digits (lossless round-trip).  The writers format each
+CSV line directly and stream the lines out, without the csv module: no field
+ever needs quoting, so the bytes are the ones csv.writer would write.
 
-A cell's task is the sweep's SweepConfig followed by its grid point:
-(cfg, mu) for the staircase, (cfg, a) for an interval graph (omega is
-cfg.omega) and (cfg, a, omega, target) for a tongue, where the target is the
-Fraction or float the caller passed.  A pooled chunk of tasks pickles the
-shared config once.  Every row a sweep returns is a typing.NamedTuple.
+A cell's task is the sweep's SweepConfig followed by its grid point: (cfg, mu)
+for the staircase, whose mu grid always spans f_mu's domain [0, 1], (cfg, a)
+for an interval graph (omega is cfg.omega) and (cfg, a, omega, target) for a
+tongue, where the target is the Fraction or float the caller passed.  A pooled
+chunk of tasks pickles the shared config once.  Every row a sweep returns is a
+typing.NamedTuple.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -60,8 +63,6 @@ class SweepConfig:
     """Grid and estimator settings shared by all sweep operations."""
 
     family: str = "fmu"
-    mu_min: float = 0.0
-    mu_max: float = 1.0
     mu_step: float = 1e-5
     omega: float = 0.0
     omega_min: float = 0.0
@@ -76,16 +77,19 @@ class SweepConfig:
     algorithms: tuple[str, ...] = ("csb",)
     workers: int = 1
 
-    def validate(self) -> None:
-        """Raise UsageError for a configuration no sweep can run or finish.
+    def validate(self, problem: str, target: "float | Fraction | None" = None) -> None:
+        """Raise UsageError unless the sweep problem ("staircase", "interval" or "tongue") can run and finish.
 
-        Besides malformed values this enforces the budgets of one estimate:
-        at most MAX_ITERATES = ceil(1/error) iterates and simo_n in [2,
-        MAX_SIMO_N].  Every sweep calls it, and _check_grid, before its grid;
-        the ranges and steps of a grid are _check_grid's, checked only for
-        the sweeps that build it.
+        The one check of a sweep's preconditions, run by each sweep and, for
+        every run, by benchmark before the first.  All sweeps need finite
+        floats, error > 0, tol >= 0, ceil(1/error) <= MAX_ITERATES, simo_n in
+        [2, MAX_SIMO_N], workers >= 1 and one known algorithm.  A staircase
+        (fmu, mu over [0, 1]) reads mu_step; an interval graph (a
+        CIRCLE_FAMILIES family, not simo) reads a_min, a_max and a_steps; a
+        tongue also omega_min, omega_max, omega_steps and a target within
+        float range.  Each grid has 1 to MAX_GRID_CELLS cells.
         """
-        for name in ("mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
+        for name in ("mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
@@ -103,33 +107,37 @@ class SweepConfig:
                 raise UsageError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
         if self.workers < 1:
             raise UsageError("worker count must be positive")
-
-
-def _check_grid(cfg: SweepConfig, problem: str) -> None:
-    """Raise UsageError unless the grid that problem builds from a valid cfg has 1 to MAX_GRID_CELLS cells.
-
-    Only the ranges and steps that problem reads are checked: the mu range
-    and step of a staircase, the a range of an interval graph, the a and
-    omega ranges of a tongue.
-    """
-    if problem == "staircase":
-        if cfg.mu_step <= 0.0:
-            raise UsageError("mu_step must be positive")
-        if cfg.mu_max < cfg.mu_min:
+        if problem == "staircase":
+            if self.mu_step <= 0.0:
+                raise UsageError("mu_step must be positive")
+            steps = 1.0 / self.mu_step
+            # the first test keeps round() away from huge and infinite ratios
+            if steps >= MAX_GRID_CELLS or round(steps) + 1 > MAX_GRID_CELLS:
+                raise UsageError(f"mu_step {self.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
+            if self.family != "fmu":
+                raise UsageError("the staircase sweep is defined for the fmu family")
+            if len(self.algorithms) != 1:
+                raise UsageError("pick exactly one algorithm for a staircase sweep")
+            return
+        if problem not in ("interval", "tongue"):
+            raise UsageError(f"unknown sweep problem {problem!r}")
+        tongue = problem == "tongue"
+        # NaN fails the comparison; a Fraction target is compared in floats when an interval is inexact
+        if tongue and target is not None and not abs(target) <= sys.float_info.max:
+            raise UsageError(f"tongue target must be finite, got {target}")
+        if self.a_max < self.a_min or (tongue and self.omega_max < self.omega_min):
             raise UsageError("empty parameter range")
-        steps = (cfg.mu_max - cfg.mu_min) / cfg.mu_step
-        # the first test keeps round() away from huge and infinite ratios
-        if steps >= MAX_GRID_CELLS or round(steps) + 1 > MAX_GRID_CELLS:
-            raise UsageError(f"mu_step {cfg.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
-        return
-    tongue = problem == "tongue"
-    if cfg.a_max < cfg.a_min or (tongue and cfg.omega_max < cfg.omega_min):
-        raise UsageError("empty parameter range")
-    omega_steps = cfg.omega_steps if tongue else 1  # an interval graph is one omega line
-    if cfg.a_steps < 1 or omega_steps < 1:
-        raise UsageError("grids need at least one point")
-    if cfg.a_steps * omega_steps > MAX_GRID_CELLS:
-        raise UsageError(f"a {cfg.a_steps} x {omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
+        omega_steps = self.omega_steps if tongue else 1  # an interval graph is one omega line
+        if self.a_steps < 1 or omega_steps < 1:
+            raise UsageError("grids need at least one point")
+        if self.a_steps * omega_steps > MAX_GRID_CELLS:
+            raise UsageError(f"a {self.a_steps} x {omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
+        if self.family not in CIRCLE_FAMILIES:
+            raise UsageError(f"{'tongues' if tongue else 'interval graphs'} are defined for {', '.join(CIRCLE_FAMILIES)}")
+        if len(self.algorithms) != 1:
+            raise UsageError("pick exactly one algorithm for an interval or tongue sweep")
+        if self.algorithms[0] == "simo":
+            raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
 
 
 def _check_iterates(error: float) -> None:
@@ -188,24 +196,19 @@ class BenchmarkRow(NamedTuple):
 
 
 def mu_grid(cfg: SweepConfig) -> list[float]:
-    """Accumulated-step grid {mu_min, +step, ...} with mu_max appended exactly.
-
-    mu_min stays in the grid whenever mu_max > mu_min, even for a step wider
-    than the range.
+    """Accumulated-step grid {0, step, 2 step, ...} over f_mu's domain, with 1 appended exactly.
 
     Accumulation (rather than i*step) reproduces the classic sweep loop; the
     index-multiplication grid lands inside the tolerance deadband of the
     plateau-edge tangency at mu = 3/4 and would force a spurious fallback.
     """
-    count = round((cfg.mu_max - cfg.mu_min) / cfg.mu_step)
-    if count == 0 and cfg.mu_max > cfg.mu_min:
-        count = 1  # round() gives 0 for a step more than twice the range
-    grid = [cfg.mu_min] * max(count, 0)
-    mu = cfg.mu_min
+    count = max(round(1.0 / cfg.mu_step), 1)  # round() gives 0 for a step more than twice the domain
+    grid = [0.0] * count
+    mu = 0.0
     for i in range(1, count):
         mu += cfg.mu_step
         grid[i] = mu
-    grid.append(cfg.mu_max)
+    grid.append(1.0)
     return grid
 
 
@@ -262,12 +265,7 @@ def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
 
 def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
     """Rotation number of the staircase family over the mu grid, in mu order."""
-    cfg.validate()
-    _check_grid(cfg, "staircase")
-    if cfg.family != "fmu":
-        raise UsageError("the staircase sweep is defined for the fmu family")
-    if len(cfg.algorithms) != 1:
-        raise UsageError("pick exactly one algorithm for a staircase sweep")
+    cfg.validate("staircase")
     tasks = [(cfg, mu) for mu in mu_grid(cfg)]
     return _run_ordered(_staircase_cell, tasks, cfg.workers)
 
@@ -278,18 +276,6 @@ def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
 # what one cell's numerics can raise once the config is valid (for example a
 # section whose width rounds to 1 at a huge coefficient): the cell is flagged
 _CELL_FAILURES = (NumericEnvelopeFailure, ValueError)
-
-
-def _check_circle_sweep(cfg: SweepConfig, problem: str, what: str) -> None:
-    """Raise UsageError unless cfg is valid for an interval or tongue sweep."""
-    cfg.validate()
-    _check_grid(cfg, problem)
-    if cfg.family not in CIRCLE_FAMILIES:
-        raise UsageError(f"{what} are defined for {', '.join(CIRCLE_FAMILIES)}")
-    if len(cfg.algorithms) != 1:
-        raise UsageError("pick exactly one algorithm for an interval or tongue sweep")
-    if cfg.algorithms[0] == "simo":
-        raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
 
 
 def _interval_or_none(cfg: SweepConfig, a: float, omega: float) -> RotationInterval | None:
@@ -316,7 +302,7 @@ def _interval_cell(task: tuple[SweepConfig, float]) -> IntervalRow:
 
 def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
     """Rotation-interval endpoints as a function of a, at fixed omega."""
-    _check_circle_sweep(cfg, "interval", "interval graphs")
+    cfg.validate("interval")
     tasks = [(cfg, a) for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)]
     return _run_ordered(_interval_cell, tasks, cfg.workers)
 
@@ -352,7 +338,7 @@ def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCe
     is inflated by the endpoint error bounds.  Cells are emitted in row-major
     (a outer, omega inner) order.
     """
-    _check_circle_sweep(cfg, "tongue", "tongues")
+    cfg.validate("tongue", target)
     tasks = [
         (cfg, a, omega, target)
         for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
@@ -416,35 +402,33 @@ def benchmark(
     """Wall-clock seconds per algorithm per problem at the configured grids.
 
     The orbit-sorting estimator is only defined for rotation numbers in
-    [0, 1], so interval and tongue problems mark it n/a.
+    [0, 1], so interval and tongue problems mark it n/a.  Every run's config
+    is validated before the first run starts.
     """
-    cfg.validate()
     problems = tuple(problems)
     if not problems:
         raise UsageError("select at least one benchmark problem")
+    if not cfg.algorithms:
+        raise UsageError("select at least one algorithm")
+    sweeps = {"staircase": devils_staircase, "interval": rotation_interval_graph, "tongue": lambda c: arnold_tongue(c, target)}
+    runs = []  # (problem, algorithm, config, n/a); an n/a row keeps a csb config, checked but never run
     for problem in problems:
-        if problem not in ("staircase", "interval", "tongue"):
+        if problem not in sweeps:
             raise UsageError(f"unknown benchmark problem {problem!r}")
-        # also before a simo-only run, whose n/a rows would carry the family unchecked
-        if problem != "staircase" and cfg.family not in CIRCLE_FAMILIES:
-            raise UsageError(f"interval and tongue benchmarks are defined for {', '.join(CIRCLE_FAMILIES)}")
-        _check_grid(cfg, problem)
-    rows: list[BenchmarkRow] = []
-    for problem in problems:
         family = "fmu" if problem == "staircase" else cfg.family
         for alg in cfg.algorithms:
-            if problem != "staircase" and alg == "simo":
-                rows.append(BenchmarkRow(problem, family, alg, None, "n/a"))
-                continue
-            sub = replace(cfg, family=family, algorithms=(alg,))
-            start = time.perf_counter()
-            if problem == "staircase":
-                devils_staircase(sub)
-            elif problem == "interval":
-                rotation_interval_graph(sub)
-            else:
-                arnold_tongue(sub, target)
-            rows.append(BenchmarkRow(problem, family, alg, time.perf_counter() - start, "ok"))
+            na = problem != "staircase" and alg == "simo"
+            sub = replace(cfg, family=family, algorithms=("csb" if na else alg,))
+            sub.validate(problem, target)
+            runs.append((problem, alg, sub, na))
+    rows: list[BenchmarkRow] = []
+    for problem, alg, sub, na in runs:
+        if na:
+            rows.append(BenchmarkRow(problem, sub.family, alg, None, "n/a"))
+            continue
+        start = time.perf_counter()
+        sweeps[problem](sub)
+        rows.append(BenchmarkRow(problem, sub.family, alg, time.perf_counter() - start, "ok"))
     return rows
 
 

@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-import numpy as np
+import pytest
 
 from rotkit.lifting import Lifting
 
@@ -193,8 +193,10 @@ def random_flat_pl_lifting(rng: random.Random, pieces: int = 5):
     """Random rational non-decreasing PL lifting, flat on [0, beta].
 
     Returns (lifting, beta, xs, ys) where xs/ys are the float breakpoints of
-    the fundamental restriction (np.interp-ready).
+    the fundamental restriction (np.interp-ready).  Needs numpy: the test
+    that asks for it is skipped without it.
     """
+    np = pytest.importorskip("numpy")
     beta = Fraction(rng.randint(5, 55), 100)
     y0 = Fraction(rng.randint(-40, 140), 100)
     inner = sorted(rng.sample(range(1, 40), pieces - 1))
@@ -245,8 +247,9 @@ def ell_of_n(xs, ys, n_max: int, grid: int = 4096) -> list[int]:
     """ell(n) = min over a grid of floor(F^n(x) - x) for n = 1..n_max.
 
     Vectorized over the grid; the map is evaluated through its breakpoint
-    interpolation, not through the library's evaluator.
+    interpolation, not through the library's evaluator.  Needs numpy.
     """
+    np = pytest.importorskip("numpy")
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     x0 = np.linspace(0.0, 1.0, grid, endpoint=False)

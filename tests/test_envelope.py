@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from rotkit import (
@@ -88,6 +87,7 @@ def test_pwl_envelope_closed_form():
 
 def test_disc_envelope_closed_form_against_grid_sup_oracle():
     # oracle: running sup over a 10^6-point grid of D(y) for y <= x
+    np = pytest.importorskip("numpy")
     D = disc_standard(0, TWO_PI)
     ys = np.linspace(-1.0, 1.0, 2_000_001)
     frac = ys - np.floor(ys)

@@ -23,7 +23,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -77,6 +76,7 @@ def _assert_simo_matches_oracle(F: Lifting, n: int) -> None:
 @st.composite
 def increasing_pl_liftings(draw) -> Lifting:
     """Strictly increasing PL lifting: knots 0 < x_1 < ... < 1, rises > 0 summing to 1."""
+    np = pytest.importorskip("numpy")
     inner = draw(st.lists(st.integers(1, 99), min_size=0, max_size=5, unique=True))
     xs = [0.0] + [i / 100 for i in sorted(inner)] + [1.0]
     rises = draw(st.lists(st.integers(1, 20), min_size=len(xs) - 1, max_size=len(xs) - 1))

@@ -1,5 +1,7 @@
 import io
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,6 @@ from rotkit.sweep import (
     IntervalRow,
     SweepConfig,
     UsageError,
-    _check_grid,
     _pool_size,
     arnold_tongue,
     benchmark,
@@ -46,39 +47,63 @@ def test_mu_grid_endpoints_exact():
 @pytest.mark.parametrize(
     "lo, hi, step, expected",
     [
-        (0.0, 1.0, 3.0, [0.0, 1.0]),  # round(1/3) = 0 steps: mu_min is still kept
+        (0.0, 1.0, 3.0, [0.0, 1.0]),  # round(1/3) = 0 steps: 0 is still kept
         (0.0, 1.0, 1.5, [0.0, 1.0]),
         (0.0, 1.0, 1.0, [0.0, 1.0]),
         (0.0, 1.0, 0.5, [0.0, 0.5, 1.0]),
-        (0.25, 0.5, 100.0, [0.25, 0.5]),
-        (0.5, 0.5, 1.0, [0.5]),  # a single-point range
-        (0.5, 0.5, 1e-3, [0.5]),
     ],
 )
 def test_mu_grid_keeps_both_ends(lo, hi, step, expected):
-    assert mu_grid(_cfg(mu_min=lo, mu_max=hi, mu_step=step)) == expected
+    # the grid always spans f_mu's domain [lo, hi] = [0, 1]
+    grid = mu_grid(_cfg(mu_step=step))
+    assert grid == expected and (grid[0], grid[-1]) == (lo, hi)
+
+
+def _ranged_mu_grid(lo, hi, step):
+    """The mu grid as built from a [lo, hi] range, before the range was fixed to [0, 1]."""
+    count = round((hi - lo) / step)
+    if count == 0 and hi > lo:
+        count = 1
+    grid = [lo] * max(count, 0)
+    mu = lo
+    for i in range(1, count):
+        mu += step
+        grid[i] = mu
+    grid.append(hi)
+    return grid
+
+
+# the last step is 1e-4 stretched as perfbench/run.py:mu_step stretches it at seed 3
+@pytest.mark.parametrize("step", [1e-5, 1e-4, 1e-3, 0.3, 1.5, 3.0, 1e-4 * (1.0 + 4e-6 * random.Random(3).random())])
+def test_mu_grid_is_the_ranged_grid_over_0_1_bit_for_bit(step):
+    grid = mu_grid(_cfg(mu_step=step))
+    assert [mu.hex() for mu in grid] == [mu.hex() for mu in _ranged_mu_grid(0.0, 1.0, step)]
+
+
+def test_config_has_no_mu_range():
+    with pytest.raises(TypeError):
+        SweepConfig(mu_min=0.0)
+    with pytest.raises(TypeError):
+        SweepConfig(mu_max=1.0)
+
+
+def _validate_every_sweep(cfg):
+    """validate(problem) of each sweep, on cfg with a family that sweep takes."""
+    for problem in ("staircase", "interval", "tongue"):
+        replace(cfg, family="fmu" if problem == "staircase" else "pwl").validate(problem)
 
 
 @pytest.mark.parametrize("field, value", [("tol", math.nan), ("tol", math.inf), ("error", math.inf), ("error", math.nan)])
 def test_config_rejects_non_finite_error_and_tol(field, value):
     with pytest.raises(UsageError):
-        _cfg(**{field: value}).validate()
+        _validate_every_sweep(_cfg(**{field: value}))
 
 
-@pytest.mark.parametrize(
-    "field", ["mu_min", "mu_max", "mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"]
-)
+@pytest.mark.parametrize("field", ["mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"])
 def test_config_rejects_non_finite_grid_values(field):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(UsageError, match=field):
-            _cfg(**{field: value}).validate()
-
-
-def _check_every_grid(cfg):
-    """The config check, then the grid check of each problem, as the sweeps run them."""
-    cfg.validate()
-    for problem in ("staircase", "interval", "tongue"):
-        _check_grid(cfg, problem)
+            _validate_every_sweep(_cfg(**{field: value}))
 
 
 @pytest.mark.parametrize(
@@ -86,7 +111,7 @@ def _check_every_grid(cfg):
     [
         (dict(mu_step=1e-12), "mu grid"),
         (dict(mu_step=5e-324), "mu grid"),
-        (dict(mu_min=-1e308, mu_max=1e308, mu_step=1.0), "mu grid"),
+        (dict(mu_step=1e-300), "mu grid"),  # a finite ratio far past the budget
         (dict(mu_step=1e-8), "mu grid"),  # 10**8 + 1 cells, one too many
         (dict(a_steps=100_000, omega_steps=100_000), r"\(a, omega\) grid"),
         (dict(a_steps=10**8 + 1, omega_steps=1), r"\(a, omega\) grid"),
@@ -94,7 +119,7 @@ def _check_every_grid(cfg):
         (dict(error=5e-324), "iterates"),
         (dict(simo_n=1), "simo_n"),
         (dict(simo_n=10**7 + 1), "simo_n"),
-        (dict(mu_min=0.5, mu_max=0.25), "empty parameter range"),
+        (dict(omega_min=0.5, omega_max=0.25), "empty parameter range"),
         (dict(a_min=1.0, a_max=0.0), "empty parameter range"),
         (dict(algorithms=("csb", "bogus")), "unknown algorithm 'bogus'"),
         (dict(workers=0), "worker count must be positive"),
@@ -102,16 +127,16 @@ def _check_every_grid(cfg):
 )
 def test_config_rejects_budgets_that_could_never_finish(overrides, match):
     with pytest.raises(UsageError, match=match):
-        _check_every_grid(_cfg(**overrides))
+        _validate_every_sweep(_cfg(**overrides))
 
 
 def test_config_budgets_admit_their_limits():
     # exactly 10**8 cells, ceil(1/error) = 10**9 iterates and simo_n in [2, 10**7] are allowed
-    _check_every_grid(_cfg(mu_step=1.0 / (10**8 - 1)))
-    _check_every_grid(_cfg(a_steps=10**4, omega_steps=10**4))
-    _cfg(error=1e-9).validate()
+    _validate_every_sweep(_cfg(mu_step=1.0 / (10**8 - 1)))
+    _validate_every_sweep(_cfg(a_steps=10**4, omega_steps=10**4))
+    _validate_every_sweep(_cfg(error=1e-9))
     for simo_n in (2, 10**7):
-        _cfg(simo_n=simo_n).validate()
+        _validate_every_sweep(_cfg(simo_n=simo_n))
 
 
 def test_each_sweep_budgets_only_the_grid_it_builds(monkeypatch, tmp_path):
@@ -156,22 +181,113 @@ def test_interval_graph_budget_counts_a_steps_alone(monkeypatch):
 
 def test_each_sweep_checks_only_the_ranges_it_reads():
     # a tongue and an interval graph build no mu grid; a staircase builds no (a, omega) grid
-    bad_mu = dict(mu_min=0.5, mu_max=0.25)
     tongue = dict(family="pwl", a_steps=2, omega_steps=2, error=1e-3)
-    for overrides in (bad_mu, dict(mu_step=0.0), dict(mu_step=-1.0)):
+    for overrides in (dict(mu_step=0.0), dict(mu_step=-1.0)):
         assert len(arnold_tongue(SweepConfig(**tongue, **overrides), Fraction(1, 2))) == 4
         interval = SweepConfig(family="pwl", a_steps=2, error=1e-3, omega_min=1.0, omega_max=0.0, **overrides)
         assert [r.status for r in rotation_interval_graph(interval)] == ["ok", "ok"]
     for overrides in (dict(a_min=1.0, a_max=0.0), dict(omega_min=1.0, omega_max=0.0)):
         assert len(devils_staircase(_cfg(mu_step=0.5, **overrides))) == 3
     # and each still rejects the ranges and steps it does read
-    for overrides in (bad_mu, dict(mu_step=0.0)):
-        with pytest.raises(UsageError, match="empty parameter range|mu_step must be positive"):
+    for overrides in (dict(mu_step=0.0), dict(mu_step=-1.0)):
+        with pytest.raises(UsageError, match="mu_step must be positive"):
             devils_staircase(_cfg(**overrides))
     with pytest.raises(UsageError, match="empty parameter range"):
         arnold_tongue(SweepConfig(**tongue, omega_min=1.0, omega_max=0.0), Fraction(1, 2))
     with pytest.raises(UsageError, match="empty parameter range"):
         rotation_interval_graph(SweepConfig(family="pwl", a_steps=2, error=1e-3, a_min=1.0, a_max=0.0))
+
+
+_SWEEPS = {
+    "staircase": devils_staircase,
+    "interval": rotation_interval_graph,
+    "tongue": lambda cfg: arnold_tongue(cfg, Fraction(1, 2)),
+}
+
+
+def _small(problem, **overrides):
+    """A small valid config of the problem's sweep, with the overrides applied."""
+    if problem == "staircase":
+        return replace(SweepConfig(mu_step=0.5, error=1e-3), **overrides)
+    return replace(SweepConfig(family="pwl", a_steps=2, omega_steps=2, error=1e-3), **overrides)
+
+
+def _no_sweep_runs(monkeypatch):
+    import rotkit.sweep as sweep
+
+    monkeypatch.setattr(sweep, "_run_ordered", lambda *args: pytest.fail("a sweep reached its cells"))
+
+
+# configs one sweep rejects, each with a value benchmark hands that sweep unchanged
+# (benchmark runs a staircase as fmu, splits the algorithms and marks interval or tongue simo n/a)
+@pytest.mark.parametrize(
+    "problem, overrides",
+    [
+        ("staircase", dict(mu_step=0.0)),
+        ("staircase", dict(mu_step=-1.0)),
+        ("staircase", dict(mu_step=1e-8)),
+        ("staircase", dict(mu_step=math.nan)),
+        ("staircase", dict(a_max=math.inf)),
+        ("staircase", dict(error=0.0)),
+        ("staircase", dict(error=1e-12)),
+        ("staircase", dict(tol=-1.0)),
+        ("staircase", dict(tol=math.inf)),
+        ("staircase", dict(simo_n=1, algorithms=("simo",))),
+        ("staircase", dict(algorithms=())),
+        ("staircase", dict(algorithms=("bogus",))),
+        ("staircase", dict(workers=0)),
+        ("interval", dict(family="fmu")),
+        ("interval", dict(a_min=1.0, a_max=0.0)),
+        ("interval", dict(a_steps=0)),
+        ("interval", dict(a_steps=10**8 + 1)),
+        ("interval", dict(omega=math.nan)),
+        ("interval", dict(error=math.nan)),
+        ("tongue", dict(family="fmu")),
+        ("tongue", dict(omega_min=1.0, omega_max=0.0)),
+        ("tongue", dict(omega_steps=0)),
+        ("tongue", dict(a_steps=20000, omega_steps=20000)),
+        ("tongue", dict(omega_max=math.inf)),
+        ("tongue", dict(simo_n=10**7 + 1)),
+    ],
+)
+def test_every_entry_point_rejects_a_bad_config_with_validates_message(problem, overrides, monkeypatch):
+    _small(problem).validate(problem)
+    cfg = _small(problem, **overrides)
+    with pytest.raises(UsageError) as expected:
+        cfg.validate(problem)
+    _no_sweep_runs(monkeypatch)
+    with pytest.raises(UsageError) as raised:
+        _SWEEPS[problem](cfg)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(UsageError) as raised:
+        benchmark(cfg, problems=(problem,))
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, Fraction(10**400), Fraction(-(10**400), 3)])
+def test_tongue_rejects_a_non_finite_target(target, monkeypatch):
+    # a Fraction past the float range would overflow where a cell compares it in floats
+    cfg = _small("tongue", algorithms=("csb", "simo"))
+    _no_sweep_runs(monkeypatch)
+    for run in (
+        lambda: arnold_tongue(replace(cfg, algorithms=("csb",)), target),
+        lambda: benchmark(cfg, problems=("staircase", "tongue"), target=target),
+    ):
+        with pytest.raises(UsageError, match="tongue target must be finite"):
+            run()
+
+
+def test_benchmark_checks_the_family_and_grid_of_an_na_row(monkeypatch):
+    # a simo interval or tongue row runs no sweep, but its config is checked as a csb run's
+    _no_sweep_runs(monkeypatch)
+    for problem, overrides, match in (
+        ("interval", dict(family="fmu"), "interval graphs are defined for"),
+        ("tongue", dict(family="fmu"), "tongues are defined for"),
+        ("interval", dict(a_steps=0), "at least one point"),
+        ("tongue", dict(a_steps=20000, omega_steps=20000), r"\(a, omega\) grid"),
+    ):
+        with pytest.raises(UsageError, match=match):
+            benchmark(_small(problem, algorithms=("simo",), **overrides), problems=("staircase", problem))
 
 
 def test_invert_rejects_iterate_budget(monkeypatch):
