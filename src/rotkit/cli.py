@@ -85,16 +85,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("ROTKIT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"ROTKIT_THREADS must be an integer, got {env!r}") from exc
-    return 1
+def _names(text: str) -> tuple[str, ...]:
+    """The names of a comma list, stripped, empty entries dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 def build_parser() -> _Parser:
@@ -107,7 +100,7 @@ def build_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=1e-10, help="rounding-error guard (default 1e-10)")
     common.add_argument("--out", default="-", help="output CSV path, - for stdout")
     pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--threads", type=int, default=None, help="workers (default $ROTKIT_THREADS or 1)")
+    pooled.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     simo = argparse.ArgumentParser(add_help=False)
     simo.add_argument("--simo-iters", type=int, default=1000, help="iterates for the sorting estimator")
 
@@ -138,7 +131,7 @@ def build_parser() -> _Parser:
     be = sub.add_parser("bench", parents=[common, pooled, simo], help="time the selected algorithms on a problem", allow_abbrev=False)
     be.add_argument("--problem", default="staircase", help="comma list of staircase,interval,tongue")
     be.add_argument("--family", choices=CIRCLE_FAMILIES, default="standard")
-    be.add_argument("--algorithm", default="direct,simo,csb")
+    be.add_argument("--algorithm", dest="algorithms", default="direct,simo,csb", help="comma list of direct,simo,csb")
     be.add_argument("--mu-step", type=float, default=1e-3)
     be.add_argument("--omega", type=float, default=0.0)
     be.add_argument("--a-range", default=f"0:{4 * math.pi}")
@@ -172,13 +165,9 @@ def _check_out(path: str) -> None:
 
 def _config(args: argparse.Namespace) -> SweepConfig:
     """The SweepConfig of a sweep subcommand, from the options it defines; SweepConfig's defaults fill the rest."""
-    fields = {
-        "error": args.error,
-        "tol": args.tol,
-        "algorithms": tuple(a.strip() for a in args.algorithm.split(",") if a.strip()),
-        "workers": _threads(args),
-    }
-    for option, field in (("family", "family"), ("mu_step", "mu_step"), ("omega", "omega"), ("simo_iters", "simo_n")):
+    fields = {"error": args.error, "tol": args.tol, "workers": args.threads}
+    options = {"family": "family", "mu_step": "mu_step", "omega": "omega", "algorithm": "algorithm", "simo_iters": "simo_n"}
+    for option, field in options.items():
         if option in args:
             fields[field] = getattr(args, option)
     if "a_range" in args:
@@ -211,8 +200,8 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "tongue":
         rows, write = arnold_tongue(cfg, parse_rho(args.rho)), write_tongue_csv
     else:
-        problems = tuple(p.strip() for p in args.problem.split(",") if p.strip())
-        rows, write = benchmark(cfg, problems=problems, target=parse_rho(args.rho)), write_benchmark_csv
+        rows = benchmark(cfg, problems=_names(args.problem), algorithms=_names(args.algorithms), target=parse_rho(args.rho))
+        write = write_benchmark_csv
     with _out_stream(args.out) as out:
         failures = write(rows, out)  # the interval and tongue writers count failed cells
     return 2 if failures else 0

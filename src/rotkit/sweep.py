@@ -1,5 +1,7 @@
 """Parameter sweeps over the map families, with deterministic CSV emission.
 
+Each sweep runs the one algorithm its SweepConfig names; only benchmark,
+which times algorithms side by side, takes a list of them (and of problems).
 Each sweep opens with SweepConfig.validate(problem), the one check of its
 preconditions.  Grid cells are independent pure computations, so sweeps
 parallelize over a process pool; results are collected in grid order and the
@@ -60,7 +62,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and estimator settings shared by all sweep operations."""
+    """Grid and estimator settings of a sweep, which runs the one algorithm (of ALGORITHMS) it names."""
 
     family: str = "fmu"
     mu_step: float = 1e-5
@@ -74,7 +76,7 @@ class SweepConfig:
     error: float = DEFAULT_ERROR
     tol: float = DEFAULT_TOL
     simo_n: int = DEFAULT_SIMO_N
-    algorithms: tuple[str, ...] = ("csb",)
+    algorithm: str = "csb"
     workers: int = 1
 
     def validate(self, problem: str, target: "float | Fraction | None" = None) -> None:
@@ -83,11 +85,12 @@ class SweepConfig:
         The one check of a sweep's preconditions, run by each sweep and, for
         every run, by benchmark before the first.  All sweeps need finite
         floats, error > 0, tol >= 0, ceil(1/error) <= MAX_ITERATES, simo_n in
-        [2, MAX_SIMO_N], workers >= 1 and one known algorithm.  A staircase
-        (fmu, mu over [0, 1]) reads mu_step; an interval graph (a
-        CIRCLE_FAMILIES family, not simo) reads a_min, a_max and a_steps; a
-        tongue also omega_min, omega_max, omega_steps and a target within
-        float range.  Each grid has 1 to MAX_GRID_CELLS cells.
+        [2, MAX_SIMO_N], workers >= 1 and an algorithm in ALGORITHMS.  A
+        staircase (fmu, mu over [0, 1]) reads mu_step; an interval graph (a
+        CIRCLE_FAMILIES family, not simo) reads a_min >= 0, a_max and a_steps;
+        a tongue also omega_min, omega_max (a range whose width is a float),
+        omega_steps and a target within float range.  Each grid has 1 to
+        MAX_GRID_CELLS cells.
         """
         for name in ("mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
             value = getattr(self, name)
@@ -100,11 +103,8 @@ class SweepConfig:
         _check_iterates(self.error)
         if not 2 <= self.simo_n <= MAX_SIMO_N:
             raise UsageError(f"simo_n must lie in [2, {MAX_SIMO_N}], got {self.simo_n}")
-        if not self.algorithms:
-            raise UsageError("select at least one algorithm")
-        for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise UsageError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+        if self.algorithm not in ALGORITHMS:
+            raise UsageError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.workers < 1:
             raise UsageError("worker count must be positive")
         if problem == "staircase":
@@ -116,8 +116,6 @@ class SweepConfig:
                 raise UsageError(f"mu_step {self.mu_step} gives a mu grid of more than {MAX_GRID_CELLS} cells")
             if self.family != "fmu":
                 raise UsageError("the staircase sweep is defined for the fmu family")
-            if len(self.algorithms) != 1:
-                raise UsageError("pick exactly one algorithm for a staircase sweep")
             return
         if problem not in ("interval", "tongue"):
             raise UsageError(f"unknown sweep problem {problem!r}")
@@ -125,8 +123,12 @@ class SweepConfig:
         # NaN fails the comparison; a Fraction target is compared in floats when an interval is inexact
         if tongue and target is not None and not abs(target) <= sys.float_info.max:
             raise UsageError(f"tongue target must be finite, got {target}")
+        if self.a_min < 0.0:  # every circle family rejects a < 0; a_max - a_min <= a_max cannot overflow
+            raise UsageError(f"a must be non-negative, got {self.a_min}")
         if self.a_max < self.a_min or (tongue and self.omega_max < self.omega_min):
             raise UsageError("empty parameter range")
+        if tongue and not math.isfinite(self.omega_max - self.omega_min):
+            raise UsageError(f"omega range {self.omega_min}:{self.omega_max} is wider than the largest float")
         omega_steps = self.omega_steps if tongue else 1  # an interval graph is one omega line
         if self.a_steps < 1 or omega_steps < 1:
             raise UsageError("grids need at least one point")
@@ -134,9 +136,7 @@ class SweepConfig:
             raise UsageError(f"a {self.a_steps} x {omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
         if self.family not in CIRCLE_FAMILIES:
             raise UsageError(f"{'tongues' if tongue else 'interval graphs'} are defined for {', '.join(CIRCLE_FAMILIES)}")
-        if len(self.algorithms) != 1:
-            raise UsageError("pick exactly one algorithm for an interval or tongue sweep")
-        if self.algorithms[0] == "simo":
+        if self.algorithm == "simo":
             raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
 
 
@@ -248,7 +248,7 @@ def _estimate_to_row(mu: float, est: RotationEstimate) -> StaircaseRow:
 
 def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
     cfg, mu = task
-    algorithm = cfg.algorithms[0]
+    algorithm = cfg.algorithm
     F = f_mu(mu)
     if algorithm == "csb":
         return _estimate_to_row(mu, rho_csb(F, cfg.error, cfg.tol))
@@ -285,7 +285,7 @@ def _interval_or_none(cfg: SweepConfig, a: float, omega: float) -> RotationInter
     """
     try:
         F = build_lifting(FamilyParams(family=cfg.family, omega=omega, a=a))
-        return rotation_interval(F, cfg.error, cfg.tol, method=cfg.algorithms[0])
+        return rotation_interval(F, cfg.error, cfg.tol, method=cfg.algorithm)
     except InvalidParam:
         raise
     except _CELL_FAILURES:
@@ -397,18 +397,20 @@ def invert_staircase(
 def benchmark(
     cfg: SweepConfig,
     problems: Iterable[str] = ("staircase",),
+    algorithms: Iterable[str] = ("csb",),
     target: "float | Fraction" = Fraction(1, 2),
 ) -> list[BenchmarkRow]:
     """Wall-clock seconds per algorithm per problem at the configured grids.
 
-    The orbit-sorting estimator is only defined for rotation numbers in
-    [0, 1], so interval and tongue problems mark it n/a.  Every run's config
-    is validated before the first run starts.
+    Each run is cfg with the problem's family and one of the algorithms
+    (cfg.algorithm is not read).  The orbit-sorting estimator is only defined
+    for rotation numbers in [0, 1], so interval and tongue problems mark it
+    n/a.  Every run's config is validated before the first run starts.
     """
-    problems = tuple(problems)
+    problems, algorithms = tuple(problems), tuple(algorithms)
     if not problems:
         raise UsageError("select at least one benchmark problem")
-    if not cfg.algorithms:
+    if not algorithms:
         raise UsageError("select at least one algorithm")
     sweeps = {"staircase": devils_staircase, "interval": rotation_interval_graph, "tongue": lambda c: arnold_tongue(c, target)}
     runs = []  # (problem, algorithm, config, n/a); an n/a row keeps a csb config, checked but never run
@@ -416,9 +418,9 @@ def benchmark(
         if problem not in sweeps:
             raise UsageError(f"unknown benchmark problem {problem!r}")
         family = "fmu" if problem == "staircase" else cfg.family
-        for alg in cfg.algorithms:
+        for alg in algorithms:
             na = problem != "staircase" and alg == "simo"
-            sub = replace(cfg, family=family, algorithms=("csb" if na else alg,))
+            sub = replace(cfg, family=family, algorithm="csb" if na else alg)
             sub.validate(problem, target)
             runs.append((problem, alg, sub, na))
     rows: list[BenchmarkRow] = []

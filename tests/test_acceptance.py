@@ -40,7 +40,7 @@ TWO_PI = 2.0 * math.pi
 
 @pytest.fixture(scope="module")
 def staircase_full():
-    cfg = SweepConfig(mu_step=STEP, error=ERROR, tol=TOL, algorithms=("csb",), workers=1)
+    cfg = SweepConfig(mu_step=STEP, error=ERROR, tol=TOL, algorithm="csb", workers=1)
     start = time.perf_counter()
     rows = devils_staircase(cfg)
     elapsed = time.perf_counter() - start

@@ -135,20 +135,21 @@ def test_threads_are_byte_identical(base, tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    out = tmp_path / "env.csv"
-    monkeypatch.setenv("ROTKIT_THREADS", "2")
-    assert main(["staircase", "--mu-step", "0.05", "--error", "1e-4", "--out", str(out)]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["staircase", "--mu-step", "0.05", "--error", "1e-4"],
+        ["invert", "--rho", "1/2", "--eps", "1e-3", "--error", "1e-4"],
+    ],
+    ids=["staircase", "invert"],
+)
+def test_threads_env_is_not_read(argv, tmp_path, monkeypatch):
+    # --threads is the one worker setting: ROTKIT_THREADS, even a malformed one, changes nothing
+    plain, env = tmp_path / "plain.csv", tmp_path / "env.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
     monkeypatch.setenv("ROTKIT_THREADS", "not-a-number")
-    assert main(["staircase", "--mu-step", "0.05", "--error", "1e-4", "--out", str(out)]) == 1
-
-
-def test_invert_does_not_read_threads_env(tmp_path, monkeypatch):
-    # invert starts no pool, so a bad ROTKIT_THREADS is none of its business
-    monkeypatch.setenv("ROTKIT_THREADS", "x")
-    out = tmp_path / "inv.csv"
-    assert main(["invert", "--rho", "1/2", "--eps", "1e-3", "--error", "1e-4", "--out", str(out)]) == 0
-    assert ",ok," in out.read_text().splitlines()[1]
+    assert main([*argv, "--out", str(env)]) == 0
+    assert env.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -323,6 +324,10 @@ def test_unwritable_out_exits_one(where, tmp_path, capsys, monkeypatch):
         ["bench", "--problem", "tongue", "--steps", "100000"],
         ["bench", "--problem", "staircase,bogus", "--algorithm", "direct", "--mu-step", "1e-3", "--error", "1e-5"],
         ["bench", "--problem", ","],
+        ["staircase", "--algorithm", "csb,direct"],
+        ["interval", "--family", "pwl", "--a-range", "-1:1"],
+        ["tongue", "--family", "pwl", "--a-range", "-1:1", "--threads", "2"],
+        ["tongue", "--family", "pwl", "--rho", "1/2", "--steps", "3", "--omega-range", "-1e308:1e308"],
     ],
 )
 def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch):
@@ -346,13 +351,13 @@ def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch)
         (
             "staircase",
             "--mu-step 0.125 --algorithm direct --simo-iters 77",
-            dict(family="fmu", mu_step=0.125, simo_n=77, algorithms=("direct",)),
+            dict(family="fmu", mu_step=0.125, simo_n=77, algorithm="direct"),
             (),
         ),
         (
             "interval",
             "--family pwl --omega 0.3 --a-range 1:2 --steps 7 --algorithm direct",
-            dict(family="pwl", omega=0.3, a_min=1.0, a_max=2.0, a_steps=7, algorithms=("direct",)),
+            dict(family="pwl", omega=0.3, a_min=1.0, a_max=2.0, a_steps=7, algorithm="direct"),
             (),
         ),
         (
@@ -366,7 +371,7 @@ def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch)
                 omega_min=0.25,
                 omega_max=0.75,
                 omega_steps=7,
-                algorithms=("direct",),
+                algorithm="direct",
             ),
             (Fraction(2, 5),),
         ),
@@ -385,9 +390,8 @@ def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch)
                 omega_max=0.75,
                 omega_steps=7,
                 simo_n=77,
-                algorithms=("csb", "direct"),
             ),
-            (("interval", "tongue"), Fraction(1, 3)),
+            (("interval", "tongue"), ("csb", "direct"), Fraction(1, 3)),
         ),
     ],
 )
@@ -402,13 +406,13 @@ def test_every_option_reaches_the_sweep_config(command, options, fields, rest, t
     monkeypatch.setattr(cli, "devils_staircase", lambda cfg: seen.append((cfg,)) or [])
     monkeypatch.setattr(cli, "rotation_interval_graph", lambda cfg: seen.append((cfg,)) or [])
     monkeypatch.setattr(cli, "arnold_tongue", lambda cfg, target: seen.append((cfg, target)) or [])
-    monkeypatch.setattr(cli, "benchmark", lambda cfg, problems, target: seen.append((cfg, problems, target)) or [])
+    monkeypatch.setattr(cli, "benchmark", lambda cfg, problems, algorithms, target: seen.append((cfg, problems, algorithms, target)) or [])
     argv = [command, *options.split(), "--error", "1e-3", "--tol", "1e-9", "--out", str(tmp_path / "x.csv")]
     expected = SweepConfig(error=1e-3, tol=1e-9, workers=3, **fields)
     monkeypatch.setenv("ROTKIT_THREADS", "5")
     assert main([*argv, "--threads", "3"]) == 0
-    assert main(argv) == 0  # without --threads, ROTKIT_THREADS applies
-    assert seen == [(expected, *rest), (dataclasses.replace(expected, workers=5), *rest)]
+    assert main(argv) == 0  # without --threads, one worker: ROTKIT_THREADS is not read
+    assert seen == [(expected, *rest), (dataclasses.replace(expected, workers=1), *rest)]
 
 
 def test_interval_grid_budget_counts_one_omega_line(tmp_path, monkeypatch):

@@ -143,7 +143,7 @@ def test_sweeps_hand_the_harness_lists_of_readable_picklable_rows():
     from rotkit.sweep import SweepConfig, arnold_tongue, devils_staircase
 
     stairs = devils_staircase(SweepConfig(mu_step=0.25, error=1e-3))
-    simo = devils_staircase(SweepConfig(mu_step=0.25, algorithms=("simo",), simo_n=50))
+    simo = devils_staircase(SweepConfig(mu_step=0.25, algorithm="simo", simo_n=50))
     tongue = arnold_tongue(SweepConfig(family="pwl", a_steps=2, omega_steps=2, error=1e-3), Fraction(1, 2))
     for rows in (stairs, simo, tongue):
         assert type(rows) is list and rows

@@ -32,7 +32,7 @@ FAST = dict(error=1e-4, tol=1e-10)
 
 
 def _cfg(**kw):
-    base = dict(family="fmu", mu_step=1e-3, algorithms=("csb",), workers=1, **FAST)
+    base = dict(family="fmu", mu_step=1e-3, algorithm="csb", workers=1, **FAST)
     base.update(kw)
     return SweepConfig(**base)
 
@@ -87,6 +87,13 @@ def test_config_has_no_mu_range():
         SweepConfig(mu_max=1.0)
 
 
+def test_config_names_one_algorithm():
+    # a sweep runs one algorithm; only benchmark takes a list
+    assert SweepConfig().algorithm == "csb"
+    with pytest.raises(TypeError):
+        SweepConfig(algorithms=("csb",))
+
+
 def _validate_every_sweep(cfg):
     """validate(problem) of each sweep, on cfg with a family that sweep takes."""
     for problem in ("staircase", "interval", "tongue"):
@@ -121,8 +128,9 @@ def test_config_rejects_non_finite_grid_values(field):
         (dict(simo_n=10**7 + 1), "simo_n"),
         (dict(omega_min=0.5, omega_max=0.25), "empty parameter range"),
         (dict(a_min=1.0, a_max=0.0), "empty parameter range"),
-        (dict(algorithms=("csb", "bogus")), "unknown algorithm 'bogus'"),
+        (dict(algorithm="bogus"), "unknown algorithm 'bogus'"),
         (dict(workers=0), "worker count must be positive"),
+        (dict(algorithm="csb,direct"), "unknown algorithm 'csb,direct'"),
     ],
 )
 def test_config_rejects_budgets_that_could_never_finish(overrides, match):
@@ -184,9 +192,15 @@ def test_each_sweep_checks_only_the_ranges_it_reads():
     tongue = dict(family="pwl", a_steps=2, omega_steps=2, error=1e-3)
     for overrides in (dict(mu_step=0.0), dict(mu_step=-1.0)):
         assert len(arnold_tongue(SweepConfig(**tongue, **overrides), Fraction(1, 2))) == 4
-        interval = SweepConfig(family="pwl", a_steps=2, error=1e-3, omega_min=1.0, omega_max=0.0, **overrides)
-        assert [r.status for r in rotation_interval_graph(interval)] == ["ok", "ok"]
-    for overrides in (dict(a_min=1.0, a_max=0.0), dict(omega_min=1.0, omega_max=0.0)):
+        for omega_range in (dict(omega_min=1.0, omega_max=0.0), dict(omega_min=-1e308, omega_max=1e308)):
+            interval = SweepConfig(family="pwl", a_steps=2, error=1e-3, **omega_range, **overrides)
+            assert [r.status for r in rotation_interval_graph(interval)] == ["ok", "ok"]
+    for overrides in (
+        dict(a_min=1.0, a_max=0.0),
+        dict(a_min=-1.0),
+        dict(omega_min=1.0, omega_max=0.0),
+        dict(omega_min=-1e308, omega_max=1e308),
+    ):
         assert len(devils_staircase(_cfg(mu_step=0.5, **overrides))) == 3
     # and each still rejects the ranges and steps it does read
     for overrides in (dict(mu_step=0.0), dict(mu_step=-1.0)):
@@ -219,7 +233,7 @@ def _no_sweep_runs(monkeypatch):
 
 
 # configs one sweep rejects, each with a value benchmark hands that sweep unchanged
-# (benchmark runs a staircase as fmu, splits the algorithms and marks interval or tongue simo n/a)
+# (benchmark runs a staircase as fmu, sets each algorithm of its list and marks interval or tongue simo n/a)
 @pytest.mark.parametrize(
     "problem, overrides",
     [
@@ -232,9 +246,9 @@ def _no_sweep_runs(monkeypatch):
         ("staircase", dict(error=1e-12)),
         ("staircase", dict(tol=-1.0)),
         ("staircase", dict(tol=math.inf)),
-        ("staircase", dict(simo_n=1, algorithms=("simo",))),
-        ("staircase", dict(algorithms=())),
-        ("staircase", dict(algorithms=("bogus",))),
+        ("staircase", dict(simo_n=1, algorithm="simo")),
+        ("staircase", dict(algorithm="")),
+        ("staircase", dict(algorithm="bogus")),
         ("staircase", dict(workers=0)),
         ("interval", dict(family="fmu")),
         ("interval", dict(a_min=1.0, a_max=0.0)),
@@ -248,6 +262,9 @@ def _no_sweep_runs(monkeypatch):
         ("tongue", dict(a_steps=20000, omega_steps=20000)),
         ("tongue", dict(omega_max=math.inf)),
         ("tongue", dict(simo_n=10**7 + 1)),
+        ("interval", dict(a_min=-1.0)),
+        ("tongue", dict(a_min=-1.0)),
+        ("tongue", dict(omega_min=-1e308, omega_max=1e308)),
     ],
 )
 def test_every_entry_point_rejects_a_bad_config_with_validates_message(problem, overrides, monkeypatch):
@@ -260,18 +277,34 @@ def test_every_entry_point_rejects_a_bad_config_with_validates_message(problem, 
         _SWEEPS[problem](cfg)
     assert str(raised.value) == str(expected.value)
     with pytest.raises(UsageError) as raised:
-        benchmark(cfg, problems=(problem,))
+        benchmark(cfg, problems=(problem,), algorithms=(cfg.algorithm,))
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "problem, overrides, message",
+    [
+        ("interval", dict(a_min=-1.0), "a must be non-negative, got -1.0"),
+        ("tongue", dict(a_min=-1.0), "a must be non-negative, got -1.0"),
+        ("tongue", dict(omega_min=-1e308, omega_max=1e308), "omega range -1e+308:1e+308 is wider than the largest float"),
+    ],
+    ids=["interval-a", "tongue-a", "tongue-omega-range"],
+)
+def test_cell_preconditions_are_checked_before_the_grid(problem, overrides, message):
+    # unchecked, the first cell's build_lifting raises InvalidParam, or _linspace steps by inf
+    with pytest.raises(UsageError) as raised:
+        _small(problem, **overrides).validate(problem)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, Fraction(10**400), Fraction(-(10**400), 3)])
 def test_tongue_rejects_a_non_finite_target(target, monkeypatch):
     # a Fraction past the float range would overflow where a cell compares it in floats
-    cfg = _small("tongue", algorithms=("csb", "simo"))
+    cfg = _small("tongue")
     _no_sweep_runs(monkeypatch)
     for run in (
-        lambda: arnold_tongue(replace(cfg, algorithms=("csb",)), target),
-        lambda: benchmark(cfg, problems=("staircase", "tongue"), target=target),
+        lambda: arnold_tongue(cfg, target),
+        lambda: benchmark(cfg, problems=("staircase", "tongue"), algorithms=("csb", "simo"), target=target),
     ):
         with pytest.raises(UsageError, match="tongue target must be finite"):
             run()
@@ -287,7 +320,7 @@ def test_benchmark_checks_the_family_and_grid_of_an_na_row(monkeypatch):
         ("tongue", dict(a_steps=20000, omega_steps=20000), r"\(a, omega\) grid"),
     ):
         with pytest.raises(UsageError, match=match):
-            benchmark(_small(problem, algorithms=("simo",), **overrides), problems=("staircase", problem))
+            benchmark(_small(problem, **overrides), problems=("staircase", problem), algorithms=("simo",))
 
 
 def test_invert_rejects_iterate_budget(monkeypatch):
@@ -334,7 +367,7 @@ def test_staircase_monotone_within_bounds():
 
 def test_staircase_algorithms_agree():
     cfg_csb = _cfg(mu_step=1e-2)
-    cfg_dir = _cfg(mu_step=1e-2, algorithms=("direct",))
+    cfg_dir = _cfg(mu_step=1e-2, algorithm="direct")
     rows_c = devils_staircase(cfg_csb)
     rows_d = devils_staircase(cfg_dir)
     for rc, rd in zip(rows_c, rows_d):
@@ -342,7 +375,7 @@ def test_staircase_algorithms_agree():
 
 
 def test_staircase_simo_rows():
-    rows = devils_staircase(_cfg(mu_step=0.05, algorithms=("simo",), simo_n=500))
+    rows = devils_staircase(_cfg(mu_step=0.05, algorithm="simo", simo_n=500))
     assert len(rows) == 21
     # plateau points close onto cycles and come back exact via detection
     assert any(r.kind == "exact" for r in rows)
@@ -350,7 +383,7 @@ def test_staircase_simo_rows():
         if r.kind == "approx":
             assert r.error_bound is not None and r.error_bound >= 0.0
     # at simo_n = 2 five of the nine orbits end in a bracket: the row is its midpoint and half-width
-    rows = devils_staircase(_cfg(mu_step=0.125, error=1e-3, algorithms=("simo",), simo_n=2))
+    rows = devils_staircase(_cfg(mu_step=0.125, error=1e-3, algorithm="simo", simo_n=2))
     brackets = [r for r in rows if r.kind == "approx"]
     assert len(rows) == 9 and len(brackets) == 5
     for r in brackets:
@@ -365,11 +398,7 @@ def test_staircase_worker_determinism():
     assert rows1 == rows2
 
 
-def test_staircase_rejects_multi_algorithm():
-    with pytest.raises(UsageError):
-        devils_staircase(_cfg(algorithms=("csb", "direct")))
-    with pytest.raises(UsageError):
-        devils_staircase(_cfg(algorithms=()))
+def test_staircase_rejects_a_circle_family():
     with pytest.raises(UsageError, match="fmu family"):
         devils_staircase(_cfg(family="pwl"))
 
@@ -396,16 +425,7 @@ def test_interval_graph_family_validation():
     with pytest.raises(UsageError):
         rotation_interval_graph(_cfg(family="fmu"))
     with pytest.raises(UsageError):
-        rotation_interval_graph(_cfg(family="disc", algorithms=("simo",)))
-
-
-@pytest.mark.parametrize("algorithms", [("direct", "csb"), ("csb", "direct"), ("csb", "csb")])
-def test_interval_and_tongue_reject_multi_algorithm(algorithms):
-    cfg = _cfg(family="pwl", a_steps=1, omega_steps=1, algorithms=algorithms)
-    with pytest.raises(UsageError, match="exactly one algorithm"):
-        rotation_interval_graph(cfg)
-    with pytest.raises(UsageError, match="exactly one algorithm"):
-        arnold_tongue(cfg, Fraction(1, 2))
+        rotation_interval_graph(_cfg(family="disc", algorithm="simo"))
 
 
 def test_tongue_zero_omega_line_and_rigid_row():
@@ -502,22 +522,22 @@ def test_invert_rejects_non_finite_eps(eps):
 def test_benchmark_rows():
     # grid dense enough that per-cell estimator cost dominates the two
     # max_iter fallbacks at mu = 0 and mu = 1
-    cfg = _cfg(mu_step=2e-3, algorithms=("direct", "simo", "csb"), simo_n=1000)
-    rows = benchmark(cfg, problems=("staircase",))
+    cfg = _cfg(mu_step=2e-3, simo_n=1000)
+    rows = benchmark(cfg, problems=("staircase",), algorithms=("direct", "simo", "csb"))
     by_alg = {r.algorithm: r for r in rows}
     assert set(by_alg) == {"direct", "simo", "csb"}
     assert all(r.status == "ok" for r in rows)
     assert by_alg["csb"].seconds < by_alg["direct"].seconds
     assert by_alg["csb"].seconds < by_alg["simo"].seconds
 
-    cfg = _cfg(family="standard", a_min=0.0, a_max=2.0, a_steps=3, algorithms=("direct", "simo", "csb"))
-    rows = benchmark(cfg, problems=("interval",))
+    cfg = _cfg(family="standard", a_min=0.0, a_max=2.0, a_steps=3)
+    rows = benchmark(cfg, problems=("interval",), algorithms=("direct", "simo", "csb"))
     by_alg = {r.algorithm: r for r in rows}
     assert by_alg["simo"].status == "n/a" and by_alg["simo"].seconds is None
     assert by_alg["direct"].status == "ok" and by_alg["csb"].status == "ok"
 
-    cfg = _cfg(family="pwl", a_steps=2, omega_steps=2, error=1e-3, algorithms=("csb", "simo"))
-    rows = benchmark(cfg, problems=("tongue",))
+    cfg = _cfg(family="pwl", a_steps=2, omega_steps=2, error=1e-3)
+    rows = benchmark(cfg, problems=("tongue",), algorithms=("csb", "simo"))
     assert [(r.problem, r.family, r.algorithm, r.status) for r in rows] == [
         ("tongue", "pwl", "csb", "ok"),
         ("tongue", "pwl", "simo", "n/a"),
@@ -527,12 +547,12 @@ def test_benchmark_rows():
 
 def test_benchmark_validation():
     with pytest.raises(UsageError):
-        benchmark(_cfg(algorithms=()), problems=("staircase",))
+        benchmark(_cfg(), problems=("staircase",), algorithms=())
     with pytest.raises(UsageError):
         benchmark(_cfg(), problems=("nonsense",))
     # a simo-only interval benchmark runs no sweep, so the family is checked up front
     with pytest.raises(UsageError, match="defined for"):
-        benchmark(_cfg(family="fmu", algorithms=("simo",)), problems=("interval",))
+        benchmark(_cfg(family="fmu"), problems=("interval",), algorithms=("simo",))
 
 
 def test_csv_headers_and_roundtrip():
