@@ -25,8 +25,8 @@ back.  Both paths double as cross-checks for the analytic forms.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -41,22 +41,28 @@ class NumericEnvelopeFailure(RuntimeError):
     """Grid refinement could not certify a monotone envelope to tolerance."""
 
 
-@dataclass(frozen=True)
-class ConstantSection:
+class ConstantSection(NamedTuple("_Section", [("alpha", float), ("beta", float)])):
     """A closed interval [alpha, beta] on which a monotone lifting is constant.
 
     alpha may be negative when the section straddles an integer.  Sections
-    found numerically store the refined true endpoints.
+    found numerically store the refined true endpoints.  Non-finite, reversed
+    and too wide pairs are rejected, by _make and _replace too.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.beta < self.alpha:
-            raise ValueError(f"empty section: [{self.alpha}, {self.beta}]")
-        if self.beta - self.alpha >= 1.0:
+    def __new__(cls, alpha: float, beta: float) -> "ConstantSection":
+        if not 0.0 <= beta - alpha < 1.0:  # an inf or NaN endpoint makes the width inf, -inf or NaN
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise ValueError(f"section endpoints must be finite, got [{alpha}, {beta}]")
+            if beta < alpha:
+                raise ValueError(f"empty section: [{alpha}, {beta}]")
             raise ValueError("constant section of a degree-one lifting has diameter < 1")
+        return tuple.__new__(cls, (alpha, beta))
+
+    @classmethod
+    def _make(cls, iterable) -> "ConstantSection":
+        return cls(*iterable)
 
     @property
     def width(self) -> float:

@@ -25,9 +25,9 @@ that rational coefficient via a_over_2pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .envelope import ConstantSection, MonotoneEnvelope, _exact_envelope_knots, _root_on_increasing
 from .lifting import Lifting, _knot_evaluator
@@ -408,8 +408,7 @@ def counterexample_map() -> Lifting:
 CIRCLE_FAMILIES = {"standard": standard_map, "pwl": pwl_standard, "disc": disc_standard}
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Picklable family selector so sweep workers can rebuild liftings."""
 
     family: str

@@ -9,24 +9,22 @@ which gives F(x + 1) = F(x) + 1 for all x.  evaluate and evaluate_exact
 apply that rule in floats and in rationals; orbits are iterated by the
 estimators in rotnum, each with its own floor/fraction loop.  F may jump,
 but only downward (a heavy lifting), so its monotone envelopes stay
-continuous.  All objects here are immutable and every operation is pure, so
-liftings can be shared freely between worker processes.
+continuous.  A Lifting is an immutable typing.NamedTuple and every operation
+is pure, so liftings can be shared freely between worker processes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
     from .envelope import MonotoneEnvelope
 
 
-@dataclass(frozen=True)
-class Lifting:
+class Lifting(NamedTuple):
     """A degree-one lifting given by its fundamental-domain restriction.
 
     fundamental evaluates F|[0,1] in floats; the orbit estimators require
@@ -34,16 +32,15 @@ class Lifting:
     restriction in exact rational arithmetic (Fraction in, Fraction out) and
     is what oracle-style cross checks use.  envelope_builder, when present,
     is called as envelope_builder(F, upper) and returns F's upper envelope
-    when upper is true, its lower one otherwise.
+    when upper is true, its lower one otherwise.  Equality, hash and repr
+    cover all five fields.
     """
 
     fundamental: Callable[[float], float]
     is_non_decreasing: bool
     label: str
     fundamental_exact: Callable[[Fraction], Fraction] | None = None
-    envelope_builder: Callable[["Lifting", bool], "MonotoneEnvelope"] | None = field(
-        default=None, repr=False, compare=False
-    )
+    envelope_builder: Callable[["Lifting", bool], "MonotoneEnvelope"] | None = None
 
 
 def evaluate(F: Lifting, x: float) -> float:

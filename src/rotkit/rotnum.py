@@ -45,7 +45,6 @@ bit-identical outputs regardless of process or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -66,14 +65,17 @@ class InvalidSection(ValueError):
 class PeriodicOrbitDetected(Exception):
     """Two orbit points share a fractional part: a lifted cycle was hit.
 
-    The exact rotation number of the cycle is carried on the exception.
+    The exception's args are the cycle's exact rotation number and iterates (rotation, i, j).
     """
 
     def __init__(self, rotation: Fraction, i: int, j: int):
         self.rotation = rotation
         self.i = i
         self.j = j
-        super().__init__(f"periodic orbit: rho = {rotation} from iterates {i} and {j}")
+        super().__init__(rotation, i, j)
+
+    def __str__(self) -> str:
+        return f"periodic orbit: rho = {self.rotation} from iterates {self.i} and {self.j}"
 
 
 class RotationEstimate(NamedTuple):
@@ -82,8 +84,8 @@ class RotationEstimate(NamedTuple):
     Exact estimates keep the raw pair (m, n) as produced by the hit; the
     reduced form is available as as_fraction.  Their error bound is 0.0,
     conditional on the rounding-error-below-tol assumption of the
-    constant-section algorithm.  A NamedTuple: one is built per estimate,
-    and a tuple is cheaper to build and to pickle than a frozen dataclass.
+    constant-section algorithm.  A NamedTuple, like every rotkit record: one
+    is built per estimate, and a tuple is the cheapest record to build.
     """
 
     kind: str  # "exact" or "approx"
@@ -112,16 +114,14 @@ class RotationEstimate(NamedTuple):
         return Fraction(self.m, self.n)
 
 
-@dataclass(frozen=True)
-class RotationInterval:
+class RotationInterval(NamedTuple):
     """Estimates for the endpoints [rho(lower map), rho(upper map)]."""
 
     lower: RotationEstimate
     upper: RotationEstimate
 
 
-@dataclass(frozen=True)
-class SimoBracket:
+class SimoBracket(NamedTuple):
     """Lower/upper bounds for the rotation number from n sorted iterates."""
 
     rho_min: float

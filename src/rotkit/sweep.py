@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -60,8 +59,7 @@ class UsageError(ValueError):
     """Bad sweep configuration (empty grid, unknown algorithm, ...)."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Grid and estimator settings of a sweep, which runs the one algorithm (of ALGORITHMS) it names."""
 
     family: str = "fmu"
@@ -420,7 +418,7 @@ def benchmark(
         family = "fmu" if problem == "staircase" else cfg.family
         for alg in algorithms:
             na = problem != "staircase" and alg == "simo"
-            sub = replace(cfg, family=family, algorithm="csb" if na else alg)
+            sub = cfg._replace(family=family, algorithm="csb" if na else alg)
             sub.validate(problem, target)
             runs.append((problem, alg, sub, na))
     rows: list[BenchmarkRow] = []

@@ -111,6 +111,17 @@ def test_import_leaves_csv_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_dataclasses_out():
+    # every record is a NamedTuple; dataclasses would also pull in inspect
+    import rotkit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rotkit.__file__).resolve().parents[1])}
+    code = "import sys, rotkit.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 @pytest.mark.parametrize(
     "base",
     [
@@ -397,8 +408,6 @@ def test_budgets_exit_one_before_allocating(argv, tmp_path, capsys, monkeypatch)
 )
 def test_every_option_reaches_the_sweep_config(command, options, fields, rest, tmp_path, monkeypatch):
     # the SweepConfig main hands to the sweep when every option is away from its default
-    import dataclasses
-
     import rotkit.cli as cli
     from rotkit.sweep import SweepConfig
 
@@ -412,7 +421,7 @@ def test_every_option_reaches_the_sweep_config(command, options, fields, rest, t
     monkeypatch.setenv("ROTKIT_THREADS", "5")
     assert main([*argv, "--threads", "3"]) == 0
     assert main(argv) == 0  # without --threads, one worker: ROTKIT_THREADS is not read
-    assert seen == [(expected, *rest), (dataclasses.replace(expected, workers=1), *rest)]
+    assert seen == [(expected, *rest), (expected._replace(workers=1), *rest)]
 
 
 def test_interval_grid_budget_counts_one_omega_line(tmp_path, monkeypatch):

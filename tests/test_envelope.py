@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -59,7 +58,7 @@ def test_monotone_map_is_its_own_envelope():
 def test_envelope_source_says_where_the_envelope_came_from():
     # a family's builder states its envelopes; a builderless map's sections come from the grid scan
     F = f_mu(0.3)
-    scanned = dataclasses.replace(F, envelope_builder=None)
+    scanned = F._replace(envelope_builder=None)
     assert upper_map(F).source == lower_map(F).source == "analytic"
     assert upper_map(scanned).source == lower_map(scanned).source == "numeric"
     assert upper_map(scanned).lifting is scanned
@@ -195,7 +194,7 @@ def test_envelope_idempotence():
     for F in (standard_map(0, TWO_PI), pwl_standard(0.2, 7.0)):
         for envelope_map in (upper_map, lower_map):
             env = envelope_map(F)
-            again = envelope_map(dataclasses.replace(env.lifting, is_non_decreasing=False))
+            again = envelope_map(env.lifting._replace(is_non_decreasing=False))
             assert again.source == "numeric"
             for i in range(1001):
                 x = i / 1000
@@ -251,7 +250,7 @@ def test_reparametrize_section_too_small():
     def tiny_section(G, upper):
         return MonotoneEnvelope(G, (ConstantSection(0.5, 0.5 + 1e-12),), "analytic")
 
-    tiny = dataclasses.replace(F, envelope_builder=tiny_section)
+    tiny = F._replace(envelope_builder=tiny_section)
     est = rho_csb(tiny, 1e-4, tol)
     assert est == rho_direct(F, 1e-4)
     assert est.kind == "approx"
@@ -290,6 +289,32 @@ def test_constant_section_validation():
         ConstantSection(0.5, 0.4)
     with pytest.raises(ValueError):
         ConstantSection(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        (0.5, 0.4, "empty section: [0.5, 0.4]"),
+        (0.0, 1.0, "constant section of a degree-one lifting has diameter < 1"),
+        (math.nan, math.nan, "section endpoints must be finite, got [nan, nan]"),
+        (0.0, math.nan, "section endpoints must be finite, got [0.0, nan]"),
+        (-math.inf, -math.inf, "section endpoints must be finite, got [-inf, -inf]"),
+        (math.inf, math.inf, "section endpoints must be finite, got [inf, inf]"),
+    ],
+)
+def test_constant_section_rejects_bad_endpoints_in_every_constructor(alpha, beta, message):
+    # NaN fails both order checks and inf - inf is NaN, so finiteness is checked first
+    good = ConstantSection(0.25, 0.5)
+    for build in (
+        lambda: ConstantSection(alpha, beta),
+        lambda: ConstantSection(alpha=alpha, beta=beta),
+        lambda: good._replace(alpha=alpha, beta=beta),
+        lambda: ConstantSection._make((alpha, beta)),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    assert good == (0.25, 0.5) and good._replace(beta=0.75) == ConstantSection(0.25, 0.75)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ side.  A profiler's call events count the Python frames an estimate runs:
 one per executed iterate plus a fixed few, whatever the hardware.
 """
 
-import dataclasses
 import math
 import sys
 from collections import Counter
@@ -172,7 +171,7 @@ def _counted_run(estimator, F, *args, **kwargs):
         count += 1
         return fund(x)
 
-    est = estimator(dataclasses.replace(F, fundamental=counted), *args, **kwargs)
+    est = estimator(F._replace(fundamental=counted), *args, **kwargs)
     return est, count
 
 

@@ -5,14 +5,22 @@ from fractions import Fraction
 import pytest
 
 from rotkit import (
+    GOLDEN_MEAN,
+    ConstantSection,
+    FamilyParams,
+    RotationInterval,
+    SimoBracket,
     counterexample_map,
     evaluate,
     evaluate_exact,
     f_mu,
     rho_direct,
+    rho_simo,
+    rotation_interval,
     standard_map,
 )
 from rotkit.lifting import Lifting
+from rotkit.sweep import SweepConfig
 
 
 def test_split_floor_uses_mathematical_floor():
@@ -129,3 +137,28 @@ def test_exact_evaluator_missing():
     F = standard_map(0.1, 2.0)
     with pytest.raises(ValueError):
         evaluate_exact(F, Fraction(1, 2))
+
+
+def test_records_are_immutable_picklable_named_tuples():
+    # every record is a tuple: the cheapest to build, copied with _replace
+    import pickle
+
+    records = {
+        Lifting: f_mu(0.3),
+        ConstantSection: ConstantSection(0.75, 1.0),
+        RotationInterval: rotation_interval(standard_map(0.3, 2.0), 1e-4),
+        SimoBracket: rho_simo(standard_map(GOLDEN_MEAN, 0.0), 500),
+        FamilyParams: FamilyParams("pwl", 0.3, 1.0),
+        SweepConfig: SweepConfig(mu_step=0.5),
+    }
+    for kind, record in records.items():
+        assert type(record) is kind and isinstance(record, tuple)
+        first = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, first, getattr(record, first))
+        copy = record._replace(**{first: getattr(record, first)})
+        assert type(copy) is kind and copy == record
+        if kind is not Lifting:  # a family's fundamental is a closure
+            assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(TypeError):
+        SweepConfig(mu_min=0.0)

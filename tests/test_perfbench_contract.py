@@ -84,7 +84,6 @@ def test_each_tongue_cell_builds_each_envelope_side_once_through_the_traced_name
     # that metric quietly empty.  A non-monotone cell calls each once, and each
     # call runs the lifting's builder for its one side; a non-decreasing cell
     # is its own envelope, taken once through lower_map.
-    import dataclasses
     from fractions import Fraction
 
     import rotkit.rotnum as rotnum
@@ -114,7 +113,7 @@ def test_each_tongue_cell_builds_each_envelope_side_once_through_the_traced_name
     def build(params):
         F = real_build(params)
         events.append(("cell", F.is_non_decreasing))
-        return dataclasses.replace(F, envelope_builder=counted_builder(F.envelope_builder))
+        return F._replace(envelope_builder=counted_builder(F.envelope_builder))
 
     monkeypatch.setattr(sweep, "build_lifting", build)
     for name in ("upper_map", "lower_map"):

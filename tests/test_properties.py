@@ -18,7 +18,6 @@ rational PL knots, continuous or heavy, the exact upper and lower maps derived
 from the knots must have the same four properties, exactly.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -199,7 +198,7 @@ def test_numeric_envelopes_of_random_pl_maps(seed, knots):
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(values[-1] - values[0] - 1.0) <= 1e-12
         # built again from the envelope, taken as a map of unknown monotonicity
-        again = envelope_map(dataclasses.replace(env.lifting, is_non_decreasing=False)).lifting
+        again = envelope_map(env.lifting._replace(is_non_decreasing=False)).lifting
         assert max(abs(again.fundamental(x) - v) for x, v in zip(grid, values)) <= 1e-12
 
 

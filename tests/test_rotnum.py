@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -166,7 +165,7 @@ def test_plain_rho_direct_runs_every_iterate_and_fallback_stops():
         calls[0] += 1
         return _f(x)
 
-    S = dataclasses.replace(base, fundamental=counting)
+    S = base._replace(fundamental=counting)
     for error in (1e-3, 1e-4, 3e-5):
         calls[0] = 0
         rho_direct(S, error)
@@ -216,6 +215,18 @@ def test_rho_simo_detects_rational_cycle():
     with pytest.raises(PeriodicOrbitDetected) as info:
         rho_simo(_rigid(1.0 / 3.0), 1000)
     assert info.value.rotation == Fraction(1, 3)
+
+
+def test_periodic_orbit_detected_pickles_with_its_cycle():
+    # a pool worker's exception reaches the parent through pickle
+    import pickle
+
+    exc = PeriodicOrbitDetected(Fraction(5, 11), 3, 14)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is PeriodicOrbitDetected
+    assert (back.rotation, back.i, back.j) == (Fraction(5, 11), 3, 14)
+    assert back.args == (Fraction(5, 11), 3, 14)
+    assert str(back) == str(exc) == "periodic orbit: rho = 5/11 from iterates 3 and 14"
 
 
 def test_rho_simo_shift_is_added_back():
@@ -295,8 +306,8 @@ SIMO_EDGE_MAPS = {
     "pwl(-2.6, 1)": lambda: pwl_standard(-2.6, 1.0),
     # 0 -> 3/8 -> 5/8 -> 1/4 -> 5/8: the checkpoint at 2 opens the cycle, so
     # only the fill repeats a state, and 1/4 sorts below 5/8
-    "2-cycle after 2": lambda: dataclasses.replace(
-        pl_lifting([0, 0.25, 0.375, 0.625, 1], [0.375, 0.625, 0.625, 1.25, 1.375]), is_non_decreasing=True
+    "2-cycle after 2": lambda: pl_lifting([0, 0.25, 0.375, 0.625, 1], [0.375, 0.625, 0.625, 1.25, 1.375])._replace(
+        is_non_decreasing=True
     ),
 }
 
@@ -689,7 +700,7 @@ def _two_cycle_map():
     # flat on [0.4, 0.5] and flagged non-decreasing, with no envelope builder;
     # the attracting float 2-cycle {1/4, 3/4} + Z misses the section
     F = pl_lifting([0, 0.4, 0.5, 0.6, 0.9, 1], [0.625, 0.825, 0.825, 1.175, 1.325, 1.625])
-    return dataclasses.replace(F, is_non_decreasing=True)
+    return F._replace(is_non_decreasing=True)
 
 
 def _counting(F):
@@ -700,7 +711,7 @@ def _counting(F):
         calls[0] += 1
         return fund(x)
 
-    return dataclasses.replace(F, fundamental=counted), calls
+    return F._replace(fundamental=counted), calls
 
 
 def test_leftover_steps_after_a_repeat_are_bit_identical():
@@ -733,7 +744,7 @@ def test_leftover_steps_after_a_repeat_are_bit_identical():
 def test_rho_csb_of_builderless_fmu_matches_registered(mu):
     # upper_map scans a builderless non-decreasing map for its own sections
     registered = rho_csb(f_mu(mu), 1e-4)
-    scanned = rho_csb(dataclasses.replace(f_mu(mu), envelope_builder=None), 1e-4)
+    scanned = rho_csb(f_mu(mu)._replace(envelope_builder=None), 1e-4)
     assert (scanned.kind, scanned.m, scanned.n) == (registered.kind, registered.m, registered.n)
 
 
@@ -766,7 +777,7 @@ def test_rotation_interval_builds_self_envelope_once(monkeypatch):
         return real(E)
 
     monkeypatch.setattr(envelope, "find_maximal_sections", counting)
-    builderless = dataclasses.replace(standard_map(0.3, 0.5), envelope_builder=None)
+    builderless = standard_map(0.3, 0.5)._replace(envelope_builder=None)
     ri = rotation_interval(builderless, 1e-4)
     assert len(scans) == 1
     assert ri.lower == ri.upper
@@ -821,7 +832,7 @@ def test_rotation_interval_pwl_degenerate_until_half_pi():
     ids=["pwl", "readme-standard", "disc"],
 )
 def test_rotation_interval_numeric_envelope_path_matches_registered(F):
-    plain = dataclasses.replace(F, envelope_builder=None)
+    plain = F._replace(envelope_builder=None)
     a = rotation_interval(F, 1e-4, 1e-10)
     b = rotation_interval(plain, 1e-4, 1e-10)
     for registered, numeric in ((a.lower, b.lower), (a.upper, b.upper)):

@@ -1,7 +1,6 @@
 import io
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -97,7 +96,7 @@ def test_config_names_one_algorithm():
 def _validate_every_sweep(cfg):
     """validate(problem) of each sweep, on cfg with a family that sweep takes."""
     for problem in ("staircase", "interval", "tongue"):
-        replace(cfg, family="fmu" if problem == "staircase" else "pwl").validate(problem)
+        cfg._replace(family="fmu" if problem == "staircase" else "pwl").validate(problem)
 
 
 @pytest.mark.parametrize("field, value", [("tol", math.nan), ("tol", math.inf), ("error", math.inf), ("error", math.nan)])
@@ -222,8 +221,8 @@ _SWEEPS = {
 def _small(problem, **overrides):
     """A small valid config of the problem's sweep, with the overrides applied."""
     if problem == "staircase":
-        return replace(SweepConfig(mu_step=0.5, error=1e-3), **overrides)
-    return replace(SweepConfig(family="pwl", a_steps=2, omega_steps=2, error=1e-3), **overrides)
+        return SweepConfig(mu_step=0.5, error=1e-3)._replace(**overrides)
+    return SweepConfig(family="pwl", a_steps=2, omega_steps=2, error=1e-3)._replace(**overrides)
 
 
 def _no_sweep_runs(monkeypatch):
