@@ -11,8 +11,8 @@ sections; rotnum's estimator rotates the chosen one to the origin itself.
 Every family registers a builder on the Lifting, called as builder(F,
 upper), that states one envelope and its sections in closed form and
 computes nothing for the other side; nothing is cached, so asking for a side
-twice builds it twice.  The exact twins of a piecewise-linear family's
-envelopes are read off _exact_envelope_knots of its rational knots.  A map
+twice builds it twice.  A piecewise-linear family's envelopes carry knots
+too: _exact_envelope_knots of the map's rational knots, run when read.  A map
 without a builder takes the generic path (_generic_envelope): a
 non-decreasing map is its own envelope, its sections found by a grid scan;
 otherwise the numeric constructor (uniform grid, running maximum, local
@@ -288,7 +288,7 @@ def _certify(env: Lifting, F: Lifting, n: int, upper: bool) -> tuple[bool, str]:
 
 
 def _exact_envelope_knots(knots, upper: bool) -> list[tuple[Fraction, Fraction]]:
-    """Rational knots of the upper (or lower) map of a continuous or heavy PL map, given as for _knot_evaluator.
+    """Rational knots of the upper (or lower) map of a continuous or heavy PL map with knots as in Lifting.knots.
 
     The upper map is a running maximum seeded with max y - 1, the sup of F
     over y <= 0, that leaves each flat at the rational point where a piece

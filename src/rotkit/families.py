@@ -5,10 +5,12 @@ an envelope builder: a function of (F, upper) bound with functools.partial to
 what both sides share, which builds the one side asked for and caches
 nothing.  A non-decreasing map is its own envelope with its sections listed;
 otherwise each envelope is a flat-branch-flat float map.  A
-piecewise-linear map states its exact side once, as rational knots (float
-parameters taken at their binary values): its exact twin and its envelopes'
-twins are derived from them on first call (_knot_twin), so float sweeps
-never pay for them.  Non-finite parameters raise InvalidParam.
+piecewise-linear map states its exact side once, as the Lifting's knots: a
+knots function bound with functools.partial to the raw parameters, which
+takes their twins (a float's binary value) only when read, and its
+envelopes' knots are derived from it by _exact_envelope_knots the same way.
+So a float sweep builds no Fraction.  Non-finite parameters raise
+InvalidParam.
 
 The float maps are what the orbit estimators call once per iterate, so each
 is one Python frame per evaluation, its constants in closure cells: a
@@ -30,7 +32,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .envelope import ConstantSection, MonotoneEnvelope, _exact_envelope_knots, _root_on_increasing
-from .lifting import Lifting, _knot_evaluator
+from .lifting import Lifting
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -58,24 +60,10 @@ def _as_exact(value) -> Fraction:
 
 
 def _ratio(value) -> tuple[int, int]:
-    """(p, d) in lowest terms with p/d a parameter's exact twin; a float's comes straight off its binary value."""
-    if isinstance(value, float):
+    """(p, d) in lowest terms with p/d a parameter's exact twin; a float's, int's or Fraction's straight off the value."""
+    if isinstance(value, (float, int, Fraction)):
         return value.as_integer_ratio()
     return _as_exact(value).as_integer_ratio()
-
-
-def _knot_twin(knots, params: tuple = (), upper: bool | None = None):
-    """Exact evaluator of the PL map through knots(*twins of params), or of its upper/lower map, made on first call."""
-    twin = None
-
-    def fundamental_exact(q: Fraction) -> Fraction:
-        nonlocal twin
-        if twin is None:
-            points = knots(*[_as_exact(p) for p in params])
-            twin = _knot_evaluator(points if upper is None else _exact_envelope_knots(points, upper))
-        return twin(q)
-
-    return fundamental_exact
 
 
 def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
@@ -102,11 +90,15 @@ def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting, upper: bool
 _NO_SECTIONS = partial(_own_envelope, ())
 
 
-def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection, knots=None, params: tuple = ()):
-    """Analytic upper (or lower) envelope of F from its fundamental and section; its exact twin from knots, if given."""
-    exact = None if knots is None else _knot_twin(knots, params, upper)
-    lifting = Lifting(fund, True, f"{F.label}.{'upper' if upper else 'lower'}", exact)
+def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection):
+    """Analytic upper (or lower) envelope of F from its fundamental and section; its knots from F's, if any."""
+    knots = None if F.knots is None else partial(_envelope_knots, F.knots, upper)
+    lifting = Lifting(fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots)
     return MonotoneEnvelope(lifting, (section,), "analytic")
+
+
+def _envelope_knots(knots, upper: bool):
+    return _exact_envelope_knots(knots(), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +108,7 @@ _FMU_ENVELOPES = partial(_own_envelope, (ConstantSection(0.75, 1.0),))
 
 
 def _fmu_knots(mu):
+    mu = _as_exact(mu)
     return [(0, mu), (Fraction(3, 4), mu + 1), (1, mu + 1)]
 
 
@@ -135,7 +128,7 @@ def f_mu(mu) -> Lifting:
         return (4.0 / 3.0) * x + mu_f
 
     # positional: the staircase builds one per cell, and keywords cost more
-    return Lifting(fund, True, f"F_mu(mu={mu_f:.8g})", _knot_twin(_fmu_knots, (mu,)), _FMU_ENVELOPES)
+    return Lifting(fund, True, f"F_mu(mu={mu_f:.8g})", partial(_fmu_knots, mu), _FMU_ENVELOPES)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +208,7 @@ def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: boo
 
 def _pwl_knots(omega, c):
     """Knots of x + omega - c tau(x); tau is 0, 1, -1, 0 at 0, 1/4, 3/4, 1."""
+    omega, c = _as_exact(omega), _as_exact(c)
     quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
     return [(0, omega), (quarter, quarter + omega - c), (three_quarters, three_quarters + omega + c), (1, 1 + omega)]
 
@@ -247,18 +241,18 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     elif c == 0.25:
         builder = _PWL_FLAT_OUTER
     else:
-        builder = partial(_pwl_envelope, omega_f, c, *_ratio(c_param), (omega, c_param))
+        builder = partial(_pwl_envelope, omega_f, c, *_ratio(c_param))
     return Lifting(
         fundamental=fund,
         is_non_decreasing=c <= 0.25,
         label=f"T(omega={omega_f:.8g}, a={a_f:.8g})",
-        fundamental_exact=_knot_twin(_pwl_knots, (omega, c_param)),
+        knots=partial(_pwl_knots, omega, c_param),
         envelope_builder=builder,
     )
 
 
-def _pwl_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lifting, upper: bool) -> MonotoneEnvelope:
-    """Upper (or lower) envelope of a pwl map, c = p/d > 1/4 (min at 1/4, max at 3/4); params: (omega, c) of its knots.
+def _pwl_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bool) -> MonotoneEnvelope:
+    """Upper (or lower) envelope of a pwl map, c = p/d > 1/4 (min at 1/4, max at 3/4).
 
     Between its flats each side follows the middle branch x + omega - c (2 - 4x)
     alone: both flats' ends lie in [1/4, 3/4].
@@ -292,11 +286,12 @@ def _pwl_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lift
             return top
 
         section = ConstantSection(xl - 1.0, 0.25)
-    return _envelope(F, upper, fund, section, _pwl_knots, params)
+    return _envelope(F, upper, fund, section)
 
 
 def _disc_knots(omega, c):
     """Knots of x + omega + c <x>: one line, with the left limit 1 + omega + c at 1."""
+    omega, c = _as_exact(omega), _as_exact(c)
     return [(0, omega), (1, 1 + omega + c)]
 
 
@@ -322,13 +317,13 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         fundamental=fund,
         is_non_decreasing=c == 0.0,
         label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
-        fundamental_exact=_knot_twin(_disc_knots, (omega, c_param)),
-        envelope_builder=_NO_SECTIONS if c == 0.0 else partial(_disc_envelope, omega_f, c, *_ratio(c_param), (omega, c_param)),
+        knots=partial(_disc_knots, omega, c_param),
+        envelope_builder=_NO_SECTIONS if c == 0.0 else partial(_disc_envelope, omega_f, c, *_ratio(c_param)),
     )
 
 
-def _disc_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lifting, upper: bool):
-    """Upper (or lower) envelope of a disc map with c = p/d > 0; params are the (omega, c) of its knots.
+def _disc_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bool):
+    """Upper (or lower) envelope of a disc map with c = p/d > 0.
 
     Both lie on the line (1 + c)x + omega.  The upper map is flat at the left
     limit omega + c up to qu = c/(1 + c), the lower one at omega + 1 beyond
@@ -359,7 +354,7 @@ def _disc_envelope(omega: float, c: float, p: int, d: int, params: tuple, F: Lif
             return flat
 
         section = ConstantSection(pl, 1.0)
-    return _envelope(F, upper, fund, section, _disc_knots, params)
+    return _envelope(F, upper, fund, section)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +365,10 @@ _COUNTEREXAMPLE_ENVELOPES = partial(_own_envelope, (ConstantSection(0.8, 1.0),))
 
 def _counterexample_knots():
     """The float closure's knots, read as exact decimals."""
-    return [("0", "0.2"), ("0.1", "0.3"), ("0.3", "0.4"), ("0.4", "1.1"), ("0.8", "1.2"), ("1", "1.2")]
+    return [
+        (0, Fraction(1, 5)), (Fraction(1, 10), Fraction(3, 10)), (Fraction(3, 10), Fraction(2, 5)),
+        (Fraction(2, 5), Fraction(11, 10)), (Fraction(4, 5), Fraction(6, 5)), (1, Fraction(6, 5)),
+    ]
 
 
 def counterexample_map() -> Lifting:
@@ -395,7 +393,7 @@ def counterexample_map() -> Lifting:
         fundamental=fund,
         is_non_decreasing=True,
         label="counterexample",
-        fundamental_exact=_knot_twin(_counterexample_knots),
+        knots=_counterexample_knots,
         envelope_builder=_COUNTEREXAMPLE_ENVELOPES,
     )
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .envelope import lower_map, upper_map, widest_section
-from .lifting import Lifting, evaluate_exact
+from .lifting import Lifting, _knot_value, _knots
 
 DEFAULT_ERROR = 1e-6
 DEFAULT_TOL = 1e-10
@@ -394,21 +394,24 @@ def rho_constant_section(
 
 
 def rho_constant_section_exact(
-    F: Lifting, alpha: Fraction, beta: Fraction, max_iter: int
+    F: Lifting, alpha: Fraction | float, beta: Fraction | float, max_iter: int
 ) -> RotationEstimate | None:
     """Exact-rational twin of the constant-section algorithm.
 
     [alpha, beta] must be a true constant section of F (no tolerance padding:
-    rational arithmetic has no rounding error).  Iterates the section orbit
-    F^n(alpha); a hit certifies rho = m/n unconditionally.  Returns None when
-    no cycle through the section shows up within max_iter iterates.
+    rational arithmetic has no rounding error); a float endpoint is taken at
+    its binary value.  Iterates the section orbit F^n(alpha) through F's
+    knots, read once; a hit certifies rho = m/n unconditionally.  Returns
+    None when no cycle through the section shows up within max_iter iterates.
     """
-    width = beta - alpha
+    alpha = Fraction(alpha)
+    width = Fraction(beta) - alpha
     if width <= 0:
         raise InvalidSection("section must be non-degenerate")
+    knots = _knots(F)
     v = alpha
     for n in range(1, max_iter + 1):
-        v = evaluate_exact(F, v)
+        v = _knot_value(knots, v)
         d = v - alpha
         whole = d.numerator // d.denominator
         if d - whole <= width:

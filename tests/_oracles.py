@@ -189,8 +189,20 @@ def exact_section_certificate(
     return None
 
 
+def knots_exact_oracle(knots):
+    """Exact F|[0,1] of the PL map through the rational knots (x_0, y_0), ..., (x_k, y_k), by a scan of its pieces."""
+
+    def fund_exact(q: Fraction) -> Fraction:
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            if q <= x1:
+                return y0 + (q - x0) * (y1 - y0) / (x1 - x0)
+        return knots[-1][1]
+
+    return fund_exact
+
+
 def random_flat_pl_lifting(rng: random.Random, pieces: int = 5):
-    """Random rational non-decreasing PL lifting, flat on [0, beta].
+    """Random rational non-decreasing PL lifting, flat on [0, beta], given by its knots.
 
     Returns (lifting, beta, xs, ys) where xs/ys are the float breakpoints of
     the fundamental restriction (np.interp-ready).  Needs numpy: the test
@@ -215,21 +227,9 @@ def random_flat_pl_lifting(rng: random.Random, pieces: int = 5):
     # degree-one gluing: last knot must sit at y0 + 1
     knots_y[-1] = y0 + 1
 
-    xq = knots_x
-    yq = knots_y
-
-    def fund_exact(q: Fraction) -> Fraction:
-        for i in range(len(xq) - 1):
-            if q <= xq[i + 1]:
-                x0, x1 = xq[i], xq[i + 1]
-                y0_, y1_ = yq[i], yq[i + 1]
-                if x1 == x0:
-                    return y1_
-                return y0_ + (q - x0) * (y1_ - y0_) / (x1 - x0)
-        return yq[-1]
-
-    xs = [float(q) for q in xq]
-    ys = [float(q) for q in yq]
+    knots = list(zip(knots_x, knots_y))
+    xs = [float(q) for q in knots_x]
+    ys = [float(q) for q in knots_y]
 
     def fund(x: float) -> float:
         return float(np.interp(x, xs, ys))
@@ -238,7 +238,7 @@ def random_flat_pl_lifting(rng: random.Random, pieces: int = 5):
         fundamental=fund,
         is_non_decreasing=True,
         label="random-pl",
-        fundamental_exact=fund_exact,
+        knots=lambda: knots,
     )
     return lifting, beta, xs, ys
 

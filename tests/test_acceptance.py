@@ -30,7 +30,7 @@ from rotkit import (
 )
 from rotkit.families import GOLDEN_MEAN
 from rotkit.sweep import SweepConfig, devils_staircase, invert_staircase, mu_grid
-from _oracles import direct_value_oracle, ell_of_n, random_flat_pl_lifting
+from _oracles import direct_value_oracle, ell_of_n, knots_exact_oracle, random_flat_pl_lifting
 
 ERROR = 1e-6
 TOL = 1e-10
@@ -131,11 +131,12 @@ def _robust_certified_maps(count, seed, margin=Fraction(1, 10**6)):
     found = []
     while len(found) < count:
         F, beta, xs, ys = random_flat_pl_lifting(rng)
+        fund_exact = knots_exact_oracle(F.knots())
         x = Fraction(0)
         m = 0
         verdict = None
         for n in range(1, 3001):
-            v = F.fundamental_exact(x)
+            v = fund_exact(x)
             w = v.numerator // v.denominator
             m += w
             x = v - w

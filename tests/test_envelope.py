@@ -23,7 +23,7 @@ from rotkit import (
 )
 from rotkit.envelope import MonotoneEnvelope, _certify, _exact_envelope_knots, _numeric_envelope
 from rotkit.families import _disc_knots, _pwl_knots
-from rotkit.lifting import Lifting
+from rotkit.lifting import Lifting, _knot_value
 from _oracles import (
     _shifted,
     counterexample_exact_oracle,
@@ -45,6 +45,12 @@ def _plain(F, label="plain"):
         is_non_decreasing=False,
         label=label,
     )
+
+
+def _exact_values(F, points):
+    """evaluate_exact(F, q) for each q, with F's knots read once, as rho_constant_section_exact reads them."""
+    knots = F.knots()
+    return [_knot_value(knots, q) for q in points]
 
 
 def test_monotone_map_is_its_own_envelope():
@@ -331,13 +337,14 @@ def test_constant_section_rejects_bad_endpoints_in_every_constructor(alpha, beta
     ids=lambda F: F.label,
 )
 def test_exact_envelope_twins_match_float_envelopes(F):
+    grid = [Fraction(i, 1024) for i in range(1025)]
     for env in (upper_map(F), lower_map(F)):
         E = env.lifting
-        for i in range(1025):
-            q = Fraction(i, 1024)
-            assert float(E.fundamental_exact(q)) == pytest.approx(E.fundamental(float(q)), abs=1e-12)
-        # degree-one gluing, exactly and in floats
-        assert E.fundamental_exact(Fraction(1)) - E.fundamental_exact(Fraction(0)) == 1
+        for q, v in zip(grid, _exact_values(E, grid)):
+            assert float(v) == pytest.approx(E.fundamental(float(q)), abs=1e-12)
+        # degree-one gluing, exactly (a continuous map's last knot is its first plus 1) and in floats
+        knots = E.knots()
+        assert knots[-1][1] - knots[0][1] == 1
         assert E.fundamental(1.0) - E.fundamental(0.0) == pytest.approx(1.0, abs=1e-12)
         # the registered section is a flat of the exact twin
         (sec,) = env.sections
@@ -383,21 +390,21 @@ def _pl_case(family, omega, kw):
 
 
 @pytest.mark.parametrize("family, omega, kw", PL_CASES)
-def test_knot_twins_match_hand_written_twins(family, omega, kw):
+def test_knots_match_hand_written_twins(family, omega, kw):
     F, _, twin, (upper, lower, _, _) = _pl_case(family, omega, kw)
     assert not F.is_non_decreasing
     for mine, oracle in ((F, twin), (upper_map(F).lifting, upper), (lower_map(F).lifting, lower)):
-        assert [mine.fundamental_exact(q) for q in EXACT_POINTS] == [oracle(q) for q in EXACT_POINTS]
+        assert _exact_values(mine, EXACT_POINTS) == [oracle(q) for q in EXACT_POINTS]
 
 
-def test_knot_twins_of_non_decreasing_maps_match_hand_written_twins():
+def test_knots_of_non_decreasing_maps_match_hand_written_twins():
     cases = [(f_mu(mu), fmu_exact_oracle(Fraction(mu))) for mu in (0, 1, 0.3, Fraction(819, 3124), "1/3")]
     cases.append((counterexample_map(), counterexample_exact_oracle))
     for omega, c in ((0.7, Fraction(1, 4)), (Fraction(1, 9), Fraction(1, 5)), (0.2, Fraction(0))):
         cases.append((pwl_standard(omega, a_over_2pi=c), pwl_exact_oracle(Fraction(omega), c)))
     cases.append((disc_standard(0.4, 0), disc_exact_oracle(Fraction(0.4), Fraction(0))))
     for F, oracle in cases:
-        assert [F.fundamental_exact(q) for q in EXACT_POINTS] == [oracle(q) for q in EXACT_POINTS]
+        assert _exact_values(F, EXACT_POINTS) == [oracle(q) for q in EXACT_POINTS]
         # a non-decreasing map is its own envelope, twin included
         assert upper_map(F).lifting is F and lower_map(F).lifting is F
 

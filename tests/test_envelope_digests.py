@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotkit import counterexample_map, disc_standard, f_mu, lower_map, pwl_standard, standard_map, upper_map
+from rotkit import counterexample_map, disc_standard, evaluate_exact, f_mu, lower_map, pwl_standard, standard_map, upper_map
 
 RATIONALS = [Fraction(0), Fraction(1, 7), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(5, 6), Fraction(1)]
 
@@ -150,12 +150,12 @@ def _digest(env, exact: bool) -> str:
         h.update(fund(i / 1024).hex().encode())
     if exact:
         for q in RATIONALS:
-            h.update(f"|{env.lifting.fundamental_exact(q)}".encode())
+            h.update(f"|{evaluate_exact(env.lifting, q)}".encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_envelope_sides_match_recorded_digests(case):
     F = CASES[case]()
-    exact = F.fundamental_exact is not None
+    exact = F.knots is not None
     assert (_digest(upper_map(F), exact), _digest(lower_map(F), exact)) == DIGESTS[case]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from rotkit import (
     evaluate,
     evaluate_exact,
     f_mu,
+    lower_map,
     pwl_standard,
+    rho_constant_section_exact,
     standard_map,
     tau,
     upper_map,
@@ -134,7 +137,7 @@ def test_exact_and_float_agree_on_random_rationals():
     for F in maps:
         for _ in range(250):
             q = Fraction(rng.randint(0, 10**6), 10**6)
-            assert F.fundamental(float(q)) == pytest.approx(float(F.fundamental_exact(q)), abs=1e-14)
+            assert F.fundamental(float(q)) == pytest.approx(float(evaluate_exact(F, q)), abs=1e-14)
 
 
 def test_degree_one_invariant_all_families():
@@ -180,27 +183,33 @@ def test_coefficient_parametrizations_match():
         pwl_standard(0, 1.0, a_over_2pi=Fraction(1, 2))
 
 
-def test_exact_twins_are_lazy_and_keep_parameter_semantics():
+def test_exact_evaluation_keeps_parameter_semantics():
     # a float parameter's twin is its binary value; Fraction, int and str are taken as given
     q = Fraction(1, 5)
-    assert f_mu(0.1).fundamental_exact(q) == Fraction(4, 3) * q + Fraction(0.1)
+    assert evaluate_exact(f_mu(0.1), q) == Fraction(4, 3) * q + Fraction(0.1)
     assert Fraction(0.1) != Fraction(1, 10)
     for mu in (Fraction(1, 3), "1/3"):
         F = f_mu(mu)
-        first = F.fundamental_exact(q)
-        assert first == Fraction(4, 3) * q + Fraction(1, 3)
-        assert F.fundamental_exact(q) == first
-        assert F.fundamental_exact(Fraction(9, 10)) == Fraction(4, 3)
-    assert f_mu(1).fundamental_exact(Fraction(0)) == 1
+        assert evaluate_exact(F, q) == Fraction(4, 3) * q + Fraction(1, 3)
+        assert evaluate_exact(F, Fraction(9, 10)) == Fraction(4, 3)
+    assert evaluate_exact(f_mu(1), Fraction(0)) == 1
     for omega, omega_q in ((0.1, Fraction(0.1)), (Fraction(1, 10), Fraction(1, 10))):
         T = pwl_standard(omega, a_over_2pi=Fraction(1, 8))
-        first = T.fundamental_exact(q)
-        assert first == q + omega_q - Fraction(1, 8) * 4 * q
-        assert T.fundamental_exact(q) == first
+        assert evaluate_exact(T, q) == q + omega_q - Fraction(1, 8) * 4 * q
         D = disc_standard(omega, a_over_2pi=Fraction(1, 2))
-        first = D.fundamental_exact(q)
-        assert first == q + omega_q + Fraction(1, 2) * q
-        assert D.fundamental_exact(q) == first
+        assert evaluate_exact(D, q) == q + omega_q + Fraction(1, 2) * q
+
+
+def test_exact_entry_points_take_a_float_at_its_binary_value():
+    F = f_mu(Fraction(3, 10))
+    assert evaluate_exact(F, 0.5) == evaluate_exact(F, Fraction(1, 2)) == Fraction(29, 30)
+    assert evaluate_exact(F, 0.1) == Fraction(4, 3) * Fraction(0.1) + Fraction(3, 10)
+    assert evaluate_exact(F, -1.25) == evaluate_exact(F, Fraction(3, 4)) - 2
+    cert = rho_constant_section_exact(F, 0.75, 1.0, 10_000)
+    assert cert == rho_constant_section_exact(F, Fraction(3, 4), Fraction(1), 10_000)
+    assert cert is not None and (cert.m, cert.n) == (3, 7)
+    with pytest.raises(TypeError):
+        evaluate_exact(F, None)
 
 
 @pytest.mark.parametrize(
@@ -233,52 +242,101 @@ def test_build_lifting_rejects_unknown_family():
         build_lifting(FamilyParams(family="fmu", omega=0.0, a=1.0))
 
 
-def test_exact_twin_built_on_first_call_only(monkeypatch):
+def _fraction_constructors() -> set:
+    """Code objects through which fractions builds a Fraction: __new__, and _from_coprime_ints where it exists."""
+    made = [Fraction.__new__, getattr(Fraction, "_from_coprime_ints", None)]
+    return {getattr(f, "__func__", f).__code__ for f in made if f is not None}
+
+
+def _count_knot_reads(monkeypatch) -> list:
+    """Route every family knots function and the envelope knots routine through a log of their names."""
     import rotkit.families as families
-
-    made = []
-    real = families._as_exact
-
-    def counting(value):
-        made.append(value)
-        return real(value)
-
-    monkeypatch.setattr(families, "_as_exact", counting)
-    F = f_mu(0.25)
-    T = pwl_standard(0.25, 9.0)
-    assert made == []
-    for _ in range(3):
-        F.fundamental_exact(Fraction(1, 2))
-    assert made == [0.25]
-    T.fundamental_exact(Fraction(1, 2))
-    T.fundamental_exact(Fraction(1, 3))
-    assert made == [0.25, 0.25, 9.0 / TWO_PI]
-
-
-@pytest.mark.parametrize("family", ["pwl", "disc"])
-def test_tongue_sweep_builds_no_exact_twin(family, monkeypatch):
-    # twins of the maps and of their envelopes come from knots on first call;
-    # a float sweep must never build one
-    import rotkit.envelope as envelope
-    import rotkit.families as families
-    import rotkit.lifting as lifting
-    from rotkit.sweep import SweepConfig, arnold_tongue
 
     calls = []
-    for module, name in ((lifting, "_knot_evaluator"), (envelope, "_exact_envelope_knots")):
-        real = getattr(module, name)
+    for name in ("_fmu_knots", "_pwl_knots", "_disc_knots", "_counterexample_knots", "_exact_envelope_knots"):
+        real = getattr(families, name)
 
         def counting(*args, _name=name, _real=real):
             calls.append(_name)
             return _real(*args)
 
-        monkeypatch.setattr(module, name, counting)
         monkeypatch.setattr(families, name, counting)
-    cells = arnold_tongue(SweepConfig(family=family, a_steps=4, omega_steps=4, error=1e-4), Fraction(1, 2))
-    assert len(cells) == 16 and calls == []
-    # three of the four a rows are not non-decreasing, so their cells built envelopes
-    assert not disc_standard(0, 4 * math.pi / 3).is_non_decreasing
-    assert not pwl_standard(0, 4 * math.pi / 3).is_non_decreasing
-    # the counters do see a twin that is used
-    assert upper_map(pwl_standard(0.3, 9.0)).lifting.fundamental_exact(Fraction(1, 2)) is not None
-    assert calls == ["_exact_envelope_knots", "_knot_evaluator"]
+    return calls
+
+
+@pytest.mark.parametrize("param", [0.3, 1, Fraction(3, 10)], ids=type)
+def test_building_maps_and_envelopes_builds_no_fraction_and_reads_no_knots(param, monkeypatch):
+    calls = _count_knot_reads(monkeypatch)
+    constructors = _fraction_constructors()
+    made = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in constructors:
+            made.append(frame.f_code.co_name)
+
+    builders = [
+        lambda: f_mu(param),
+        counterexample_map,
+        lambda: standard_map(param, 9.0),
+        lambda: standard_map(param, 0.5),
+        lambda: disc_standard(param, 0),
+        *(lambda c=c: pwl_standard(param, a_over_2pi=c) for c in (param, Fraction(1, 4), 0.1)),
+        *(lambda c=c: disc_standard(param, a_over_2pi=c) for c in (param, Fraction(1, 4))),
+    ]
+    sys.setprofile(profile)
+    try:
+        for build in builders:
+            F = build()
+            for side in (upper_map, lower_map):
+                side(F)
+    finally:
+        sys.setprofile(None)
+    assert made == [] and calls == []
+    # the counters do see a map's knots being read, and the envelopes' knots come from them
+    assert evaluate_exact(upper_map(pwl_standard(param, a_over_2pi=param)).lifting, Fraction(1, 2)) is not None
+    assert calls == ["_pwl_knots", "_exact_envelope_knots"]
+
+
+def test_each_exact_evaluation_reads_the_knots_again(monkeypatch):
+    calls = _count_knot_reads(monkeypatch)
+    F = f_mu(0.25)
+    E = lower_map(disc_standard(0.25, 9.0)).lifting
+    assert calls == []
+    for k in range(1, 4):
+        evaluate_exact(F, Fraction(1, 2))
+        assert calls == ["_fmu_knots"] * k
+    calls.clear()
+    evaluate_exact(E, Fraction(1, 2))
+    evaluate_exact(E, Fraction(1, 3))
+    assert calls == ["_disc_knots", "_exact_envelope_knots"] * 2
+    # a certificate reads them once per orbit, however long the orbit
+    calls.clear()
+    cert = rho_constant_section_exact(f_mu(Fraction(819, 3124)), Fraction(3, 4), Fraction(1), 100)
+    assert (cert.m, cert.n) == (2, 5) and calls == ["_fmu_knots"]
+
+
+SWEEPS = {
+    "pwl tongue": ("tongue", {"family": "pwl", "a_steps": 4, "omega_steps": 4}),
+    "disc tongue": ("tongue", {"family": "disc", "a_steps": 4, "omega_steps": 4}),
+    "csb staircase": ("staircase", {"mu_step": 0.01}),
+    "simo staircase": ("staircase", {"mu_step": 0.01, "algorithm": "simo", "simo_n": 200}),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_float_sweeps_read_no_knots(sweep, monkeypatch):
+    # every PL map and envelope carries knots, and a float sweep must never read them
+    from rotkit.sweep import SweepConfig, arnold_tongue, devils_staircase
+
+    calls = _count_knot_reads(monkeypatch)
+    problem, fields = SWEEPS[sweep]
+    cfg = SweepConfig(error=1e-4, **fields)
+    if problem == "tongue":
+        rows = arnold_tongue(cfg, Fraction(1, 2))
+        assert len(rows) == 16
+        # three of the four a rows are not non-decreasing, so their cells built envelopes
+        assert not disc_standard(0, 4 * math.pi / 3).is_non_decreasing
+        assert not pwl_standard(0, 4 * math.pi / 3).is_non_decreasing
+    else:
+        assert len(devils_staircase(cfg)) == 101
+    assert calls == []

@@ -87,7 +87,7 @@ def _rigid_third():
         fundamental=lambda x: x + 1.0 / 3.0,
         is_non_decreasing=True,
         label="rigid-1/3",
-        fundamental_exact=lambda q: q + third,
+        knots=lambda: [(0, third), (1, 1 + third)],
     )
 
 

@@ -21,6 +21,7 @@ from the knots must have the same four properties, exactly.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -29,7 +30,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rotkit import PeriodicOrbitDetected, lower_map, rho_constant_section, rho_direct, rho_simo, upper_map  # noqa: E402
 from rotkit.envelope import _exact_envelope_knots  # noqa: E402
-from rotkit.lifting import Lifting, _knot_evaluator  # noqa: E402
+from rotkit.lifting import Lifting, _knot_value  # noqa: E402
 from _oracles import (  # noqa: E402
     _shifted,
     direct_value_oracle,
@@ -217,14 +218,14 @@ def rational_pl_knots(draw) -> list:
 @PROPERTY
 @given(knots=rational_pl_knots())
 def test_exact_envelopes_of_random_rational_pl_maps(knots):
-    f = _knot_evaluator(knots)
+    f = partial(_knot_value, knots)
     xs = [x for x, _ in knots]
     ys = [y for _, y in knots]
     envelopes = {upper: _exact_envelope_knots(knots, upper) for upper in (True, False)}
     breaks = {x for k in (knots, *envelopes.values()) for x, _ in k}
     grid = sorted(breaks | {Fraction(i, 256) for i in range(257)})
     for upper, env_knots in envelopes.items():
-        e = _knot_evaluator(env_knots)
+        e = partial(_knot_value, env_knots)
         values = [e(q) for q in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] - values[0] == 1 and env_knots[-1][1] == env_knots[0][1] + 1

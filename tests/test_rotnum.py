@@ -34,6 +34,7 @@ from _oracles import (
     ell_of_n,
     exact_section_certificate,
     first_repeat,
+    knots_exact_oracle,
     pl_lifting,
     random_flat_pl_lifting,
     section_orbit_oracle,
@@ -50,7 +51,7 @@ def _rigid(omega, omega_q=None):
         fundamental=lambda x: x + omega,
         is_non_decreasing=True,
         label=f"rigid({omega})",
-        fundamental_exact=None if omega_q is None else (lambda q: q + omega_q),
+        knots=None if omega_q is None else (lambda: [(0, omega_q), (1, 1 + omega_q)]),
     )
 
 
@@ -868,7 +869,7 @@ def _certified_pl_maps(count, seed=11):
     found = []
     while len(found) < count:
         F, beta, xs, ys = random_flat_pl_lifting(rng)
-        cert = exact_section_certificate(F.fundamental_exact, beta, 3000)
+        cert = exact_section_certificate(knots_exact_oracle(F.knots()), beta, 3000)
         if cert is None:
             continue
         m, n = cert
