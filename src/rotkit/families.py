@@ -84,7 +84,8 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
 
 def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting, upper: bool) -> MonotoneEnvelope:
     """A non-decreasing map with known sections is its own upper and lower envelope."""
-    return MonotoneEnvelope(F, sections, "analytic")
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, as ConstantSection.__new__ does
+    return tuple.__new__(MonotoneEnvelope, (F, sections, "analytic"))
 
 
 _NO_SECTIONS = partial(_own_envelope, ())
@@ -116,7 +117,10 @@ def f_mu(mu) -> Lifting:
     """Lifting with fundamental (4/3)x + mu on [0, 3/4] and mu + 1 above.
 
     Non-decreasing and continuous, with the constant section [3/4, 1]; the
-    rotation number as a function of mu draws a Devil's staircase.
+    rotation number as a function of mu draws a Devil's staircase.  The label
+    is the constant "F_mu", which a float sweep never formats; mu shows in
+    repr(F) through the knots, partial(_fmu_knots, mu).  No error message can
+    show the label: F_mu is non-decreasing and has knots.
     """
     mu_f = _as_float(mu, "mu")
     if not 0.0 <= mu_f <= 1.0:
@@ -128,7 +132,7 @@ def f_mu(mu) -> Lifting:
         return (4.0 / 3.0) * x + mu_f
 
     # positional: the staircase builds one per cell, and keywords cost more
-    return Lifting(fund, True, f"F_mu(mu={mu_f:.8g})", partial(_fmu_knots, mu), _FMU_ENVELOPES)
+    return Lifting(fund, True, "F_mu", partial(_fmu_knots, mu), _FMU_ENVELOPES)
 
 
 # ---------------------------------------------------------------------------

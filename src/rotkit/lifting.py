@@ -34,7 +34,8 @@ class Lifting(NamedTuple):
     is_non_decreasing.  knots, when present, is called with no arguments and
     returns the rational knots [(x_0, y_0), ..., (x_k, y_k)] of the same
     piecewise-linear restriction, 0 = x_0 < ... < x_k = 1, where y_k may be a
-    left limit (a heavy jump); evaluate_exact and the exact checks read them.
+    left limit (a heavy jump); evaluate_exact and the exact checks read them,
+    and reject knots whose x's do not run from 0 up to 1.
     envelope_builder, when present, is called as envelope_builder(F, upper)
     and returns F's upper envelope when upper is true, its lower one
     otherwise.  Equality, hash and repr cover all five fields.
@@ -59,9 +60,14 @@ def evaluate_exact(F: Lifting, x: Fraction | float) -> Fraction:
 
 
 def _knots(F: Lifting) -> list[tuple[Fraction, Fraction]]:
+    """F's rational knots, checked to run 0 = x_0 < ... < x_k = 1."""
     if F.knots is None:
         raise ValueError(f"lifting {F.label!r} has no rational knots")
-    return F.knots()
+    knots = F.knots()
+    xs = [x for x, _ in knots]
+    if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"lifting {F.label!r} has knots at x = {', '.join(map(str, xs))}, not 0 = x_0 < ... < x_k = 1")
+    return knots
 
 
 def _knot_value(knots, x: Fraction) -> Fraction:

@@ -59,7 +59,7 @@ SIMO_TIE_EPS = 1e-14
 
 
 class InvalidSection(ValueError):
-    """Constant-section estimator called with a non-positive test bound."""
+    """Constant-section estimator called with a test bound that is not positive (zero, negative or NaN)."""
 
 
 class PeriodicOrbitDetected(Exception):
@@ -133,14 +133,17 @@ class SimoBracket(NamedTuple):
         return self.rho_min <= self.rho_max
 
 
-def _require_non_decreasing(F: Lifting, who: str) -> None:
-    if not F.is_non_decreasing:
-        raise ValueError(f"{who} requires a non-decreasing lifting, got {F.label!r}")
+# The estimators test their preconditions inline, since a call per check would
+# add a Python frame to every staircase cell, and call these only to build the
+# error they raise.
 
 
-def _require_error(error: float) -> None:
-    if not (math.isfinite(error) and error > 0.0):
-        raise ValueError(f"error must be positive and finite, got {error}")
+def _non_decreasing_required(F: Lifting, who: str) -> ValueError:
+    return ValueError(f"{who} requires a non-decreasing lifting, got {F.label!r}")
+
+
+def _bad_error(error: float) -> ValueError:
+    return ValueError(f"error must be positive and finite, got {error}")
 
 
 def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
@@ -157,8 +160,10 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     runs only the remaining steps before it stops.  Value, error_bound and
     the nominal iterations_used = n are bit-identical to the full loop.
     """
-    _require_non_decreasing(F, "rho_direct")
-    _require_error(error)
+    if not F.is_non_decreasing:
+        raise _non_decreasing_required(F, "rho_direct")
+    if not (math.isfinite(error) and error > 0.0):
+        raise _bad_error(error)
     n = math.ceil(1.0 / error)
     fund = F.fundamental
     floor = math.floor
@@ -232,7 +237,8 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     closer than 1e-14 is the tie, and with no tie the same order gives the
     bracket.
     """
-    _require_non_decreasing(F, "rho_simo")
+    if not F.is_non_decreasing:
+        raise _non_decreasing_required(F, "rho_simo")
     if n < 2:
         raise ValueError("rho_simo needs at least 2 iterates")
     fund = F.fundamental
@@ -345,10 +351,12 @@ def rho_constant_section(
     max_iter steps is bit-identical to the full loop's.  The estimate still
     reports the nominal iterations_used = max_iter.
     """
-    _require_non_decreasing(G, "rho_constant_section")
-    if beta <= 0.0:
+    if not G.is_non_decreasing:
+        raise _non_decreasing_required(G, "rho_constant_section")
+    if not beta > 0.0:  # a NaN beta fails this test too
         raise InvalidSection(f"test bound beta must be positive, got {beta}")
-    _require_error(error)
+    if not (math.isfinite(error) and error > 0.0):
+        raise _bad_error(error)
     max_iter = math.ceil(1.0 / error)
     fund = G.fundamental
     floor = math.floor
@@ -426,7 +434,8 @@ def rho_csb(F: Lifting, error: float = DEFAULT_ERROR, tol: float = DEFAULT_TOL) 
     and runs rho_constant_section; falls back to rho_direct with
     stop_on_repeat when no section wider than 2*tol exists.
     """
-    _require_non_decreasing(F, "rho_csb")
+    if not F.is_non_decreasing:
+        raise _non_decreasing_required(F, "rho_csb")
     return _rho_of_envelope(upper_map(F), error, tol)
 
 
@@ -456,12 +465,15 @@ def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> Rota
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if method == "csb":
-        sec = widest_section(env.sections)
-        if sec is not None and sec.width > 2.0 * tol:
-            # rotated by -shift the section is [-tol, beta + tol]; x <= beta keeps tol off each edge
-            shift = sec.alpha + tol
-            beta = (sec.beta - sec.alpha) - 2.0 * tol
-            return rho_constant_section(env.lifting, beta, error, shift=shift)
+        sections = env.sections
+        # a family states at most one section, read directly; none or several go through widest_section
+        sec = sections[0] if len(sections) == 1 else widest_section(sections)
+        if sec is not None:
+            alpha, beta = sec
+            width = beta - alpha
+            if width > 2.0 * tol:
+                # rotated by -(alpha + tol) the section is [-tol, width - tol]; x <= width - 2 tol keeps tol off each edge
+                return rho_constant_section(env.lifting, width - 2.0 * tol, error, shift=alpha + tol)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
     # no usable section: csb still stops at a repeated float state, while

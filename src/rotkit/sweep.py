@@ -8,7 +8,9 @@ parallelize over a process pool; results are collected in grid order and the
 emitted CSV is byte-identical for any worker count.  Floats are printed with
 up to 17 significant digits (lossless round-trip).  The writers format each
 CSV line directly and stream the lines out, without the csv module: no field
-ever needs quoting, so the bytes are the ones csv.writer would write.
+ever needs quoting, so the bytes are the ones csv.writer would write.  The
+staircase writer formats an exact row's text after mu once per (m, n,
+iterations) and reuses it along the plateau, where only mu changes.
 
 A cell's task is the sweep's SweepConfig followed by its grid point: (cfg, mu)
 for the staircase, whose mu grid always spans f_mu's domain [0, 1], (cfg, a)
@@ -241,7 +243,8 @@ def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
 
 def _estimate_to_row(mu: float, est: RotationEstimate) -> StaircaseRow:
     kind, value, error_bound, iterations, m, n = est
-    return StaircaseRow(mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__: one frame less per row
+    return tuple.__new__(StaircaseRow, (mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations))
 
 
 def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
@@ -445,12 +448,30 @@ def _header(names: list[str]) -> str:
 
 
 def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
+    """Emit staircase rows; an exact row's text after mu is formatted once per (m, n, iterations).
+
+    An exact row's rho is m / n and its error bound empty, so the rows of a
+    plateau share that text.  The lines stream out from a generator, so no
+    list of them is held.
+    """
     stream.write(_header(STAIRCASE_HEADER))
-    stream.writelines(
-        f"{mu:.17g},{rho:.17g},{kind},{'' if m is None else m},{'' if n is None else n},"
-        f"{'' if err is None else format(err, '.17g')},{iterations}\n"
-        for mu, rho, kind, m, n, err, iterations in rows
-    )
+    tails: dict[tuple[int, int, int], str] = {}
+
+    def lines():
+        for mu, rho, kind, m, n, err, iterations in rows:
+            if kind == "exact":
+                key = (m, n, iterations)
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = ",%.17g,exact,%d,%d,,%d\n" % (rho, m, n, iterations)
+                yield "%.17g%s" % (mu, tail)
+            else:
+                yield "%.17g,%.17g,%s,%s,%s,%s,%d\n" % (
+                    mu, rho, kind, "" if m is None else m, "" if n is None else n,
+                    "" if err is None else "%.17g" % err, iterations,
+                )
+
+    stream.writelines(lines())
 
 
 def write_interval_csv(rows: Sequence[IntervalRow], stream: IO[str]) -> int:

@@ -11,7 +11,9 @@ shortcut (on a section rotated to the origin by _shifted, written out here),
 the exact certifier iterates in rational arithmetic only, and the envelope
 oracle reads a piecewise-linear map's envelopes off its knots.  The
 hand-written Fraction twins of the piecewise-linear families and their
-envelopes check the twins the library derives from rational knots.
+envelopes check the twins the library derives from rational knots.  The
+staircase CSV oracle formats every field of every row with an f-string, as
+the writer did before it reused each plateau's text.
 """
 
 from __future__ import annotations
@@ -403,3 +405,14 @@ def disc_envelope_exact_oracles(omega: Fraction, c: Fraction):
     upper = _clamped_oracle(line, qu, omega + c, 1, line(1))
     lower = _clamped_oracle(line, 0, line(0), pl, omega + 1)
     return upper, lower, qu, pl
+
+
+def staircase_csv_oracle(rows) -> str:
+    """The staircase CSV, header included, with every row formatted field by field."""
+    lines = ["mu,rho,kind,m,n,error_bound,iterations\n"]
+    lines += [
+        f"{mu:.17g},{rho:.17g},{kind},{'' if m is None else m},{'' if n is None else n},"
+        f"{'' if err is None else format(err, '.17g')},{iterations}\n"
+        for mu, rho, kind, m, n, err, iterations in rows
+    ]
+    return "".join(lines)

@@ -18,6 +18,7 @@ import pytest
 from rotkit import (
     GOLDEN_MEAN,
     disc_standard,
+    f_mu,
     lower_map,
     pwl_standard,
     rho_constant_section,
@@ -28,6 +29,7 @@ from rotkit import (
     widest_section,
 )
 from rotkit.envelope import _root_on_increasing
+from rotkit.sweep import SweepConfig, _staircase_cell
 from _oracles import _clamped_oracle
 
 TWO_PI = 2.0 * math.pi
@@ -140,9 +142,9 @@ def test_flat_closures_match_the_composed_reference(make, reference, a_values):
 # ---------------------------------------------------------------------------
 # Python frames per iterate
 
-# the estimator, _require_non_decreasing, _require_error and the NamedTuple's
-# __new__, plus RotationEstimate.approx for an approximate estimate
-FIXED_FRAMES = {"exact": 4, "approx": 5}
+# the estimator and the NamedTuple's __new__, plus RotationEstimate.approx for
+# an approximate estimate; the precondition checks run inline
+FIXED_FRAMES = {"exact": 2, "approx": 3}
 
 
 def _python_calls(estimator, F, *args, **kwargs) -> Counter:
@@ -217,3 +219,21 @@ def test_csb_kernel_runs_one_frame_per_iterate(make, omega, a, upper):
     )
     # one evaluation per executed iterate: a hit's n of them, or all 10^4
     assert evaluations == (est.n if est.is_exact else 10**4) and evaluations >= 9
+
+
+# one csb staircase cell: _staircase_cell, f_mu, _as_float, Lifting's __new__,
+# rho_csb, upper_map, _own_envelope, _rho_of_envelope, rho_constant_section,
+# RotationEstimate's __new__ and _estimate_to_row, plus RotationEstimate.approx
+# for an exhaust; the section is read without widest_section, and the
+# envelope and the row are built without their NamedTuple's __new__
+STAIRCASE_CELL_FRAMES = {"exact": 11, "approx": 12}
+
+
+@pytest.mark.parametrize("mu, kind", [(0.3, "exact"), (0.61, "exact"), (0.0, "approx"), (1.0, "approx")])
+def test_csb_staircase_cell_runs_a_fixed_few_frames(mu, kind):
+    task = (SweepConfig(error=1e-5), mu)
+    assert _staircase_cell(task).kind == kind
+    calls = _python_calls(_staircase_cell, task)
+    fund = f_mu(mu).fundamental.__code__  # every f_mu closure shares its code object
+    assert calls[fund] >= 2
+    assert sum(calls.values()) - calls[fund] == STAIRCASE_CELL_FRAMES[kind]

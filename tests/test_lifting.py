@@ -139,6 +139,26 @@ def test_exact_evaluator_missing():
         evaluate_exact(F, Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [
+        [(Fraction(1, 10), Fraction(1, 10)), (1, 1)],  # starts past 0: used to wrap around silently
+        [(0, 0), (Fraction(9, 10), 1)],  # ends before 1: used to raise a bare IndexError at 19/20
+        [(0, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 1), (1, 1)],  # a repeated x
+        [(0, 0)],
+    ],
+)
+def test_exact_evaluation_rejects_knots_that_do_not_run_from_0_to_1(knots):
+    from rotkit import rho_constant_section_exact
+
+    F = Lifting(lambda x: x, True, "user map", lambda: knots)
+    for x in (Fraction(1, 20), Fraction(19, 20)):
+        with pytest.raises(ValueError, match="lifting 'user map' has knots at x = "):
+            evaluate_exact(F, x)
+    with pytest.raises(ValueError, match="'user map'"):
+        rho_constant_section_exact(F, 0.0, 0.5, 10)
+
+
 def test_records_are_immutable_picklable_named_tuples():
     # every record is a tuple: the cheapest to build, copied with _replace
     import pickle

@@ -1,7 +1,8 @@
 """CLI outputs that neither perfbench/golden.json nor test_pl_digests.py pins stay byte-identical.
 
 These SHA-256 digests cover a float and a golden tongue target, an interval
-graph at omega 0.3, the direct estimator on an interval graph and on the
+graph at omega 0.3, the paper-scale csb staircase (100,001 rows at step 1e-5,
+about 1.5 s), the direct estimator on an interval graph and on the
 staircase, the sorting estimator at the largest allowed --simo-iters (10^7,
 whose full stored orbit took about 2 s and 260 MB), and a rational and an
 irrational inversion.  Each command runs through the CLI in-process.
@@ -23,6 +24,9 @@ DIGESTS = {
         "176a3f3b12f925c2ed0bda1cd19ac3c523690fb5a74e9f9ef6df39ed137906ad",
     "interval --family pwl --algorithm direct --steps 16 --error 1e-4":
         "36f79edaa4d69add885873b13f65f71abb9eff081d78d6c253593379bc55208e",
+    # the paper-scale reference staircase: 100,001 rows, 369 distinct exact tails
+    "staircase --mu-step 1e-5 --error 1e-6 --tol 1e-10":
+        "b513c3fc04141cec9109da1a0543835745c0bf5692b4278b4b0c6f659a0372a5",
     "staircase --algorithm direct --mu-step 1e-2 --error 1e-4":
         "10e24038aa8fb8e0ace667ab83d91c7a5847eda31e8e561d386dd176869c7312",
     "staircase --algorithm simo --simo-iters 10000000 --mu-step 0.5":

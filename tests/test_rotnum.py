@@ -531,6 +531,12 @@ def test_csb_invalid_section():
         rho_constant_section_exact(f_mu(Fraction(3, 10)), Fraction(3, 4), Fraction(3, 4), 10)
 
 
+def test_csb_rejects_a_nan_test_bound():
+    # beta <= 0.0 is false for NaN, which used to return an approximate 0.62975
+    with pytest.raises(InvalidSection, match="nan"):
+        rho_constant_section(f_mu(0.5), math.nan, 1e-3, shift=0.75)
+
+
 def test_csb_exact_matches_direct_on_plateaus():
     for mu in (0.1, 0.2, 0.35, 0.55, 0.9):
         est = rho_csb(f_mu(mu), 1e-4, 1e-10)

@@ -16,6 +16,7 @@ from rotkit.sweep import (
     SweepConfig,
     UsageError,
     _pool_size,
+    _staircase_cell,
     arnold_tongue,
     benchmark,
     devils_staircase,
@@ -26,6 +27,7 @@ from rotkit.sweep import (
     write_staircase_csv,
     write_tongue_csv,
 )
+from _oracles import staircase_csv_oracle
 
 FAST = dict(error=1e-4, tol=1e-10)
 
@@ -579,6 +581,33 @@ def test_csv_headers_and_roundtrip():
     lines = buf.getvalue().splitlines()
     assert lines[0] == ",".join(TONGUE_HEADER)
     assert all(line.split(",")[2] in ("0", "1") for line in lines[1:])
+
+
+def test_staircase_writer_matches_the_field_by_field_oracle():
+    # the writer formats an exact row's text after mu once per (m, n, iterations)
+    # and reuses it; the oracle formats every field of every row
+    csb = devils_staircase(_cfg(mu_step=1e-3))
+    simo = devils_staircase(_cfg(mu_step=1e-2, algorithm="simo", simo_n=500))
+    direct = devils_staircase(_cfg(mu_step=0.25, algorithm="direct"))
+    exact = [r for r in csb if r.kind == "exact"]
+    # plateaus: many rows share (m, n, iterations) at different mu
+    assert len({(r.m, r.n, r.iterations) for r in exact}) < len(exact) // 4
+    # one (m, n) with two iteration counts: csb reports the hit's n, simo its simo_n
+    simo_pairs = {(r.m, r.n) for r in simo if r.kind == "exact"}
+    assert any((r.m, r.n) in simo_pairs for r in exact)
+    edges = [
+        _staircase_cell((_cfg(algorithm=algorithm), mu))
+        for algorithm in ("csb", "simo", "direct")
+        for mu in (-0.0, 5e-324, math.nextafter(1.0, 0.0))
+    ]
+    # exact rows at a negative zero and a subnormal mu, next to the cached text of their plateau
+    moved = [r._replace(mu=mu) for r in exact[:3] for mu in (-0.0, 5e-324)]
+    for rows in (csb, simo, direct, edges, csb + simo + moved + edges + direct):
+        buf = io.StringIO()
+        write_staircase_csv(rows, buf)
+        assert buf.getvalue() == staircase_csv_oracle(rows)
+    assert {r.kind for r in csb + simo + direct + edges} == {"exact", "approx"}
+    assert staircase_csv_oracle(moved[:2]).splitlines()[1].startswith("-0,")
 
 
 def test_failed_cells_are_flagged_and_counted():
