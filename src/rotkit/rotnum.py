@@ -5,10 +5,12 @@ Three estimators for non-decreasing degree-one liftings:
 * rho_direct       -- F^n(0)/n with n = ceil(1/error); the error bound 1/n
                       needs nothing beyond monotonicity.  By default it runs
                       all n iterates (the paper's baseline); with
-                      stop_on_repeat its main loop runs only the leftover
-                      steps after the first repeated float state, for the
-                      same value bit for bit, which is how the csb method
-                      estimates an envelope with no constant section.
+                      stop_on_repeat it stops at the first repeated float
+                      state, found by Brent's cycle detection in segments
+                      that end at iterates 16, 32, 64, ..., and runs only
+                      the leftover steps, for the same value bit for bit;
+                      this is how the csb method estimates an envelope
+                      with no constant section.
 * rho_simo         -- sorts the iterate indices of an orbit by fractional
                       part, once, and reads the first near-tie or else the
                       bracket off adjacent index pairs (Simo's
@@ -26,11 +28,12 @@ Three estimators for non-decreasing degree-one liftings:
                       rational rotation number, otherwise the direct
                       estimate after max_iter steps is returned.  An orbit
                       whose float state repeats without a hit can never
-                      hit, so past the repeat the main loop runs only the
-                      leftover steps and rebuilds the max_iter-step
-                      estimate bit for bit; iterations_used stays the
-                      nominal max_iter.  A step whose rotated point already
-                      lies in [0, 1) skips the floor of the gluing rule,
+                      hit, so past the repeat (found as in rho_direct) the
+                      loop runs only the leftover steps and rebuilds the
+                      max_iter-step estimate bit for bit; iterations_used
+                      stays the nominal max_iter.  A step whose rotated
+                      point lies in [-1, 2) skips the floor of the gluing
+                      rule, and a state in [1, 2) wraps by subtracting 1,
                       with the same bits.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
@@ -46,6 +49,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import length_hint
 from typing import NamedTuple
 
 from .envelope import lower_map, upper_map, widest_section
@@ -56,6 +61,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_SIMO_N = 1000
 
 SIMO_TIE_EPS = 1e-14
+
+# the stopping kernels' first Brent segment; later checkpoints double
+FIRST_SEGMENT = 16
 
 
 class InvalidSection(ValueError):
@@ -143,7 +151,7 @@ def _non_decreasing_required(F: Lifting, who: str) -> ValueError:
 
 
 def _bad_error(error: float) -> ValueError:
-    return ValueError(f"error must be positive and finite, got {error}")
+    return ValueError(f"error must be positive and finite, with 1/error finite, got {error}")
 
 
 def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
@@ -153,16 +161,23 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     error bound is 1/n.  By default there is deliberately no early stop:
     every one of the n iterates runs, as in the paper's baseline.
 
-    With stop_on_repeat the float state is compared with a checkpoint moved
-    to iterates 1, 2, 4, 8, ... (Brent's cycle detection, as in
-    rho_constant_section).  Once it repeats the rest of the orbit is forced:
-    the gain of the whole periods left is added at once, and the main loop
-    runs only the remaining steps before it stops.  Value, error_bound and
-    the nominal iterations_used = n are bit-identical to the full loop.
+    With stop_on_repeat the orbit runs in segments that end at iterates
+    16, 32, 64, ... (Brent's cycle detection, as in rho_constant_section):
+    each state is compared with the checkpoint, the state at the previous
+    segment's end (0 for the first segment).  The loop body is only the
+    step, the wrap and that comparison; the checkpoint moves once per
+    segment, and the iterate index is read off the segment's iterator only
+    at a repeat.  Once the state repeats the rest of the orbit is forced:
+    the gain of the whole periods left is added at once, and one last
+    segment runs the remaining steps.  A state in [1, 2) wraps as x - 1.0,
+    the float operation of x - floor(x); floor runs only outside [0, 2).
+    Value, error_bound and the nominal iterations_used = n are
+    bit-identical to the full loop.
     """
     if not F.is_non_decreasing:
         raise _non_decreasing_required(F, "rho_direct")
-    if not (math.isfinite(error) and error > 0.0):
+    # a subnormal error passes 0 < error < inf, but its 1/error overflows to inf
+    if not (0.0 < error < math.inf and 1.0 / error < math.inf):
         raise _bad_error(error)
     n = math.ceil(1.0 / error)
     fund = F.fundamental
@@ -182,31 +197,49 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
                 m += s
                 x -= s
         return RotationEstimate.approx((m + x) / n + k0, 1.0 / n, n)
-    # Brent checkpoint: the state (cx, cm) after ci steps; it moves at i == nxt
+    # Brent's cycle detection: the orbit runs in segments, and each state of
+    # a segment is compared with the checkpoint (cx, cm), the state after ci
+    # steps; the checkpoint moves to a segment's end, iterate 16, 32, 64, ...
     cx = 0.0
     cm = 0
     ci = 0
-    nxt = 1
-    for i in range(1, n + 1):
-        x = fund(x) - k
-        if not 0.0 <= x < 1.0:
-            s = floor(x)
-            m += s
-            x -= s
-        if x == cx:
-            # period i - ci, gaining m - cm: add the whole periods, run the
-            # rem leftover steps and stop (x >= 0 never meets cx = -1.0)
-            periods, rem = divmod(n - i, i - ci)
-            m += periods * (m - cm)
-            cx = -1.0
-            nxt = i + rem
-        if i == nxt:
-            if cx < 0.0:
+    end = min(FIRST_SEGMENT, n)
+    while True:
+        steps = repeat(None, end - ci)
+        for _ in steps:
+            x = fund(x) - k
+            # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
+            if x < 1.0:
+                if x < 0.0:
+                    s = floor(x)
+                    m += s
+                    x -= s
+            elif x < 2.0:
+                x -= 1.0
+                m += 1
+            else:
+                s = floor(x)
+                m += s
+                x -= s
+            if x == cx:
+                break
+        else:
+            if end == n:
                 break
             cx = x
             cm = m
-            ci = i
-            nxt = 2 * i
+            ci = end
+            end = min(2 * end, n)
+            continue
+        # the state after i steps repeats the checkpoint: period i - ci,
+        # gaining m - cm.  Add the whole periods and run the rem leftover
+        # steps as a last segment (x >= 0 never meets cx = -1.0)
+        i = end - length_hint(steps)
+        periods, rem = divmod(n - i, i - ci)
+        m += periods * (m - cm)
+        cx = -1.0
+        ci = n - rem
+        end = n
     return RotationEstimate.approx((m + x) / n + k0, 1.0 / n, n)
 
 
@@ -222,7 +255,9 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
 
     The orbit loop stops at the first repeated float state: the state is
     compared with a checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's
-    cycle detection, as in rho_direct with stop_on_repeat).  Past a repeat
+    cycle detection; rho_direct with stop_on_repeat and rho_constant_section
+    first move theirs at 16, which here would store and sort more iterates
+    of a short orbit).  Past a repeat
     the orbit is forced: it completes one lap past the repeat (cut short at
     n), since a value recurs in the full orbit exactly when it recurs one
     period after its first iterate, inside that lap.  The sorted lap-long
@@ -332,72 +367,102 @@ def rho_constant_section(
     estimator iterates the conjugate x -> G(x + shift) - shift, whose
     section starts at the origin, through G's gluing rule y = x + shift,
     G(y) = fund(y - floor(y)) + floor(y); with shift=0.0 it iterates G
-    itself.  When y already lies in [0, 1) the step is fund(y) - shift, with
-    no floor and no int arithmetic: y - 0 is y, and fund(y) + 0 - shift can
+    itself.  When y lies in [-1, 2) its floor is -1, 0 or 1 and the step
+    writes it out, with no floor call and no int arithmetic:
+    fund(y + 1.0) - 1.0 - shift, fund(y) - shift and
+    fund(y - 1.0) + 1.0 - shift are the float operations of the rule with
+    s = -1 and s = 1, and at s = 0, y - 0 is y and fund(y) + 0 - shift can
     differ from fund(y) - shift only in the sign of a zero, when fund(y) is
     -0.0 and shift is 0.0; a zero state is a hit, whose estimate does not
-    read it.  The orbit of 0 is the orbit of the section; at the first n
+    read it.  A state in [1, 2) wraps as x - 1.0, as in rho_direct.  The
+    orbit of 0 is the orbit of the section; at the first n
     with fractional part x <= beta the section returns to itself (mod 1)
     and rho = m/n exactly, provided the margin holds.  Cycles longer than
     ceil(1/error) are invisible and fall back to the direct estimate
     (m + x)/max_iter of the orbit's state after max_iter = ceil(1/error)
     steps.
 
-    The fallback may stop early.  The float state x is compared with a
-    checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's cycle detection).
-    Once x repeats without a hit the rest of the orbit is forced and never
-    hits: the gain of the whole periods left is added at once, and the main
-    loop runs only the remaining steps before it stops, so the state after
-    max_iter steps is bit-identical to the full loop's.  The estimate still
-    reports the nominal iterations_used = max_iter.
+    The fallback may stop early.  The orbit runs in the segments of
+    rho_direct with stop_on_repeat, and each state that misses the section
+    is compared with the checkpoint at the previous segment's end (Brent's
+    cycle detection); a hit's n is read off the segment's iterator.  Once
+    x repeats without a hit the rest of the orbit is forced and never hits:
+    the gain of the whole periods left is added at once, and one last
+    segment runs the remaining steps, so the state after max_iter steps is
+    bit-identical to the full loop's.  The estimate still reports the
+    nominal iterations_used = max_iter.
     """
     if not G.is_non_decreasing:
         raise _non_decreasing_required(G, "rho_constant_section")
     if not beta > 0.0:  # a NaN beta fails this test too
         raise InvalidSection(f"test bound beta must be positive, got {beta}")
-    if not (math.isfinite(error) and error > 0.0):
+    # a subnormal error passes 0 < error < inf, but its 1/error overflows to inf
+    if not (0.0 < error < math.inf and 1.0 / error < math.inf):
         raise _bad_error(error)
     max_iter = math.ceil(1.0 / error)
     fund = G.fundamental
     floor = math.floor
     x = 0.0
     m = 0
-    # Brent checkpoint: the state (cx, cm) after cn steps; it moves at n == nxt
+    # Brent's cycle detection in segments, as in rho_direct with stop_on_repeat
     cx = 0.0
     cm = 0
     cn = 0
-    nxt = 1
-    for n in range(1, max_iter + 1):
-        # G's gluing rule at x + shift, conjugated back by -shift; inside
-        # [0, 1) the floor is 0 and the rule is fund(y) (see the docstring)
-        y = x + shift
-        if 0.0 <= y < 1.0:
-            x = fund(y) - shift
+    end = min(FIRST_SEGMENT, max_iter)
+    while True:
+        steps = repeat(None, end - cn)
+        for _ in steps:
+            # G's gluing rule at y = x + shift, conjugated back by -shift,
+            # with the floor written out for y in [-1, 2) (see the docstring)
+            y = x + shift
+            if y < 1.0:
+                if y >= 0.0:
+                    x = fund(y) - shift
+                elif y >= -1.0:
+                    x = fund(y + 1.0) - 1.0 - shift
+                else:
+                    s = floor(y)
+                    x = fund(y - s) + s - shift
+            elif y < 2.0:
+                x = fund(y - 1.0) + 1.0 - shift
+            else:
+                s = floor(y)
+                x = fund(y - s) + s - shift
+            if x < 1.0:
+                if x < 0.0:
+                    s = floor(x)
+                    m += s
+                    x -= s
+            elif x < 2.0:
+                x -= 1.0
+                m += 1
+            else:
+                s = floor(x)
+                m += s
+                x -= s
+            if x <= beta:
+                n = end - length_hint(steps)
+                # RotationEstimate.exact(m, n), built without the classmethod call
+                return RotationEstimate("exact", m / n, 0.0, n, m, n)
+            if x == cx:
+                break
         else:
-            s = floor(y)
-            x = fund(y - s) + s - shift
-        if not 0.0 <= x < 1.0:
-            s = floor(x)
-            m += s
-            x -= s
-        if x <= beta:
-            # RotationEstimate.exact(m, n), built without the classmethod call
-            return RotationEstimate("exact", m / n, 0.0, n, m, n)
-        if x == cx:
-            # period n - cn, gaining m - cm: add the whole periods, run the
-            # rem leftover steps, which replay the missed steps cn+1 ..
-            # cn+rem, and stop (x >= 0 never meets cx = -1.0)
-            periods, rem = divmod(max_iter - n, n - cn)
-            m += periods * (m - cm)
-            cx = -1.0
-            nxt = n + rem
-        if n == nxt:
-            if cx < 0.0:
+            if end == max_iter:
                 break
             cx = x
             cm = m
-            cn = n
-            nxt = 2 * n
+            cn = end
+            end = min(2 * end, max_iter)
+            continue
+        # period n - cn, gaining m - cm: add the whole periods and run the rem
+        # leftover steps, which replay the missed steps cn+1 .. cn+rem and
+        # cannot hit, as a last segment (x >= 0 never meets cx = -1.0)
+        n = end - length_hint(steps)
+        periods, rem = divmod(max_iter - n, n - cn)
+        m += periods * (m - cm)
+        cx = -1.0
+        cn = max_iter - rem
+        end = max_iter
     return RotationEstimate.approx((m + x) / max_iter, 1.0 / max_iter, max_iter)
 
 

@@ -1,6 +1,7 @@
 """CLI outputs that neither perfbench/golden.json nor test_pl_digests.py pins stay byte-identical.
 
-These SHA-256 digests cover a float and a golden tongue target, an interval
+These SHA-256 digests cover a float and a golden tongue target, three
+tongues on the shifted grid omega in [3, 4] around rho 7/2, an interval
 graph at omega 0.3, the paper-scale csb staircase (100,001 rows at step 1e-5,
 about 1.5 s), the direct estimator on an interval graph and on the
 staircase, the sorting estimator at the largest allowed --simo-iters (10^7,
@@ -20,6 +21,13 @@ DIGESTS = {
         "2631f031db4b0cab7fa7d304e07a1b71d4bd539dcdddb23e0f1a987c289e211e",
     "tongue --family pwl --rho 0.5 --steps 8 --error 1e-4":
         "179ae6bd1eff4999bc6bb2d2908a2b1d9afcf53bc9a9197bf120da1213e7fedd",
+    # shifted grids, the shape of a nonzero perfbench seed: floor(F(0)) = 3, not 0
+    "tongue --family standard --rho 7/2 --omega-range 3:4 --steps 16 --error 1e-4":
+        "4ba2a0d084d653a37ef2d28b0b2d0b06280c83eeb9df46dfae160808b7b2c0ce",
+    "tongue --family pwl --rho 7/2 --omega-range 3:4 --steps 16 --error 1e-4":
+        "15ce88436f8a8a8a0aab132710464d9cab11422cb99850648339f239fd6a0751",
+    "tongue --family disc --rho 7/2 --omega-range 3:4 --steps 16 --error 1e-4":
+        "6200ad931f2f2a553e00aed49422b211df88fd15998cbd22c64ba6071c15f312",
     "interval --family standard --omega 0.3 --steps 64 --error 1e-5":
         "176a3f3b12f925c2ed0bda1cd19ac3c523690fb5a74e9f9ef6df39ed137906ad",
     "interval --family pwl --algorithm direct --steps 16 --error 1e-4":

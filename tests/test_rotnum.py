@@ -569,6 +569,28 @@ def test_csb_rejects_non_finite_error_and_tol():
             rho_csb(f_mu(0.3), 1e-4, tol)
 
 
+@pytest.mark.parametrize("error", [5e-324, 1e-320, 2.0**-1030])
+def test_error_whose_inverse_overflows_is_a_value_error(error):
+    # 1/error is inf: math.ceil would raise OverflowError
+    assert 0.0 < error and 1.0 / error == math.inf
+    F, beta, shift = _fmu_section(0.3)
+    no_section = standard_map(0.37, 0.5)
+    calls = [
+        lambda: rho_direct(F, error),
+        lambda: rho_direct(F, error, stop_on_repeat=True),
+        lambda: rho_constant_section(F, beta, error, shift=shift),
+        lambda: rho_csb(F, error),
+        lambda: rho_csb(no_section, error),
+        lambda: rotation_interval(F, error),
+        lambda: rotation_interval(no_section, error),
+        lambda: rotation_interval(standard_map(0.3, 2.0), error),
+        lambda: rotation_interval(F, error, method="direct"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="error must be positive and finite"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # float-cycle shortcut: bit-identical to the plain section-orbit loop
 
@@ -762,6 +784,173 @@ def test_repeated_state_inside_section_is_exact(omega, m, n):
     # the starting checkpoint)
     est = _assert_matches_oracle(_rigid(omega), 0.1, 1e-4)
     assert est.is_exact and (est.m, est.n) == (m, n)
+
+
+# ---------------------------------------------------------------------------
+# segment edges of the two stopping kernels: their orbits run in segments
+# that end at iterates 16, 32, 64, ..., and each state is compared with the
+# checkpoint at the previous segment's end
+
+
+def _table_map(orbit):
+    """The map taking orbit[j] to orbit[j + 1] plus j % 4 whole turns.
+
+    The orbit's states are dyadic, so every value is exact and the plain
+    loops give the same orbit as any wrap arithmetic; the turns put a state
+    before its wrap in [0, 1), [1, 2) or beyond.
+    """
+    from rotkit.lifting import Lifting
+
+    succ = dict(zip(orbit, orbit[1:]))
+    turns = {x: j % 4 for j, x in enumerate(orbit[:-1])}
+
+    def fund(x):
+        return succ[x] + turns[x]
+
+    return Lifting(fundamental=fund, is_non_decreasing=True, label=f"table({len(orbit)})")
+
+
+TABLE_BETA = 1 / 256
+
+
+def _cycle_map(pre, period):
+    """The orbit of 0 runs pre states into a cycle of period states, all above TABLE_BETA but 0."""
+    states = [0.0] + [(j + 1) / 128 for j in range(1, pre + period)]
+    return _table_map(states + [states[pre]])
+
+
+def _hit_map(hit_at):
+    """The orbit of 0 misses the section [0, TABLE_BETA] until iterate hit_at."""
+    return _table_map([0.0] + [(j + 1) / 128 for j in range(1, hit_at)] + [TABLE_BETA])
+
+
+SEGMENT_NS = [1, 2, 15, 16, 17, 31, 32, 33, 10**4]
+
+
+def _error_for(n):
+    error = 1.0 / n
+    assert math.ceil(1.0 / error) == n
+    return error
+
+
+@pytest.mark.parametrize("n", SEGMENT_NS)
+def test_direct_kernel_matches_oracle_at_segment_lengths(n):
+    error = _error_for(n)
+    maps = [
+        standard_map(0.37, 0.5),  # no repeat
+        disc_standard(3.31, 0.0),  # no repeat, floor(F(0)) = 3
+        _rigid(0.375),  # period 8 through 0
+        _rigid(2 + 3 / 16),  # period 16 through 0, floor(F(0)) = 2
+        _cycle_map(3, 16),
+        _cycle_map(3, 5),
+    ]
+    for G in maps:
+        _assert_fallback_matches(G, error)
+
+
+@pytest.mark.parametrize("n", SEGMENT_NS)
+def test_csb_kernel_matches_oracle_at_segment_lengths(n):
+    error = _error_for(n)
+    for mu in (0.0, 0.3, 0.61, 1.0):
+        F, beta, shift = _fmu_section(mu)
+        _assert_matches_oracle(F, beta, error, shift=shift)
+    env = lower_map(standard_map(4 / 15, 8 * math.pi / 15))  # a parabolic-line exhaust
+    sec = widest_section(env.sections)
+    _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta, error)
+    _assert_matches_oracle(_two_cycle_map(), 0.05, error, shift=0.425)
+    _assert_matches_oracle(_rigid(GOLDEN_MEAN), 1e-3, error, shift=0.3)
+    for pre, period in ((3, 16), (3, 5), (17, 32)):
+        _assert_matches_oracle(_cycle_map(pre, period), TABLE_BETA, error)
+
+
+# (pre, period, iterate at which the repeat is found): the first two on a
+# segment's last iterate (16 against the start, 32 against the checkpoint at
+# 16), then 64 (a period of 32 outgrows the second segment) and one found
+# inside a segment
+REPEATS = [(0, 16, 16), (3, 16, 32), (3, 32, 64), (3, 5, 21)]
+
+
+@pytest.mark.parametrize("pre, period, found", REPEATS)
+@pytest.mark.parametrize("extra", [0, 1, 7])
+def test_repeats_on_segment_edges_are_bit_identical(pre, period, found, extra):
+    # n = 10016 + extra leaves rem = (n - found) % period leftover steps:
+    # none at extra 0 (10016 = 313 * 32), but for the period of 5
+    F = _cycle_map(pre, period)
+    n = 10_016 + extra
+    error = _error_for(n)
+    rem = (n - found) % period
+    assert (rem == 0) == (extra == 0) or period == 5
+    G, calls = _counting(F)
+    _assert_fallback_matches(F, error)
+    rho_direct(G, error, stop_on_repeat=True)
+    assert calls[0] == 1 + found + rem  # floor(F(0)), the orbit up to the repeat, the leftover steps
+    if pre:  # a cycle through 0 hits the section
+        G, calls = _counting(F)
+        est = _assert_matches_oracle(F, TABLE_BETA, error)
+        assert est.kind == "approx" and rho_constant_section(G, TABLE_BETA, error) == est
+        assert calls[0] == found + rem
+
+
+@pytest.mark.parametrize("hit_at", [1, 5, 15, 16, 17, 32, 33])
+def test_csb_hits_inside_and_past_the_first_segment(hit_at):
+    G, calls = _counting(_hit_map(hit_at))
+    for error in (1e-4, _error_for(hit_at)):
+        calls[0] = 0
+        est = _assert_matches_oracle(G, TABLE_BETA, error)
+        assert (est.kind, est.n, est.m) == ("exact", hit_at, sum(j % 4 for j in range(hit_at)))
+        assert calls[0] == 2 * hit_at  # the estimator's orbit, then the oracle's
+
+
+def _y_ranges(fund, shift, beta, error):
+    """The ranges of the rotated points y = x + shift on the plain section-orbit loop."""
+    ranges = set()
+    g = _shifted(fund, shift)
+
+    def recording(x):
+        ranges.add(min(max(math.floor(x + shift), -2), 2))  # -2: below -1, 2: at or above 2
+        return g(x)
+
+    section_orbit_oracle(recording, beta, error)
+    return ranges
+
+
+def test_csb_step_bit_identical_for_every_range_of_the_rotated_point():
+    # y in [-1, 0), [0, 1) and [1, 2) take the floor-free steps; below -1 and
+    # from 2 on, and for a slope-3 map whose states pass 2, floor runs
+    from rotkit.lifting import Lifting
+
+    slope3 = Lifting(fundamental=lambda x: 3.0 * x + 0.1, is_non_decreasing=True, label="slope 3")
+    rigid = _rigid(GOLDEN_MEAN)
+    smooth = standard_map(0.37, 0.5)
+    seen = set()
+    for F in (rigid, smooth, slope3):
+        for shift in (-2.75, -1.75, -0.61, -0.5, -0.3, -1e-300, 0.0, 0.3, 0.999, 1.2, 1.0, 2.5, -3.25):
+            for error in (1e-3, _error_for(17)):
+                _assert_matches_oracle(F, 1e-3, error, shift=shift)
+                seen |= _y_ranges(F.fundamental, shift, 1e-3, error)
+    assert seen == {-2, -1, 0, 1, 2}
+    # floor(F(0)) = 0, so the direct kernel's states before their wrap are the
+    # values of F: they reach [2, 3.1), where the state's floor branch runs
+    values = []
+    recording = slope3._replace(fundamental=lambda x: values.append(3.0 * x + 0.1) or values[-1])
+    _assert_fallback_matches(slope3, 1e-3)
+    rho_direct(recording, 1e-3, stop_on_repeat=True)
+    assert max(values) >= 2.0 and min(values) < 1.0
+
+
+def test_nan_valued_map_raises_the_floor_value_error():
+    from rotkit.lifting import Lifting
+
+    F = Lifting(fundamental=lambda x: 0.25 if x == 0.0 else math.nan, is_non_decreasing=True, label="nan")
+    for call in (
+        lambda: rho_direct(F, 1e-3),
+        lambda: rho_direct(F, 1e-3, stop_on_repeat=True),
+        lambda: rho_constant_section(F, 0.1, 1e-3),
+        lambda: rho_constant_section(F, 0.1, 1e-3, shift=1.5),
+        lambda: rho_constant_section(f_mu(0.3), 0.1, 1e-3, shift=math.nan),
+    ):
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            call()
 
 
 # ---------------------------------------------------------------------------
