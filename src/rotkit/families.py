@@ -120,10 +120,12 @@ def f_mu(mu) -> Lifting:
     rotation number as a function of mu draws a Devil's staircase.  The label
     is the constant "F_mu", which a float sweep never formats; mu shows in
     repr(F) through the knots, partial(_fmu_knots, mu).  No error message can
-    show the label: F_mu is non-decreasing and has knots.
+    show the label: F_mu is non-decreasing and has knots.  A float mu, what
+    a sweep passes, is read as is; any other type goes through _as_float.
     """
-    mu_f = _as_float(mu, "mu")
+    mu_f = mu if type(mu) is float else _as_float(mu, "mu")
     if not 0.0 <= mu_f <= 1.0:
+        _as_float(mu_f, "mu")  # a NaN or infinite float mu raises its "must be finite" message
         raise InvalidParam(f"mu must lie in [0, 1], got {mu_f}")
 
     def fund(x: float) -> float:
@@ -131,8 +133,8 @@ def f_mu(mu) -> Lifting:
             return mu_f + 1.0
         return (4.0 / 3.0) * x + mu_f
 
-    # positional: the staircase builds one per cell, and keywords cost more
-    return Lifting(fund, True, "F_mu", partial(_fmu_knots, mu), _FMU_ENVELOPES)
+    # the staircase builds one per cell: tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(Lifting, (fund, True, "F_mu", partial(_fmu_knots, mu), _FMU_ENVELOPES))
 
 
 # ---------------------------------------------------------------------------

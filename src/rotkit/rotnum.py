@@ -93,7 +93,10 @@ class RotationEstimate(NamedTuple):
     reduced form is available as as_fraction.  Their error bound is 0.0,
     conditional on the rounding-error-below-tol assumption of the
     constant-section algorithm.  A NamedTuple, like every rotkit record: one
-    is built per estimate, and a tuple is the cheapest record to build.
+    is built per estimate, and a tuple is the cheapest record to build.  The
+    estimators build theirs with tuple.__new__, which skips the NamedTuple's
+    Python-level __new__ and its defaults, so they give m and n (None for an
+    approximate estimate) themselves.
     """
 
     kind: str  # "exact" or "approx"
@@ -196,7 +199,7 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
                 s = floor(x)
                 m += s
                 x -= s
-        return RotationEstimate.approx((m + x) / n + k0, 1.0 / n, n)
+        return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
     # Brent's cycle detection: the orbit runs in segments, and each state of
     # a segment is compared with the checkpoint (cx, cm), the state after ci
     # steps; the checkpoint moves to a segment's end, iterate 16, 32, 64, ...
@@ -240,7 +243,7 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
         cx = -1.0
         ci = n - rem
         end = n
-    return RotationEstimate.approx((m + x) / n + k0, 1.0 / n, n)
+    return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
 
 
 def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
@@ -266,7 +269,8 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     iterate only.  Every result is bit-identical to the full n-iterate
     loop's, and memory and time are O(preperiod + period) whatever n is; a
     repeat always ties, so a bracket only ever comes from a full orbit,
-    which keeps O(n).
+    which keeps O(n).  A state in [1, 2) wraps as x - 1.0, as in
+    rho_direct; floor runs only outside [0, 2).
 
     The iterate indices are sorted by value once: the first adjacent pair
     closer than 1e-14 is the tie, and with no tie the same order gives the
@@ -292,7 +296,16 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     nxt = 1
     for i in range(1, n + 1):
         x = fund(x) - k
-        if not 0.0 <= x < 1.0:
+        # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
+        if x < 1.0:
+            if x < 0.0:
+                s = floor(x)
+                m += s
+                x -= s
+        elif x < 2.0:
+            x -= 1.0
+            m += 1
+        else:
             s = floor(x)
             m += s
             x -= s
@@ -338,7 +351,7 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
         else:
             if rho_aux < rho_max:
                 rho_max = rho_aux
-    return SimoBracket(rho_min=rho_min + k0, rho_max=rho_max + k0, n=n)
+    return tuple.__new__(SimoBracket, (rho_min + k0, rho_max + k0, n))
 
 
 def simo_error_bound(c: float, nu: float, n: int) -> float:
@@ -442,8 +455,7 @@ def rho_constant_section(
                 x -= s
             if x <= beta:
                 n = end - length_hint(steps)
-                # RotationEstimate.exact(m, n), built without the classmethod call
-                return RotationEstimate("exact", m / n, 0.0, n, m, n)
+                return tuple.__new__(RotationEstimate, ("exact", m / n, 0.0, n, m, n))
             if x == cx:
                 break
         else:
@@ -463,7 +475,7 @@ def rho_constant_section(
         cx = -1.0
         cn = max_iter - rem
         end = max_iter
-    return RotationEstimate.approx((m + x) / max_iter, 1.0 / max_iter, max_iter)
+    return tuple.__new__(RotationEstimate, ("approx", (m + x) / max_iter, 1.0 / max_iter, max_iter, None, None))
 
 
 def rho_constant_section_exact(
@@ -526,8 +538,8 @@ def rotation_interval(
 
 
 def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> RotationEstimate:
-    # a NaN tol would fail the width test and silently force the fallback
-    if not (math.isfinite(tol) and tol >= 0.0):
+    # a NaN tol would fail the width test and silently force the fallback; NaN fails this test too
+    if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if method == "csb":
         sections = env.sections

@@ -23,6 +23,7 @@ typing.NamedTuple.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import time
@@ -90,7 +91,9 @@ class SweepConfig(NamedTuple):
         CIRCLE_FAMILIES family, not simo) reads a_min >= 0, a_max and a_steps;
         a tongue also omega_min, omega_max (a range whose width is a float),
         omega_steps and a target within float range.  Each grid has 1 to
-        MAX_GRID_CELLS cells.
+        MAX_GRID_CELLS cells.  The counts read (simo_n, workers, a_steps,
+        omega_steps) must be integers: operator.index must accept them, as it
+        does a NumPy integer.
         """
         for name in ("mu_step", "omega", "omega_min", "omega_max", "a_min", "a_max"):
             value = getattr(self, name)
@@ -101,11 +104,11 @@ class SweepConfig(NamedTuple):
         if self.error <= 0.0 or self.tol < 0.0:
             raise UsageError("error must be positive and tol non-negative")
         _check_iterates(self.error)
-        if not 2 <= self.simo_n <= MAX_SIMO_N:
+        if not 2 <= _count(self, "simo_n") <= MAX_SIMO_N:
             raise UsageError(f"simo_n must lie in [2, {MAX_SIMO_N}], got {self.simo_n}")
         if self.algorithm not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.workers < 1:
+        if _count(self, "workers") < 1:
             raise UsageError("worker count must be positive")
         if problem == "staircase":
             if self.mu_step <= 0.0:
@@ -129,15 +132,25 @@ class SweepConfig(NamedTuple):
             raise UsageError("empty parameter range")
         if tongue and not math.isfinite(self.omega_max - self.omega_min):
             raise UsageError(f"omega range {self.omega_min}:{self.omega_max} is wider than the largest float")
-        omega_steps = self.omega_steps if tongue else 1  # an interval graph is one omega line
-        if self.a_steps < 1 or omega_steps < 1:
+        a_steps = _count(self, "a_steps")
+        omega_steps = _count(self, "omega_steps") if tongue else 1  # an interval graph is one omega line
+        if a_steps < 1 or omega_steps < 1:
             raise UsageError("grids need at least one point")
-        if self.a_steps * omega_steps > MAX_GRID_CELLS:
+        if a_steps * omega_steps > MAX_GRID_CELLS:
             raise UsageError(f"a {self.a_steps} x {omega_steps} (a, omega) grid exceeds {MAX_GRID_CELLS} cells")
         if self.family not in CIRCLE_FAMILIES:
             raise UsageError(f"{'tongues' if tongue else 'interval graphs'} are defined for {', '.join(CIRCLE_FAMILIES)}")
         if self.algorithm == "simo":
             raise UsageError("the sorting estimator does not apply to rotation intervals (rho outside [0,1])")
+
+
+def _count(cfg: SweepConfig, name: str) -> int:
+    """The integer value of a count field; a float, even a whole one, is a UsageError."""
+    value = getattr(cfg, name)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_iterates(error: float) -> None:
@@ -241,27 +254,28 @@ def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
 # Devil's staircase
 
 
-def _estimate_to_row(mu: float, est: RotationEstimate) -> StaircaseRow:
-    kind, value, error_bound, iterations, m, n = est
-    # tuple.__new__ skips the NamedTuple's Python-level __new__: one frame less per row
-    return tuple.__new__(StaircaseRow, (mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations))
-
-
 def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
+    # each row is built with tuple.__new__, which skips the NamedTuple's
+    # Python-level __new__: a staircase cell costs a handful of frames
     cfg, mu = task
     algorithm = cfg.algorithm
     F = f_mu(mu)
     if algorithm == "csb":
-        return _estimate_to_row(mu, rho_csb(F, cfg.error, cfg.tol))
-    if algorithm == "direct":
-        return _estimate_to_row(mu, rho_direct(F, cfg.error))
-    simo_n = cfg.simo_n
-    try:
-        br = rho_simo(F, simo_n)
-        est = RotationEstimate.approx(0.5 * (br.rho_min + br.rho_max), 0.5 * (br.rho_max - br.rho_min), simo_n)
-    except PeriodicOrbitDetected as hit:
-        est = RotationEstimate.exact(hit.rotation.numerator, hit.rotation.denominator, simo_n)
-    return _estimate_to_row(mu, est)
+        kind, value, error_bound, iterations, m, n = rho_csb(F, cfg.error, cfg.tol)
+    elif algorithm == "direct":
+        kind, value, error_bound, iterations, m, n = rho_direct(F, cfg.error)
+    else:
+        # Simo's estimate: the cycle's exact rotation number, or the bracket's midpoint and half-width
+        simo_n = cfg.simo_n
+        try:
+            rho_min, rho_max, _ = rho_simo(F, simo_n)
+        except PeriodicOrbitDetected as hit:
+            m, n = hit.rotation.as_integer_ratio()
+            return tuple.__new__(StaircaseRow, (mu, m / n, "exact", m, n, None, simo_n))
+        return tuple.__new__(
+            StaircaseRow, (mu, 0.5 * (rho_min + rho_max), "approx", None, None, 0.5 * (rho_max - rho_min), simo_n)
+        )
+    return tuple.__new__(StaircaseRow, (mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations))
 
 
 def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:

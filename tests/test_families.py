@@ -32,11 +32,46 @@ def test_f_mu_values():
     assert evaluate_exact(F, Fraction(0)) == Fraction(819, 3124)
 
 
-def test_f_mu_domain():
-    with pytest.raises(InvalidParam):
-        f_mu(-0.1)
-    with pytest.raises(InvalidParam):
-        f_mu(1.5)
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (math.nan, "mu must be finite, got nan"),
+        (math.inf, "mu must be finite, got inf"),
+        (-math.inf, "mu must be finite, got -inf"),
+        (-0.1, "mu must lie in [0, 1], got -0.1"),
+        (1.5, "mu must lie in [0, 1], got 1.5"),
+        ("-1/10", "mu must lie in [0, 1], got -0.1"),
+        (Fraction(3, 2), "mu must lie in [0, 1], got 1.5"),
+        (2, "mu must lie in [0, 1], got 2.0"),
+    ],
+)
+def test_f_mu_domain(mu, message):
+    with pytest.raises(InvalidParam) as raised:
+        f_mu(mu)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "mu, mu_f, exact",
+    [
+        ("3/10", 0.3, Fraction(3, 10)),
+        (Fraction(3, 10), 0.3, Fraction(3, 10)),
+        (0, 0.0, Fraction(0)),
+        (0.3, 0.3, Fraction(0.3)),  # a float's knots hold its binary value
+        (-0.0, -0.0, Fraction(0)),
+    ],
+    ids=repr,
+)
+def test_f_mu_reads_every_parameter_type_alike(mu, mu_f, exact):
+    # a float mu is read as is, any other type through its float value mu_f:
+    # the fundamental's bits (zeros told apart by sign) are (4/3) x + mu_f and
+    # mu_f + 1, and the knots hold the parameter's exact twin
+    F = f_mu(mu)
+    for x in (0.0, 0.25, 0.5, 0.75, 0.7500000000000001, 0.9, 1.0):
+        expected = mu_f + 1.0 if x > 0.75 else (4.0 / 3.0) * x + mu_f
+        assert F.fundamental(x).hex() == expected.hex()
+    assert F.knots() == [(0, exact), (Fraction(3, 4), exact + 1), (1, exact + 1)]
+    assert (F.is_non_decreasing, F.label) == (True, "F_mu")
 
 
 def test_tau_wave():

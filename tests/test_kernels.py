@@ -142,9 +142,9 @@ def test_flat_closures_match_the_composed_reference(make, reference, a_values):
 # ---------------------------------------------------------------------------
 # Python frames per iterate
 
-# the estimator and the NamedTuple's __new__, plus RotationEstimate.approx for
-# an approximate estimate; the precondition checks run inline
-FIXED_FRAMES = {"exact": 2, "approx": 3}
+# the estimator alone: the precondition checks run inline, and the estimate is
+# built with tuple.__new__, skipping the NamedTuple's Python-level __new__
+FIXED_FRAMES = 1
 
 
 def _python_calls(estimator, F, *args, **kwargs) -> Counter:
@@ -181,7 +181,7 @@ def _assert_one_frame_per_evaluation(estimator, F, *args, **kwargs):
     est, evaluations = _counted_run(estimator, F, *args, **kwargs)
     calls = _python_calls(estimator, F, *args, **kwargs)
     assert calls[F.fundamental.__code__] == evaluations
-    assert sum(calls.values()) == evaluations + FIXED_FRAMES[est.kind]
+    assert sum(calls.values()) == evaluations + FIXED_FRAMES
     return est, evaluations
 
 
@@ -221,19 +221,33 @@ def test_csb_kernel_runs_one_frame_per_iterate(make, omega, a, upper):
     assert evaluations == (est.n if est.is_exact else 10**4) and evaluations >= 9
 
 
-# one csb staircase cell: _staircase_cell, f_mu, _as_float, Lifting's __new__,
-# rho_csb, upper_map, _own_envelope, _rho_of_envelope, rho_constant_section,
-# RotationEstimate's __new__ and _estimate_to_row, plus RotationEstimate.approx
-# for an exhaust; the section is read without widest_section, and the
-# envelope and the row are built without their NamedTuple's __new__
-STAIRCASE_CELL_FRAMES = {"exact": 11, "approx": 12}
+# the fixed frames of one staircase cell, hit or exhaust alike, besides its
+# evaluations of the f_mu fundamental.  Every cell runs _staircase_cell and
+# f_mu (a float mu skips _as_float); a csb cell adds rho_csb, upper_map,
+# _own_envelope, _rho_of_envelope and rho_constant_section, a direct cell
+# rho_direct, and a simo cell whose orbit ties adds rho_simo, Fraction's
+# __new__, PeriodicOrbitDetected.__init__ and Fraction.as_integer_ratio.  The
+# section is read without widest_section, and the lifting, the envelope, the
+# estimate and the row are built without their NamedTuple's __new__
+STAIRCASE_CELL_FRAMES = {"csb": 7, "direct": 3, "simo": 6}
 
 
-@pytest.mark.parametrize("mu, kind", [(0.3, "exact"), (0.61, "exact"), (0.0, "approx"), (1.0, "approx")])
-def test_csb_staircase_cell_runs_a_fixed_few_frames(mu, kind):
-    task = (SweepConfig(error=1e-5), mu)
+@pytest.mark.parametrize(
+    "algorithm, mu, kind",
+    [
+        ("csb", 0.3, "exact"),
+        ("csb", 0.61, "exact"),
+        ("csb", 0.0, "approx"),
+        ("csb", 1.0, "approx"),
+        ("direct", 0.3, "approx"),
+        ("simo", 0.3, "exact"),
+        ("simo", 0.0, "exact"),
+    ],
+)
+def test_staircase_cell_runs_a_fixed_few_frames(algorithm, mu, kind):
+    task = (SweepConfig(error=1e-5, algorithm=algorithm), mu)
     assert _staircase_cell(task).kind == kind
     calls = _python_calls(_staircase_cell, task)
     fund = f_mu(mu).fundamental.__code__  # every f_mu closure shares its code object
     assert calls[fund] >= 2
-    assert sum(calls.values()) - calls[fund] == STAIRCASE_CELL_FRAMES[kind]
+    assert sum(calls.values()) - calls[fund] == STAIRCASE_CELL_FRAMES[algorithm]

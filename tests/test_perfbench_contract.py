@@ -293,3 +293,33 @@ def test_stamped_cells_and_captured_rows_see_each_cell_once_in_grid_order(tmp_pa
         assert len(written) == 1 and type(written[0]) is list
         assert written[0] == recorded
         assert [point(row) for row in recorded] == grid
+
+
+def test_every_sweep_calls_the_stamped_cell_names_once_per_cell_in_grid_order(monkeypatch):
+    # perfbench/child.py --stamp times a run's slices by replacing
+    # sweep._staircase_cell and sweep._tongue_cell with wrappers: a sweep that
+    # stopped calling those module attributes would silently leave one slice
+    from fractions import Fraction
+
+    import rotkit.sweep as sweep
+    from rotkit.sweep import SweepConfig, _linspace, arnold_tongue, devils_staircase, mu_grid
+
+    staircases = [SweepConfig(mu_step=0.125, error=1e-3, algorithm=algorithm) for algorithm in ("csb", "direct", "simo")]
+    runs = [("_staircase_cell", cfg, devils_staircase, [(mu,) for mu in mu_grid(cfg)]) for cfg in staircases]
+    target = Fraction(1, 2)
+    tongue_grid = [(a, omega, target) for a in _linspace(0.0, 4.0 * math.pi, 3) for omega in _linspace(0.0, 1.0, 3)]
+    tongue = SweepConfig(family="pwl", a_steps=3, omega_steps=3, error=1e-3)
+    runs.append(("_tongue_cell", tongue, lambda cfg: arnold_tongue(cfg, target), tongue_grid))
+    for cell, cfg, run, grid in runs:
+        expected = run(cfg)
+        calls = []
+        for name in ("_staircase_cell", "_tongue_cell"):
+
+            def counted(task, _name=name, _real=getattr(sweep, name)):
+                calls.append((_name, task))
+                return _real(task)
+
+            monkeypatch.setattr(sweep, name, counted)
+        assert run(cfg) == expected
+        assert calls == [(cell, (cfg, *point)) for point in grid]
+        monkeypatch.undo()

@@ -251,15 +251,20 @@ def _no_sweep_runs(monkeypatch):
         ("staircase", dict(algorithm="")),
         ("staircase", dict(algorithm="bogus")),
         ("staircase", dict(workers=0)),
+        ("staircase", dict(simo_n=1000.5, algorithm="simo")),
+        ("staircase", dict(workers=1.5)),
         ("interval", dict(family="fmu")),
         ("interval", dict(a_min=1.0, a_max=0.0)),
         ("interval", dict(a_steps=0)),
         ("interval", dict(a_steps=10**8 + 1)),
+        ("interval", dict(a_steps=2.5)),
         ("interval", dict(omega=math.nan)),
         ("interval", dict(error=math.nan)),
         ("tongue", dict(family="fmu")),
         ("tongue", dict(omega_min=1.0, omega_max=0.0)),
         ("tongue", dict(omega_steps=0)),
+        ("tongue", dict(a_steps=2.5)),
+        ("tongue", dict(omega_steps=2.0)),
         ("tongue", dict(a_steps=20000, omega_steps=20000)),
         ("tongue", dict(omega_max=math.inf)),
         ("tongue", dict(simo_n=10**7 + 1)),
@@ -282,17 +287,31 @@ def test_every_entry_point_rejects_a_bad_config_with_validates_message(problem, 
     assert str(raised.value) == str(expected.value)
 
 
+def test_counts_accept_numpy_integers():
+    # operator.index accepts any integer type
+    np = pytest.importorskip("numpy")
+    simo = _small("staircase", algorithm="simo", simo_n=np.int64(50), workers=np.int32(1))
+    assert devils_staircase(simo) == devils_staircase(simo._replace(simo_n=50, workers=1))
+    tongue = _small("tongue", a_steps=np.int64(2), omega_steps=np.int16(2))
+    assert arnold_tongue(tongue, Fraction(1, 2)) == arnold_tongue(_small("tongue"), Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "problem, overrides, message",
     [
         ("interval", dict(a_min=-1.0), "a must be non-negative, got -1.0"),
         ("tongue", dict(a_min=-1.0), "a must be non-negative, got -1.0"),
         ("tongue", dict(omega_min=-1e308, omega_max=1e308), "omega range -1e+308:1e+308 is wider than the largest float"),
+        ("staircase", dict(algorithm="simo", simo_n=1000.5), "simo_n must be an integer, got 1000.5"),
+        ("staircase", dict(workers=1.5), "workers must be an integer, got 1.5"),
+        ("tongue", dict(a_steps=2.5), "a_steps must be an integer, got 2.5"),
+        ("tongue", dict(omega_steps=2.0), "omega_steps must be an integer, got 2.0"),
     ],
-    ids=["interval-a", "tongue-a", "tongue-omega-range"],
+    ids=["interval-a", "tongue-a", "tongue-omega-range", "simo_n", "workers", "a_steps", "omega_steps"],
 )
 def test_cell_preconditions_are_checked_before_the_grid(problem, overrides, message):
-    # unchecked, the first cell's build_lifting raises InvalidParam, or _linspace steps by inf
+    # unchecked, the first cell's build_lifting raises InvalidParam, _linspace
+    # steps by inf, or a float count fails inside the sweep with a bare TypeError
     with pytest.raises(UsageError) as raised:
         _small(problem, **overrides).validate(problem)
     assert str(raised.value) == message
