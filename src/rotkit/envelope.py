@@ -8,16 +8,17 @@ non-degenerate constant sections.  Those sections are what the exact
 rotation-number algorithm feeds on, so this module also extracts maximal
 sections; rotnum's estimator rotates the chosen one to the origin itself.
 
-Every family registers a builder on the Lifting, called as builder(F,
-upper), that states one envelope and its sections in closed form and
-computes nothing for the other side; nothing is cached, so asking for a side
-twice builds it twice.  A piecewise-linear family's envelopes carry knots
-too: _exact_envelope_knots of the map's rational knots, run when read.  A map
-without a builder takes the generic path (_generic_envelope): a
-non-decreasing map is its own envelope, its sections found by a grid scan;
-otherwise the numeric constructor (uniform grid, running maximum, local
-refinement of every flat-run boundary) builds the upper map.  Either way the
-envelope's source is "numeric"; a builder's is "analytic".
+A non-decreasing map is its own envelope: a family map states its
+sections on the Lifting (source "analytic"), and a map that leaves them
+None is scanned for them on every call (source "numeric").  Any other
+family map registers a builder, called as builder(F, upper), that states
+one envelope and its sections in closed form and computes nothing for the
+other side; nothing is cached, so asking for a side twice builds it twice.
+A piecewise-linear family's envelopes carry knots too: _exact_envelope_knots
+of the map's rational knots, run when read.  A map with neither takes the
+numeric constructor (uniform grid, running maximum, local refinement of
+every flat-run boundary), source "numeric".  Every envelope lifting states
+its own sections.
 The lower map is the reflected upper map: with G(x) = -F(-x), the lower map
 of F is x -> -G_u(-x), so the constructor runs on G and maps G's flat pieces
 back.  Both paths double as cross-checks for the analytic forms.
@@ -72,30 +73,35 @@ class ConstantSection(NamedTuple("_Section", [("alpha", float), ("beta", float)]
 class MonotoneEnvelope(NamedTuple):
     """A non-decreasing envelope lifting plus its maximal constant sections.
 
-    A NamedTuple, like RotationEstimate: a non-decreasing family map builds
-    one on every upper_map call, and a tuple is the cheapest record to build.
+    A NamedTuple, like RotationEstimate: a non-decreasing map builds one on
+    every upper_map call, and a tuple is the cheapest record to build.
     """
 
     lifting: Lifting
     sections: tuple[ConstantSection, ...]
-    source: str  # "analytic" (a family's builder) or "numeric" (scanned or constructed)
+    source: str  # "analytic" (stated by the map or its builder) or "numeric" (scanned or constructed)
 
 
 def upper_map(F: Lifting) -> MonotoneEnvelope:
     """Smallest non-decreasing lifting above F (sup over the left half-line)."""
-    return (F.envelope_builder or _generic_envelope)(F, True)
+    if F.is_non_decreasing:
+        return _self_envelope(F)
+    return (F.envelope_builder or _numeric_envelope)(F, True)
 
 
 def lower_map(F: Lifting) -> MonotoneEnvelope:
     """Largest non-decreasing lifting below F (inf over the right half-line)."""
-    return (F.envelope_builder or _generic_envelope)(F, False)
-
-
-def _generic_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
-    """Envelope of a map without a builder: a non-decreasing map is its own, with scanned sections."""
     if F.is_non_decreasing:
+        return _self_envelope(F)
+    return (F.envelope_builder or _numeric_envelope)(F, False)
+
+
+def _self_envelope(F: Lifting) -> MonotoneEnvelope:
+    """A non-decreasing map is its own envelope, with its stated sections or else scanned ones."""
+    if F.sections is None:
         return MonotoneEnvelope(F, tuple(find_maximal_sections(F)), "numeric")
-    return _numeric_envelope(F, upper)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, as ConstantSection.__new__ does
+    return tuple.__new__(MonotoneEnvelope, (F, F.sections, "analytic"))
 
 
 def widest_section(sections: "list[ConstantSection] | tuple[ConstantSection, ...]") -> ConstantSection | None:
@@ -260,7 +266,8 @@ def _numeric_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
         )
         ok, last_error = _certify(lifting, F, 2 * n, upper)
         if ok:
-            return MonotoneEnvelope(lifting, tuple(find_maximal_sections(lifting)), "numeric")
+            sections = tuple(find_maximal_sections(lifting))
+            return MonotoneEnvelope(lifting._replace(sections=sections), sections, "numeric")
     raise NumericEnvelopeFailure(f"{F.label}: {last_error}")
 
 

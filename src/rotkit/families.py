@@ -1,10 +1,11 @@
 """Constructors for the map families the sweeps study.
 
-Every constructor returns an immutable Lifting with a float fundamental and
-an envelope builder: a function of (F, upper) bound with functools.partial to
-what both sides share, which builds the one side asked for and caches
-nothing.  A non-decreasing map is its own envelope with its sections listed;
-otherwise each envelope is a flat-branch-flat float map.  A
+Every constructor returns an immutable Lifting with a float fundamental.  A
+non-decreasing map states its constant sections and is its own envelope;
+any other map has an envelope builder: a function of (F, upper) bound with
+functools.partial to what both sides share, which builds the one side asked
+for, a flat-branch-flat float map that states its section, and caches
+nothing.  A
 piecewise-linear map states its exact side once, as the Lifting's knots: a
 knots function bound with functools.partial to the raw parameters, which
 takes their twins (a float's binary value) only when read, and its
@@ -82,20 +83,12 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
     return a_f, c, c
 
 
-def _own_envelope(sections: tuple[ConstantSection, ...], F: Lifting, upper: bool) -> MonotoneEnvelope:
-    """A non-decreasing map with known sections is its own upper and lower envelope."""
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, as ConstantSection.__new__ does
-    return tuple.__new__(MonotoneEnvelope, (F, sections, "analytic"))
-
-
-_NO_SECTIONS = partial(_own_envelope, ())
-
-
 def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection):
     """Analytic upper (or lower) envelope of F from its fundamental and section; its knots from F's, if any."""
     knots = None if F.knots is None else partial(_envelope_knots, F.knots, upper)
-    lifting = Lifting(fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots)
-    return MonotoneEnvelope(lifting, (section,), "analytic")
+    sections = (section,)
+    lifting = Lifting(fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots, None, sections)
+    return MonotoneEnvelope(lifting, sections, "analytic")
 
 
 def _envelope_knots(knots, upper: bool):
@@ -105,7 +98,7 @@ def _envelope_knots(knots, upper: bool):
 # ---------------------------------------------------------------------------
 # the one-parameter staircase family
 
-_FMU_ENVELOPES = partial(_own_envelope, (ConstantSection(0.75, 1.0),))
+_FMU_SECTIONS = (ConstantSection(0.75, 1.0),)
 
 
 def _fmu_knots(mu):
@@ -134,7 +127,7 @@ def f_mu(mu) -> Lifting:
         return (4.0 / 3.0) * x + mu_f
 
     # the staircase builds one per cell: tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(Lifting, (fund, True, "F_mu", partial(_fmu_knots, mu), _FMU_ENVELOPES))
+    return tuple.__new__(Lifting, (fund, True, "F_mu", partial(_fmu_knots, mu), None, _FMU_SECTIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +155,11 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     def fund(x: float) -> float:
         return x + omega_f - c * sin(two_pi * x)
 
-    non_decreasing = a_f <= 1.0  # then strictly increasing: its own envelope, with no section
-    return Lifting(
-        fundamental=fund,
-        is_non_decreasing=non_decreasing,
-        label=f"S(omega={omega_f:.8g}, a={a_f:.8g})",
-        envelope_builder=_NO_SECTIONS
-        if non_decreasing
-        else partial(_standard_envelope, omega_f, c, math.acos(1.0 / a_f) / TWO_PI),
-    )
+    label = f"S(omega={omega_f:.8g}, a={a_f:.8g})"
+    if a_f <= 1.0:  # strictly increasing: its own envelope, with no section
+        return Lifting(fund, True, label, sections=())
+    builder = partial(_standard_envelope, omega_f, c, math.acos(1.0 / a_f) / TWO_PI)
+    return Lifting(fund, False, label, envelope_builder=builder)
 
 
 def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: bool) -> MonotoneEnvelope:
@@ -219,10 +208,6 @@ def _pwl_knots(omega, c):
     return [(0, omega), (quarter, quarter + omega - c), (three_quarters, three_quarters + omega + c), (1, 1 + omega)]
 
 
-# c == 1/4: the outer branches are exactly flat; one section straddling the origin
-_PWL_FLAT_OUTER = partial(_own_envelope, (ConstantSection(-0.25, 0.25),))
-
-
 def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """Piecewise-linear standard map x + omega - (a/2pi) tau(<x>).
 
@@ -242,19 +227,13 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
             return x + omega_f - c * (2.0 - 4.0 * x)
         return x + omega_f - c * (4.0 * (x - 1.0))
 
+    label = f"T(omega={omega_f:.8g}, a={a_f:.8g})"
+    knots = partial(_pwl_knots, omega, c_param)
     if c < 0.25:
-        builder = _NO_SECTIONS
-    elif c == 0.25:
-        builder = _PWL_FLAT_OUTER
-    else:
-        builder = partial(_pwl_envelope, omega_f, c, *_ratio(c_param))
-    return Lifting(
-        fundamental=fund,
-        is_non_decreasing=c <= 0.25,
-        label=f"T(omega={omega_f:.8g}, a={a_f:.8g})",
-        knots=partial(_pwl_knots, omega, c_param),
-        envelope_builder=builder,
-    )
+        return Lifting(fund, True, label, knots, sections=())
+    if c == 0.25:  # the outer branches are exactly flat: one section straddling the origin
+        return Lifting(fund, True, label, knots, sections=(ConstantSection(-0.25, 0.25),))
+    return Lifting(fund, False, label, knots, partial(_pwl_envelope, omega_f, c, *_ratio(c_param)))
 
 
 def _pwl_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bool) -> MonotoneEnvelope:
@@ -319,13 +298,11 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
         frac = x if 0.0 <= x < 1.0 else x - floor(x)
         return x + omega_f + c * frac
 
-    return Lifting(
-        fundamental=fund,
-        is_non_decreasing=c == 0.0,
-        label=f"D(omega={omega_f:.8g}, a={a_f:.8g})",
-        knots=partial(_disc_knots, omega, c_param),
-        envelope_builder=_NO_SECTIONS if c == 0.0 else partial(_disc_envelope, omega_f, c, *_ratio(c_param)),
-    )
+    label = f"D(omega={omega_f:.8g}, a={a_f:.8g})"
+    knots = partial(_disc_knots, omega, c_param)
+    if c == 0.0:  # a rigid rotation: its own envelope, with no section
+        return Lifting(fund, True, label, knots, sections=())
+    return Lifting(fund, False, label, knots, partial(_disc_envelope, omega_f, c, *_ratio(c_param)))
 
 
 def _disc_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bool):
@@ -366,9 +343,6 @@ def _disc_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bo
 # ---------------------------------------------------------------------------
 # the no-cycle-through-the-section example
 
-_COUNTEREXAMPLE_ENVELOPES = partial(_own_envelope, (ConstantSection(0.8, 1.0),))
-
-
 def _counterexample_knots():
     """The float closure's knots, read as exact decimals."""
     return [
@@ -400,7 +374,7 @@ def counterexample_map() -> Lifting:
         is_non_decreasing=True,
         label="counterexample",
         knots=_counterexample_knots,
-        envelope_builder=_COUNTEREXAMPLE_ENVELOPES,
+        sections=(ConstantSection(0.8, 1.0),),
     )
 
 

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
-    from .envelope import MonotoneEnvelope
+    from .envelope import ConstantSection, MonotoneEnvelope
 
 
 class Lifting(NamedTuple):
@@ -36,9 +36,11 @@ class Lifting(NamedTuple):
     piecewise-linear restriction, 0 = x_0 < ... < x_k = 1, where y_k may be a
     left limit (a heavy jump); evaluate_exact and the exact checks read them,
     and reject knots whose x's do not run from 0 up to 1.
-    envelope_builder, when present, is called as envelope_builder(F, upper)
-    and returns F's upper envelope when upper is true, its lower one
-    otherwise.  Equality, hash and repr cover all five fields.
+    envelope_builder, read only for a map that is not non-decreasing, is
+    called as envelope_builder(F, upper) and returns F's upper envelope when
+    upper is true, its lower one otherwise.  sections, for a non-decreasing
+    map, states its maximal constant sections (() for none); None leaves
+    them to a grid scan.  Equality, hash and repr cover all six fields.
     """
 
     fundamental: Callable[[float], float]
@@ -46,6 +48,7 @@ class Lifting(NamedTuple):
     label: str
     knots: Callable[[], list[tuple[Fraction, Fraction]]] | None = None
     envelope_builder: Callable[["Lifting", bool], "MonotoneEnvelope"] | None = None
+    sections: tuple[ConstantSection, ...] | None = None
 
 
 def evaluate(F: Lifting, x: float) -> float:

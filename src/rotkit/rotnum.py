@@ -358,12 +358,12 @@ def simo_error_bound(c: float, nu: float, n: int) -> float:
     """Error bound 1/(c n^nu)^(1/(nu-1)) for a Diophantine rotation number.
 
     Applies when |rho - p/q| <= c q^(-nu) for all rationals p/q, with c > 0
-    and nu >= 2.
+    and nu >= 2, both finite.
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    if nu < 2.0:
-        raise ValueError("nu must be at least 2")
+    if not 0.0 < c < math.inf:  # a NaN c fails this test too
+        raise ValueError(f"c must be positive and finite, got {c}")
+    if not 2.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and at least 2, got {nu}")
     if n < 1:
         raise ValueError("n must be at least 1")
     return (c * float(n) ** nu) ** (-1.0 / (nu - 1.0))
@@ -507,13 +507,16 @@ def rho_constant_section_exact(
 def rho_csb(F: Lifting, error: float = DEFAULT_ERROR, tol: float = DEFAULT_TOL) -> RotationEstimate:
     """Constant-section estimate of a non-decreasing lifting.
 
-    Rotates the widest maximal section (ties to the leftmost) to the origin
-    and runs rho_constant_section; falls back to rho_direct with
-    stop_on_repeat when no section wider than 2*tol exists.
+    Rotates the widest of F's stated sections (ties to the leftmost) to the
+    origin and runs rho_constant_section; falls back to rho_direct with
+    stop_on_repeat when no section wider than 2*tol exists.  A map that
+    states no sections (F.sections is None) is scanned for them by
+    upper_map, once per call.
     """
     if not F.is_non_decreasing:
         raise _non_decreasing_required(F, "rho_csb")
-    return _rho_of_envelope(upper_map(F), error, tol)
+    sections = F.sections
+    return _rho_of_sections(F, upper_map(F).sections if sections is None else sections, error, tol)
 
 
 def rotation_interval(
@@ -530,19 +533,19 @@ def rotation_interval(
     """
     lo_env = lower_map(F)
     # a non-decreasing map is its own upper and lower envelope (for a map
-    # without a builder, one grid scan); both endpoints are still estimated
+    # that states no sections, one grid scan); both endpoints are still estimated
     hi_env = lo_env if F.is_non_decreasing else upper_map(F)
-    lo = _rho_of_envelope(lo_env, error, tol, method)
-    hi = _rho_of_envelope(hi_env, error, tol, method)
+    lo = _rho_of_sections(lo_env.lifting, lo_env.sections, error, tol, method)
+    hi = _rho_of_sections(hi_env.lifting, hi_env.sections, error, tol, method)
     return RotationInterval(lower=lo, upper=hi)
 
 
-def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> RotationEstimate:
+def _rho_of_sections(G: Lifting, sections, error: float, tol: float, method: str = "csb") -> RotationEstimate:
+    """rho of the non-decreasing G with the maximal constant sections given: csb's section choice."""
     # a NaN tol would fail the width test and silently force the fallback; NaN fails this test too
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if method == "csb":
-        sections = env.sections
         # a family states at most one section, read directly; none or several go through widest_section
         sec = sections[0] if len(sections) == 1 else widest_section(sections)
         if sec is not None:
@@ -550,9 +553,9 @@ def _rho_of_envelope(env, error: float, tol: float, method: str = "csb") -> Rota
             width = beta - alpha
             if width > 2.0 * tol:
                 # rotated by -(alpha + tol) the section is [-tol, width - tol]; x <= width - 2 tol keeps tol off each edge
-                return rho_constant_section(env.lifting, width - 2.0 * tol, error, shift=alpha + tol)
+                return rho_constant_section(G, width - 2.0 * tol, error, shift=alpha + tol)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
     # no usable section: csb still stops at a repeated float state, while
     # method="direct" times the plain n-iterate baseline
-    return rho_direct(env.lifting, error, stop_on_repeat=method == "csb")
+    return rho_direct(G, error, stop_on_repeat=method == "csb")

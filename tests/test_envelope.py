@@ -21,7 +21,7 @@ from rotkit import (
     upper_map,
     widest_section,
 )
-from rotkit.envelope import MonotoneEnvelope, _certify, _exact_envelope_knots, _numeric_envelope
+from rotkit.envelope import _certify, _exact_envelope_knots, _numeric_envelope
 from rotkit.families import _disc_knots, _pwl_knots
 from rotkit.lifting import Lifting, _knot_value
 from _oracles import (
@@ -62,9 +62,9 @@ def test_monotone_map_is_its_own_envelope():
 
 
 def test_envelope_source_says_where_the_envelope_came_from():
-    # a family's builder states its envelopes; a builderless map's sections come from the grid scan
+    # a family map states its sections; a non-decreasing map that leaves them None is grid-scanned
     F = f_mu(0.3)
-    scanned = F._replace(envelope_builder=None)
+    scanned = F._replace(sections=None)
     assert upper_map(F).source == lower_map(F).source == "analytic"
     assert upper_map(scanned).source == lower_map(scanned).source == "numeric"
     assert upper_map(scanned).lifting is scanned
@@ -248,15 +248,11 @@ def test_reparametrize_wrapped_representative():
 
 
 def test_reparametrize_section_too_small():
-    # a registered section no wider than 2*tol is unusable: rho_csb falls
+    # a stated section no wider than 2*tol is unusable: rho_csb falls
     # back to the direct estimator
     tol = 1e-10
     F = f_mu(0.3)
-
-    def tiny_section(G, upper):
-        return MonotoneEnvelope(G, (ConstantSection(0.5, 0.5 + 1e-12),), "analytic")
-
-    tiny = F._replace(envelope_builder=tiny_section)
+    tiny = F._replace(sections=(ConstantSection(0.5, 0.5 + 1e-12),))
     est = rho_csb(tiny, 1e-4, tol)
     assert est == rho_direct(F, 1e-4)
     assert est.kind == "approx"

@@ -223,13 +223,14 @@ def test_csb_kernel_runs_one_frame_per_iterate(make, omega, a, upper):
 
 # the fixed frames of one staircase cell, hit or exhaust alike, besides its
 # evaluations of the f_mu fundamental.  Every cell runs _staircase_cell and
-# f_mu (a float mu skips _as_float); a csb cell adds rho_csb, upper_map,
-# _own_envelope, _rho_of_envelope and rho_constant_section, a direct cell
-# rho_direct, and a simo cell whose orbit ties adds rho_simo, Fraction's
-# __new__, PeriodicOrbitDetected.__init__ and Fraction.as_integer_ratio.  The
-# section is read without widest_section, and the lifting, the envelope, the
-# estimate and the row are built without their NamedTuple's __new__
-STAIRCASE_CELL_FRAMES = {"csb": 7, "direct": 3, "simo": 6}
+# f_mu (a float mu skips _as_float); a csb cell adds rho_csb, _rho_of_sections
+# and rho_constant_section (f_mu states its section, so no envelope is built),
+# a direct cell rho_direct, and a simo cell whose orbit ties adds rho_simo,
+# Fraction's __new__, PeriodicOrbitDetected.__init__ and
+# Fraction.as_integer_ratio.  The section is read without widest_section, and
+# the lifting, the estimate and the row are built without their NamedTuple's
+# __new__
+STAIRCASE_CELL_FRAMES = {"csb": 5, "direct": 3, "simo": 6}
 
 
 @pytest.mark.parametrize(

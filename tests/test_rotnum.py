@@ -466,6 +466,23 @@ def test_simo_error_bound_values():
         simo_error_bound(1, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "c, nu, name",
+    [
+        (math.nan, 2, "c"),
+        (math.inf, 2, "c"),
+        (-math.inf, 2, "c"),
+        (1, math.nan, "nu"),
+        (1, math.inf, "nu"),
+        (1, -math.inf, "nu"),
+    ],
+)
+def test_simo_error_bound_rejects_non_finite_constants(c, nu, name):
+    # nan gave a nan bound, an infinite c the false bound 0.0, an infinite nu 1.0
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        simo_error_bound(c, nu, 10)
+
+
 # ---------------------------------------------------------------------------
 # constant-section algorithm
 
@@ -674,8 +691,10 @@ def test_shift_bit_identical_on_envelopes(make, a):
         for env in (upper_map(F), lower_map(F)):
             sec = widest_section(env.sections)
             est = _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta)
-            # the sweeps' path builds the same shift and bound from the section
-            assert rotnum._rho_of_envelope(env, 1e-4, 1e-10) == est
+            # the sweeps' path builds the same shift and bound from the section,
+            # and the envelope lifting states that section itself
+            assert rotnum._rho_of_sections(env.lifting, env.sections, 1e-4, 1e-10) == est
+            assert env.lifting.sections == env.sections and rho_csb(env.lifting, 1e-4, 1e-10) == est
 
 
 def test_shift_bit_identical_on_counterexample_and_random_pl_maps():
@@ -747,7 +766,7 @@ def test_leftover_steps_after_a_repeat_are_bit_identical():
     # both orbits repeat at iterate 66 against the checkpoint at 64 (period
     # 2): at error 1e-3 no step is left over, at 1/1001 one step is
     F = _two_cycle_map()
-    env = upper_map(F)  # the builderless non-decreasing branch
+    env = upper_map(F)  # a non-decreasing map that states no sections: scanned
     assert env.lifting is F
     sec = widest_section(env.sections)
     assert sec.alpha == pytest.approx(0.4) and sec.beta == 0.5
@@ -770,11 +789,59 @@ def test_leftover_steps_after_a_repeat_are_bit_identical():
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.3, 0.55, 0.9])
-def test_rho_csb_of_builderless_fmu_matches_registered(mu):
-    # upper_map scans a builderless non-decreasing map for its own sections
+def test_rho_csb_of_builderless_fmu_matches_registered(mu, monkeypatch):
+    # f_mu states its section; with sections=None, upper_map scans the map once per rho_csb call
+    import rotkit.envelope as envelope
+
+    scans = []
+    real = envelope.find_maximal_sections
+    monkeypatch.setattr(envelope, "find_maximal_sections", lambda G: scans.append(G) or real(G))
     registered = rho_csb(f_mu(mu), 1e-4)
-    scanned = rho_csb(f_mu(mu)._replace(envelope_builder=None), 1e-4)
+    assert scans == []
+    unstated = f_mu(mu)._replace(sections=None)
+    scanned = rho_csb(unstated, 1e-4)
+    assert scans == [unstated]
     assert (scanned.kind, scanned.m, scanned.n) == (registered.kind, registered.m, registered.n)
+
+
+# every non-decreasing family map, with the sections it states
+MONOTONE_FAMILY_MAPS = [
+    (f_mu(0.3), ((0.75, 1.0),)),
+    (f_mu(0.0), ((0.75, 1.0),)),
+    (counterexample_map(), ((0.8, 1.0),)),
+    (standard_map(0.3, 0.5), ()),
+    (standard_map(3.31, 1.0), ()),
+    (pwl_standard(0.2, 1.0), ()),
+    (pwl_standard(0.2, a_over_2pi=0.25), ((-0.25, 0.25),)),
+    (disc_standard(0.3, 0.0), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "F, sections",
+    MONOTONE_FAMILY_MAPS,
+    ids=["fmu", "fmu-0", "counterexample", "standard", "standard-a1", "pwl", "pwl-flat-outer", "disc"],
+)
+def test_monotone_family_maps_state_their_sections(F, sections, monkeypatch):
+    # rho_csb reads F.sections: no envelope, no builder and no scan; upper_map
+    # and lower_map return the map itself with the sections it states
+    import rotkit.envelope as envelope
+    import rotkit.rotnum as rotnum
+
+    def refuse(*args):
+        raise AssertionError("rho_csb of a map that states its sections took an envelope")
+
+    assert F.is_non_decreasing and F.envelope_builder is None
+    assert [tuple(s) for s in F.sections] == list(sections)
+    expected = rho_csb(F, 1e-4, 1e-10)
+    for name in ("upper_map", "lower_map"):
+        monkeypatch.setattr(rotnum, name, refuse)
+    monkeypatch.setattr(envelope, "find_maximal_sections", refuse)
+    assert rho_csb(F._replace(envelope_builder=refuse), 1e-4, 1e-10) == expected
+    monkeypatch.undo()
+    for side in (upper_map, lower_map):
+        env = side(F)
+        assert env == (F, F.sections, "analytic") and env.lifting is F
 
 
 @pytest.mark.parametrize("omega, m, n", [(0.0, 0, 1), (1.0, 1, 1), (0.25, 1, 4)])
@@ -973,8 +1040,8 @@ def test_rotation_interval_builds_self_envelope_once(monkeypatch):
         return real(E)
 
     monkeypatch.setattr(envelope, "find_maximal_sections", counting)
-    builderless = standard_map(0.3, 0.5)._replace(envelope_builder=None)
-    ri = rotation_interval(builderless, 1e-4)
+    unstated = standard_map(0.3, 0.5)._replace(sections=None)
+    ri = rotation_interval(unstated, 1e-4)
     assert len(scans) == 1
     assert ri.lower == ri.upper
 
