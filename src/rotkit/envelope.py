@@ -239,24 +239,14 @@ def _numeric_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
 
         if not starts:
             env_fund = fund
-        elif upper:
-
-            def env_fund(x: float, _s=starts, _e=ends, _l=levels, _f=fund) -> float:
-                j = bisect_right(_s, x) - 1
-                if j >= 0 and x <= _e[j]:
-                    v = _f(x)
-                    lev = _l[j]
-                    return lev if lev > v else v
-                return _f(x)
-
         else:
 
-            def env_fund(x: float, _s=starts, _e=ends, _l=levels, _f=fund) -> float:
+            def env_fund(x: float, _s=starts, _e=ends, _l=levels, _f=fund, _up=upper) -> float:
                 j = bisect_right(_s, x) - 1
                 if j >= 0 and x <= _e[j]:
                     v = _f(x)
                     lev = _l[j]
-                    return lev if lev < v else v
+                    return lev if (lev > v if _up else lev < v) else v
                 return _f(x)
 
         lifting = Lifting(
@@ -379,7 +369,8 @@ def find_maximal_sections(F: Lifting) -> list[ConstantSection]:
         else:
             i += 1
 
-    refined: list[tuple[float, float, float, bool, bool]] = []
+    sections: list[ConstantSection] = []
+    levels: list[float] = []
     for i, j in runs:
         mid = (i + j) // 2
         v = fs[mid]
@@ -393,19 +384,13 @@ def find_maximal_sections(F: Lifting) -> list[ConstantSection]:
         else:
             beta = _refine_section_edge(fund, v, xs[j], xs[j + 1], exact_run)
         if beta > alpha:
-            refined.append((alpha, beta, v, i == 0, j == GRID))
+            sections.append(ConstantSection(alpha, beta))
+            levels.append(v)
 
-    sections: list[ConstantSection] = []
-    left_edge = next((r for r in refined if r[3]), None)
-    right_edge = next((r for r in refined if r[4]), None)
-    merged_pair = None
-    if left_edge is not None and right_edge is not None and left_edge is not right_edge:
-        if abs(right_edge[2] - left_edge[2] - 1.0) <= SECTION_EPS:
-            merged_pair = (left_edge, right_edge)
-            sections.append(ConstantSection(alpha=right_edge[0] - 1.0, beta=left_edge[1]))
-    for r in refined:
-        if merged_pair is not None and (r is merged_pair[0] or r is merged_pair[1]):
-            continue
-        sections.append(ConstantSection(alpha=r[0], beta=r[1]))
-    sections.sort(key=lambda s: s.alpha)
+    # the runs come in grid order and only an edge run's refinement gives alpha 0.0
+    # (beta 1.0): the x=1 run one level above the x=0 run joins it across the origin
+    if sections and sections[0].alpha == 0.0 and sections[-1].beta == 1.0:
+        if abs(levels[-1] - levels[0] - 1.0) <= SECTION_EPS:
+            last = sections.pop()
+            sections[0] = ConstantSection(last.alpha - 1.0, sections[0].beta)
     return sections

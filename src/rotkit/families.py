@@ -16,9 +16,10 @@ InvalidParam.
 The float maps are what the orbit estimators call once per iterate, so each
 is one Python frame per evaluation, its constants in closure cells: a
 family's fundamental writes its formula out (pwl inlines the pieces of tau,
-disc skips the floor on [0, 1)), and each envelope side is one closure with
-the branch written between its two flats, the same float operations as the
-fundamental's.  tau stays as the reference the tests compare against.
+disc skips the floor on [0, 1)), and each envelope builder writes one
+flat-branch-flat closure, its branch the same float operations as the
+fundamental's, that serves both sides: only the constants it binds differ
+by side.  tau stays as the reference the tests compare against.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
 value like a = 2*pi means coefficient 1; a can also be given directly as
@@ -46,7 +47,10 @@ class InvalidParam(ValueError):
 def _as_float(value, name: str) -> float:
     """Float value of a numeric parameter (a str is parsed as a Fraction); must be finite."""
     if isinstance(value, str):
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise InvalidParam(f"{name} has a zero denominator, got {value!r}") from None
     f = float(value)
     if not math.isfinite(f):
         raise InvalidParam(f"{name} must be finite, got {f}")
@@ -68,7 +72,7 @@ def _ratio(value) -> tuple[int, int]:
 
 
 def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
-    """Resolve (a, a/(2*pi)) from either parametrization.
+    """Resolve (a, a/(2*pi)) from either parametrization; a must be non-negative.
 
     The third item is the parameter whose exact twin is the coefficient's:
     a_over_2pi as given, or the float a/(2*pi).
@@ -77,10 +81,13 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
         raise InvalidParam("give exactly one of a or a_over_2pi")
     if a_over_2pi is not None:
         c = _as_float(a_over_2pi, "a_over_2pi")
-        return c * TWO_PI, c, a_over_2pi
-    a_f = _as_float(a, "a")
-    c = a_f / TWO_PI
-    return a_f, c, c
+        a_f, param = c * TWO_PI, a_over_2pi
+    else:
+        a_f = _as_float(a, "a")
+        c = param = a_f / TWO_PI
+    if a_f < 0.0:
+        raise InvalidParam(f"a must be non-negative, got {a_f}")
+    return a_f, c, param
 
 
 def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection):
@@ -147,8 +154,6 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """x + omega - (a/2pi) sin(2 pi x); invertible exactly when a <= 1."""
     omega_f = _as_float(omega, "omega")
     a_f, c, _ = _coefficient(a, a_over_2pi)
-    if a_f < 0.0:
-        raise InvalidParam(f"a must be non-negative, got {a_f}")
 
     sin, two_pi = math.sin, TWO_PI
 
@@ -166,39 +171,31 @@ def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: boo
     """Upper (or lower) envelope of the standard map s = x + omega - c sin(2 pi x) for a > 1.
 
     s has a local min at x1 = arccos(1/a)/(2 pi) and a local max at x2 = 1 - x1
-    and rises between them.  The upper map is flat at s(x2) - 1 up to u, where
-    s climbs to that level, follows s to x2 and stays at s(x2); the lower map
-    stays at s(x1) up to x1, follows s to low, where s reaches s(x1) + 1, and
-    stays there.
+    and rises between them.  Each side is flat at below up to a, follows s to
+    b and stays at above: the upper map has above = s(x2), below = above - 1,
+    b = x2 and a where s climbs to below; the lower map has below = s(x1),
+    above = below + 1, a = x1 and b where s reaches above.
     """
     s = F.fundamental
     sin, two_pi = math.sin, TWO_PI
     x2 = 1.0 - x1
     if upper:
-        peak = s(x2)
-        u = _root_on_increasing(s, peak - 1.0, x1, x2)
-        flat = peak - 1
-
-        def fund(x: float) -> float:
-            if x <= u:
-                return flat
-            if x <= x2:
-                return x + omega - c * sin(two_pi * x)
-            return peak
-
-        return _envelope(F, upper, fund, ConstantSection(x2 - 1.0, u))
-    trough = s(x1)
-    low = _root_on_increasing(s, trough + 1.0, x1, x2)
-    top = trough + 1
+        above = s(x2)
+        a, below, b = _root_on_increasing(s, above - 1.0, x1, x2), above - 1, x2
+        section = ConstantSection(x2 - 1.0, a)
+    else:
+        below = s(x1)
+        a, b, above = x1, _root_on_increasing(s, below + 1.0, x1, x2), below + 1
+        section = ConstantSection(b - 1.0, x1)
 
     def fund(x: float) -> float:
-        if x <= x1:
-            return trough
-        if x <= low:
+        if x <= a:
+            return below
+        if x <= b:
             return x + omega - c * sin(two_pi * x)
-        return top
+        return above
 
-    return _envelope(F, upper, fund, ConstantSection(low - 1.0, x1))
+    return _envelope(F, upper, fund, section)
 
 
 def _pwl_knots(omega, c):
@@ -216,8 +213,6 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
-    if a_f < 0.0:
-        raise InvalidParam(f"a must be non-negative, got {a_f}")
 
     def fund(x: float) -> float:
         # x + omega - c tau(x), tau's three pieces written out
@@ -242,35 +237,25 @@ def _pwl_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: boo
     Between its flats each side follows the middle branch x + omega - c (2 - 4x)
     alone: both flats' ends lie in [1/4, 3/4].
     """
-    # crossings (12c - 1)/(4(1 + 4c)) of peak-1 and (5 + 4c)/(4(1 + 4c)) of trough+1
-    # on the middle branch, correctly rounded as int/int divisions
+    # the upper flat's end a = (12c - 1)/(4(1 + 4c)) and the lower flat's start
+    # b = (5 + 4c)/(4(1 + 4c)) on the middle branch, correctly rounded as int/int divisions
     t = F.fundamental
     if upper:
-        xu = (12 * p - d) / (4 * (d + 4 * p))
-        peak = t(0.75)
-        flat = peak - 1
-
-        def fund(x: float) -> float:
-            if x <= xu:
-                return flat
-            if x <= 0.75:
-                return x + omega - c * (2.0 - 4.0 * x)
-            return peak
-
-        section = ConstantSection(-0.25, xu)
+        a, b, above = (12 * p - d) / (4 * (d + 4 * p)), 0.75, t(0.75)
+        below = above - 1
+        section = ConstantSection(-0.25, a)
     else:
-        xl = (5 * d + 4 * p) / (4 * (d + 4 * p))
-        trough = t(0.25)
-        top = trough + 1
+        a, b, below = 0.25, (5 * d + 4 * p) / (4 * (d + 4 * p)), t(0.25)
+        above = below + 1
+        section = ConstantSection(b - 1.0, 0.25)
 
-        def fund(x: float) -> float:
-            if x <= 0.25:
-                return trough
-            if x <= xl:
-                return x + omega - c * (2.0 - 4.0 * x)
-            return top
+    def fund(x: float) -> float:
+        if x <= a:
+            return below
+        if x <= b:
+            return x + omega - c * (2.0 - 4.0 * x)
+        return above
 
-        section = ConstantSection(xl - 1.0, 0.25)
     return _envelope(F, upper, fund, section)
 
 
@@ -289,8 +274,6 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
-    if a_f < 0.0:
-        raise InvalidParam(f"a must be non-negative for a heavy map, got {a_f}")
 
     floor = math.floor
 
@@ -309,34 +292,24 @@ def _disc_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bo
     """Upper (or lower) envelope of a disc map with c = p/d > 0.
 
     Both lie on the line (1 + c)x + omega.  The upper map is flat at the left
-    limit omega + c up to qu = c/(1 + c), the lower one at omega + 1 beyond
-    pl = 1/(1 + c); both edges are correctly rounded int/int divisions.
+    limit omega + c up to a = c/(1 + c), the lower one at omega + 1 beyond
+    b = 1/(1 + c); both edges are correctly rounded int/int divisions.
     """
     slope = 1 + c
     if upper:
-        qu = p / (d + p)
-        flat, end = omega + c, slope * 1.0 + omega
-
-        def fund(x: float) -> float:
-            if x <= qu:
-                return flat
-            if x <= 1.0:
-                return slope * x + omega
-            return end
-
-        section = ConstantSection(0.0, qu)
+        a, below, b, above = p / (d + p), omega + c, 1.0, slope * 1.0 + omega
+        section = ConstantSection(0.0, a)
     else:
-        pl = d / (d + p)
-        start, flat = slope * 0.0 + omega, omega + 1
+        a, below, b, above = 0.0, slope * 0.0 + omega, d / (d + p), omega + 1
+        section = ConstantSection(b, 1.0)
 
-        def fund(x: float) -> float:
-            if x <= 0.0:
-                return start
-            if x <= pl:
-                return slope * x + omega
-            return flat
+    def fund(x: float) -> float:
+        if x <= a:
+            return below
+        if x <= b:
+            return slope * x + omega
+        return above
 
-        section = ConstantSection(pl, 1.0)
     return _envelope(F, upper, fund, section)
 
 

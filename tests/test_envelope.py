@@ -163,6 +163,16 @@ def test_numeric_envelope_of_heavy_map():
         assert lo.lifting.fundamental(x) == pytest.approx(lo_a.fundamental(x), abs=1e-9)
 
 
+def test_each_envelope_construction_writes_one_side_closure():
+    # both sides of every builder, and of the numeric construction, run the same code
+    # object: only the constants bound to it differ by side
+    for F in (standard_map(0.3, 5.0), pwl_standard(0.3, 9.0), disc_standard(0.3, 7.0)):
+        assert upper_map(F).lifting.fundamental.__code__ is lower_map(F).lifting.fundamental.__code__
+    G = standard_map(0.3, 5.0)._replace(envelope_builder=None)
+    up, lo = _numeric_envelope(G, True).lifting.fundamental, _numeric_envelope(G, False).lifting.fundamental
+    assert up is not G.fundamental and up.__code__ is lo.__code__
+
+
 def test_numeric_lower_envelope_when_the_minimum_ties_with_f_of_zero():
     # the period minimum sits one ulp below F(0): the flat of the lower map
     # runs from 0 to the minimum, and must not start a grid cell late
@@ -222,6 +232,20 @@ def test_find_maximal_sections_examples():
     (sec,) = found
     assert sec.alpha == pytest.approx(-0.25, abs=1e-10)
     assert sec.beta == pytest.approx(7.0 / 12.0, abs=1e-10)
+
+    # builderless monotone maps flat on [0, 0.1] and [0.9, 1]: the two edge runs
+    # join across the origin when the top level is the bottom one plus 1
+    for top, expected in ((1.2, [(-0.1, 0.1)]), (1.3, [(0.0, 0.1), (0.9, 1.0)])):
+
+        def fund(x, top=top):
+            if x <= 0.1:
+                return 0.2
+            if x <= 0.9:
+                return 0.2 + (top - 0.2) * (x - 0.1) / 0.8
+            return top
+
+        found = find_maximal_sections(Lifting(fund, True, "edges"))
+        assert [(s.alpha, s.beta) for s in found] == [pytest.approx(pair, abs=1e-10) for pair in expected]
 
 
 def test_widest_section_tie_break():

@@ -43,6 +43,7 @@ def test_f_mu_values():
         ("-1/10", "mu must lie in [0, 1], got -0.1"),
         (Fraction(3, 2), "mu must lie in [0, 1], got 1.5"),
         (2, "mu must lie in [0, 1], got 2.0"),
+        ("1/0", "mu has a zero denominator, got '1/0'"),
     ],
 )
 def test_f_mu_domain(mu, message):
@@ -265,10 +266,26 @@ def test_non_finite_parameters_rejected(make):
             make(value)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: standard_map("1/0", 1.0), "omega has a zero denominator, got '1/0'"),
+        (lambda: pwl_standard(0, a_over_2pi="1/0"), "a_over_2pi has a zero denominator, got '1/0'"),
+        (lambda: disc_standard(0.0, "1/0"), "a has a zero denominator, got '1/0'"),
+    ],
+)
+def test_zero_denominator_rejected(make, message):
+    with pytest.raises(InvalidParam) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("make", [standard_map, pwl_standard, disc_standard])
 def test_negative_coefficient_rejected(make):
-    with pytest.raises(InvalidParam, match="non-negative"):
+    with pytest.raises(InvalidParam, match="a must be non-negative, got -1.0"):
         make(0.0, -1.0)
+    with pytest.raises(InvalidParam, match="a must be non-negative, got"):
+        make(0.0, a_over_2pi=-0.5)
 
 
 def test_build_lifting_rejects_unknown_family():
