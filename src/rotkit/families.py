@@ -13,12 +13,14 @@ envelopes' knots are derived from it by _exact_envelope_knots the same way.
 So a float sweep builds no Fraction.  Non-finite parameters raise
 InvalidParam.
 
-The float maps are what the orbit estimators call once per iterate, so each
-is one Python frame per evaluation, its constants in closure cells: a
-family's fundamental writes its formula out (pwl inlines the pieces of tau,
-disc skips the floor on [0, 1)), and each envelope builder writes one
-flat-branch-flat closure, its branch the same float operations as the
-fundamental's, that serves both sides: only the constants it binds differ
+Each family map and each envelope side states its step once, as a
+lifting.Step: one Python expression over x and named float constants, from
+which its fundamental is built and which the orbit estimators write into
+their loops, so an iterate runs no Python frame.  A family's step writes its
+formula out (pwl the pieces of tau, disc <x> without a floor on [0, 1)), and
+each builder's step is one flat-branch-flat expression (_side) that serves
+both sides, its branch the text of the map's own where they share it
+(standard's sine, pwl's middle piece): only the constants bound to it differ
 by side.  tau stays as the reference the tests compare against.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
@@ -34,7 +36,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .envelope import ConstantSection, MonotoneEnvelope, _exact_envelope_knots, _root_on_increasing
-from .lifting import Lifting
+from .lifting import Lifting, Step
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -51,6 +53,8 @@ def _as_float(value, name: str) -> float:
             value = Fraction(value)
         except ZeroDivisionError:
             raise InvalidParam(f"{name} has a zero denominator, got {value!r}") from None
+        except ValueError:
+            raise InvalidParam(f"{name} must be a number, got {value!r}") from None
     f = float(value)
     if not math.isfinite(f):
         raise InvalidParam(f"{name} must be finite, got {f}")
@@ -106,6 +110,7 @@ def _envelope_knots(knots, upper: bool):
 # the one-parameter staircase family
 
 _FMU_SECTIONS = (ConstantSection(0.75, 1.0),)
+_FMU = Step("f_mu", "mu + 1.0 if x > 0.75 else (4.0 / 3.0) * x + mu", ("mu",))
 
 
 def _fmu_knots(mu):
@@ -128,13 +133,8 @@ def f_mu(mu) -> Lifting:
         _as_float(mu_f, "mu")  # a NaN or infinite float mu raises its "must be finite" message
         raise InvalidParam(f"mu must lie in [0, 1], got {mu_f}")
 
-    def fund(x: float) -> float:
-        if x > 0.75:
-            return mu_f + 1.0
-        return (4.0 / 3.0) * x + mu_f
-
     # the staircase builds one per cell: tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(Lifting, (fund, True, "F_mu", partial(_fmu_knots, mu), None, _FMU_SECTIONS))
+    return tuple.__new__(Lifting, (_FMU.make(mu_f), True, "F_mu", partial(_fmu_knots, mu), None, _FMU_SECTIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +150,22 @@ def tau(x: float) -> float:
     return 4.0 * (x - 1.0)
 
 
+def _side(name: str, branch: str, names: tuple[str, ...], env: dict | None = None) -> Step:
+    """The envelope side flat at below up to a, on branch up to b, flat at above beyond."""
+    return Step(name, f"below if x <= a else ({branch} if x <= b else above)", ("a", "below", "b", "above", *names), env)
+
+
+_SINE = "x + omega - c * sin(two_pi * x)"
+_SINE_ENV = {"sin": math.sin, "two_pi": TWO_PI}
+_STANDARD = Step("standard_map", _SINE, ("omega", "c"), _SINE_ENV)
+_STANDARD_SIDE = _side("standard_envelope", _SINE, ("omega", "c"), _SINE_ENV)
+
+
 def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """x + omega - (a/2pi) sin(2 pi x); invertible exactly when a <= 1."""
     omega_f = _as_float(omega, "omega")
     a_f, c, _ = _coefficient(a, a_over_2pi)
-
-    sin, two_pi = math.sin, TWO_PI
-
-    def fund(x: float) -> float:
-        return x + omega_f - c * sin(two_pi * x)
-
+    fund = _STANDARD.make(omega_f, c)
     label = f"S(omega={omega_f:.8g}, a={a_f:.8g})"
     if a_f <= 1.0:  # strictly increasing: its own envelope, with no section
         return Lifting(fund, True, label, sections=())
@@ -177,7 +183,6 @@ def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: boo
     above = below + 1, a = x1 and b where s reaches above.
     """
     s = F.fundamental
-    sin, two_pi = math.sin, TWO_PI
     x2 = 1.0 - x1
     if upper:
         above = s(x2)
@@ -187,15 +192,7 @@ def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: boo
         below = s(x1)
         a, b, above = x1, _root_on_increasing(s, below + 1.0, x1, x2), below + 1
         section = ConstantSection(b - 1.0, x1)
-
-    def fund(x: float) -> float:
-        if x <= a:
-            return below
-        if x <= b:
-            return x + omega - c * sin(two_pi * x)
-        return above
-
-    return _envelope(F, upper, fund, section)
+    return _envelope(F, upper, _STANDARD_SIDE.make(a, below, b, above, omega, c), section)
 
 
 def _pwl_knots(omega, c):
@@ -203,6 +200,16 @@ def _pwl_knots(omega, c):
     omega, c = _as_exact(omega), _as_exact(c)
     quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
     return [(0, omega), (quarter, quarter + omega - c), (three_quarters, three_quarters + omega + c), (1, 1 + omega)]
+
+
+# x + omega - c tau(x), tau's three pieces written out; the envelopes' branch is the middle one
+_PWL_MIDDLE = "x + omega - c * (2.0 - 4.0 * x)"
+_PWL = Step(
+    "pwl_standard",
+    f"x + omega - c * (4.0 * x) if x <= 0.25 else ({_PWL_MIDDLE} if x <= 0.75 else x + omega - c * (4.0 * (x - 1.0)))",
+    ("omega", "c"),
+)
+_PWL_SIDE = _side("pwl_envelope", _PWL_MIDDLE, ("omega", "c"))
 
 
 def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
@@ -213,15 +220,7 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
-
-    def fund(x: float) -> float:
-        # x + omega - c tau(x), tau's three pieces written out
-        if x <= 0.25:
-            return x + omega_f - c * (4.0 * x)
-        if x <= 0.75:
-            return x + omega_f - c * (2.0 - 4.0 * x)
-        return x + omega_f - c * (4.0 * (x - 1.0))
-
+    fund = _PWL.make(omega_f, c)
     label = f"T(omega={omega_f:.8g}, a={a_f:.8g})"
     knots = partial(_pwl_knots, omega, c_param)
     if c < 0.25:
@@ -248,21 +247,18 @@ def _pwl_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: boo
         a, b, below = 0.25, (5 * d + 4 * p) / (4 * (d + 4 * p)), t(0.25)
         above = below + 1
         section = ConstantSection(b - 1.0, 0.25)
-
-    def fund(x: float) -> float:
-        if x <= a:
-            return below
-        if x <= b:
-            return x + omega - c * (2.0 - 4.0 * x)
-        return above
-
-    return _envelope(F, upper, fund, section)
+    return _envelope(F, upper, _PWL_SIDE.make(a, below, b, above, omega, c), section)
 
 
 def _disc_knots(omega, c):
     """Knots of x + omega + c <x>: one line, with the left limit 1 + omega + c at 1."""
     omega, c = _as_exact(omega), _as_exact(c)
     return [(0, omega), (1, 1 + omega + c)]
+
+
+# <x> is x itself, with no floor, on [0, 1)
+_DISC = Step("disc_standard", "x + omega + c * (x if 0.0 <= x < 1.0 else x - floor(x))", ("omega", "c"), {"floor": math.floor})
+_DISC_SIDE = _side("disc_envelope", "slope * x + omega", ("slope", "omega"))
 
 
 def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
@@ -274,13 +270,7 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
-
-    floor = math.floor
-
-    def fund(x: float) -> float:
-        frac = x if 0.0 <= x < 1.0 else x - floor(x)
-        return x + omega_f + c * frac
-
+    fund = _DISC.make(omega_f, c)
     label = f"D(omega={omega_f:.8g}, a={a_f:.8g})"
     knots = partial(_disc_knots, omega, c_param)
     if c == 0.0:  # a rigid rotation: its own envelope, with no section
@@ -302,26 +292,24 @@ def _disc_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bo
     else:
         a, below, b, above = 0.0, slope * 0.0 + omega, d / (d + p), omega + 1
         section = ConstantSection(b, 1.0)
-
-    def fund(x: float) -> float:
-        if x <= a:
-            return below
-        if x <= b:
-            return slope * x + omega
-        return above
-
-    return _envelope(F, upper, fund, section)
+    return _envelope(F, upper, _DISC_SIDE.make(a, below, b, above, slope, omega), section)
 
 
 # ---------------------------------------------------------------------------
 # the no-cycle-through-the-section example
 
 def _counterexample_knots():
-    """The float closure's knots, read as exact decimals."""
+    """The float step's knots, read as exact decimals."""
     return [
         (0, Fraction(1, 5)), (Fraction(1, 10), Fraction(3, 10)), (Fraction(3, 10), Fraction(2, 5)),
         (Fraction(2, 5), Fraction(11, 10)), (Fraction(4, 5), Fraction(6, 5)), (1, Fraction(6, 5)),
     ]
+
+
+_COUNTEREXAMPLE = Step(
+    "counterexample",
+    "x + 0.2 if x <= 0.1 else (0.5 * x + 0.25 if x <= 0.3 else (7.0 * x - 1.7 if x <= 0.4 else (0.25 * x + 1.0 if x <= 0.8 else 1.2)))",
+)
 
 
 def counterexample_map() -> Lifting:
@@ -330,20 +318,8 @@ def counterexample_map() -> Lifting:
     Rotation number 1/3 (cycle {0.1, 0.3, 0.4} + Z), constant section
     [0.8, 1]; the exact algorithm must always fall back to estimation here.
     """
-
-    def fund(x: float) -> float:
-        if x <= 0.1:
-            return x + 0.2
-        if x <= 0.3:
-            return 0.5 * x + 0.25
-        if x <= 0.4:
-            return 7.0 * x - 1.7
-        if x <= 0.8:
-            return 0.25 * x + 1.0
-        return 1.2
-
     return Lifting(
-        fundamental=fund,
+        fundamental=_COUNTEREXAMPLE.make(),
         is_non_decreasing=True,
         label="counterexample",
         knots=_counterexample_knots,

@@ -7,7 +7,8 @@ restriction to the fundamental domain [0, 1] together with the gluing rule
 
 which gives F(x + 1) = F(x) + 1 for all x.  evaluate applies that rule in
 floats; orbits are iterated by the estimators in rotnum, each with its own
-floor/fraction loop.  A piecewise-linear F may also give its rational knots,
+floor/fraction loop, into which they write the expression of a fundamental
+built from a Step.  A piecewise-linear F may also give its rational knots,
 and evaluate_exact applies the rule to them in rationals, reading them anew
 on every call.  F may jump, but only downward (a heavy lifting), so its
 monotone envelopes stay continuous.  A Lifting is an immutable
@@ -18,9 +19,11 @@ can be shared freely between worker processes.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
+from types import CodeType
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -49,6 +52,51 @@ class Lifting(NamedTuple):
     knots: Callable[[], list[tuple[Fraction, Fraction]]] | None = None
     envelope_builder: Callable[["Lifting", bool], "MonotoneEnvelope"] | None = None
     sections: tuple[ConstantSection, ...] | None = None
+
+
+# id of the code object of every fundamental a Step builds -> that Step, which
+# keeps the code object alive, so no other code object can take its id
+STEPS: dict[int, "Step"] = {}
+_COMPILING = threading.Lock()
+
+
+class Step:
+    """A fundamental written as text: one Python expression over x and named float constants.
+
+    make(*constants) builds the fundamental, a function of x that holds the
+    constants, in the order of names, and then the values of env (the math
+    functions and module constants every map of the step shares) as its
+    defaults, so fund.__defaults__ gives them back in the order of
+    self.bound.  The factory behind make is compiled on first use and its
+    fundamental's code object, self.code, registered in STEPS, where the orbit
+    estimators look a fundamental up to write its expression into their
+    loops (see rotnum).  Every fundamental one Step builds shares that code
+    object.
+    """
+
+    def __init__(self, name: str, expr: str, names: tuple[str, ...] = (), env: dict | None = None):
+        self.name = name
+        self.expr = expr
+        self.names = names
+        self.env = env or {}
+        self.bound = names + tuple(self.env)
+        # a plain attribute, cheaper to read than a property: the staircase builds a map per cell
+        self.make = self._compile
+
+    def _compile(self, *constants: float) -> Callable[[float], float]:
+        """Compile the factory, put it in place of make, and build a fundamental with it."""
+        with _COMPILING:  # one code object per step, also when threads build their first maps at once
+            if not hasattr(self, "code"):
+                params = ", ".join(self.names)
+                defaults = "".join(f", {n}={n}" for n in self.bound)
+                source = f"def {self.name}({params}):\n    def {self.name}(x{defaults}):\n        return {self.expr}\n    return {self.name}\n"
+                namespace = dict(self.env)
+                exec(compile(source, f"<step {self.name}>", "exec"), namespace)
+                factory = namespace[self.name]
+                (self.code,) = (c for c in factory.__code__.co_consts if isinstance(c, CodeType))
+                STEPS[id(self.code)] = self
+                self.make = factory
+        return self.make(*constants)
 
 
 def evaluate(F: Lifting, x: float) -> float:

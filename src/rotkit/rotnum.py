@@ -36,6 +36,16 @@ Three estimators for non-decreasing degree-one liftings:
                       rule, and a state in [1, 2) wraps by subtracting 1,
                       with the same bits.
 
+Each of the four orbit loops (rho_direct's plain and stopping loops,
+rho_simo's and rho_constant_section's) is one template, a kernel's source
+with the orbit step left open.  A fundamental built from a lifting.Step has
+its expression written into the loop, compiled the first time that step
+needs the template and cached, and runs no Python frame per iterate; any
+other fundamental is called as fund(x) by the same template.  The kernel
+is chosen by the fundamental's code object, so a lifting copied with a
+new fundamental runs that fundamental, and either way every iterate runs
+the same float operations.
+
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
 estimators, preferring the constant-section algorithm whenever a usable
@@ -54,7 +64,7 @@ from operator import length_hint
 from typing import NamedTuple
 
 from .envelope import lower_map, upper_map, widest_section
-from .lifting import Lifting, _knot_value, _knots
+from .lifting import STEPS, Lifting, _knot_value, _knots
 
 DEFAULT_ERROR = 1e-6
 DEFAULT_TOL = 1e-10
@@ -157,6 +167,242 @@ def _bad_error(error: float) -> ValueError:
     return ValueError(f"error must be positive and finite, with 1/error finite, got {error}")
 
 
+# ---------------------------------------------------------------------------
+# orbit kernels
+#
+# A template's {step} is an expression over x, parenthesized, whose value is
+# the fundamental's at x: a Step's expression, its constants unpacked from
+# the fundamental's defaults by {unpack}, or else fund(x).  The segment ends
+# are conditional expressions, not min() calls: a staircase estimate runs
+# only a few iterates, and a builtin call is a sizeable part of its cost.
+
+# the shift by floor(F(0)) is inlined as step - k (float(k0) is the operand
+# Python converts the int to, so the bits agree with step - k0; at k0 == 0,
+# - 0.0 keeps every float as is), and the iteration starts in [0, 1)
+_DIRECT_LOOP = """
+def kernel(fund, n):
+    {unpack}
+    x = 0.0
+    k0 = floor({step})
+    k = float(k0)
+    m = 0
+    for _ in range(n):
+        x = {step} - k
+        if not 0.0 <= x < 1.0:
+            s = floor(x)
+            m += s
+            x -= s
+    return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
+"""
+
+_STOPPING_LOOP = """
+def kernel(fund, n):
+    {unpack}
+    x = 0.0
+    k0 = floor({step})
+    k = float(k0)
+    m = 0
+    # Brent's cycle detection: the orbit runs in segments, and each state of
+    # a segment is compared with the checkpoint (cx, cm), the state after ci
+    # steps; the checkpoint moves to a segment's end, iterate 16, 32, 64, ...
+    cx = 0.0
+    cm = 0
+    ci = 0
+    end = FIRST_SEGMENT if FIRST_SEGMENT < n else n
+    while True:
+        steps = repeat(None, end - ci)
+        for _ in steps:
+            x = {step} - k
+            # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
+            if x < 1.0:
+                if x < 0.0:
+                    s = floor(x)
+                    m += s
+                    x -= s
+            elif x < 2.0:
+                x -= 1.0
+                m += 1
+            else:
+                s = floor(x)
+                m += s
+                x -= s
+            if x == cx:
+                break
+        else:
+            if end == n:
+                break
+            cx = x
+            cm = m
+            ci = end
+            end = 2 * end if 2 * end < n else n
+            continue
+        # the state after i steps repeats the checkpoint: period i - ci,
+        # gaining m - cm.  Add the whole periods and run the rem leftover
+        # steps as a last segment (x >= 0 never meets cx = -1.0)
+        i = end - length_hint(steps)
+        periods, rem = divmod(n - i, i - ci)
+        m += periods * (m - cm)
+        cx = -1.0
+        ci = n - rem
+        end = n
+    return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
+"""
+
+# fractional and integer parts of iterates 0, 1, ... up to the first repeat,
+# with the Brent checkpoint, the state cx after ci steps, moved at i == nxt
+_SIMO_LOOP = """
+def kernel(fund, n):
+    {unpack}
+    x = 0.0
+    k0 = floor({step})
+    k = float(k0)
+    alphas = [0.0]
+    ks = [0]
+    m = 0
+    cx = 0.0
+    ci = 0
+    nxt = 1
+    for i in range(1, n + 1):
+        x = {step} - k
+        # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
+        if x < 1.0:
+            if x < 0.0:
+                s = floor(x)
+                m += s
+                x -= s
+        elif x < 2.0:
+            x -= 1.0
+            m += 1
+        else:
+            s = floor(x)
+            m += s
+            x -= s
+        if x == cx:
+            break
+        alphas.append(x)
+        ks.append(m)
+        if i == nxt:
+            cx = x
+            ci = i
+            nxt = 2 * i
+    return alphas, ks, m, ci, k0
+"""
+
+# G's gluing rule at y = x + shift, conjugated back by -shift, with the floor
+# written out for y in [-1, 2) (see rho_constant_section); the step reads y
+# as x, moved into [0, 1) first
+_CSB_LOOP = """
+def kernel(fund, beta, max_iter, shift):
+    {unpack}
+    x = 0.0
+    m = 0
+    # Brent's cycle detection in segments, as in rho_direct with stop_on_repeat
+    cx = 0.0
+    cm = 0
+    cn = 0
+    end = FIRST_SEGMENT if FIRST_SEGMENT < max_iter else max_iter
+    while True:
+        steps = repeat(None, end - cn)
+        for _ in steps:
+            x += shift
+            if x < 1.0:
+                if x >= 0.0:
+                    x = {step} - shift
+                elif x >= -1.0:
+                    x += 1.0
+                    x = {step} - 1.0 - shift
+                else:
+                    s = floor(x)
+                    x -= s
+                    x = {step} + s - shift
+            elif x < 2.0:
+                x -= 1.0
+                x = {step} + 1.0 - shift
+            else:
+                s = floor(x)
+                x -= s
+                x = {step} + s - shift
+            if x < 1.0:
+                if x < 0.0:
+                    s = floor(x)
+                    m += s
+                    x -= s
+            elif x < 2.0:
+                x -= 1.0
+                m += 1
+            else:
+                s = floor(x)
+                m += s
+                x -= s
+            if x <= beta:
+                n = end - length_hint(steps)
+                return tuple.__new__(RotationEstimate, ("exact", m / n, 0.0, n, m, n))
+            if x == cx:
+                break
+        else:
+            if end == max_iter:
+                break
+            cx = x
+            cm = m
+            cn = end
+            end = 2 * end if 2 * end < max_iter else max_iter
+            continue
+        # period n - cn, gaining m - cm: add the whole periods and run the rem
+        # leftover steps, which replay the missed steps cn+1 .. cn+rem and
+        # cannot hit, as a last segment (x >= 0 never meets cx = -1.0)
+        n = end - length_hint(steps)
+        periods, rem = divmod(max_iter - n, n - cn)
+        m += periods * (m - cm)
+        cx = -1.0
+        cn = max_iter - rem
+        end = max_iter
+    return tuple.__new__(RotationEstimate, ("approx", (m + x) / max_iter, 1.0 / max_iter, max_iter, None, None))
+"""
+
+
+class _Kernels(dict):
+    """One template's kernels, keyed by the id of the code object of the fundamental whose step they write in.
+
+    A step is compiled into the template the first time a fundamental of its
+    code asks for it.  A fundamental with no step (no code object, or one no
+    Step built) gets the kernel whose step is fund(x), compiled once and kept
+    under the key 0, which no id takes.  A step's names must not be names
+    the loop binds otherwise (tests/test_kernels.py checks every family's).
+    """
+
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, key: int):
+        step = STEPS.get(key)
+        if step is not None:
+            unpack = f"{', '.join(step.bound)}, = fund.__defaults__" if step.bound else "pass"
+            source = self.template.format(step=f"({step.expr})", unpack=unpack)
+        elif key:
+            return self[0]
+        else:
+            source = self.template.format(step="fund(x)", unpack="pass")
+        namespace = dict(_LOOP_NAMES)
+        exec(compile(source, "<orbit kernel>", "exec"), namespace)
+        kernel = self[key] = namespace["kernel"]
+        return kernel
+
+
+# the globals of every kernel
+_LOOP_NAMES = {
+    "floor": math.floor,
+    "repeat": repeat,
+    "length_hint": length_hint,
+    "RotationEstimate": RotationEstimate,
+    "FIRST_SEGMENT": FIRST_SEGMENT,
+}
+_DIRECT = _Kernels(_DIRECT_LOOP)
+_STOPPING = _Kernels(_STOPPING_LOOP)
+_SIMO = _Kernels(_SIMO_LOOP)
+_CSB = _Kernels(_CSB_LOOP)
+
+
 def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
     """Estimate rho as F^n(0)/n with n = ceil(1/error) iterates.
 
@@ -184,66 +430,7 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
         raise _bad_error(error)
     n = math.ceil(1.0 / error)
     fund = F.fundamental
-    floor = math.floor
-    # the iteration starts in [0, 1): F is shifted by -floor(F(0)), inlined as
-    # fund(x) - k (float(k0) is the operand Python converts the int to, so the
-    # bits agree with fund(x) - k0; at k0 == 0, - 0.0 keeps every float as is)
-    k0 = floor(fund(0.0))
-    k = float(k0)
-    x = 0.0
-    m = 0
-    if not stop_on_repeat:
-        for _ in range(n):
-            x = fund(x) - k
-            if not 0.0 <= x < 1.0:
-                s = floor(x)
-                m += s
-                x -= s
-        return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
-    # Brent's cycle detection: the orbit runs in segments, and each state of
-    # a segment is compared with the checkpoint (cx, cm), the state after ci
-    # steps; the checkpoint moves to a segment's end, iterate 16, 32, 64, ...
-    cx = 0.0
-    cm = 0
-    ci = 0
-    end = min(FIRST_SEGMENT, n)
-    while True:
-        steps = repeat(None, end - ci)
-        for _ in steps:
-            x = fund(x) - k
-            # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
-            if x < 1.0:
-                if x < 0.0:
-                    s = floor(x)
-                    m += s
-                    x -= s
-            elif x < 2.0:
-                x -= 1.0
-                m += 1
-            else:
-                s = floor(x)
-                m += s
-                x -= s
-            if x == cx:
-                break
-        else:
-            if end == n:
-                break
-            cx = x
-            cm = m
-            ci = end
-            end = min(2 * end, n)
-            continue
-        # the state after i steps repeats the checkpoint: period i - ci,
-        # gaining m - cm.  Add the whole periods and run the rem leftover
-        # steps as a last segment (x >= 0 never meets cx = -1.0)
-        i = end - length_hint(steps)
-        periods, rem = divmod(n - i, i - ci)
-        m += periods * (m - cm)
-        cx = -1.0
-        ci = n - rem
-        end = n
-    return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
+    return (_STOPPING if stop_on_repeat else _DIRECT)[id(getattr(fund, "__code__", None))](fund, n)
 
 
 def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
@@ -281,42 +468,7 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     if n < 2:
         raise ValueError("rho_simo needs at least 2 iterates")
     fund = F.fundamental
-    floor = math.floor
-    k0 = floor(fund(0.0))
-    k = float(k0)  # the shift by floor(F(0)), inlined as in rho_direct
-
-    # fractional and integer parts of iterates 0, 1, ... up to the first repeat
-    alphas = [0.0]
-    ks = [0]
-    x = 0.0
-    m = 0
-    # Brent checkpoint: the state cx after ci steps; it moves at i == nxt
-    cx = 0.0
-    ci = 0
-    nxt = 1
-    for i in range(1, n + 1):
-        x = fund(x) - k
-        # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
-        if x < 1.0:
-            if x < 0.0:
-                s = floor(x)
-                m += s
-                x -= s
-        elif x < 2.0:
-            x -= 1.0
-            m += 1
-        else:
-            s = floor(x)
-            m += s
-            x -= s
-        if x == cx:
-            break
-        alphas.append(x)
-        ks.append(m)
-        if i == nxt:
-            cx = x
-            ci = i
-            nxt = 2 * i
+    alphas, ks, m, ci, k0 = _SIMO[id(getattr(fund, "__code__", None))](fund, n)
     stored = len(ks)
     if stored <= n:
         # the break's iterate, stored, repeats iterate ci: from ci on the orbit
@@ -414,68 +566,7 @@ def rho_constant_section(
         raise _bad_error(error)
     max_iter = math.ceil(1.0 / error)
     fund = G.fundamental
-    floor = math.floor
-    x = 0.0
-    m = 0
-    # Brent's cycle detection in segments, as in rho_direct with stop_on_repeat
-    cx = 0.0
-    cm = 0
-    cn = 0
-    end = min(FIRST_SEGMENT, max_iter)
-    while True:
-        steps = repeat(None, end - cn)
-        for _ in steps:
-            # G's gluing rule at y = x + shift, conjugated back by -shift,
-            # with the floor written out for y in [-1, 2) (see the docstring)
-            y = x + shift
-            if y < 1.0:
-                if y >= 0.0:
-                    x = fund(y) - shift
-                elif y >= -1.0:
-                    x = fund(y + 1.0) - 1.0 - shift
-                else:
-                    s = floor(y)
-                    x = fund(y - s) + s - shift
-            elif y < 2.0:
-                x = fund(y - 1.0) + 1.0 - shift
-            else:
-                s = floor(y)
-                x = fund(y - s) + s - shift
-            if x < 1.0:
-                if x < 0.0:
-                    s = floor(x)
-                    m += s
-                    x -= s
-            elif x < 2.0:
-                x -= 1.0
-                m += 1
-            else:
-                s = floor(x)
-                m += s
-                x -= s
-            if x <= beta:
-                n = end - length_hint(steps)
-                return tuple.__new__(RotationEstimate, ("exact", m / n, 0.0, n, m, n))
-            if x == cx:
-                break
-        else:
-            if end == max_iter:
-                break
-            cx = x
-            cm = m
-            cn = end
-            end = min(2 * end, max_iter)
-            continue
-        # period n - cn, gaining m - cm: add the whole periods and run the rem
-        # leftover steps, which replay the missed steps cn+1 .. cn+rem and
-        # cannot hit, as a last segment (x >= 0 never meets cx = -1.0)
-        n = end - length_hint(steps)
-        periods, rem = divmod(max_iter - n, n - cn)
-        m += periods * (m - cm)
-        cx = -1.0
-        cn = max_iter - rem
-        end = max_iter
-    return tuple.__new__(RotationEstimate, ("approx", (m + x) / max_iter, 1.0 / max_iter, max_iter, None, None))
+    return _CSB[id(getattr(fund, "__code__", None))](fund, beta, max_iter, shift)
 
 
 def rho_constant_section_exact(

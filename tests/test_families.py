@@ -272,6 +272,10 @@ def test_non_finite_parameters_rejected(make):
         (lambda: standard_map("1/0", 1.0), "omega has a zero denominator, got '1/0'"),
         (lambda: pwl_standard(0, a_over_2pi="1/0"), "a_over_2pi has a zero denominator, got '1/0'"),
         (lambda: disc_standard(0.0, "1/0"), "a has a zero denominator, got '1/0'"),
+        # a string that is no number names its parameter too
+        (lambda: f_mu("abc"), "mu must be a number, got 'abc'"),
+        (lambda: standard_map("0.1x", 1.0), "omega must be a number, got '0.1x'"),
+        (lambda: standard_map(0.1, a_over_2pi="1/x"), "a_over_2pi must be a number, got '1/x'"),
     ],
 )
 def test_zero_denominator_rejected(make, message):

@@ -1,34 +1,44 @@
-"""The float maps the orbit loops call once per iterate.
+"""The float maps the orbit loops run, and the kernels that run them.
 
-Each family's fundamental and each side of its envelope is one closure that
-writes its formula out.  They must match the composed reference bit for bit
-(zeros told apart by sign): x + omega - c tau(x), the sine or the floor
-fraction for the fundamental, and a flat-branch-flat wrapper around that
-branch, with the flats' ends and levels computed from it, for each envelope
-side.  A profiler's call events count the Python frames an estimate runs:
-one per executed iterate plus a fixed few, whatever the hardware.
+Each family's fundamental and each side of its envelope is built from a
+step, one expression that the estimators write into their loops.  The maps
+must match the composed reference bit for bit (zeros told apart by sign):
+x + omega - c tau(x), the sine or the floor fraction for the fundamental,
+and a flat-branch-flat wrapper around that branch, with the flats' ends and
+levels computed from it, for each envelope side.  Each compiled kernel must
+give, field for field, the estimate its template gives when it calls the
+fundamental instead.  A profiler's call events count the Python frames an
+estimate runs, whatever the hardware: a fixed few for a family map, and one
+more per executed iterate for a map with no step.
 """
 
 import math
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from rotkit import (
     GOLDEN_MEAN,
+    Lifting,
+    PeriodicOrbitDetected,
+    counterexample_map,
     disc_standard,
     f_mu,
     lower_map,
     pwl_standard,
     rho_constant_section,
     rho_direct,
+    rho_simo,
     standard_map,
     tau,
     upper_map,
     widest_section,
 )
+from rotkit import families, rotnum
 from rotkit.envelope import _root_on_increasing
+from rotkit.lifting import STEPS, Step
 from rotkit.sweep import SweepConfig, _staircase_cell
 from _oracles import _clamped_oracle
 
@@ -142,9 +152,10 @@ def test_flat_closures_match_the_composed_reference(make, reference, a_values):
 # ---------------------------------------------------------------------------
 # Python frames per iterate
 
-# the estimator alone: the precondition checks run inline, and the estimate is
-# built with tuple.__new__, skipping the NamedTuple's Python-level __new__
-FIXED_FRAMES = 1
+# the estimator and its kernel: the precondition checks run inline, and the
+# estimate is built with tuple.__new__, skipping the NamedTuple's Python-level __new__.
+# A fundamental with no step adds the kernel lookup that finds none
+FIXED_FRAMES = 2
 
 
 def _python_calls(estimator, F, *args, **kwargs) -> Counter:
@@ -163,36 +174,42 @@ def _python_calls(estimator, F, *args, **kwargs) -> Counter:
     return calls
 
 
-def _counted_run(estimator, F, *args, **kwargs):
-    """(estimate, evaluations of F's fundamental), counted by a wrapper."""
-    count = 0
+def _counting(F):
+    """F with its fundamental behind a wrapper that counts its evaluations, and the count."""
+    count = [0]
     fund = F.fundamental
 
     def counted(x):
-        nonlocal count
-        count += 1
+        count[0] += 1
         return fund(x)
 
-    est = estimator(F._replace(fundamental=counted), *args, **kwargs)
-    return est, count
+    return F._replace(fundamental=counted), count
 
 
-def _assert_one_frame_per_evaluation(estimator, F, *args, **kwargs):
-    est, evaluations = _counted_run(estimator, F, *args, **kwargs)
+def _assert_frames(estimator, F, *args, **kwargs):
+    """(estimate, evaluations): F's step runs no frame of its own, the counting wrapper one per evaluation."""
+    est = estimator(F, *args, **kwargs)  # compiles the kernel outside the count
     calls = _python_calls(estimator, F, *args, **kwargs)
-    assert calls[F.fundamental.__code__] == evaluations
-    assert sum(calls.values()) == evaluations + FIXED_FRAMES
+    assert calls[F.fundamental.__code__] == 0
+    assert sum(calls.values()) == FIXED_FRAMES
+    counted, count = _counting(F)
+    assert estimator(counted, *args, **kwargs) == est
+    evaluations, count[0] = count[0], 0
+    calls = _python_calls(estimator, counted, *args, **kwargs)
+    assert count[0] == evaluations
+    assert calls[counted.fundamental.__code__] == calls[F.fundamental.__code__] == evaluations
+    assert sum(calls.values()) == FIXED_FRAMES + 1 + 2 * evaluations
     return est, evaluations
 
 
 @pytest.mark.parametrize("make, a", [(standard_map, 0.5), (pwl_standard, 0.5), (disc_standard, 0.0)])
 @pytest.mark.parametrize("omega", [0.37, 3.31])
-def test_no_section_fallback_runs_one_frame_per_iterate(make, a, omega):
+def test_no_section_fallback_runs_a_fixed_few_frames(make, a, omega):
     # a non-decreasing map with no section: rho_direct with stop_on_repeat,
     # which evaluates F(0) once before its loop and once per iterate
     F = make(omega, a)
     assert F.is_non_decreasing and not upper_map(F).sections
-    _, evaluations = _assert_one_frame_per_evaluation(rho_direct, F, 1e-4, stop_on_repeat=True)
+    _, evaluations = _assert_frames(rho_direct, F, 1e-4, stop_on_repeat=True)
     assert evaluations == 10**4 + 1  # no float repeat: every iterate runs
 
 
@@ -209,28 +226,32 @@ CSB_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("make, omega, a, upper", CSB_CELLS)
-def test_csb_kernel_runs_one_frame_per_iterate(make, omega, a, upper):
-    env = (upper_map if upper else lower_map)(make(omega, a))
+def _section_call(env):
+    """rho_constant_section's arguments after the lifting for env's widest section, as rho_csb passes them."""
     sec = widest_section(env.sections)
     tol = 1e-10
-    est, evaluations = _assert_one_frame_per_evaluation(
-        rho_constant_section, env.lifting, (sec.beta - sec.alpha) - 2.0 * tol, 1e-4, shift=sec.alpha + tol
-    )
+    return ((sec.beta - sec.alpha) - 2.0 * tol,), {"shift": sec.alpha + tol}
+
+
+@pytest.mark.parametrize("make, omega, a, upper", CSB_CELLS)
+def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
+    env = (upper_map if upper else lower_map)(make(omega, a))
+    (beta,), kw = _section_call(env)
+    est, evaluations = _assert_frames(rho_constant_section, env.lifting, beta, 1e-4, **kw)
     # one evaluation per executed iterate: a hit's n of them, or all 10^4
     assert evaluations == (est.n if est.is_exact else 10**4) and evaluations >= 9
 
 
-# the fixed frames of one staircase cell, hit or exhaust alike, besides its
-# evaluations of the f_mu fundamental.  Every cell runs _staircase_cell and
-# f_mu (a float mu skips _as_float); a csb cell adds rho_csb, _rho_of_sections
-# and rho_constant_section (f_mu states its section, so no envelope is built),
-# a direct cell rho_direct, and a simo cell whose orbit ties adds rho_simo,
-# Fraction's __new__, PeriodicOrbitDetected.__init__ and
-# Fraction.as_integer_ratio.  The section is read without widest_section, and
-# the lifting, the estimate and the row are built without their NamedTuple's
-# __new__
-STAIRCASE_CELL_FRAMES = {"csb": 5, "direct": 3, "simo": 6}
+# the fixed frames of one staircase cell, hit or exhaust alike; the f_mu
+# fundamental itself runs no frame.  Every cell runs _staircase_cell, f_mu (a
+# float mu skips _as_float) and f_mu's step factory; a csb cell adds rho_csb,
+# _rho_of_sections, rho_constant_section and its kernel (f_mu states its
+# section, so no envelope is built), a direct cell rho_direct and its kernel,
+# and a simo cell whose orbit ties adds rho_simo, its kernel, Fraction's
+# __new__, PeriodicOrbitDetected.__init__ and Fraction.as_integer_ratio.  The
+# section is read without widest_section, and the lifting, the estimate and
+# the row are built without their NamedTuple's __new__
+STAIRCASE_CELL_FRAMES = {"csb": 7, "direct": 5, "simo": 8}
 
 
 @pytest.mark.parametrize(
@@ -249,6 +270,153 @@ def test_staircase_cell_runs_a_fixed_few_frames(algorithm, mu, kind):
     task = (SweepConfig(error=1e-5, algorithm=algorithm), mu)
     assert _staircase_cell(task).kind == kind
     calls = _python_calls(_staircase_cell, task)
-    fund = f_mu(mu).fundamental.__code__  # every f_mu closure shares its code object
-    assert calls[fund] >= 2
-    assert sum(calls.values()) - calls[fund] == STAIRCASE_CELL_FRAMES[algorithm]
+    assert calls[f_mu(mu).fundamental.__code__] == 0  # every f_mu fundamental shares its code object
+    assert sum(calls.values()) == STAIRCASE_CELL_FRAMES[algorithm]
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels against the template that calls the fundamental
+
+# the whole periods by which the benchmark's tongue seeds move omega
+SHIFTS = (0, 3, 8)
+
+
+def _outcome(estimator, F, *args, **kwargs) -> tuple:
+    """The estimate's fields, or a periodic orbit's rotation and iterates."""
+    try:
+        return tuple(estimator(F, *args, **kwargs))
+    except PeriodicOrbitDetected as hit:
+        return ("periodic", hit.rotation, hit.i, hit.j)
+
+
+def _same_outcome(got: tuple, want: tuple) -> bool:
+    return len(got) == len(want) and all(
+        _same(g, w) if isinstance(w, float) else type(g) is type(w) and g == w for g, w in zip(got, want)
+    )
+
+
+def _assert_kernel_matches_call(estimator, G, *args, **kwargs) -> tuple:
+    """G's estimate equals, field for field, that of a wrapper with no step, which the loop calls; returns it."""
+    fund = G.fundamental
+    assert id(fund.__code__) in STEPS  # G runs a compiled step
+    want = _outcome(estimator, G._replace(fundamental=lambda x: fund(x)), *args, **kwargs)
+    got = _outcome(estimator, G, *args, **kwargs)
+    assert _same_outcome(got, want), (G.label, estimator.__name__, args, kwargs, got, want)
+    return got
+
+
+def _every_kernel(G, error: float, simo_n: int, sections=()) -> list[tuple]:
+    """G through all four loops: plain and stopping direct, simo, and csb at shift 0 and on its widest section."""
+    outcomes = [
+        _assert_kernel_matches_call(rho_direct, G, error),
+        _assert_kernel_matches_call(rho_direct, G, error, stop_on_repeat=True),
+        _assert_kernel_matches_call(rho_simo, G, simo_n),
+        _assert_kernel_matches_call(rho_constant_section, G, 1e-3, error),
+    ]
+    if sections:
+        sec = widest_section(sections)
+        outcomes.append(
+            _assert_kernel_matches_call(rho_constant_section, G, sec.beta - sec.alpha - 2e-10, error, shift=sec.alpha + 1e-10)
+        )
+    return outcomes
+
+
+def _liftings(F):
+    """(lifting, sections) of F if it is non-decreasing, else of both its envelope sides."""
+    if F.is_non_decreasing:
+        return [(F, upper_map(F).sections)]
+    return [(env.lifting, env.sections) for env in (upper_map(F), lower_map(F))]
+
+
+@pytest.mark.parametrize("make, a_values", [(make, a_values) for make, _, a_values in CASES], ids=["standard", "pwl", "disc"])
+def test_compiled_kernels_match_the_called_step(make, a_values):
+    kinds = set()
+    for k in SHIFTS:
+        for omega in (0.0, 0.37, 0.5, 4 / 15):
+            for a in a_values:
+                for G, sections in _liftings(make(omega + k, a)):
+                    for outcome in _every_kernel(G, 1e-3, 200, sections):
+                        kinds.add("bracket" if isinstance(outcome[0], float) else outcome[0])
+    # csb hits, estimates that exhaust, simo's ties and brackets all occur
+    assert kinds == {"exact", "approx", "periodic", "bracket"}
+
+
+@pytest.mark.parametrize("make, omega, a, upper", CSB_CELLS)
+def test_compiled_csb_cells_match_the_called_step(make, omega, a, upper):
+    for k in SHIFTS:
+        env = (upper_map if upper else lower_map)(make(omega + k, a))
+        _every_kernel(env.lifting, 1e-4, 1000, env.sections)
+
+
+def test_compiled_kernels_match_the_called_step_at_segment_edges():
+    # a rigid rotation by 1/16 is back at 0 after 16 steps, the first segment's
+    # end; f_mu at rho = 1/16 enters its 16-cycle at iterate 1 (mu = 3/1024
+    # survives the wrap mu + 1.0 - 1.0), so the checkpoint at 16 repeats at
+    # 32, the second segment's end.  The counting wrapper's evaluations show
+    # where each loop found the repeat: n = 1000 leaves 1000 - i = 61 * 16 + 8
+    # or 60 * 16 + 8 steps, 8 of which run
+    rigid, staircase = disc_standard(1 / 16, 0.0), f_mu(3 / 1024)
+    for k in SHIFTS:
+        G = disc_standard(1 / 16 + k, 0.0)
+        _every_kernel(G, 1e-3, 200)
+        _every_kernel(counterexample_map(), 1e-3, 200, counterexample_map().sections)
+    _every_kernel(staircase, 1e-3, 200, staircase.sections)
+    for F, evaluations in ((rigid, 1 + 16 + 8), (staircase, 1 + 32 + 8)):
+        counted, count = _counting(F)
+        rho_direct(counted, 1e-3, stop_on_repeat=True)
+        assert count[0] == evaluations
+    # the csb loop at a bound no cycle point of f_mu's meets: the same repeat, with no F(0) evaluation
+    counted, count = _counting(staircase)
+    assert rho_constant_section(counted, 1e-9, 1e-3).kind == "approx"
+    assert count[0] == 32 + 8
+    _assert_kernel_matches_call(rho_constant_section, staircase, 1e-9, 1e-3)
+
+
+def test_a_replaced_fundamental_is_the_one_that_runs():
+    # the kernel follows the fundamental's code object, never a stale step
+    S, T, S2 = standard_map(0.37, 0.5), pwl_standard(0.37, 0.5), standard_map(0.41, 0.5)
+    for G in (T, S2):
+        swapped = S._replace(fundamental=G.fundamental)
+        assert rho_direct(swapped, 1e-3) == rho_direct(G, 1e-3) != rho_direct(S, 1e-3)
+        assert rho_direct(swapped, 1e-3, stop_on_repeat=True) == rho_direct(G, 1e-3, stop_on_repeat=True)
+        assert rho_constant_section(swapped, 1e-3, 1e-3) == rho_constant_section(G, 1e-3, 1e-3)
+        assert _outcome(rho_simo, swapped, 200) == _outcome(rho_simo, G, 200)
+    counted, count = _counting(S)
+    assert rho_direct(counted, 1e-3) == rho_direct(S, 1e-3) and count[0] == 1001
+
+
+def test_no_step_rebinds_a_name_of_the_orbit_loops():
+    # a step's constants become the kernel's locals: one the loop also binds
+    # would change what the loop computes, and a name the step reads but does
+    # not bind would resolve to a loop global in the kernel
+    steps = [v for v in vars(families).values() if isinstance(v, Step)]
+    assert len(steps) == 8
+    for kernels in (rotnum._DIRECT, rotnum._STOPPING, rotnum._SIMO, rotnum._CSB):
+        loop = kernels[0].__code__
+        for step in steps:
+            assert not set(step.bound) & set(loop.co_varnames), step.name
+            assert all(step.env[n] is rotnum._LOOP_NAMES[n] for n in set(step.bound) & set(rotnum._LOOP_NAMES))
+            assert set(compile(step.expr, "", "eval").co_names) <= {"x", *step.bound}, step.name
+
+
+def test_a_step_compiles_once_when_threads_race():
+    # threads that build a step's first maps at once share one code object, the
+    # one STEPS knows, and estimate alike through kernels compiled by whichever asks first
+    step = Step("racing", "x + omega", ("omega",))
+    omegas = [GOLDEN_MEAN + i / 64 for i in range(64)]
+
+    def estimate(omega):
+        fund = step.make(omega)
+        return fund, rho_direct(Lifting(fund, True, "racing"), 1e-3, stop_on_repeat=True)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(estimate, omegas, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert {fund.__code__ for fund, _ in results} == {step.code}
+    assert [key for key, s in STEPS.items() if s is step] == [id(step.code)]
+    called = [Lifting(lambda x, o=o: x + o, True, "called") for o in omegas]
+    assert [est for _, est in results] == [rho_direct(F, 1e-3, stop_on_repeat=True) for F in called]

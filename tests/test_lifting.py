@@ -178,7 +178,7 @@ def test_records_are_immutable_picklable_named_tuples():
             setattr(record, first, getattr(record, first))
         copy = record._replace(**{first: getattr(record, first)})
         assert type(copy) is kind and copy == record
-        if kind is not Lifting:  # a family's fundamental is a closure
+        if kind is not Lifting:  # a family's fundamental is a nested function, which pickle cannot look up
             assert pickle.loads(pickle.dumps(record)) == record
     with pytest.raises(TypeError):
         SweepConfig(mu_min=0.0)
