@@ -357,10 +357,9 @@ def test_compiled_kernels_match_the_called_step_at_segment_edges():
     # or 60 * 16 + 8 steps, 8 of which run
     rigid, staircase = disc_standard(1 / 16, 0.0), f_mu(3 / 1024)
     for k in SHIFTS:
-        G = disc_standard(1 / 16 + k, 0.0)
-        _every_kernel(G, 1e-3, 200)
-        _every_kernel(counterexample_map(), 1e-3, 200, counterexample_map().sections)
-    _every_kernel(staircase, 1e-3, 200, staircase.sections)
+        _every_kernel(disc_standard(1 / 16 + k, 0.0), 1e-3, 200)
+    for G in (staircase, counterexample_map()):
+        _every_kernel(G, 1e-3, 200, G.sections)
     for F, evaluations in ((rigid, 1 + 16 + 8), (staircase, 1 + 32 + 8)):
         counted, count = _counting(F)
         rho_direct(counted, 1e-3, stop_on_repeat=True)
