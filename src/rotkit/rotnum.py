@@ -10,7 +10,10 @@ Three estimators for non-decreasing degree-one liftings:
                       that end at iterates 16, 32, 64, ..., and runs only
                       the leftover steps, for the same value bit for bit;
                       this is how the csb method estimates an envelope
-                      with no constant section.
+                      with no constant section.  The stopping loop keeps a
+                      record of its last estimate, so the same fundamental
+                      at the same n runs once in a row (the two endpoints
+                      of a non-decreasing map's rotation interval).
 * rho_simo         -- sorts the iterate indices of an orbit by fractional
                       part, once, and reads the first near-tie or else the
                       bracket off adjacent index pairs (Simo's
@@ -51,8 +54,12 @@ rho(upper map)]; rotation_interval wires the envelope module to the
 estimators, preferring the constant-section algorithm whenever a usable
 section exists.
 
-Everything here is pure and safe to call concurrently; identical inputs give
-bit-identical outputs regardless of process or thread count.
+Everything here is safe to call concurrently; identical inputs give
+bit-identical outputs regardless of process or thread count.  The one state
+is rho_direct's record of its last stopping estimate, one tuple
+(fundamental, n, estimate) replaced in one assignment, so a thread reads a
+whole record or none.  It assumes a fundamental's value depends on x alone,
+and the plain loop neither reads nor writes it.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import length_hint
+from operator import index, length_hint
 from typing import NamedTuple
 
 from .envelope import lower_map, upper_map, widest_section
@@ -77,7 +84,12 @@ FIRST_SEGMENT = 16
 
 
 class InvalidSection(ValueError):
-    """Constant-section estimator called with a test bound that is not positive (zero, negative or NaN)."""
+    """Constant-section estimator called with a test bound outside (0, 1), or an exact section that is empty.
+
+    A bound that is zero, negative or NaN names no section.  Nor does one of
+    1 or more (infinity too): no constant section of a degree-one lifting is
+    1 wide, and such a bound would take the orbit's first state as a hit.
+    """
 
 
 class PeriodicOrbitDetected(Exception):
@@ -402,6 +414,10 @@ _STOPPING = _Kernels(_STOPPING_LOOP)
 _SIMO = _Kernels(_SIMO_LOOP)
 _CSB = _Kernels(_CSB_LOOP)
 
+# rho_direct's last stopping estimate, (fundamental, n, estimate); holding the
+# fundamental keeps its id from being reused while the record stands
+_last_stopping: tuple = (None, 0, None)
+
 
 def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool = False) -> RotationEstimate:
     """Estimate rho as F^n(0)/n with n = ceil(1/error) iterates.
@@ -422,6 +438,16 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     the float operation of x - floor(x); floor runs only outside [0, 2).
     Value, error_bound and the nominal iterations_used = n are
     bit-identical to the full loop.
+
+    The stopping loop records its last estimate with its fundamental and n.
+    A call on the same fundamental object at the same n returns that
+    estimate object without iterating (a non-decreasing map's two
+    rotation_interval endpoints), on the assumption that the fundamental's
+    value depends on x alone: a fundamental that counts its evaluations
+    sees none on such a repeat.  The record is one tuple bound in one
+    assignment, so threads may share it, and it holds the fundamental, so
+    no other function can take its id.  The plain loop never reads or
+    writes it: every call runs all n iterates.
     """
     if not F.is_non_decreasing:
         raise _non_decreasing_required(F, "rho_direct")
@@ -430,7 +456,16 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
         raise _bad_error(error)
     n = math.ceil(1.0 / error)
     fund = F.fundamental
-    return (_STOPPING if stop_on_repeat else _DIRECT)[id(getattr(fund, "__code__", None))](fund, n)
+    if not stop_on_repeat:
+        return _DIRECT[id(getattr(fund, "__code__", None))](fund, n)
+    global _last_stopping
+    last = _last_stopping
+    if last[0] is fund and last[1] == n:
+        return last[2]
+    est = _STOPPING[id(getattr(fund, "__code__", None))](fund, n)
+    # one tuple bound in one assignment: a thread reads a whole record or none
+    _last_stopping = (fund, n, est)
+    return est
 
 
 def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
@@ -465,6 +500,10 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     """
     if not F.is_non_decreasing:
         raise _non_decreasing_required(F, "rho_simo")
+    try:
+        n = index(n)  # a C call, no Python frame
+    except TypeError:
+        raise ValueError(f"rho_simo's n must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError("rho_simo needs at least 2 iterates")
     fund = F.fundamental
@@ -559,8 +598,8 @@ def rho_constant_section(
     """
     if not G.is_non_decreasing:
         raise _non_decreasing_required(G, "rho_constant_section")
-    if not beta > 0.0:  # a NaN beta fails this test too
-        raise InvalidSection(f"test bound beta must be positive, got {beta}")
+    if not 0.0 < beta < 1.0:  # a NaN beta fails this test too
+        raise InvalidSection(f"test bound beta must lie in (0, 1), got {beta}")
     # a subnormal error passes 0 < error < inf, but its 1/error overflows to inf
     if not (0.0 < error < math.inf and 1.0 / error < math.inf):
         raise _bad_error(error)
@@ -624,7 +663,9 @@ def rotation_interval(
     """
     lo_env = lower_map(F)
     # a non-decreasing map is its own upper and lower envelope (for a map
-    # that states no sections, one grid scan); both endpoints are still estimated
+    # that states no sections, one grid scan).  Each endpoint still calls its
+    # estimator; with no section the upper call returns rho_direct's record
+    # of the lower one's estimate, the same object, without iterating
     hi_env = lo_env if F.is_non_decreasing else upper_map(F)
     lo = _rho_of_sections(lo_env.lifting, lo_env.sections, error, tol, method)
     hi = _rho_of_sections(hi_env.lifting, hi_env.sections, error, tol, method)

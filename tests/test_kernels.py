@@ -186,15 +186,23 @@ def _counting(F):
     return F._replace(fundamental=counted), count
 
 
-def _assert_frames(estimator, F, *args, **kwargs):
-    """(estimate, evaluations): F's step runs no frame of its own, the counting wrapper one per evaluation."""
-    est = estimator(F, *args, **kwargs)  # compiles the kernel outside the count
+def _assert_frames(estimator, build, *args, **kwargs):
+    """(estimate, evaluations) of estimator on build()'s lifting: its step runs no frame of its own, the counting wrapper one per evaluation.
+
+    Each warm-up call runs on a twin, a new function object of the same
+    code, so the counted call finds the kernel compiled but meets no record
+    of rho_direct's last stopping estimate.
+    """
+    F, twin = build(), build()
+    assert twin.fundamental is not F.fundamental and twin.fundamental.__code__ is F.fundamental.__code__
+    est = estimator(twin, *args, **kwargs)  # compiles the kernel outside the count
     calls = _python_calls(estimator, F, *args, **kwargs)
     assert calls[F.fundamental.__code__] == 0
     assert sum(calls.values()) == FIXED_FRAMES
-    counted, count = _counting(F)
+    counted, count = _counting(twin)
     assert estimator(counted, *args, **kwargs) == est
-    evaluations, count[0] = count[0], 0
+    evaluations = count[0]
+    counted, count = _counting(F)
     calls = _python_calls(estimator, counted, *args, **kwargs)
     assert count[0] == evaluations
     assert calls[counted.fundamental.__code__] == calls[F.fundamental.__code__] == evaluations
@@ -209,7 +217,7 @@ def test_no_section_fallback_runs_a_fixed_few_frames(make, a, omega):
     # which evaluates F(0) once before its loop and once per iterate
     F = make(omega, a)
     assert F.is_non_decreasing and not upper_map(F).sections
-    _, evaluations = _assert_frames(rho_direct, F, 1e-4, stop_on_repeat=True)
+    _, evaluations = _assert_frames(rho_direct, lambda: make(omega, a), 1e-4, stop_on_repeat=True)
     assert evaluations == 10**4 + 1  # no float repeat: every iterate runs
 
 
@@ -235,9 +243,9 @@ def _section_call(env):
 
 @pytest.mark.parametrize("make, omega, a, upper", CSB_CELLS)
 def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
-    env = (upper_map if upper else lower_map)(make(omega, a))
-    (beta,), kw = _section_call(env)
-    est, evaluations = _assert_frames(rho_constant_section, env.lifting, beta, 1e-4, **kw)
+    side = upper_map if upper else lower_map
+    (beta,), kw = _section_call(side(make(omega, a)))
+    est, evaluations = _assert_frames(rho_constant_section, lambda: side(make(omega, a)).lifting, beta, 1e-4, **kw)
     # one evaluation per executed iterate: a hit's n of them, or all 10^4
     assert evaluations == (est.n if est.is_exact else 10**4) and evaluations >= 9
 

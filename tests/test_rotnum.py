@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -176,13 +178,105 @@ def test_plain_rho_direct_runs_every_iterate_and_fallback_stops():
         rho_direct(S, error, stop_on_repeat=True)
         assert calls[0] == 2
     calls[0] = 0
-    rotation_interval(S, 1e-4)  # the csb method's fallback, both endpoints
-    assert calls[0] == 4
+    # the csb method's fallback: the upper endpoint is the record of the
+    # lower one's estimate, so the orbit runs once for both
+    rotation_interval(S, 1e-4)
+    assert calls[0] == 2
     calls[0] = 0
     rotation_interval(S, 1e-4, method="direct")
     assert calls[0] == 2 * (1 + 10_000)
     with pytest.raises(ValueError, match="unknown rotation-interval method 'simo'"):
         rotation_interval(S, 1e-4, method="simo")
+
+
+# the stopping estimate's record: (fundamental, n, estimate) of rho_direct's last stopping call
+
+NO_SECTION_MAPS = [(standard_map, 0.5), (pwl_standard, 0.5), (disc_standard, 0.0)]
+
+
+def _kernel_runs(F, error):
+    """(estimate, orbit kernels run) of rho_direct(F, error, stop_on_repeat=True)."""
+    runs = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "kernel":
+            runs[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        est = rho_direct(F, error, stop_on_repeat=True)
+    finally:
+        sys.setprofile(None)
+    return est, runs[0]
+
+
+@pytest.mark.parametrize("make, a", NO_SECTION_MAPS)
+def test_a_non_decreasing_map_with_no_section_runs_its_orbit_once(make, a):
+    F = make(0.37, a)
+    assert F.is_non_decreasing and not upper_map(F).sections
+    single, once = _counting(F)
+    rho_direct(single, 1e-4, stop_on_repeat=True)
+    counted, count = _counting(F)
+    ri = rotation_interval(counted, 1e-4)
+    assert ri.lower is ri.upper
+    assert count[0] == once[0] == 1 + 10**4
+    assert _fields(ri.lower) == _fields(rho_direct(F, 1e-4))
+
+
+@pytest.mark.parametrize("make, a", NO_SECTION_MAPS)
+def test_the_record_serves_only_the_same_fundamental_at_the_same_n(make, a):
+    F = make(0.37, a)
+    est, runs = _kernel_runs(F, 1e-4)
+    assert runs == 1
+    again, runs = _kernel_runs(F, 1e-4)
+    assert again is est and runs == 0
+    # a rebuilt map with equal parameters: a new function object, run again
+    rebuilt, runs = _kernel_runs(make(0.37, a), 1e-4)
+    assert rebuilt == est and rebuilt is not est and runs == 1
+    # so F's record was replaced by another fundamental's in between
+    assert _kernel_runs(F, 1e-4) == (est, 1)
+    # a different error, so a different n
+    assert _kernel_runs(F, 1e-3)[1] == 1
+    assert _kernel_runs(F, 1e-4) == (est, 1)
+    assert _kernel_runs(make(0.41, a), 1e-4)[1] == 1
+    assert _kernel_runs(F, 1e-4) == (est, 1)
+
+
+def test_plain_rho_direct_never_reads_or_writes_the_record():
+    S = standard_map(0.37, 0.5)
+    counted, count = _counting(S)
+    stopping = rho_direct(counted, 1e-4, stop_on_repeat=True)
+    for _ in range(2):
+        count[0] = 0
+        assert _fields(rho_direct(counted, 1e-4)) == _fields(stopping)
+        assert count[0] == 1 + 10**4
+    # another map's plain estimate leaves the stopping record as it was
+    rho_direct(pwl_standard(0.37, 0.5), 1e-4)
+    count[0] = 0
+    assert rho_direct(counted, 1e-4, stop_on_repeat=True) is stopping
+    assert count[0] == 0
+
+
+def test_threads_alternating_two_fundamentals_get_their_own_estimates():
+    # two maps of one step (one kernel) at the same n, taken in turns by
+    # racing threads: a record is read whole, so each call gets its own
+    # map's estimate bit for bit
+    maps = [standard_map(0.37, 0.5), standard_map(0.41, 0.5)]
+    want = [_fields(rho_direct(G, 1e-3)) for G in maps]
+    assert want[0] != want[1]
+    turns = [i % 2 for i in range(400)]
+
+    def estimate(i):
+        return _fields(rho_direct(maps[i], 1e-3, stop_on_repeat=True))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(estimate, turns, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [want[i] for i in turns]
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +303,13 @@ def test_rho_simo_counterexample_brackets_third():
 def test_rho_simo_needs_two_iterates():
     for n in (1, 0, -5):
         with pytest.raises(ValueError, match="at least 2 iterates"):
+            rho_simo(_rigid(GOLDEN_MEAN), n)
+
+
+def test_rho_simo_needs_an_integer_n():
+    # a float n, even a whole one, used to die inside the kernel with a TypeError
+    for n in (2.5, 1000.0, "1000", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
             rho_simo(_rigid(GOLDEN_MEAN), n)
 
 
@@ -552,6 +653,16 @@ def test_csb_rejects_a_nan_test_bound():
     # beta <= 0.0 is false for NaN, which used to return an approximate 0.62975
     with pytest.raises(InvalidSection, match="nan"):
         rho_constant_section(f_mu(0.5), math.nan, 1e-3, shift=0.75)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, math.inf])
+def test_csb_rejects_a_test_bound_of_one_or_more(beta):
+    # no constant section is 1 wide; such a bound took the first state as a
+    # hit and returned a false exact 0/1 where rho is 3/7
+    F, fitting, shift = _fmu_section(0.3)
+    assert rho_constant_section(F, fitting, 1e-3, shift=shift).as_fraction == Fraction(3, 7)
+    with pytest.raises(InvalidSection, match=r"\(0, 1\)"):
+        rho_constant_section(F, beta, 1e-3, shift=shift)
 
 
 def test_csb_exact_matches_direct_on_plateaus():
