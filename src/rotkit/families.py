@@ -23,6 +23,17 @@ both sides, its branch the text of the map's own where they share it
 (standard's sine, pwl's middle piece): only the constants bound to it differ
 by side.  tau stays as the reference the tests compare against.
 
+At a zero coefficient (c == 0.0, a = 0) every circle family is the rigid
+rotation x + omega, and its fundamental is built from that step, _RIGID,
+which runs no sine, no branch tests and no multiplication by c.  Its bits
+are the family step's: c * (...) is a zero for every finite x, and
+(x + omega) - 0.0 or + 0.0 is x + omega unless that sum is -0.0, which
+needs x = omega = -0.0.  No orbit meets it (the kernels start at +0.0, and
+x - x is +0.0), and evaluate's added integer part turns a -0.0 into 0.0, so
+the one visible difference is F.fundamental(-0.0) at omega = -0.0: -0.0
+where the family step may give 0.0.  Labels, knots, sections and
+is_non_decreasing do not change.
+
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
 value like a = 2*pi means coefficient 1; a can also be given directly as
 that rational coefficient via a_over_2pi.
@@ -98,8 +109,9 @@ def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection):
     """Analytic upper (or lower) envelope of F from its fundamental and section; its knots from F's, if any."""
     knots = None if F.knots is None else partial(_envelope_knots, F.knots, upper)
     sections = (section,)
-    lifting = Lifting(fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots, None, sections)
-    return MonotoneEnvelope(lifting, sections, "analytic")
+    # tuple.__new__ skips the NamedTuples' Python-level __new__: a tongue cell builds two envelopes
+    lifting = tuple.__new__(Lifting, (fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots, None, sections))
+    return tuple.__new__(MonotoneEnvelope, (lifting, sections, "analytic"))
 
 
 def _envelope_knots(knots, upper: bool):
@@ -155,6 +167,9 @@ def _side(name: str, branch: str, names: tuple[str, ...], env: dict | None = Non
     return Step(name, f"below if x <= a else ({branch} if x <= b else above)", ("a", "below", "b", "above", *names), env)
 
 
+# every circle family at c == 0.0 (see the module docstring)
+_RIGID = Step("rigid_rotation", "x + omega", ("omega",))
+
 _SINE = "x + omega - c * sin(two_pi * x)"
 _SINE_ENV = {"sin": math.sin, "two_pi": TWO_PI}
 _STANDARD = Step("standard_map", _SINE, ("omega", "c"), _SINE_ENV)
@@ -165,12 +180,13 @@ def standard_map(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """x + omega - (a/2pi) sin(2 pi x); invertible exactly when a <= 1."""
     omega_f = _as_float(omega, "omega")
     a_f, c, _ = _coefficient(a, a_over_2pi)
-    fund = _STANDARD.make(omega_f, c)
     label = f"S(omega={omega_f:.8g}, a={a_f:.8g})"
+    # a tongue or interval cell builds one per cell: tuple.__new__ skips the NamedTuple's Python-level __new__
     if a_f <= 1.0:  # strictly increasing: its own envelope, with no section
-        return Lifting(fund, True, label, sections=())
+        fund = _RIGID.make(omega_f) if c == 0.0 else _STANDARD.make(omega_f, c)
+        return tuple.__new__(Lifting, (fund, True, label, None, None, ()))
     builder = partial(_standard_envelope, omega_f, c, math.acos(1.0 / a_f) / TWO_PI)
-    return Lifting(fund, False, label, envelope_builder=builder)
+    return tuple.__new__(Lifting, (_STANDARD.make(omega_f, c), False, label, None, builder, None))
 
 
 def _standard_envelope(omega: float, c: float, x1: float, F: Lifting, upper: bool) -> MonotoneEnvelope:
@@ -220,14 +236,14 @@ def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
-    fund = _PWL.make(omega_f, c)
+    fund = _RIGID.make(omega_f) if c == 0.0 else _PWL.make(omega_f, c)
     label = f"T(omega={omega_f:.8g}, a={a_f:.8g})"
     knots = partial(_pwl_knots, omega, c_param)
     if c < 0.25:
-        return Lifting(fund, True, label, knots, sections=())
+        return tuple.__new__(Lifting, (fund, True, label, knots, None, ()))
     if c == 0.25:  # the outer branches are exactly flat: one section straddling the origin
-        return Lifting(fund, True, label, knots, sections=(ConstantSection(-0.25, 0.25),))
-    return Lifting(fund, False, label, knots, partial(_pwl_envelope, omega_f, c, *_ratio(c_param)))
+        return tuple.__new__(Lifting, (fund, True, label, knots, None, (ConstantSection(-0.25, 0.25),)))
+    return tuple.__new__(Lifting, (fund, False, label, knots, partial(_pwl_envelope, omega_f, c, *_ratio(c_param)), None))
 
 
 def _pwl_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bool) -> MonotoneEnvelope:
@@ -270,12 +286,12 @@ def disc_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
-    fund = _DISC.make(omega_f, c)
     label = f"D(omega={omega_f:.8g}, a={a_f:.8g})"
     knots = partial(_disc_knots, omega, c_param)
     if c == 0.0:  # a rigid rotation: its own envelope, with no section
-        return Lifting(fund, True, label, knots, sections=())
-    return Lifting(fund, False, label, knots, partial(_disc_envelope, omega_f, c, *_ratio(c_param)))
+        return tuple.__new__(Lifting, (_RIGID.make(omega_f), True, label, knots, None, ()))
+    builder = partial(_disc_envelope, omega_f, c, *_ratio(c_param))
+    return tuple.__new__(Lifting, (_DISC.make(omega_f, c), False, label, knots, builder, None))
 
 
 def _disc_envelope(omega: float, c: float, p: int, d: int, F: Lifting, upper: bool):

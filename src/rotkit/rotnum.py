@@ -65,6 +65,7 @@ and the plain loop neither reads nor writes it.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from operator import index, length_hint
@@ -491,8 +492,13 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     iterate only.  Every result is bit-identical to the full n-iterate
     loop's, and memory and time are O(preperiod + period) whatever n is; a
     repeat always ties, so a bracket only ever comes from a full orbit,
-    which keeps O(n).  A state in [1, 2) wraps as x - 1.0, as in
-    rho_direct; floor runs only outside [0, 2).
+    which keeps O(n).  Its integer parts are then moved into an array of
+    64-bit ints before the sort, so the orbit keeps no int object per
+    iterate (after the shift by floor(F(0)) a degree-one lifting gains 0
+    or 1 a step, up to rounding, far inside that range); the fractional
+    parts stay a list, whose float objects the sort reuses as its keys.
+    A state in [1, 2) wraps as x - 1.0, as in rho_direct; floor runs
+    only outside [0, 2).
 
     The iterate indices are sorted by value once: the first adjacent pair
     closer than 1e-14 is the tie, and with no tie the same order gives the
@@ -518,6 +524,11 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
         period = stored - ci
         gain = m - ks[ci]
         alphas += alphas[ci : ci + n + 1 - stored]
+    else:
+        # a full orbit: its integer parts as 64-bit ints, not int objects, before
+        # the sort, whose index list and keys are its peak.  The loop appends to a
+        # list, which 3.11 specializes and array.append is not
+        ks = array("q", ks)
 
     order = sorted(range(len(alphas)), key=alphas.__getitem__)
     for i0, i1 in zip(order, order[1:]):
@@ -669,7 +680,7 @@ def rotation_interval(
     hi_env = lo_env if F.is_non_decreasing else upper_map(F)
     lo = _rho_of_sections(lo_env.lifting, lo_env.sections, error, tol, method)
     hi = _rho_of_sections(hi_env.lifting, hi_env.sections, error, tol, method)
-    return RotationInterval(lower=lo, upper=hi)
+    return tuple.__new__(RotationInterval, (lo, hi))
 
 
 def _rho_of_sections(G: Lifting, sections, error: float, tol: float, method: str = "csb") -> RotationEstimate:

@@ -324,25 +324,20 @@ def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
 
 def _tongue_cell(task: tuple[SweepConfig, float, float, float | Fraction]) -> TongueCell:
     cfg, a, omega, target = task
+    # each cell is built with tuple.__new__, which skips the NamedTuple's Python-level __new__
     ri = _interval_or_none(cfg, a, omega)
     if ri is None:
-        return TongueCell(a, omega, None, None, None, None, None, "error")
-    lo, hi = ri.lower, ri.upper
-    if isinstance(target, Fraction) and lo.is_exact and hi.is_exact:
-        member = lo.as_fraction <= target <= hi.as_fraction
+        return tuple.__new__(TongueCell, (a, omega, None, None, None, None, None, "error"))
+    lo, hi = ri
+    if isinstance(target, Fraction) and lo.kind == "exact" == hi.kind:
+        # lo.m/lo.n <= p/q <= hi.m/hi.n in integers: every n and q is positive, so
+        # the cross-products order as the fractions do, with no Fraction built
+        p, q = target.numerator, target.denominator
+        member = lo.m * q <= p * lo.n and p * hi.n <= hi.m * q
     else:
         t = float(target)  # an inexact interval is compared in floats, also for a Fraction target
         member = (lo.value - lo.error_bound) <= t <= (hi.value + hi.error_bound)
-    return TongueCell(
-        a=a,
-        omega=omega,
-        member=member,
-        lo=lo.value,
-        hi=hi.value,
-        lo_err=lo.error_bound,
-        hi_err=hi.error_bound,
-        status="ok",
-    )
+    return tuple.__new__(TongueCell, (a, omega, member, lo.value, hi.value, lo.error_bound, hi.error_bound, "ok"))
 
 
 def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCell]:

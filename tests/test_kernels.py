@@ -31,6 +31,7 @@ from rotkit import (
     rho_constant_section,
     rho_direct,
     rho_simo,
+    rotation_interval,
     standard_map,
     tau,
     upper_map,
@@ -392,12 +393,61 @@ def test_a_replaced_fundamental_is_the_one_that_runs():
     assert rho_direct(counted, 1e-3) == rho_direct(S, 1e-3) and count[0] == 1001
 
 
+# ---------------------------------------------------------------------------
+# the rigid step every circle family runs at a zero coefficient
+
+FAMILY_STEPS = [(standard_map, families._STANDARD), (pwl_standard, families._PWL), (disc_standard, families._DISC)]
+ZERO_COEFFICIENTS = [{"a": 0.0}, {"a_over_2pi": 0}, {"a": -0.0}]
+
+
+def _rigid_cases():
+    """(map at a zero coefficient, the family's own step at the same omega and c), for every family, zero and omega."""
+    for make, step in FAMILY_STEPS:
+        for zero in ZERO_COEFFICIENTS:
+            for omega in (0.37, 3.31, 1 / 16, -0.0):
+                _, c, _ = families._coefficient(zero.get("a"), zero.get("a_over_2pi"))  # a = -0.0 gives c = -0.0
+                yield make(omega, **zero), step.make(omega, c)
+
+
+def test_a_zero_coefficient_runs_the_rigid_step_with_the_family_steps_bits():
+    for F, family in _rigid_cases():
+        fund = F.fundamental
+        assert fund.__code__ is families._RIGID.code, F.label
+        omega = fund.__defaults__[0]
+        for x in _points():
+            if x == 0.0 == omega and math.copysign(1.0, x) == math.copysign(1.0, omega) == -1.0:
+                # x + omega is -0.0: the one point where subtracting or adding c's zero term shows
+                assert _same(fund(x), -0.0) and family(x) == 0.0, F.label
+            else:
+                assert _same(fund(x), family(x)), (F.label, x)
+    # the documented case: the standard map's sine term turns x + omega = -0.0 into 0.0
+    assert _same(standard_map(-0.0, 0.0).fundamental(-0.0), -0.0)
+    assert _same(families._STANDARD.make(-0.0, 0.0)(-0.0), 0.0)
+
+
+def test_the_rigid_kernels_match_the_family_step_called():
+    for F, family in _rigid_cases():
+        called = F._replace(fundamental=lambda x, family=family: family(x))
+        for estimator, args, kwargs in (
+            (rho_direct, (1e-3,), {}),
+            (rho_direct, (1e-3,), {"stop_on_repeat": True}),
+            (rho_simo, (200,), {}),
+            (rho_constant_section, (1e-3, 1e-3), {}),
+        ):
+            got, want = _outcome(estimator, F, *args, **kwargs), _outcome(estimator, called, *args, **kwargs)
+            assert _same_outcome(got, want), (F.label, estimator.__name__, kwargs, got, want)
+        for method in ("csb", "direct"):
+            got = rotation_interval(F, 1e-4, method=method)
+            want = rotation_interval(F._replace(fundamental=family), 1e-4, method=method)
+            assert all(_same_outcome(tuple(g), tuple(w)) for g, w in zip(got, want)), (F.label, method, got, want)
+
+
 def test_no_step_rebinds_a_name_of_the_orbit_loops():
     # a step's constants become the kernel's locals: one the loop also binds
     # would change what the loop computes, and a name the step reads but does
     # not bind would resolve to a loop global in the kernel
     steps = [v for v in vars(families).values() if isinstance(v, Step)]
-    assert len(steps) == 8
+    assert len(steps) == 9
     for kernels in (rotnum._DIRECT, rotnum._STOPPING, rotnum._SIMO, rotnum._CSB):
         loop = kernels[0].__code__
         for step in steps:

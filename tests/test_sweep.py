@@ -503,6 +503,29 @@ def test_tongue_exact_membership_is_rational():
     assert cell.lo_err == 0.0 and cell.hi_err == 0.0
 
 
+def test_tongue_integer_membership_equals_the_fraction_comparison(monkeypatch):
+    # the cell compares the exact endpoints' raw pairs (m, n) with the target
+    # in integers; the Fraction comparison of the reduced endpoints is the reference
+    from rotkit import sweep
+    from rotkit.rotnum import RotationEstimate, RotationInterval
+
+    pairs = [(-3, 2), (-2, 4), (-1, 2), (0, 1), (0, 3), (1, 2), (2, 4), (3, 1), (7, 2), (14, 4), (15, 4)]
+    targets = [Fraction(7, 2), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(11, 3)]
+    cfg = _cfg(family="pwl")
+    seen = set()
+    for lo_m, lo_n in pairs:
+        for hi_m, hi_n in pairs:
+            ri = RotationInterval(RotationEstimate.exact(lo_m, lo_n), RotationEstimate.exact(hi_m, hi_n))
+            monkeypatch.setattr(sweep, "_interval_or_none", lambda cfg, a, omega, ri=ri: ri)
+            for target in targets:
+                cell = sweep._tongue_cell((cfg, 0.0, 0.0, target))
+                want = Fraction(lo_m, lo_n) <= target <= Fraction(hi_m, hi_n)
+                assert cell.member is want, (lo_m, lo_n, hi_m, hi_n, target)
+                seen.add((want, target == Fraction(lo_m, lo_n), target == Fraction(hi_m, hi_n)))
+    # members and non-members, and equality at the lower end, the upper end and both
+    assert {(True, True, False), (True, False, True), (True, True, True), (True, False, False), (False, False, False)} <= seen
+
+
 def test_invert_rational_target_and_vacuous_eps():
     res = invert_staircase(0.5, 1e-3, error=1e-4)
     assert res.status == "ok"
