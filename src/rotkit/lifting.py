@@ -6,9 +6,9 @@ restriction to the fundamental domain [0, 1] together with the gluing rule
     F(x) = F|[0,1](frac(x)) + floor(x),
 
 which gives F(x + 1) = F(x) + 1 for all x.  evaluate applies that rule in
-floats; orbits are iterated by the estimators in rotnum, each with its own
-floor/fraction loop, into which they write the expression of a fundamental
-built from a Step.  A piecewise-linear F may also give its rational knots,
+floats; orbits are iterated by the estimators in rotnum, in floor/fraction
+loops into which they write the expression of a fundamental built from a
+Step.  A piecewise-linear F may also give its rational knots,
 and evaluate_exact applies the rule to them in rationals, reading them anew
 on every call.  F may jump, but only downward (a heavy lifting), so its
 monotone envelopes stay continuous.  A Lifting is an immutable
@@ -19,7 +19,6 @@ can be shared freely between worker processes.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
@@ -57,7 +56,6 @@ class Lifting(NamedTuple):
 # id of the code object of every fundamental a Step builds -> that Step, which
 # keeps the code object alive, so no other code object can take its id
 STEPS: dict[int, "Step"] = {}
-_COMPILING = threading.Lock()
 
 
 class Step:
@@ -67,8 +65,9 @@ class Step:
     constants, in the order of names, and then the values of env (the math
     functions and module constants every map of the step shares) as its
     defaults, so fund.__defaults__ gives them back in the order of
-    self.bound.  The factory behind make is compiled on first use and its
-    fundamental's code object, self.code, registered in STEPS, where the orbit
+    self.bound.  make is the factory the Step compiles where it is defined
+    (for a family, at import, under the import lock), and its fundamental's
+    code object, self.code, is registered in STEPS, where the orbit
     estimators look a fundamental up to write its expression into their
     loops (see rotnum).  Every fundamental one Step builds shares that code
     object.
@@ -80,23 +79,14 @@ class Step:
         self.names = names
         self.env = env or {}
         self.bound = names + tuple(self.env)
-        # a plain attribute, cheaper to read than a property: the staircase builds a map per cell
-        self.make = self._compile
-
-    def _compile(self, *constants: float) -> Callable[[float], float]:
-        """Compile the factory, put it in place of make, and build a fundamental with it."""
-        with _COMPILING:  # one code object per step, also when threads build their first maps at once
-            if not hasattr(self, "code"):
-                params = ", ".join(self.names)
-                defaults = "".join(f", {n}={n}" for n in self.bound)
-                source = f"def {self.name}({params}):\n    def {self.name}(x{defaults}):\n        return {self.expr}\n    return {self.name}\n"
-                namespace = dict(self.env)
-                exec(compile(source, f"<step {self.name}>", "exec"), namespace)
-                factory = namespace[self.name]
-                (self.code,) = (c for c in factory.__code__.co_consts if isinstance(c, CodeType))
-                STEPS[id(self.code)] = self
-                self.make = factory
-        return self.make(*constants)
+        params = ", ".join(names)
+        defaults = "".join(f", {n}={n}" for n in self.bound)
+        source = f"def {name}({params}):\n    def {name}(x{defaults}):\n        return {expr}\n    return {name}\n"
+        namespace = dict(self.env)
+        exec(compile(source, f"<step {name}>", "exec"), namespace)
+        self.make = namespace[name]
+        (self.code,) = (c for c in self.make.__code__.co_consts if isinstance(c, CodeType))
+        STEPS[id(self.code)] = self
 
 
 def evaluate(F: Lifting, x: float) -> float:

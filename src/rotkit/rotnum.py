@@ -6,14 +6,13 @@ Three estimators for non-decreasing degree-one liftings:
                       needs nothing beyond monotonicity.  By default it runs
                       all n iterates (the paper's baseline); with
                       stop_on_repeat it stops at the first repeated float
-                      state, found by Brent's cycle detection in segments
-                      that end at iterates 16, 32, 64, ..., and runs only
-                      the leftover steps, for the same value bit for bit;
-                      this is how the csb method estimates an envelope
-                      with no constant section.  The stopping loop keeps a
-                      record of its last estimate, so the same fundamental
-                      at the same n runs once in a row (the two endpoints
-                      of a non-decreasing map's rotation interval).
+                      state and runs only the leftover steps, for the same
+                      value bit for bit; this is how the csb method
+                      estimates an envelope with no constant section.  The
+                      stopping loop keeps a record of its last estimate, so
+                      the same fundamental at the same n runs once in a row
+                      (the two endpoints of a non-decreasing map's rotation
+                      interval).
 * rho_simo         -- sorts the iterate indices of an orbit by fractional
                       part, once, and reads the first near-tie or else the
                       bracket off adjacent index pairs (Simo's
@@ -29,25 +28,24 @@ Three estimators for non-decreasing degree-one liftings:
                       loop); the first iterate whose fractional part
                       falls inside the section certifies an exact
                       rational rotation number, otherwise the direct
-                      estimate after max_iter steps is returned.  An orbit
-                      whose float state repeats without a hit can never
-                      hit, so past the repeat (found as in rho_direct) the
-                      loop runs only the leftover steps and rebuilds the
-                      max_iter-step estimate bit for bit; iterations_used
-                      stays the nominal max_iter.  A step whose rotated
-                      point lies in [-1, 2) skips the floor of the gluing
-                      rule, and a state in [1, 2) wraps by subtracting 1,
-                      with the same bits.
+                      estimate after max_iter steps is returned, bit for
+                      bit also when the loop stops at a repeated state
+                      without a hit; iterations_used stays the nominal
+                      max_iter.
 
 Each of the four orbit loops (rho_direct's plain and stopping loops,
 rho_simo's and rho_constant_section's) is one template, a kernel's source
-with the orbit step left open.  A fundamental built from a lifting.Step has
-its expression written into the loop, compiled the first time that step
-needs the template and cached, and runs no Python frame per iterate; any
-other fundamental is called as fund(x) by the same template.  The kernel
-is chosen by the fundamental's code object, so a lifting copied with a
-new fundamental runs that fundamental, and either way every iterate runs
-the same float operations.
+with the orbit step left open.  The stopping and csb loops are one
+template, _SEGMENTED_LOOP (Brent's cycle detection in segments), filled
+with each loop's step and, for csb, its hit test; the three loops that
+stop at a repeat wrap a state into [0, 1) by one fragment, _WRAP.  Both
+are described where they are written.  A fundamental built from a
+lifting.Step has its expression written into the loop, compiled the first
+time that step needs the template and cached, and runs no Python frame
+per iterate; any other fundamental is called as fund(x) by the same
+template.  The kernel is chosen by the fundamental's code object, so a
+lifting copied with a new fundamental runs that fundamental, and either
+way every iterate runs the same float operations.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
@@ -85,11 +83,12 @@ FIRST_SEGMENT = 16
 
 
 class InvalidSection(ValueError):
-    """Constant-section estimator called with a test bound outside (0, 1), or an exact section that is empty.
+    """Constant-section estimator called with a test bound outside (0, 1), a shift that is not finite, or an exact section that is empty.
 
     A bound that is zero, negative or NaN names no section.  Nor does one of
     1 or more (infinity too): no constant section of a degree-one lifting is
     1 wide, and such a bound would take the orbit's first state as a hit.
+    A NaN or infinite shift places the section at no point of the circle.
     """
 
 
@@ -188,6 +187,25 @@ def _bad_error(error: float) -> ValueError:
 # the fundamental's defaults by {unpack}, or else fund(x).  The segment ends
 # are conditional expressions, not min() calls: a staircase estimate runs
 # only a few iterates, and a builtin call is a sizeable part of its cost.
+# The fragments below are joined into the templates once, at import.
+
+# a state wrapped into [0, 1), its whole part added to m.  A state in [1, 2)
+# wraps as x - 1.0, the float operation of x - floor(x), so floor runs only
+# outside [0, 2) and the bits are those of x - floor(x) either way.  Each line
+# starts with its newline: replacing "\n" by "\n" and spaces indents it
+_WRAP = """
+if x < 1.0:
+    if x < 0.0:
+        s = floor(x)
+        m += s
+        x -= s
+elif x < 2.0:
+    x -= 1.0
+    m += 1
+else:
+    s = floor(x)
+    m += s
+    x -= s"""
 
 # the shift by floor(F(0)) is inlined as step - k (float(k0) is the operand
 # Python converts the int to, so the bits agree with step - k0; at k0 == 0,
@@ -208,16 +226,27 @@ def kernel(fund, n):
     return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
 """
 
-_STOPPING_LOOP = """
-def kernel(fund, n):
-    {unpack}
-    x = 0.0
-    k0 = floor({step})
-    k = float(k0)
+# The estimate after n steps of the orbit of 0, stopped at its first repeated
+# state by Brent's cycle detection (R. P. Brent, BIT 20, 1980).  The orbit
+# runs in segments, and each state of a segment is compared with the
+# checkpoint (cx, cm), the state after ci steps; the checkpoint moves to a
+# segment's end, iterate FIRST_SEGMENT = 16, 32, 64, ...  The loop body is
+# only the step, the wrap, the hit test and that comparison, and the iterate
+# index is read off the segment's iterator only at a hit or a repeat.  Once
+# the state after i steps repeats the checkpoint the rest of the orbit is
+# forced, with period i - ci, gaining m - cm a period: the whole periods left
+# are added at once, and the rem leftover steps run as a last segment.  They
+# replay steps ci+1 .. ci+rem, so they cannot hit where those did not, and
+# the state after n steps is bit-identical to the full loop's.
+#
+# Four slots: {prologue}, the def line and the set-up before m = 0, with x at
+# 0.0; {advance}, x set to the next state, before the wrap; {hit}, a test of
+# the wrapped state that may return an estimate of iterate
+# i = end - length_hint(steps); and {value}, the estimate after n steps.
+_SEGMENTED_LOOP = (
+    """
+{prologue}
     m = 0
-    # Brent's cycle detection: the orbit runs in segments, and each state of
-    # a segment is compared with the checkpoint (cx, cm), the state after ci
-    # steps; the checkpoint moves to a segment's end, iterate 16, 32, 64, ...
     cx = 0.0
     cm = 0
     ci = 0
@@ -225,20 +254,10 @@ def kernel(fund, n):
     while True:
         steps = repeat(None, end - ci)
         for _ in steps:
-            x = {step} - k
-            # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
-            if x < 1.0:
-                if x < 0.0:
-                    s = floor(x)
-                    m += s
-                    x -= s
-            elif x < 2.0:
-                x -= 1.0
-                m += 1
-            else:
-                s = floor(x)
-                m += s
-                x -= s
+{advance}"""
+    + _WRAP.replace("\n", "\n" + " " * 12)
+    + """
+{hit}
             if x == cx:
                 break
         else:
@@ -249,74 +268,39 @@ def kernel(fund, n):
             ci = end
             end = 2 * end if 2 * end < n else n
             continue
-        # the state after i steps repeats the checkpoint: period i - ci,
-        # gaining m - cm.  Add the whole periods and run the rem leftover
-        # steps as a last segment (x >= 0 never meets cx = -1.0)
         i = end - length_hint(steps)
         periods, rem = divmod(n - i, i - ci)
         m += periods * (m - cm)
-        cx = -1.0
+        cx = -1.0  # no wrapped state, x >= 0, meets it
         ci = n - rem
         end = n
-    return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
+    return tuple.__new__(RotationEstimate, ("approx", {value}, 1.0 / n, n, None, None))
 """
+)
 
-# fractional and integer parts of iterates 0, 1, ... up to the first repeat,
-# with the Brent checkpoint, the state cx after ci steps, moved at i == nxt
-_SIMO_LOOP = """
+# rho_direct's stopping loop: the direct loop's prologue and step, no hit
+_STOPPING_LOOP = _SEGMENTED_LOOP.format(
+    prologue="""\
 def kernel(fund, n):
     {unpack}
     x = 0.0
     k0 = floor({step})
-    k = float(k0)
-    alphas = [0.0]
-    ks = [0]
-    m = 0
-    cx = 0.0
-    ci = 0
-    nxt = 1
-    for i in range(1, n + 1):
-        x = {step} - k
-        # a state in [1, 2) wraps as x - 1.0, the bits of x - floor(x)
-        if x < 1.0:
-            if x < 0.0:
-                s = floor(x)
-                m += s
-                x -= s
-        elif x < 2.0:
-            x -= 1.0
-            m += 1
-        else:
-            s = floor(x)
-            m += s
-            x -= s
-        if x == cx:
-            break
-        alphas.append(x)
-        ks.append(m)
-        if i == nxt:
-            cx = x
-            ci = i
-            nxt = 2 * i
-    return alphas, ks, m, ci, k0
-"""
+    k = float(k0)""",
+    advance="            x = {step} - k",
+    hit="",
+    value="(m + x) / n + k0",
+)
 
-# G's gluing rule at y = x + shift, conjugated back by -shift, with the floor
-# written out for y in [-1, 2) (see rho_constant_section); the step reads y
-# as x, moved into [0, 1) first
-_CSB_LOOP = """
-def kernel(fund, beta, max_iter, shift):
+# rho_constant_section's loop: G's gluing rule at y = x + shift, conjugated
+# back by -shift, with the floor written out for y in [-1, 2) (see
+# rho_constant_section); the step reads y as x, moved into [0, 1) first.
+# A state in the section [0, beta] is a hit
+_CSB_LOOP = _SEGMENTED_LOOP.format(
+    prologue="""\
+def kernel(fund, beta, n, shift):
     {unpack}
-    x = 0.0
-    m = 0
-    # Brent's cycle detection in segments, as in rho_direct with stop_on_repeat
-    cx = 0.0
-    cm = 0
-    cn = 0
-    end = FIRST_SEGMENT if FIRST_SEGMENT < max_iter else max_iter
-    while True:
-        steps = repeat(None, end - cn)
-        for _ in steps:
+    x = 0.0""",
+    advance="""\
             x += shift
             if x < 1.0:
                 if x >= 0.0:
@@ -334,43 +318,44 @@ def kernel(fund, beta, max_iter, shift):
             else:
                 s = floor(x)
                 x -= s
-                x = {step} + s - shift
-            if x < 1.0:
-                if x < 0.0:
-                    s = floor(x)
-                    m += s
-                    x -= s
-            elif x < 2.0:
-                x -= 1.0
-                m += 1
-            else:
-                s = floor(x)
-                m += s
-                x -= s
+                x = {step} + s - shift""",
+    hit="""\
             if x <= beta:
-                n = end - length_hint(steps)
-                return tuple.__new__(RotationEstimate, ("exact", m / n, 0.0, n, m, n))
-            if x == cx:
-                break
-        else:
-            if end == max_iter:
-                break
+                i = end - length_hint(steps)
+                return tuple.__new__(RotationEstimate, ("exact", m / i, 0.0, i, m, i))""",
+    value="(m + x) / n",
+)
+
+# fractional and integer parts of iterates 0, 1, ... up to the first repeat,
+# with the Brent checkpoint, the state cx after ci steps, moved at i == nxt
+_SIMO_LOOP = (
+    """
+def kernel(fund, n):
+    {unpack}
+    x = 0.0
+    k0 = floor({step})
+    k = float(k0)
+    alphas = [0.0]
+    ks = [0]
+    m = 0
+    cx = 0.0
+    ci = 0
+    nxt = 1
+    for i in range(1, n + 1):
+        x = {step} - k"""
+    + _WRAP.replace("\n", "\n" + " " * 8)
+    + """
+        if x == cx:
+            break
+        alphas.append(x)
+        ks.append(m)
+        if i == nxt:
             cx = x
-            cm = m
-            cn = end
-            end = 2 * end if 2 * end < max_iter else max_iter
-            continue
-        # period n - cn, gaining m - cm: add the whole periods and run the rem
-        # leftover steps, which replay the missed steps cn+1 .. cn+rem and
-        # cannot hit, as a last segment (x >= 0 never meets cx = -1.0)
-        n = end - length_hint(steps)
-        periods, rem = divmod(max_iter - n, n - cn)
-        m += periods * (m - cm)
-        cx = -1.0
-        cn = max_iter - rem
-        end = max_iter
-    return tuple.__new__(RotationEstimate, ("approx", (m + x) / max_iter, 1.0 / max_iter, max_iter, None, None))
+            ci = i
+            nxt = 2 * i
+    return alphas, ks, m, ci, k0
 """
+)
 
 
 class _Kernels(dict):
@@ -427,16 +412,9 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     error bound is 1/n.  By default there is deliberately no early stop:
     every one of the n iterates runs, as in the paper's baseline.
 
-    With stop_on_repeat the orbit runs in segments that end at iterates
-    16, 32, 64, ... (Brent's cycle detection, as in rho_constant_section):
-    each state is compared with the checkpoint, the state at the previous
-    segment's end (0 for the first segment).  The loop body is only the
-    step, the wrap and that comparison; the checkpoint moves once per
-    segment, and the iterate index is read off the segment's iterator only
-    at a repeat.  Once the state repeats the rest of the orbit is forced:
-    the gain of the whole periods left is added at once, and one last
-    segment runs the remaining steps.  A state in [1, 2) wraps as x - 1.0,
-    the float operation of x - floor(x); floor runs only outside [0, 2).
+    With stop_on_repeat the orbit stops at its first repeated float state,
+    found by Brent's cycle detection (see _SEGMENTED_LOOP): the whole
+    periods left are added at once and only the leftover steps run.
     Value, error_bound and the nominal iterations_used = n are
     bit-identical to the full loop.
 
@@ -481,15 +459,14 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
 
     The orbit loop stops at the first repeated float state: the state is
     compared with a checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's
-    cycle detection; rho_direct with stop_on_repeat and rho_constant_section
-    first move theirs at 16, which here would store and sort more iterates
-    of a short orbit).  Past a repeat
-    the orbit is forced: it completes one lap past the repeat (cut short at
-    n), since a value recurs in the full orbit exactly when it recurs one
-    period after its first iterate, inside that lap.  The sorted lap-long
-    window therefore has the full orbit's first tie at the same iterates,
-    and the integer part is rebuilt by whole laps for the tie's second
-    iterate only.  Every result is bit-identical to the full n-iterate
+    cycle detection; _SEGMENTED_LOOP first moves its checkpoint at 16, which
+    here would store and sort more iterates of a short orbit).  Past a
+    repeat the orbit is forced: it completes one lap past the repeat (cut
+    short at n), since a value recurs in the full orbit exactly when it
+    recurs one period after its first iterate, inside that lap.  The sorted
+    lap-long window therefore has the full orbit's first tie at the same
+    iterates, and the integer part is rebuilt by whole laps for the tie's
+    second iterate only.  Every result is bit-identical to the full n-iterate
     loop's, and memory and time are O(preperiod + period) whatever n is; a
     repeat always ties, so a bracket only ever comes from a full orbit,
     which keeps O(n).  Its integer parts are then moved into an array of
@@ -497,8 +474,6 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     iterate (after the shift by floor(F(0)) a degree-one lifting gains 0
     or 1 a step, up to rounding, far inside that range); the fractional
     parts stay a list, whose float objects the sort reuses as its keys.
-    A state in [1, 2) wraps as x - 1.0, as in rho_direct; floor runs
-    only outside [0, 2).
 
     The iterate indices are sorted by value once: the first adjacent pair
     closer than 1e-14 is the tie, and with no tie the same order gives the
@@ -576,9 +551,9 @@ def rho_constant_section(
 ) -> RotationEstimate:
     """Exact-when-possible rotation number of a map with a section at shift.
 
-    pre: G is non-decreasing and [shift, shift + beta] lies inside a
-    constant section of G, with a margin on each side wider than the
-    rounding error the orbit accumulates (rho_csb leaves tol).  The
+    pre: G is non-decreasing, shift is finite and [shift, shift + beta]
+    lies inside a constant section of G, with a margin on each side wider
+    than the rounding error the orbit accumulates (rho_csb leaves tol).  The
     estimator iterates the conjugate x -> G(x + shift) - shift, whose
     section starts at the origin, through G's gluing rule y = x + shift,
     G(y) = fund(y - floor(y)) + floor(y); with shift=0.0 it iterates G
@@ -589,28 +564,25 @@ def rho_constant_section(
     s = -1 and s = 1, and at s = 0, y - 0 is y and fund(y) + 0 - shift can
     differ from fund(y) - shift only in the sign of a zero, when fund(y) is
     -0.0 and shift is 0.0; a zero state is a hit, whose estimate does not
-    read it.  A state in [1, 2) wraps as x - 1.0, as in rho_direct.  The
-    orbit of 0 is the orbit of the section; at the first n
+    read it.  The orbit of 0 is the orbit of the section; at the first n
     with fractional part x <= beta the section returns to itself (mod 1)
     and rho = m/n exactly, provided the margin holds.  Cycles longer than
     ceil(1/error) are invisible and fall back to the direct estimate
     (m + x)/max_iter of the orbit's state after max_iter = ceil(1/error)
     steps.
 
-    The fallback may stop early.  The orbit runs in the segments of
-    rho_direct with stop_on_repeat, and each state that misses the section
-    is compared with the checkpoint at the previous segment's end (Brent's
-    cycle detection); a hit's n is read off the segment's iterator.  Once
-    x repeats without a hit the rest of the orbit is forced and never hits:
-    the gain of the whole periods left is added at once, and one last
-    segment runs the remaining steps, so the state after max_iter steps is
-    bit-identical to the full loop's.  The estimate still reports the
-    nominal iterations_used = max_iter.
+    The fallback may stop early: an orbit whose float state repeats
+    without a hit never hits, and past the repeat (as in rho_direct with
+    stop_on_repeat) only the leftover steps run.  The state after max_iter
+    steps, and so the estimate, is bit-identical to the full loop's, and
+    it still reports the nominal iterations_used = max_iter.
     """
     if not G.is_non_decreasing:
         raise _non_decreasing_required(G, "rho_constant_section")
     if not 0.0 < beta < 1.0:  # a NaN beta fails this test too
         raise InvalidSection(f"test bound beta must lie in (0, 1), got {beta}")
+    if not -math.inf < shift < math.inf:  # a NaN shift fails this test too
+        raise InvalidSection(f"section shift must be finite, got {shift}")
     # a subnormal error passes 0 < error < inf, but its 1/error overflows to inf
     if not (0.0 < error < math.inf and 1.0 / error < math.inf):
         raise _bad_error(error)

@@ -380,6 +380,28 @@ def test_compiled_kernels_match_the_called_step_at_segment_edges():
     _assert_kernel_matches_call(rho_constant_section, staircase, 1e-9, 1e-3)
 
 
+def test_the_segmented_loops_two_fills_agree_where_no_state_hits():
+    # at shift 0.0 the csb step of a state in [0, 1) is the stopping loop's
+    # step - k, k = float(floor(F(0))) = 0.0, and a bound that only the states
+    # 0.0 and 5e-324 meet leaves the hit test dead on these orbits: the two
+    # fills of _SEGMENTED_LOOP then give the same estimate, field for field,
+    # with a compiled step or a called fundamental.  f_mu(3/1024) finds its
+    # repeat at iterate 32 and pwl_standard(0.61, 1.5) at 136; the golden
+    # rigid rotation (a = 0) does not repeat within 10^4 steps
+    beta = math.ulp(0.0)
+    maps = [f_mu(mu) for mu in (3 / 1024, 0.1, 0.3, 0.5, GOLDEN_MEAN / 2, 0.9)]
+    maps += [counterexample_map(), standard_map(0.37, 0.8), standard_map(GOLDEN_MEAN, 1.0)]
+    maps += [pwl_standard(0.37, 1.0), pwl_standard(0.61, 1.5), standard_map(GOLDEN_MEAN, 0.0)]
+    for F in maps:
+        fund = F.fundamental
+        assert F.is_non_decreasing and math.floor(fund(0.0)) == 0, F.label
+        for G in (F, F._replace(fundamental=lambda x, fund=fund: fund(x))):
+            for error in (1e-3, 1e-4):
+                got = tuple(rho_constant_section(G, beta, error))
+                want = tuple(rho_direct(G, error, stop_on_repeat=True))
+                assert got[0] == "approx" and _same_outcome(got, want), (G.label, error, got, want)
+
+
 def test_a_replaced_fundamental_is_the_one_that_runs():
     # the kernel follows the fundamental's code object, never a stale step
     S, T, S2 = standard_map(0.37, 0.5), pwl_standard(0.37, 0.5), standard_map(0.41, 0.5)

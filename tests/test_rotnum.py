@@ -685,6 +685,14 @@ def test_csb_rejects_a_test_bound_of_one_or_more(beta):
         rho_constant_section(F, beta, 1e-3, shift=shift)
 
 
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_csb_rejects_a_non_finite_shift(shift):
+    # a NaN shift failed inside the kernel, at floor(nan), and an infinite one
+    # raised an OverflowError, which is not a ValueError
+    with pytest.raises(InvalidSection, match=f"shift must be finite, got {shift}"):
+        rho_constant_section(f_mu(0.3), 0.1, 1e-3, shift=shift)
+
+
 def test_csb_exact_matches_direct_on_plateaus():
     for mu in (0.1, 0.2, 0.35, 0.55, 0.9):
         est = rho_csb(f_mu(mu), 1e-4, 1e-10)
@@ -1145,7 +1153,6 @@ def test_nan_valued_map_raises_the_floor_value_error():
         lambda: rho_direct(F, 1e-3, stop_on_repeat=True),
         lambda: rho_constant_section(F, 0.1, 1e-3),
         lambda: rho_constant_section(F, 0.1, 1e-3, shift=1.5),
-        lambda: rho_constant_section(f_mu(0.3), 0.1, 1e-3, shift=math.nan),
     ):
         with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
             call()
