@@ -11,7 +11,6 @@ from .envelope import (
 )
 from .families import (
     GOLDEN_MEAN,
-    FamilyParams,
     InvalidParam,
     build_lifting,
     counterexample_map,
@@ -19,9 +18,8 @@ from .families import (
     f_mu,
     pwl_standard,
     standard_map,
-    tau,
 )
-from .lifting import Lifting, evaluate, evaluate_exact
+from .lifting import Lifting, evaluate_exact
 from .rotnum import (
     DEFAULT_ERROR,
     DEFAULT_SIMO_N,
@@ -37,7 +35,6 @@ from .rotnum import (
     rho_direct,
     rho_simo,
     rotation_interval,
-    simo_error_bound,
 )
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "DEFAULT_ERROR",
     "DEFAULT_SIMO_N",
     "DEFAULT_TOL",
-    "FamilyParams",
     "GOLDEN_MEAN",
     "InvalidParam",
     "InvalidSection",
@@ -59,7 +55,6 @@ __all__ = [
     "build_lifting",
     "counterexample_map",
     "disc_standard",
-    "evaluate",
     "evaluate_exact",
     "f_mu",
     "find_maximal_sections",
@@ -71,9 +66,7 @@ __all__ = [
     "rho_direct",
     "rho_simo",
     "rotation_interval",
-    "simo_error_bound",
     "standard_map",
-    "tau",
     "upper_map",
     "widest_section",
 ]

@@ -17,11 +17,11 @@ Each family map and each envelope side states its step once, as a
 lifting.Step: one Python expression over x and named float constants, from
 which its fundamental is built and which the orbit estimators write into
 their loops, so an iterate runs no Python frame.  A family's step writes its
-formula out (pwl the pieces of tau, disc <x> without a floor on [0, 1)), and
-each builder's step is one flat-branch-flat expression (_side) that serves
-both sides, its branch the text of the map's own where they share it
-(standard's sine, pwl's middle piece): only the constants bound to it differ
-by side.  tau stays as the reference the tests compare against.
+formula out (pwl its triangle wave's three pieces, disc <x> without a floor
+on [0, 1)), and each builder's step is one flat-branch-flat expression
+(_side) that serves both sides, its branch the text of the map's own where
+they share it (standard's sine, pwl's middle piece): only the constants
+bound to it differ by side.
 
 At a zero coefficient (c == 0.0, a = 0) every circle family is the rigid
 rotation x + omega, and its fundamental is built from that step, _RIGID,
@@ -29,9 +29,9 @@ which runs no sine, no branch tests and no multiplication by c.  Its bits
 are the family step's: c * (...) is a zero for every finite x, and
 (x + omega) - 0.0 or + 0.0 is x + omega unless that sum is -0.0, which
 needs x = omega = -0.0.  No orbit meets it (the kernels start at +0.0, and
-x - x is +0.0), and evaluate's added integer part turns a -0.0 into 0.0, so
-the one visible difference is F.fundamental(-0.0) at omega = -0.0: -0.0
-where the family step may give 0.0.  Labels, knots, sections and
+x - x is +0.0), and the gluing rule's added integer part turns a -0.0 into
+0.0, so the one visible difference is F.fundamental(-0.0) at omega = -0.0:
+-0.0 where the family step may give 0.0.  Labels, knots, sections and
 is_non_decreasing do not change.
 
 The nonlinearity is parametrized as a coefficient a/(2*pi), so a figure-style
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
 
 from .envelope import ConstantSection, MonotoneEnvelope, _exact_envelope_knots, _root_on_increasing
 from .lifting import Lifting, Step
@@ -153,15 +152,6 @@ def f_mu(mu) -> Lifting:
 # standard map and its piecewise-linear / discontinuous variants
 
 
-def tau(x: float) -> float:
-    """Triangle wave on [0, 1]: 4x, then 2 - 4x, then 4(x - 1); range [-1, 1]."""
-    if x <= 0.25:
-        return 4.0 * x
-    if x <= 0.75:
-        return 2.0 - 4.0 * x
-    return 4.0 * (x - 1.0)
-
-
 def _side(name: str, branch: str, names: tuple[str, ...], env: dict | None = None) -> Step:
     """The envelope side flat at below up to a, on branch up to b, flat at above beyond."""
     return Step(name, f"below if x <= a else ({branch} if x <= b else above)", ("a", "below", "b", "above", *names), env)
@@ -231,8 +221,9 @@ _PWL_SIDE = _side("pwl_envelope", _PWL_MIDDLE, ("omega", "c"))
 def pwl_standard(omega, a=None, *, a_over_2pi=None) -> Lifting:
     """Piecewise-linear standard map x + omega - (a/2pi) tau(<x>).
 
-    Slope of the outer branches is 1 - 4a/(2 pi), so the map stops being
-    non-decreasing beyond a = pi/2.
+    tau is the triangle wave 4x, then 2 - 4x, then 4(x - 1), with its
+    corners at 1/4 and 3/4 and range [-1, 1].  Slope of the outer branches
+    is 1 - 4a/(2 pi), so the map stops being non-decreasing beyond a = pi/2.
     """
     omega_f = _as_float(omega, "omega")
     a_f, c, c_param = _coefficient(a, a_over_2pi)
@@ -344,23 +335,17 @@ def counterexample_map() -> Lifting:
 
 
 # ---------------------------------------------------------------------------
-# sweep plumbing: picklable parameter records
+# sweep plumbing: a circle-family cell's lifting
 
 
 # the circle-map families the interval and tongue sweeps take by name
 CIRCLE_FAMILIES = {"standard": standard_map, "pwl": pwl_standard, "disc": disc_standard}
 
 
-class FamilyParams(NamedTuple):
-    """Picklable family selector so sweep workers can rebuild liftings."""
-
-    family: str
-    omega: float
-    a: float
-
-
-def build_lifting(params: FamilyParams) -> Lifting:
-    make = CIRCLE_FAMILIES.get(params.family)
+def build_lifting(cell: tuple[str, float, float]) -> Lifting:
+    """The lifting of a (family, omega, a) cell, the family named as in CIRCLE_FAMILIES."""
+    family, omega, a = cell
+    make = CIRCLE_FAMILIES.get(family)
     if make is None:
-        raise InvalidParam(f"unknown family {params.family!r}; expected one of {tuple(CIRCLE_FAMILIES)}")
-    return make(params.omega, params.a)
+        raise InvalidParam(f"unknown family {family!r}; expected one of {tuple(CIRCLE_FAMILIES)}")
+    return make(omega, a)

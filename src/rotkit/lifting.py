@@ -1,16 +1,15 @@
-"""Degree-one circle map liftings and their evaluation at any point.
+"""Degree-one circle map liftings and their exact evaluation at any rational point.
 
 A lifting F of a degree-one circle map is fully determined by its
 restriction to the fundamental domain [0, 1] together with the gluing rule
 
     F(x) = F|[0,1](frac(x)) + floor(x),
 
-which gives F(x + 1) = F(x) + 1 for all x.  evaluate applies that rule in
-floats; orbits are iterated by the estimators in rotnum, in floor/fraction
-loops into which they write the expression of a fundamental built from a
-Step.  A piecewise-linear F may also give its rational knots,
-and evaluate_exact applies the rule to them in rationals, reading them anew
-on every call.  F may jump, but only downward (a heavy lifting), so its
+which gives F(x + 1) = F(x) + 1 for all x.  The estimators in rotnum apply
+that rule in floats, in floor/fraction loops into which they write the
+expression of a fundamental built from a Step.  A piecewise-linear F may
+also give its rational knots, and evaluate_exact applies the rule to them in
+rationals, reading them anew on every call.  F may jump, but only downward (a heavy lifting), so its
 monotone envelopes stay continuous.  A Lifting is an immutable
 typing.NamedTuple holding no state and every operation is pure, so liftings
 can be shared freely between worker processes.
@@ -18,7 +17,6 @@ can be shared freely between worker processes.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
@@ -87,12 +85,6 @@ class Step:
         self.make = namespace[name]
         (self.code,) = (c for c in self.make.__code__.co_consts if isinstance(c, CodeType))
         STEPS[id(self.code)] = self
-
-
-def evaluate(F: Lifting, x: float) -> float:
-    """Evaluate the globally defined lifting at any finite x."""
-    whole = math.floor(x)
-    return F.fundamental(x - whole) + whole
 
 
 def evaluate_exact(F: Lifting, x: Fraction | float) -> Fraction:

@@ -83,11 +83,12 @@ FIRST_SEGMENT = 16
 
 
 class InvalidSection(ValueError):
-    """Constant-section estimator called with a test bound outside (0, 1), a shift that is not finite, or an exact section that is empty.
+    """Constant-section estimator called with a test bound outside (0, 1), a shift that is not finite, or an exact section that is empty or 1 or more wide.
 
     A bound that is zero, negative or NaN names no section.  Nor does one of
-    1 or more (infinity too): no constant section of a degree-one lifting is
-    1 wide, and such a bound would take the orbit's first state as a hit.
+    1 or more (infinity too), nor an exact section that wide: no constant
+    section of a degree-one lifting is 1 wide, and such a bound would take
+    the orbit's first state as a hit.
     A NaN or infinite shift places the section at no point of the circle.
     """
 
@@ -129,20 +130,12 @@ class RotationEstimate(NamedTuple):
     n: int | None = None
 
     @classmethod
-    def exact(cls, m: int, n: int, iterations_used: int | None = None) -> "RotationEstimate":
-        return cls("exact", m / n, 0.0, n if iterations_used is None else iterations_used, m, n)
-
-    @classmethod
-    def approx(cls, value: float, error_bound: float, iterations_used: int) -> "RotationEstimate":
-        return cls("approx", value, error_bound, iterations_used)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
+    def exact(cls, m: int, n: int) -> "RotationEstimate":
+        return cls("exact", m / n, 0.0, n, m, n)
 
     @property
     def as_fraction(self) -> Fraction:
-        if not self.is_exact:
+        if self.kind != "exact":
             raise ValueError("approximate estimate has no exact fraction")
         return Fraction(self.m, self.n)
 
@@ -160,10 +153,6 @@ class SimoBracket(NamedTuple):
     rho_min: float
     rho_max: float
     n: int
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.rho_min <= self.rho_max
 
 
 # The estimators test their preconditions inline, since a call per check would
@@ -531,21 +520,6 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     return tuple.__new__(SimoBracket, (rho_min + k0, rho_max + k0, n))
 
 
-def simo_error_bound(c: float, nu: float, n: int) -> float:
-    """Error bound 1/(c n^nu)^(1/(nu-1)) for a Diophantine rotation number.
-
-    Applies when |rho - p/q| <= c q^(-nu) for all rationals p/q, with c > 0
-    and nu >= 2, both finite.
-    """
-    if not 0.0 < c < math.inf:  # a NaN c fails this test too
-        raise ValueError(f"c must be positive and finite, got {c}")
-    if not 2.0 <= nu < math.inf:
-        raise ValueError(f"nu must be finite and at least 2, got {nu}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return (c * float(n) ** nu) ** (-1.0 / (nu - 1.0))
-
-
 def rho_constant_section(
     G: Lifting, beta: float, error: float = DEFAULT_ERROR, *, shift: float = 0.0
 ) -> RotationEstimate:
@@ -597,15 +571,22 @@ def rho_constant_section_exact(
     """Exact-rational twin of the constant-section algorithm.
 
     [alpha, beta] must be a true constant section of F (no tolerance padding:
-    rational arithmetic has no rounding error); a float endpoint is taken at
-    its binary value.  Iterates the section orbit F^n(alpha) through F's
-    knots, read once; a hit certifies rho = m/n unconditionally.  Returns
-    None when no cycle through the section shows up within max_iter iterates.
+    rational arithmetic has no rounding error), so narrower than 1; a float
+    endpoint is taken at its binary value.  Iterates the section orbit
+    F^n(alpha) through F's knots, read once; a hit certifies rho = m/n
+    unconditionally.  Returns None when no cycle through the section shows up
+    within max_iter iterates, a positive integer.
     """
     alpha = Fraction(alpha)
     width = Fraction(beta) - alpha
-    if width <= 0:
-        raise InvalidSection("section must be non-degenerate")
+    if not 0 < width < 1:  # a width of 1 or more would take the first iterate as a hit
+        raise InvalidSection(f"section must be non-degenerate and narrower than 1, got width {width}")
+    try:
+        max_iter = index(max_iter)
+    except TypeError:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}") from None
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     knots = _knots(F)
     v = alpha
     for n in range(1, max_iter + 1):

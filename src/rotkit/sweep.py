@@ -30,7 +30,7 @@ import time
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .families import CIRCLE_FAMILIES, FamilyParams, InvalidParam, build_lifting, f_mu
+from .families import CIRCLE_FAMILIES, InvalidParam, build_lifting, f_mu
 from .rotnum import (
     DEFAULT_ERROR,
     DEFAULT_SIMO_N,
@@ -299,7 +299,7 @@ def _interval_or_none(cfg: SweepConfig, a: float, omega: float) -> RotationInter
     A failure in the lifting build flags the cell too; InvalidParam stays a usage error.
     """
     try:
-        F = build_lifting(FamilyParams(family=cfg.family, omega=omega, a=a))
+        F = build_lifting((cfg.family, omega, a))
         return rotation_interval(F, cfg.error, cfg.tol, method=cfg.algorithm)
     except InvalidParam:
         raise
@@ -380,6 +380,10 @@ def invert_staircase(
         raise UsageError("target must lie strictly inside (0, 1)")
     if not (math.isfinite(eps) and eps > 0.0):
         raise UsageError(f"eps must be positive and finite, got {eps}")
+    try:
+        max_bisections = operator.index(max_bisections)
+    except TypeError:
+        raise UsageError(f"max_bisections must be an integer, got {max_bisections!r}") from None
     if max_bisections < 1:
         raise UsageError(f"max_bisections must be at least 1, got {max_bisections}")
     _check_iterates(error)

@@ -13,7 +13,9 @@ oracle reads a piecewise-linear map's envelopes off its knots.  The
 hand-written Fraction twins of the piecewise-linear families and their
 envelopes check the twins the library derives from rational knots.  The
 staircase CSV oracle formats every field of every row with an f-string, as
-the writer did before it reused each plateau's text.
+the writer did before it reused each plateau's text.  evaluate applies a
+lifting's gluing rule in floats, and tau is the pwl family's triangle wave as
+a function: the references the family maps are compared against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,21 @@ from fractions import Fraction
 import pytest
 
 from rotkit.lifting import Lifting
+
+
+def evaluate(F: Lifting, x: float) -> float:
+    """The lifting at any finite x, by the gluing rule F(x) = F|[0,1](x - floor(x)) + floor(x)."""
+    whole = math.floor(x)
+    return F.fundamental(x - whole) + whole
+
+
+def tau(x: float) -> float:
+    """Triangle wave on [0, 1]: 4x, then 2 - 4x, then 4(x - 1); range [-1, 1]."""
+    if x <= 0.25:
+        return 4.0 * x
+    if x <= 0.75:
+        return 2.0 - 4.0 * x
+    return 4.0 * (x - 1.0)
 
 
 def direct_value_oracle(fund, error: float) -> float:

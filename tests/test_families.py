@@ -6,21 +6,19 @@ from fractions import Fraction
 import pytest
 
 from rotkit import (
-    FamilyParams,
     InvalidParam,
     build_lifting,
     counterexample_map,
     disc_standard,
-    evaluate,
     evaluate_exact,
     f_mu,
     lower_map,
     pwl_standard,
     rho_constant_section_exact,
     standard_map,
-    tau,
     upper_map,
 )
+from _oracles import evaluate, tau
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,7 +293,7 @@ def test_negative_coefficient_rejected(make):
 def test_build_lifting_rejects_unknown_family():
     # the staircase family has no coefficient a and is not a circle family
     with pytest.raises(InvalidParam, match="unknown family 'fmu'"):
-        build_lifting(FamilyParams(family="fmu", omega=0.0, a=1.0))
+        build_lifting(("fmu", 0.0, 1.0))
 
 
 def _fraction_constructors() -> set:

@@ -33,7 +33,6 @@ from rotkit import (
     rho_simo,
     rotation_interval,
     standard_map,
-    tau,
     upper_map,
     widest_section,
 )
@@ -41,7 +40,7 @@ from rotkit import families, rotnum
 from rotkit.envelope import _root_on_increasing
 from rotkit.lifting import STEPS, Step
 from rotkit.sweep import SweepConfig, _staircase_cell
-from _oracles import _clamped_oracle
+from _oracles import _clamped_oracle, tau
 
 TWO_PI = 2.0 * math.pi
 OMEGAS = (0.0, -0.0, 0.37, 0.5, 3.31, -2.6)
@@ -248,7 +247,7 @@ def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
     (beta,), kw = _section_call(side(make(omega, a)))
     est, evaluations = _assert_frames(rho_constant_section, lambda: side(make(omega, a)).lifting, beta, 1e-4, **kw)
     # one evaluation per executed iterate: a hit's n of them, or all 10^4
-    assert evaluations == (est.n if est.is_exact else 10**4) and evaluations >= 9
+    assert evaluations == (est.n if est.kind == "exact" else 10**4) and evaluations >= 9
 
 
 # the fixed frames of one staircase cell, hit or exhaust alike; the f_mu

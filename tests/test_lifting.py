@@ -7,11 +7,9 @@ import pytest
 from rotkit import (
     GOLDEN_MEAN,
     ConstantSection,
-    FamilyParams,
     RotationInterval,
     SimoBracket,
     counterexample_map,
-    evaluate,
     evaluate_exact,
     f_mu,
     rho_direct,
@@ -21,6 +19,7 @@ from rotkit import (
 )
 from rotkit.lifting import Lifting
 from rotkit.sweep import SweepConfig
+from _oracles import evaluate
 
 
 def test_split_floor_uses_mathematical_floor():
@@ -168,7 +167,6 @@ def test_records_are_immutable_picklable_named_tuples():
         ConstantSection: ConstantSection(0.75, 1.0),
         RotationInterval: rotation_interval(standard_map(0.3, 2.0), 1e-4),
         SimoBracket: rho_simo(standard_map(GOLDEN_MEAN, 0.0), 500),
-        FamilyParams: FamilyParams("pwl", 0.3, 1.0),
         SweepConfig: SweepConfig(mu_step=0.5),
     }
     for kind, record in records.items():

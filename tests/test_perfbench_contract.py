@@ -43,7 +43,7 @@ def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
 
     import rotkit.rotnum as rotnum
     from rotkit.envelope import lower_map, upper_map, widest_section
-    from rotkit.families import FamilyParams, build_lifting
+    from rotkit.families import build_lifting
     from rotkit.sweep import SweepConfig, _linspace, arnold_tongue
 
     assert ("rotkit.rotnum", "rho_direct") in _load_tracer().ESTIMATORS
@@ -62,7 +62,7 @@ def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
         nondecreasing = 0
         for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps):
             for omega in _linspace(cfg.omega_min, cfg.omega_max, cfg.omega_steps):
-                F = build_lifting(FamilyParams(family=family, omega=omega, a=a))
+                F = build_lifting((family, omega, a))
                 no_section = [
                     env.lifting.label
                     for env in (lower_map(F), upper_map(F))
@@ -153,7 +153,7 @@ def test_sweeps_hand_the_harness_lists_of_readable_picklable_rows():
     for c in tongue:
         assert c.status == "ok"
         assert all(isinstance(v, float) for v in (c.lo, c.hi, c.lo_err, c.hi_err))
-    for est in (RotationEstimate.exact(2, 4, 7), RotationEstimate.approx(0.1, 1e-3, 1000)):
+    for est in (RotationEstimate("exact", 0.5, 0.0, 7, 2, 4), RotationEstimate("approx", 0.1, 1e-3, 1000)):
         back = pickle.loads(pickle.dumps(est))
         assert back == est and type(back) is RotationEstimate
         assert (back.kind, back.value, back.error_bound, back.iterations_used, back.m, back.n) == tuple(est)
@@ -184,7 +184,7 @@ def test_interval_csv_text():
     from rotkit.sweep import IntervalRow, write_interval_csv
 
     rows = [
-        IntervalRow(1e-05, -0.0, RotationEstimate.exact(1, 2), RotationEstimate.approx(0.1, 5e-324, 10), "ok"),
+        IntervalRow(1e-05, -0.0, RotationEstimate.exact(1, 2), RotationEstimate("approx", 0.1, 5e-324, 10), "ok"),
         IntervalRow(0.1, 3.31, None, None, "error"),
     ]
     buf = io.StringIO()

@@ -25,7 +25,6 @@ from rotkit import (
     rho_direct,
     rho_simo,
     rotation_interval,
-    simo_error_bound,
     standard_map,
     upper_map,
     widest_section,
@@ -286,7 +285,7 @@ def test_threads_alternating_two_fundamentals_get_their_own_estimates():
 def test_rho_simo_contains_golden():
     br = rho_simo(_rigid(GOLDEN_MEAN), 1000)
     assert br.rho_min <= GOLDEN_MEAN <= br.rho_max
-    assert br.is_consistent
+    assert br.rho_min <= br.rho_max
 
 
 def test_rho_simo_counterexample_brackets_third():
@@ -575,35 +574,6 @@ def test_shifted_estimators_match_oracles(omega, make):
         assert _simo_outcome(F, n) == _simo_oracle_outcome(F, n)
 
 
-def test_simo_error_bound_values():
-    assert simo_error_bound(1, 2, 1000) == pytest.approx(1e-6)
-    assert simo_error_bound(1, 3, 100) == pytest.approx(1e-3)
-    assert simo_error_bound(2, 2, 10) == pytest.approx(5e-3)
-    with pytest.raises(ValueError):
-        simo_error_bound(0, 2, 10)
-    with pytest.raises(ValueError):
-        simo_error_bound(1, 1.5, 10)
-    with pytest.raises(ValueError, match="n must be at least 1"):
-        simo_error_bound(1, 2, 0)
-
-
-@pytest.mark.parametrize(
-    "c, nu, name",
-    [
-        (math.nan, 2, "c"),
-        (math.inf, 2, "c"),
-        (-math.inf, 2, "c"),
-        (1, math.nan, "nu"),
-        (1, math.inf, "nu"),
-        (1, -math.inf, "nu"),
-    ],
-)
-def test_simo_error_bound_rejects_non_finite_constants(c, nu, name):
-    # nan gave a nan bound, an infinite c the false bound 0.0, an infinite nu 1.0
-    with pytest.raises(ValueError, match=f"^{name} must be "):
-        simo_error_bound(c, nu, 10)
-
-
 # ---------------------------------------------------------------------------
 # constant-section algorithm
 
@@ -622,7 +592,7 @@ def _fmu_section(mu, tol=1e-10):
 def test_csb_exact_rational_mode_certifies_two_fifths():
     F = f_mu(Fraction(819, 3124))
     est = rho_constant_section_exact(F, Fraction(3, 4), Fraction(1), 1000)
-    assert est is not None and est.is_exact
+    assert est is not None and est.kind == "exact"
     assert (est.m, est.n) == (2, 5)
     # independent re-iteration of the section orbit, in rationals
     x = Fraction(3, 4)
@@ -641,7 +611,7 @@ def test_csb_tangency_guard_rejects_false_exact():
     # exact arithmetic
     cert = rho_constant_section_exact(f_mu(Fraction(mu_star)), Fraction(3, 4), Fraction(1), 10**5)
     assert cert is not None
-    if est.is_exact:
+    if est.kind == "exact":
         assert cert.as_fraction == est.as_fraction
 
 
@@ -685,6 +655,23 @@ def test_csb_rejects_a_test_bound_of_one_or_more(beta):
         rho_constant_section(F, beta, 1e-3, shift=shift)
 
 
+@pytest.mark.parametrize("alpha, beta", [(0, 2), (Fraction(3, 4), Fraction(7, 4)), (0.0, 1.5)])
+def test_csb_exact_rejects_a_section_of_width_one_or_more(alpha, beta):
+    # [0, 2] gave a false exact 0/1 where rho is 3/7: the first iterate's
+    # fractional part always lies within a width of 1
+    F = f_mu(Fraction(3, 10))
+    assert rho_constant_section_exact(F, Fraction(3, 4), Fraction(1), 10).as_fraction == Fraction(3, 7)
+    with pytest.raises(InvalidSection, match="narrower than 1, got width"):
+        rho_constant_section_exact(F, alpha, beta, 10)
+
+
+@pytest.mark.parametrize("max_iter", [-5, 0, 2.5, 10.0, "10"])
+def test_csb_exact_rejects_a_max_iter_that_is_not_a_positive_integer(max_iter):
+    # -5 returned None with no iterate run, 2.5 raised a bare TypeError from range
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        rho_constant_section_exact(f_mu(Fraction(3, 10)), Fraction(3, 4), Fraction(1), max_iter)
+
+
 @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
 def test_csb_rejects_a_non_finite_shift(shift):
     # a NaN shift failed inside the kernel, at floor(nan), and an infinite one
@@ -697,7 +684,7 @@ def test_csb_exact_matches_direct_on_plateaus():
     for mu in (0.1, 0.2, 0.35, 0.55, 0.9):
         est = rho_csb(f_mu(mu), 1e-4, 1e-10)
         direct = rho_direct(f_mu(mu), 1e-4)
-        assert est.is_exact
+        assert est.kind == "exact"
         assert abs(est.value - direct.value) <= direct.error_bound
 
 
@@ -706,7 +693,7 @@ def test_exactness_cross_check_in_rationals():
     for i in range(1, 40):
         mu = i / 40
         est = rho_csb(f_mu(mu), 1e-4, 1e-10)
-        if not est.is_exact:
+        if est.kind != "exact":
             continue
         cert = rho_constant_section_exact(f_mu(Fraction(mu)), Fraction(3, 4), Fraction(1), 20000)
         assert cert is not None
@@ -989,7 +976,7 @@ def test_repeated_state_inside_section_is_exact(omega, m, n):
     # the hit test wins over the cycle test (for n = 1 the state also equals
     # the starting checkpoint)
     est = _assert_matches_oracle(_rigid(omega), 0.1, 1e-4)
-    assert est.is_exact and (est.m, est.n) == (m, n)
+    assert est.kind == "exact" and (est.m, est.n) == (m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,7 +1225,7 @@ def test_rotation_interval_numeric_envelope_path_matches_registered(F):
     b = rotation_interval(plain, 1e-4, 1e-10)
     for registered, numeric in ((a.lower, b.lower), (a.upper, b.upper)):
         assert numeric.kind == registered.kind
-        if registered.is_exact:
+        if registered.kind == "exact":
             assert numeric.as_fraction == registered.as_fraction
         assert numeric.value == pytest.approx(registered.value, abs=1e-9)
 
@@ -1333,7 +1320,7 @@ def test_estimate_invariants():
     assert e.as_fraction == Fraction(2, 5)
     assert (e.m, e.n) == (4, 10)  # raw pair preserved
     assert e.error_bound == 0.0
-    a = RotationEstimate.approx(0.5, 1e-3, 1000)
+    a = RotationEstimate("approx", 0.5, 1e-3, 1000)
     assert a.error_bound <= 1.0 / a.iterations_used
     with pytest.raises(ValueError):
         _ = a.as_fraction
@@ -1342,8 +1329,8 @@ def test_estimate_invariants():
 def test_widest_section_feeds_csb():
     # rho_csb picks the registered section and certifies plateau values
     est = rho_csb(f_mu(0.375), 1e-4, 1e-10)
-    assert est.is_exact and est.as_fraction == Fraction(1, 2)
+    assert est.kind == "exact" and est.as_fraction == Fraction(1, 2)
     est = rho_csb(f_mu(0.5), 1e-4, 1e-10)
-    assert est.is_exact and est.as_fraction == Fraction(17, 27)
+    assert est.kind == "exact" and est.as_fraction == Fraction(17, 27)
     env = upper_map(f_mu(0.5))
     assert env.sections[0].width == pytest.approx(0.25, abs=1e-12)

@@ -351,6 +351,16 @@ def test_invert_rejects_iterate_budget(monkeypatch):
         invert_staircase(0.5, 1e-3, error=1e-12)
 
 
+@pytest.mark.parametrize("budget", [2.5, 2.0, "3"])
+def test_invert_rejects_a_budget_that_is_not_an_integer(budget, monkeypatch):
+    # 2.5 raised a bare TypeError from range
+    import rotkit.sweep as sweep
+
+    monkeypatch.setattr(sweep, "rho_csb", lambda *args: pytest.fail("an estimate ran"))
+    with pytest.raises(UsageError, match=f"max_bisections must be an integer, got {budget!r}"):
+        invert_staircase(0.5, 1e-6, max_bisections=budget)
+
+
 def test_pool_size_is_clamped(monkeypatch):
     import rotkit.sweep as sweep
 
