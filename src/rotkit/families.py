@@ -143,9 +143,16 @@ def f_mu(mu) -> Lifting:
     if not 0.0 <= mu_f <= 1.0:
         _as_float(mu_f, "mu")  # a NaN or infinite float mu raises its "must be finite" message
         raise InvalidParam(f"mu must lie in [0, 1], got {mu_f}")
+    return _fmu_lifting(mu_f, partial(_fmu_knots, mu))
 
-    # the staircase builds one per cell: tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(Lifting, (_FMU.make(mu_f), True, "F_mu", partial(_fmu_knots, mu), None, _FMU_SECTIONS))
+
+def _fmu_lifting(mu: float, knots=None) -> Lifting:
+    """f_mu's record at a float mu in [0, 1], unchecked, with the knots function given (None: no knots).
+
+    A staircase cell builds one per mu, with no knots: tuple.__new__ skips
+    the NamedTuple's Python-level __new__.
+    """
+    return tuple.__new__(Lifting, (_FMU.make(mu), True, "F_mu", knots, None, _FMU_SECTIONS))
 
 
 # ---------------------------------------------------------------------------

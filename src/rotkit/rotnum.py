@@ -35,15 +35,17 @@ Three estimators for non-decreasing degree-one liftings:
 
 Each of the four orbit loops (rho_direct's plain and stopping loops,
 rho_simo's and rho_constant_section's) is one template, a kernel's source
-with the orbit step left open.  The stopping and csb loops are one
-template, _SEGMENTED_LOOP (Brent's cycle detection in segments), filled
-with each loop's step and, for csb, its hit test; the three loops that
-stop at a repeat wrap a state into [0, 1) by one fragment, _WRAP.  Both
-are described where they are written.  A fundamental built from a
-lifting.Step has its expression written into the loop, compiled the first
-time that step needs the template and cached, and runs no Python frame
-per iterate; any other fundamental is called as fund(x) by the same
-template.  The kernel is chosen by the fundamental's code object, so a
+with the orbit step left open.  The stopping and csb loops are built by
+one function, _segmented_loop (Brent's cycle detection in segments), from
+each loop's step and, for csb, its hit test; the three loops that stop at
+a repeat wrap a state into [0, 1) by one fragment, _WRAP.  Both are
+described where they are written.  The csb loop runs its first segment as
+a plain pass with no repeat test: that segment's checkpoint is the start
+state 0.0, which lies in the section, so it can recur only as a hit.  A
+fundamental built from a lifting.Step has its expression written into the
+loop, compiled the first time that step needs the template and cached,
+and runs no Python frame per iterate; any other fundamental is called as
+fund(x) by the same template.  The kernel is chosen by the fundamental's code object, so a
 lifting copied with a new fundamental runs that fundamental, and either
 way every iterate runs the same float operations.
 
@@ -168,6 +170,11 @@ def _bad_error(error: float) -> ValueError:
     return ValueError(f"error must be positive and finite, with 1/error finite, got {error}")
 
 
+def _bad_tol(tol: float) -> ValueError:
+    # a NaN tol would fail the width test and silently force the fallback
+    return ValueError(f"tol must be non-negative and finite, got {tol}")
+
+
 # ---------------------------------------------------------------------------
 # orbit kernels
 #
@@ -181,7 +188,7 @@ def _bad_error(error: float) -> ValueError:
 # a state wrapped into [0, 1), its whole part added to m.  A state in [1, 2)
 # wraps as x - 1.0, the float operation of x - floor(x), so floor runs only
 # outside [0, 2) and the bits are those of x - floor(x) either way.  Each line
-# starts with its newline: replacing "\n" by "\n" and spaces indents it
+# of a fragment starts with its newline, so _indented indents it
 _WRAP = """
 if x < 1.0:
     if x < 0.0:
@@ -195,6 +202,11 @@ else:
     s = floor(x)
     m += s
     x -= s"""
+
+
+def _indented(fragment: str, depth: int) -> str:
+    return fragment.replace("\n", "\n" + " " * depth)
+
 
 # the shift by floor(F(0)) is inlined as step - k (float(k0) is the operand
 # Python converts the int to, so the bits agree with step - k0; at k0 == 0,
@@ -228,34 +240,48 @@ def kernel(fund, n):
 # replay steps ci+1 .. ci+rem, so they cannot hit where those did not, and
 # the state after n steps is bit-identical to the full loop's.
 #
-# Four slots: {prologue}, the def line and the set-up before m = 0, with x at
-# 0.0; {advance}, x set to the next state, before the wrap; {hit}, a test of
-# the wrapped state that may return an estimate of iterate
-# i = end - length_hint(steps); and {value}, the estimate after n steps.
-_SEGMENTED_LOOP = (
+# A hit test, when a loop has one, is a condition on the wrapped state under
+# which the loop returns the exact estimate m / i of iterate i.  It takes the
+# first segment out of the repeat test: that segment's checkpoint is the
+# start state 0.0, and a test that 0.0 passes (the section [0, beta] holds
+# it) returns before any state can equal 0.0, so the first segment runs as a
+# plain pass over iterates 1 .. FIRST_SEGMENT, with no iterator to read.
+
+# the checkpoint moved to the state after end steps, and the next segment's end
+_CHECKPOINT = """
+cx = x
+cm = m
+ci = end
+end = 2 * end if 2 * end < n else n"""
+
+_FIRST_END = "\nend = FIRST_SEGMENT if FIRST_SEGMENT < n else n"
+_EXACT = '\n    return tuple.__new__(RotationEstimate, ("exact", m / i, 0.0, i, m, i))'
+
+
+def _segmented_loop(prologue: str, advance: str, value: str, hit: str = "") -> str:
+    """A kernel's source: Brent's segments over the advance fragment, _WRAP and the hit test, if any.
+
+    prologue is the def line and the set-up before m = 0, with x at 0.0;
+    advance sets x to the next state, before the wrap; hit is "" or an
+    "if ...:" line; value is the estimate after n steps.
     """
+    body = advance + _WRAP
+    if hit:
+        start = _FIRST_END + "\nfor i in range(1, end + 1):" + _indented(body + hit + _EXACT, 4) + _CHECKPOINT
+        hit += "\n    i = end - length_hint(steps)" + _EXACT
+    else:
+        start = "\ncx = 0.0\ncm = 0\nci = 0" + _FIRST_END
+    return f"""
 {prologue}
-    m = 0
-    cx = 0.0
-    cm = 0
-    ci = 0
-    end = FIRST_SEGMENT if FIRST_SEGMENT < n else n
+    m = 0{_indented(start, 4)}
     while True:
         steps = repeat(None, end - ci)
-        for _ in steps:
-{advance}"""
-    + _WRAP.replace("\n", "\n" + " " * 12)
-    + """
-{hit}
+        for _ in steps:{_indented(body + hit, 12)}
             if x == cx:
                 break
         else:
             if end == n:
-                break
-            cx = x
-            cm = m
-            ci = end
-            end = 2 * end if 2 * end < n else n
+                break{_indented(_CHECKPOINT, 12)}
             continue
         i = end - length_hint(steps)
         periods, rem = divmod(n - i, i - ci)
@@ -265,53 +291,49 @@ _SEGMENTED_LOOP = (
         end = n
     return tuple.__new__(RotationEstimate, ("approx", {value}, 1.0 / n, n, None, None))
 """
-)
+
 
 # rho_direct's stopping loop: the direct loop's prologue and step, no hit
-_STOPPING_LOOP = _SEGMENTED_LOOP.format(
+_STOPPING_LOOP = _segmented_loop(
     prologue="""\
 def kernel(fund, n):
     {unpack}
     x = 0.0
     k0 = floor({step})
     k = float(k0)""",
-    advance="            x = {step} - k",
-    hit="",
+    advance="\nx = {step} - k",
     value="(m + x) / n + k0",
 )
 
 # rho_constant_section's loop: G's gluing rule at y = x + shift, conjugated
 # back by -shift, with the floor written out for y in [-1, 2) (see
 # rho_constant_section); the step reads y as x, moved into [0, 1) first.
-# A state in the section [0, beta] is a hit
-_CSB_LOOP = _SEGMENTED_LOOP.format(
+# A state in the section [0, beta] is a hit, so the first segment is a plain pass
+_CSB_LOOP = _segmented_loop(
     prologue="""\
 def kernel(fund, beta, n, shift):
     {unpack}
     x = 0.0""",
-    advance="""\
-            x += shift
-            if x < 1.0:
-                if x >= 0.0:
-                    x = {step} - shift
-                elif x >= -1.0:
-                    x += 1.0
-                    x = {step} - 1.0 - shift
-                else:
-                    s = floor(x)
-                    x -= s
-                    x = {step} + s - shift
-            elif x < 2.0:
-                x -= 1.0
-                x = {step} + 1.0 - shift
-            else:
-                s = floor(x)
-                x -= s
-                x = {step} + s - shift""",
-    hit="""\
-            if x <= beta:
-                i = end - length_hint(steps)
-                return tuple.__new__(RotationEstimate, ("exact", m / i, 0.0, i, m, i))""",
+    advance="""
+x += shift
+if x < 1.0:
+    if x >= 0.0:
+        x = {step} - shift
+    elif x >= -1.0:
+        x += 1.0
+        x = {step} - 1.0 - shift
+    else:
+        s = floor(x)
+        x -= s
+        x = {step} + s - shift
+elif x < 2.0:
+    x -= 1.0
+    x = {step} + 1.0 - shift
+else:
+    s = floor(x)
+    x -= s
+    x = {step} + s - shift""",
+    hit="\nif x <= beta:",
     value="(m + x) / n",
 )
 
@@ -332,7 +354,7 @@ def kernel(fund, n):
     nxt = 1
     for i in range(1, n + 1):
         x = {step} - k"""
-    + _WRAP.replace("\n", "\n" + " " * 8)
+    + _indented(_WRAP, 8)
     + """
         if x == cx:
             break
@@ -402,7 +424,7 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     every one of the n iterates runs, as in the paper's baseline.
 
     With stop_on_repeat the orbit stops at its first repeated float state,
-    found by Brent's cycle detection (see _SEGMENTED_LOOP): the whole
+    found by Brent's cycle detection (see _segmented_loop): the whole
     periods left are added at once and only the leftover steps run.
     Value, error_bound and the nominal iterations_used = n are
     bit-identical to the full loop.
@@ -448,7 +470,7 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
 
     The orbit loop stops at the first repeated float state: the state is
     compared with a checkpoint moved to iterates 1, 2, 4, 8, ... (Brent's
-    cycle detection; _SEGMENTED_LOOP first moves its checkpoint at 16, which
+    cycle detection; _segmented_loop first moves its checkpoint at 16, which
     here would store and sort more iterates of a short orbit).  Past a
     repeat the orbit is forced: it completes one lap past the repeat (cut
     short at n), since a value recurs in the full orbit exactly when it
@@ -636,22 +658,37 @@ def rotation_interval(
     return tuple.__new__(RotationInterval, (lo, hi))
 
 
+def _csb_section(sections, tol: float) -> tuple[float, float] | None:
+    """csb's section rule: rho_constant_section's (beta, shift) for the widest section given, or None.
+
+    The widest of the maximal constant sections (ties to the leftmost) is
+    used when it is wider than 2*tol; with None the estimate falls back to
+    rho_direct with stop_on_repeat.
+    """
+    if not 0.0 <= tol < math.inf:
+        raise _bad_tol(tol)
+    # a family states at most one section, read directly; none or several go through widest_section
+    sec = sections[0] if len(sections) == 1 else widest_section(sections)
+    if sec is not None:
+        alpha, beta = sec
+        width = beta - alpha
+        if width > 2.0 * tol:
+            # rotated by -(alpha + tol) the section is [-tol, width - tol]; x <= width - 2 tol keeps tol off each edge
+            return width - 2.0 * tol, alpha + tol
+    return None
+
+
 def _rho_of_sections(G: Lifting, sections, error: float, tol: float, method: str = "csb") -> RotationEstimate:
     """rho of the non-decreasing G with the maximal constant sections given: csb's section choice."""
-    # a NaN tol would fail the width test and silently force the fallback; NaN fails this test too
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if method == "csb":
-        # a family states at most one section, read directly; none or several go through widest_section
-        sec = sections[0] if len(sections) == 1 else widest_section(sections)
-        if sec is not None:
-            alpha, beta = sec
-            width = beta - alpha
-            if width > 2.0 * tol:
-                # rotated by -(alpha + tol) the section is [-tol, width - tol]; x <= width - 2 tol keeps tol off each edge
-                return rho_constant_section(G, width - 2.0 * tol, error, shift=alpha + tol)
+        call = _csb_section(sections, tol)
+        if call is not None:
+            beta, shift = call
+            return rho_constant_section(G, beta, error, shift=shift)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
+    elif not 0.0 <= tol < math.inf:
+        raise _bad_tol(tol)
     # no usable section: csb still stops at a repeated float state, while
     # method="direct" times the plain n-iterate baseline
     return rho_direct(G, error, stop_on_repeat=method == "csb")

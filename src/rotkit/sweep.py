@@ -12,12 +12,16 @@ ever needs quoting, so the bytes are the ones csv.writer would write.  The
 staircase writer formats an exact row's text after mu once per (m, n,
 iterations) and reuses it along the plateau, where only mu changes.
 
-A cell's task is the sweep's SweepConfig followed by its grid point: (cfg, mu)
-for the staircase, whose mu grid always spans f_mu's domain [0, 1], (cfg, a)
-for an interval graph (omega is cfg.omega) and (cfg, a, omega, target) for a
-tongue, where the target is the Fraction or float the caller passed.  A pooled
-chunk of tasks pickles the shared config once.  Every row a sweep returns is a
-typing.NamedTuple.
+A cell's task is a shared head followed by its grid point.  An interval
+graph's is (cfg, a) (omega is cfg.omega) and a tongue's (cfg, a, omega,
+target), where the target is the Fraction or float the caller passed.  A
+staircase's is (call, mu): every cell makes the same one estimator call,
+resolved once per sweep into a StaircaseCall (csb's section rule on f_mu's
+stated section, the error and simo_n), and mu_grid keeps every mu in f_mu's
+domain [0, 1], so the cell builds f_mu's record with no check and no knots.
+Its rows are bit for bit those of rho_csb, rho_direct or rho_simo on
+f_mu(mu), the library path.  A pooled chunk of tasks pickles the shared head
+once.  Every row a sweep returns is a typing.NamedTuple.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import time
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .families import CIRCLE_FAMILIES, InvalidParam, build_lifting, f_mu
+from . import rotnum
+from .families import _FMU_SECTIONS, CIRCLE_FAMILIES, InvalidParam, _fmu_lifting, build_lifting, f_mu
 from .rotnum import (
     DEFAULT_ERROR,
     DEFAULT_SIMO_N,
@@ -38,6 +43,7 @@ from .rotnum import (
     PeriodicOrbitDetected,
     RotationEstimate,
     RotationInterval,
+    _csb_section,
     rho_csb,
     rho_direct,
     rho_simo,
@@ -214,6 +220,10 @@ def mu_grid(cfg: SweepConfig) -> list[float]:
     Accumulation (rather than i*step) reproduces the classic sweep loop; the
     index-multiplication grid lands inside the tolerance deadband of the
     plateau-edge tangency at mu = 3/4 and would force a spurious fallback.
+    Every point lies in [0, 1], so a staircase cell skips f_mu's check: the
+    last sum adds count - 1 steps, at most 1 - step/2 exactly, and its
+    roundings, half an ulp each, total under 4e-17/step, less than step/2
+    for every step that validate admits (more than 1e-8).
     """
     count = max(round(1.0 / cfg.mu_step), 1)  # round() gives 0 for a step more than twice the domain
     grid = [0.0] * count
@@ -254,19 +264,43 @@ def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
 # Devil's staircase
 
 
-def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
-    # each row is built with tuple.__new__, which skips the NamedTuple's
-    # Python-level __new__: a staircase cell costs a handful of frames
-    cfg, mu = task
-    algorithm = cfg.algorithm
-    F = f_mu(mu)
-    if algorithm == "csb":
-        kind, value, error_bound, iterations, m, n = rho_csb(F, cfg.error, cfg.tol)
-    elif algorithm == "direct":
-        kind, value, error_bound, iterations, m, n = rho_direct(F, cfg.error)
-    else:
+class StaircaseCall(NamedTuple):
+    """The one estimator call every cell of a staircase sweep makes, resolved once per sweep.
+
+    beta and shift are rho_constant_section's arguments for f_mu's stated
+    section, by csb's section rule, or None: the algorithm is not csb, or
+    the section is no wider than 2*tol and csb falls back to rho_direct
+    with stop_on_repeat.  Every task of the sweep holds the same object, so
+    a pooled chunk pickles it once.
+    """
+
+    algorithm: str
+    error: float
+    beta: float | None
+    shift: float | None
+    simo_n: int
+
+
+def _staircase_call(cfg: SweepConfig) -> StaircaseCall:
+    beta = shift = None
+    if cfg.algorithm == "csb":
+        call = _csb_section(_FMU_SECTIONS, cfg.tol)
+        if call is not None:
+            beta, shift = call
+    return StaircaseCall(cfg.algorithm, cfg.error, beta, shift, cfg.simo_n)
+
+
+def _staircase_cell(task: tuple[StaircaseCall, float]) -> StaircaseRow:
+    # f_mu's record with no knots (mu_grid keeps every mu in [0, 1]) and one
+    # estimator call; each row is built with tuple.__new__, which skips the
+    # NamedTuple's Python-level __new__: a staircase cell costs a handful of frames
+    (algorithm, error, beta, shift, simo_n), mu = task
+    F = _fmu_lifting(mu)
+    if beta is not None:
+        # looked up on rotnum at each call, where perfbench's tracer wraps it
+        kind, value, error_bound, iterations, m, n = rotnum.rho_constant_section(F, beta, error, shift=shift)
+    elif algorithm == "simo":
         # Simo's estimate: the cycle's exact rotation number, or the bracket's midpoint and half-width
-        simo_n = cfg.simo_n
         try:
             rho_min, rho_max, _ = rho_simo(F, simo_n)
         except PeriodicOrbitDetected as hit:
@@ -275,13 +309,17 @@ def _staircase_cell(task: tuple[SweepConfig, float]) -> StaircaseRow:
         return tuple.__new__(
             StaircaseRow, (mu, 0.5 * (rho_min + rho_max), "approx", None, None, 0.5 * (rho_max - rho_min), simo_n)
         )
+    else:
+        # direct, or csb with no usable section, whose fallback stops at a repeated state as rho_csb's does
+        kind, value, error_bound, iterations, m, n = rho_direct(F, error, stop_on_repeat=algorithm == "csb")
     return tuple.__new__(StaircaseRow, (mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations))
 
 
 def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
     """Rotation number of the staircase family over the mu grid, in mu order."""
     cfg.validate("staircase")
-    tasks = [(cfg, mu) for mu in mu_grid(cfg)]
+    call = _staircase_call(cfg)
+    tasks = [(call, mu) for mu in mu_grid(cfg)]
     return _run_ordered(_staircase_cell, tasks, cfg.workers)
 
 

@@ -39,7 +39,7 @@ from rotkit import (
 from rotkit import families, rotnum
 from rotkit.envelope import _root_on_increasing
 from rotkit.lifting import STEPS, Step
-from rotkit.sweep import SweepConfig, _staircase_cell
+from rotkit.sweep import SweepConfig, _staircase_call, _staircase_cell
 from _oracles import _clamped_oracle, tau
 
 TWO_PI = 2.0 * math.pi
@@ -251,31 +251,32 @@ def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
 
 
 # the fixed frames of one staircase cell, hit or exhaust alike; the f_mu
-# fundamental itself runs no frame.  Every cell runs _staircase_cell, f_mu (a
-# float mu skips _as_float) and f_mu's step factory; a csb cell adds rho_csb,
-# _rho_of_sections, rho_constant_section and its kernel (f_mu states its
-# section, so no envelope is built), a direct cell rho_direct and its kernel,
-# and a simo cell whose orbit ties adds rho_simo, its kernel, Fraction's
-# __new__, PeriodicOrbitDetected.__init__ and Fraction.as_integer_ratio.  The
-# section is read without widest_section, and the lifting, the estimate and
-# the row are built without their NamedTuple's __new__
-STAIRCASE_CELL_FRAMES = {"csb": 7, "direct": 5, "simo": 8}
+# fundamental itself runs no frame.  The sweep resolves the cell's one
+# estimator call once (csb's section rule on f_mu's stated section), so every
+# cell runs _staircase_cell, families._fmu_lifting and f_mu's step factory
+# and then one estimator and its kernel: rho_constant_section for csb,
+# rho_direct for direct and for csb with no section wider than 2*tol.  A simo
+# cell whose orbit ties adds rho_simo, its kernel, Fraction's __new__,
+# PeriodicOrbitDetected.__init__ and Fraction.as_integer_ratio.  The
+# lifting, the estimate and the row are built without their NamedTuple's __new__
+STAIRCASE_CELL_FRAMES = {"csb": 5, "direct": 5, "simo": 8}
 
 
 @pytest.mark.parametrize(
-    "algorithm, mu, kind",
+    "algorithm, mu, tol, kind",
     [
-        ("csb", 0.3, "exact"),
-        ("csb", 0.61, "exact"),
-        ("csb", 0.0, "approx"),
-        ("csb", 1.0, "approx"),
-        ("direct", 0.3, "approx"),
-        ("simo", 0.3, "exact"),
-        ("simo", 0.0, "exact"),
+        ("csb", 0.3, 1e-10, "exact"),
+        ("csb", 0.61, 1e-10, "exact"),
+        ("csb", 0.0, 1e-10, "approx"),
+        ("csb", 1.0, 1e-10, "approx"),
+        ("csb", 0.3, 0.2, "approx"),  # no usable section: rho_direct's stopping loop
+        ("direct", 0.3, 1e-10, "approx"),
+        ("simo", 0.3, 1e-10, "exact"),
+        ("simo", 0.0, 1e-10, "exact"),
     ],
 )
-def test_staircase_cell_runs_a_fixed_few_frames(algorithm, mu, kind):
-    task = (SweepConfig(error=1e-5, algorithm=algorithm), mu)
+def test_staircase_cell_runs_a_fixed_few_frames(algorithm, mu, tol, kind):
+    task = (_staircase_call(SweepConfig(error=1e-5, tol=tol, algorithm=algorithm)), mu)
     assert _staircase_cell(task).kind == kind
     calls = _python_calls(_staircase_cell, task)
     assert calls[f_mu(mu).fundamental.__code__] == 0  # every f_mu fundamental shares its code object
@@ -383,7 +384,7 @@ def test_the_segmented_loops_two_fills_agree_where_no_state_hits():
     # at shift 0.0 the csb step of a state in [0, 1) is the stopping loop's
     # step - k, k = float(floor(F(0))) = 0.0, and a bound that only the states
     # 0.0 and 5e-324 meet leaves the hit test dead on these orbits: the two
-    # fills of _SEGMENTED_LOOP then give the same estimate, field for field,
+    # loops _segmented_loop builds then give the same estimate, field for field,
     # with a compiled step or a called fundamental.  f_mu(3/1024) finds its
     # repeat at iterate 32 and pwl_standard(0.61, 1.5) at 136; the golden
     # rigid rotation (a = 0) does not repeat within 10^4 steps

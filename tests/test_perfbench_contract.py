@@ -11,6 +11,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from rotkit.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -76,6 +78,41 @@ def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
         arnold_tongue(cfg, Fraction(1, 2))
         assert seen == expected
         assert nondecreasing >= cfg.omega_steps  # at least the a = 0 row
+
+
+@pytest.mark.parametrize(
+    "algorithm, tol, traced",
+    [
+        ("csb", 1e-10, ("rotkit.rotnum", "rho_constant_section")),
+        ("csb", 0.0, ("rotkit.rotnum", "rho_constant_section")),
+        ("csb", 0.125, ("rotkit.sweep", "rho_direct")),  # f_mu's section is 1/4 wide: no usable section
+        ("csb", 0.3, ("rotkit.sweep", "rho_direct")),
+        ("direct", 1e-10, ("rotkit.sweep", "rho_direct")),
+        ("simo", 1e-10, ("rotkit.sweep", "rho_simo")),
+    ],
+)
+def test_each_staircase_endpoint_reaches_one_traced_estimator(algorithm, tol, traced, monkeypatch):
+    # the tracer classifies and digests each staircase endpoint from the calls
+    # it sees on the estimator attributes it wraps: every cell must call exactly
+    # one of them, once, in grid order.  A csb cell must look
+    # rho_constant_section up on rotkit.rotnum, where the tracer wraps it
+    from rotkit.sweep import SweepConfig, devils_staircase, mu_grid
+
+    estimators = _load_tracer().ESTIMATORS
+    assert traced in estimators
+    seen = []
+    for mod, attr in estimators:
+        module = importlib.import_module(mod)
+
+        def recorder(F, *args, _real=getattr(module, attr), _name=(mod, attr), **kwargs):
+            seen.append((_name, F.fundamental.__defaults__[0]))  # f_mu's step binds mu
+            return _real(F, *args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recorder)
+    cfg = SweepConfig(mu_step=1e-2, error=1e-3, tol=tol, algorithm=algorithm, simo_n=200)
+    rows = devils_staircase(cfg)
+    assert seen == [(traced, mu) for mu in mu_grid(cfg)]
+    assert [r.mu for r in rows] == mu_grid(cfg)
 
 
 def test_each_tongue_cell_builds_each_envelope_side_once_through_the_traced_names(monkeypatch):
@@ -299,19 +336,27 @@ def test_stamped_cells_and_captured_rows_see_each_cell_once_in_grid_order(tmp_pa
 def test_every_sweep_calls_the_stamped_cell_names_once_per_cell_in_grid_order(monkeypatch):
     # perfbench/child.py --stamp times a run's slices by replacing
     # sweep._staircase_cell and sweep._tongue_cell with wrappers: a sweep that
-    # stopped calling those module attributes would silently leave one slice
+    # stopped calling those module attributes would silently leave one slice.
+    # A staircase task is (call, mu), its estimator call resolved once per
+    # sweep and shared by every task; a tongue task is (cfg, a, omega, target)
     from fractions import Fraction
 
     import rotkit.sweep as sweep
-    from rotkit.sweep import SweepConfig, _linspace, arnold_tongue, devils_staircase, mu_grid
+    from rotkit.sweep import SweepConfig, _linspace, _staircase_call, arnold_tongue, devils_staircase, mu_grid
 
-    staircases = [SweepConfig(mu_step=0.125, error=1e-3, algorithm=algorithm) for algorithm in ("csb", "direct", "simo")]
-    runs = [("_staircase_cell", cfg, devils_staircase, [(mu,) for mu in mu_grid(cfg)]) for cfg in staircases]
+    staircases = [
+        SweepConfig(mu_step=0.125, error=1e-3, tol=tol, algorithm=algorithm)
+        for algorithm, tol in (("csb", 1e-10), ("csb", 0.2), ("direct", 1e-10), ("simo", 1e-10))
+    ]
+    runs = [
+        ("_staircase_cell", cfg, _staircase_call(cfg), devils_staircase, [(mu,) for mu in mu_grid(cfg)])
+        for cfg in staircases
+    ]
     target = Fraction(1, 2)
     tongue_grid = [(a, omega, target) for a in _linspace(0.0, 4.0 * math.pi, 3) for omega in _linspace(0.0, 1.0, 3)]
     tongue = SweepConfig(family="pwl", a_steps=3, omega_steps=3, error=1e-3)
-    runs.append(("_tongue_cell", tongue, lambda cfg: arnold_tongue(cfg, target), tongue_grid))
-    for cell, cfg, run, grid in runs:
+    runs.append(("_tongue_cell", tongue, tongue, lambda cfg: arnold_tongue(cfg, target), tongue_grid))
+    for cell, cfg, head, run, grid in runs:
         expected = run(cfg)
         calls = []
         for name in ("_staircase_cell", "_tongue_cell"):
@@ -322,5 +367,6 @@ def test_every_sweep_calls_the_stamped_cell_names_once_per_cell_in_grid_order(mo
 
             monkeypatch.setattr(sweep, name, counted)
         assert run(cfg) == expected
-        assert calls == [(cell, (cfg, *point)) for point in grid]
+        assert calls == [(cell, (head, *point)) for point in grid]
+        assert len({id(task[0]) for _, task in calls}) == 1  # one shared call or config object
         monkeypatch.undo()

@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from rotkit.families import f_mu
-from rotkit.rotnum import rho_simo
+from rotkit.rotnum import PeriodicOrbitDetected, rho_csb, rho_direct, rho_simo
 from rotkit.sweep import (
     BENCH_HEADER,
     INTERVAL_HEADER,
     STAIRCASE_HEADER,
     TONGUE_HEADER,
     IntervalRow,
+    StaircaseRow,
     SweepConfig,
     UsageError,
     _pool_size,
+    _staircase_call,
     _staircase_cell,
     arnold_tongue,
     benchmark,
@@ -422,6 +424,52 @@ def test_staircase_simo_rows():
         assert (r.rho, r.m, r.n, r.error_bound, r.iterations) == (mid, None, None, half, 2)
 
 
+def _library_row(cfg: SweepConfig, mu: float) -> StaircaseRow:
+    """mu's staircase row by the library path: rho_csb, rho_direct or rho_simo of f_mu(mu)."""
+    F = f_mu(mu)
+    if cfg.algorithm == "simo":
+        try:
+            rho_min, rho_max, _ = rho_simo(F, cfg.simo_n)
+        except PeriodicOrbitDetected as hit:
+            m, n = hit.rotation.numerator, hit.rotation.denominator
+            return StaircaseRow(mu, m / n, "exact", m, n, None, cfg.simo_n)
+        half = 0.5 * (rho_max - rho_min)
+        return StaircaseRow(mu, 0.5 * (rho_min + rho_max), "approx", None, None, half, cfg.simo_n)
+    est = rho_csb(F, cfg.error, cfg.tol) if cfg.algorithm == "csb" else rho_direct(F, cfg.error)
+    err = None if est.kind == "exact" else est.error_bound
+    return StaircaseRow(mu, est.value, est.kind, est.m, est.n, err, est.iterations_used)
+
+
+# f_mu's section is 1/4 wide: from tol = 1/8 on, csb falls back to rho_direct
+STAIRCASE_TOLS = (0.0, 1e-10, math.nextafter(0.125, 0.0), 0.125, 0.3)
+MU_819 = 819 / 3124
+EDGE_MUS = (0.0, -0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), 0.75, math.nextafter(MU_819, 0.0), MU_819,
+            math.nextafter(MU_819, 1.0))
+
+
+@pytest.mark.parametrize("tol", STAIRCASE_TOLS)
+@pytest.mark.parametrize("algorithm", ["csb", "direct", "simo"])
+def test_staircase_cell_equals_the_library_path_at_edge_mus(algorithm, tol):
+    # repr prints every float exactly, a zero's sign too: the rows agree bit for bit
+    cfg = _cfg(algorithm=algorithm, tol=tol, simo_n=300)
+    call = _staircase_call(cfg)
+    assert (call.beta is None) == (algorithm != "csb" or tol >= 0.125)
+    for mu in EDGE_MUS:
+        assert repr(_staircase_cell((call, mu))) == repr(_library_row(cfg, mu))
+
+
+@pytest.mark.parametrize(
+    "algorithm, tol",
+    [("csb", tol) for tol in STAIRCASE_TOLS] + [("direct", 1e-10), ("direct", 0.3), ("simo", 1e-10), ("simo", 0.3)],
+)
+@pytest.mark.parametrize("mu_step", [1e-3, 1e-4])
+def test_staircase_rows_equal_the_library_path_bit_for_bit(mu_step, algorithm, tol):
+    # the plain direct loop runs every iterate: a coarser error keeps its grid cheap
+    cfg = _cfg(mu_step=mu_step, algorithm=algorithm, tol=tol, error=1e-2 if algorithm == "direct" else 1e-4, simo_n=200)
+    rows = devils_staircase(cfg)
+    assert repr(rows) == repr([_library_row(cfg, mu) for mu in mu_grid(cfg)])
+
+
 def test_staircase_worker_determinism():
     rows1 = devils_staircase(_cfg(workers=1))
     rows2 = devils_staircase(_cfg(workers=2))
@@ -648,7 +696,7 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
     simo_pairs = {(r.m, r.n) for r in simo if r.kind == "exact"}
     assert any((r.m, r.n) in simo_pairs for r in exact)
     edges = [
-        _staircase_cell((_cfg(algorithm=algorithm), mu))
+        _staircase_cell((_staircase_call(_cfg(algorithm=algorithm)), mu))
         for algorithm in ("csb", "simo", "direct")
         for mu in (-0.0, 5e-324, math.nextafter(1.0, 0.0))
     ]
