@@ -138,21 +138,14 @@ def f_mu(mu) -> Lifting:
     repr(F) through the knots, partial(_fmu_knots, mu).  No error message can
     show the label: F_mu is non-decreasing and has knots.  A float mu, what
     a sweep passes, is read as is; any other type goes through _as_float.
+    A staircase cell builds the same record itself, from the step's code
+    object, with no check and no knots (see rotkit.sweep).
     """
     mu_f = mu if type(mu) is float else _as_float(mu, "mu")
     if not 0.0 <= mu_f <= 1.0:
         _as_float(mu_f, "mu")  # a NaN or infinite float mu raises its "must be finite" message
         raise InvalidParam(f"mu must lie in [0, 1], got {mu_f}")
-    return _fmu_lifting(mu_f, partial(_fmu_knots, mu))
-
-
-def _fmu_lifting(mu: float, knots=None) -> Lifting:
-    """f_mu's record at a float mu in [0, 1], unchecked, with the knots function given (None: no knots).
-
-    A staircase cell builds one per mu, with no knots: tuple.__new__ skips
-    the NamedTuple's Python-level __new__.
-    """
-    return tuple.__new__(Lifting, (_FMU.make(mu), True, "F_mu", knots, None, _FMU_SECTIONS))
+    return tuple.__new__(Lifting, (_FMU.make(mu_f), True, "F_mu", partial(_fmu_knots, mu), None, _FMU_SECTIONS))
 
 
 # ---------------------------------------------------------------------------

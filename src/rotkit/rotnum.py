@@ -68,6 +68,7 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import repeat
+from math import ceil, inf
 from operator import index, length_hint
 from typing import NamedTuple
 
@@ -224,7 +225,7 @@ def kernel(fund, n):
             s = floor(x)
             m += s
             x -= s
-    return tuple.__new__(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
+    return tuple_new(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
 """
 
 # The estimate after n steps of the orbit of 0, stopped at its first repeated
@@ -245,7 +246,14 @@ def kernel(fund, n):
 # first segment out of the repeat test: that segment's checkpoint is the
 # start state 0.0, and a test that 0.0 passes (the section [0, beta] holds
 # it) returns before any state can equal 0.0, so the first segment runs as a
-# plain pass over iterates 1 .. FIRST_SEGMENT, with no iterator to read.
+# plain pass over iterates 1 .. FIRST_SEGMENT, with no iterator to read.  For
+# every n > FIRST_SEGMENT that pass iterates one range built at import,
+# FIRST_RANGE, so the call makes no range of its own; a smaller n, whose
+# whole orbit is the first segment, iterates range(1, n + 1).
+#
+# Every estimate a kernel returns is built by tuple_new, tuple.__new__ bound
+# once among the kernels' globals: one global load, where tuple.__new__
+# would look up the builtin and then its attribute on every return.
 
 # the checkpoint moved to the state after end steps, and the next segment's end
 _CHECKPOINT = """
@@ -255,7 +263,15 @@ ci = end
 end = 2 * end if 2 * end < n else n"""
 
 _FIRST_END = "\nend = FIRST_SEGMENT if FIRST_SEGMENT < n else n"
-_EXACT = '\n    return tuple.__new__(RotationEstimate, ("exact", m / i, 0.0, i, m, i))'
+# the first segment's iterates 1 .. end of a loop with a hit test, prebuilt for every n > FIRST_SEGMENT
+_FIRST_PASS = """
+if FIRST_SEGMENT < n:
+    end = FIRST_SEGMENT
+    first = FIRST_RANGE
+else:
+    end = n
+    first = range(1, n + 1)"""
+_EXACT = '\n    return tuple_new(RotationEstimate, ("exact", m / i, 0.0, i, m, i))'
 
 
 def _segmented_loop(prologue: str, advance: str, value: str, hit: str = "") -> str:
@@ -267,7 +283,7 @@ def _segmented_loop(prologue: str, advance: str, value: str, hit: str = "") -> s
     """
     body = advance + _WRAP
     if hit:
-        start = _FIRST_END + "\nfor i in range(1, end + 1):" + _indented(body + hit + _EXACT, 4) + _CHECKPOINT
+        start = _FIRST_PASS + "\nfor i in first:" + _indented(body + hit + _EXACT, 4) + _CHECKPOINT
         hit += "\n    i = end - length_hint(steps)" + _EXACT
     else:
         start = "\ncx = 0.0\ncm = 0\nci = 0" + _FIRST_END
@@ -289,7 +305,7 @@ def _segmented_loop(prologue: str, advance: str, value: str, hit: str = "") -> s
         cx = -1.0  # no wrapped state, x >= 0, meets it
         ci = n - rem
         end = n
-    return tuple.__new__(RotationEstimate, ("approx", {value}, 1.0 / n, n, None, None))
+    return tuple_new(RotationEstimate, ("approx", {value}, 1.0 / n, n, None, None))
 """
 
 
@@ -404,7 +420,9 @@ _LOOP_NAMES = {
     "repeat": repeat,
     "length_hint": length_hint,
     "RotationEstimate": RotationEstimate,
+    "tuple_new": tuple.__new__,
     "FIRST_SEGMENT": FIRST_SEGMENT,
+    "FIRST_RANGE": range(1, FIRST_SEGMENT + 1),
 }
 _DIRECT = _Kernels(_DIRECT_LOOP)
 _STOPPING = _Kernels(_STOPPING_LOOP)
@@ -442,9 +460,9 @@ def rho_direct(F: Lifting, error: float = DEFAULT_ERROR, *, stop_on_repeat: bool
     if not F.is_non_decreasing:
         raise _non_decreasing_required(F, "rho_direct")
     # a subnormal error passes 0 < error < inf, but its 1/error overflows to inf
-    if not (0.0 < error < math.inf and 1.0 / error < math.inf):
+    if not (0.0 < error < inf and 1.0 / error < inf):
         raise _bad_error(error)
-    n = math.ceil(1.0 / error)
+    n = ceil(1.0 / error)
     fund = F.fundamental
     if not stop_on_repeat:
         return _DIRECT[id(getattr(fund, "__code__", None))](fund, n)
@@ -577,12 +595,12 @@ def rho_constant_section(
         raise _non_decreasing_required(G, "rho_constant_section")
     if not 0.0 < beta < 1.0:  # a NaN beta fails this test too
         raise InvalidSection(f"test bound beta must lie in (0, 1), got {beta}")
-    if not -math.inf < shift < math.inf:  # a NaN shift fails this test too
+    if not -inf < shift < inf:  # a NaN shift fails this test too
         raise InvalidSection(f"section shift must be finite, got {shift}")
     # a subnormal error passes 0 < error < inf, but its 1/error overflows to inf
-    if not (0.0 < error < math.inf and 1.0 / error < math.inf):
+    if not (0.0 < error < inf and 1.0 / error < inf):
         raise _bad_error(error)
-    max_iter = math.ceil(1.0 / error)
+    max_iter = ceil(1.0 / error)
     fund = G.fundamental
     return _CSB[id(getattr(fund, "__code__", None))](fund, beta, max_iter, shift)
 
@@ -665,7 +683,7 @@ def _csb_section(sections, tol: float) -> tuple[float, float] | None:
     used when it is wider than 2*tol; with None the estimate falls back to
     rho_direct with stop_on_repeat.
     """
-    if not 0.0 <= tol < math.inf:
+    if not 0.0 <= tol < inf:
         raise _bad_tol(tol)
     # a family states at most one section, read directly; none or several go through widest_section
     sec = sections[0] if len(sections) == 1 else widest_section(sections)
@@ -687,7 +705,7 @@ def _rho_of_sections(G: Lifting, sections, error: float, tol: float, method: str
             return rho_constant_section(G, beta, error, shift=shift)
     elif method != "direct":
         raise ValueError(f"unknown rotation-interval method {method!r}")
-    elif not 0.0 <= tol < math.inf:
+    elif not 0.0 <= tol < inf:
         raise _bad_tol(tol)
     # no usable section: csb still stops at a repeated float state, while
     # method="direct" times the plain n-iterate baseline

@@ -10,7 +10,8 @@ up to 17 significant digits (lossless round-trip).  The writers format each
 CSV line directly and stream the lines out, without the csv module: no field
 ever needs quoting, so the bytes are the ones csv.writer would write.  The
 staircase writer formats an exact row's text after mu once per (m, n,
-iterations) and reuses it along the plateau, where only mu changes.
+iterations) and reuses it along the plateau, where only mu changes, and
+writes its lines joined in chunks of a bounded number of rows.
 
 A cell's task is a shared head followed by its grid point.  An interval
 graph's is (cfg, a) (omega is cfg.omega) and a tongue's (cfg, a, omega,
@@ -18,10 +19,14 @@ target), where the target is the Fraction or float the caller passed.  A
 staircase's is (call, mu): every cell makes the same one estimator call,
 resolved once per sweep into a StaircaseCall (csb's section rule on f_mu's
 stated section, the error and simo_n), and mu_grid keeps every mu in f_mu's
-domain [0, 1], so the cell builds f_mu's record with no check and no knots.
+domain [0, 1].  So the cell builds f_mu's record itself, with no check and
+no knots: its fundamental is a function made in C from the step's code
+object, with no Python frame, and the kernels still write that step in.
 Its rows are bit for bit those of rho_csb, rho_direct or rho_simo on
-f_mu(mu), the library path.  A pooled chunk of tasks pickles the shared head
-once.  Every row a sweep returns is a typing.NamedTuple.
+f_mu(mu), the library path.  The mu grid and the staircase's tasks are built
+by C-level iterators (itertools.accumulate, zip and repeat), with no Python
+loop.  A pooled chunk of tasks pickles the shared head once.  Every row a
+sweep returns is a typing.NamedTuple.
 """
 
 from __future__ import annotations
@@ -32,10 +37,13 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from types import FunctionType
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from . import rotnum
-from .families import _FMU_SECTIONS, CIRCLE_FAMILIES, InvalidParam, _fmu_lifting, build_lifting, f_mu
+from .families import _FMU, _FMU_SECTIONS, CIRCLE_FAMILIES, InvalidParam, build_lifting, f_mu
+from .lifting import Lifting
 from .rotnum import (
     DEFAULT_ERROR,
     DEFAULT_SIMO_N,
@@ -226,11 +234,8 @@ def mu_grid(cfg: SweepConfig) -> list[float]:
     for every step that validate admits (more than 1e-8).
     """
     count = max(round(1.0 / cfg.mu_step), 1)  # round() gives 0 for a step more than twice the domain
-    grid = [0.0] * count
-    mu = 0.0
-    for i in range(1, count):
-        mu += cfg.mu_step
-        grid[i] = mu
+    # 0.0 and count - 1 running sums, each the float addition mu + step
+    grid = list(accumulate(repeat(cfg.mu_step, count - 1), initial=0.0))
     grid.append(1.0)
     return grid
 
@@ -290,12 +295,21 @@ def _staircase_call(cfg: SweepConfig) -> StaircaseCall:
     return StaircaseCall(cfg.algorithm, cfg.error, beta, shift, cfg.simo_n)
 
 
+# what f_mu's step factory, _FMU.make, gives its fundamental: the step's code and globals
+_FMU_CODE = _FMU.code
+_FMU_GLOBALS = _FMU.make.__globals__
+
+
 def _staircase_cell(task: tuple[StaircaseCall, float]) -> StaircaseRow:
-    # f_mu's record with no knots (mu_grid keeps every mu in [0, 1]) and one
-    # estimator call; each row is built with tuple.__new__, which skips the
-    # NamedTuple's Python-level __new__: a staircase cell costs a handful of frames
+    # f_mu's record, built here with no check (mu_grid keeps every mu in [0, 1])
+    # and no knots, then one estimator call.  The fundamental is _FMU.make(mu)'s
+    # twin, made by FunctionType from the same code object, so the kernels
+    # still write the step in; it, the lifting and the row are built in C
+    # (tuple.__new__ skips the NamedTuple's Python-level __new__), so a cell
+    # runs no Python frame but its own, the estimator's and the kernel's
     (algorithm, error, beta, shift, simo_n), mu = task
-    F = _fmu_lifting(mu)
+    fund = FunctionType(_FMU_CODE, _FMU_GLOBALS, "f_mu", (mu,))
+    F = tuple.__new__(Lifting, (fund, True, "F_mu", None, None, _FMU_SECTIONS))
     if beta is not None:
         # looked up on rotnum at each call, where perfbench's tracer wraps it
         kind, value, error_bound, iterations, m, n = rotnum.rho_constant_section(F, beta, error, shift=shift)
@@ -318,8 +332,8 @@ def _staircase_cell(task: tuple[StaircaseCall, float]) -> StaircaseRow:
 def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
     """Rotation number of the staircase family over the mu grid, in mu order."""
     cfg.validate("staircase")
-    call = _staircase_call(cfg)
-    tasks = [(call, mu) for mu in mu_grid(cfg)]
+    grid = mu_grid(cfg)
+    tasks = list(zip(repeat(_staircase_call(cfg), len(grid)), grid))  # (call, mu), one shared call
     return _run_ordered(_staircase_cell, tasks, cfg.workers)
 
 
@@ -498,31 +512,46 @@ def _header(names: list[str]) -> str:
     return ",".join(names) + "\n"
 
 
+# rows a staircase writer joins into one write: memory stays bounded for any grid
+STAIRCASE_CHUNK = 1024
+
+
 def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
     """Emit staircase rows; an exact row's text after mu is formatted once per (m, n, iterations).
 
     An exact row's rho is m / n and its error bound empty, so the rows of a
-    plateau share that text.  The lines stream out from a generator, so no
-    list of them is held.
+    plateau share that text.  A row whose (m, n, iterations) is the previous
+    exact row's reuses its text; any other exact row looks its text up by
+    that triple.  The lines are written joined, STAIRCASE_CHUNK rows at a
+    time, so no more than a chunk of them is held.
     """
     stream.write(_header(STAIRCASE_HEADER))
     tails: dict[tuple[int, int, int], str] = {}
-
-    def lines():
-        for mu, rho, kind, m, n, err, iterations in rows:
+    mu_text = "%.17g".__mod__
+    rows = iter(rows)
+    tail = last_m = last_n = last_iterations = None  # the previous exact row's text and triple
+    while True:
+        lines = []
+        line = lines.append
+        for mu, rho, kind, m, n, err, iterations in islice(rows, STAIRCASE_CHUNK):
             if kind == "exact":
-                key = (m, n, iterations)
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = ",%.17g,exact,%d,%d,,%d\n" % (rho, m, n, iterations)
-                yield "%.17g%s" % (mu, tail)
+                if m != last_m or n != last_n or iterations != last_iterations:
+                    last_m, last_n, last_iterations = m, n, iterations
+                    key = (m, n, iterations)
+                    tail = tails.get(key)
+                    if tail is None:
+                        tail = tails[key] = ",%.17g,exact,%d,%d,,%d\n" % (rho, m, n, iterations)
+                line(mu_text(mu) + tail)
             else:
-                yield "%.17g,%.17g,%s,%s,%s,%s,%d\n" % (
-                    mu, rho, kind, "" if m is None else m, "" if n is None else n,
-                    "" if err is None else "%.17g" % err, iterations,
+                line(
+                    "%.17g,%.17g,%s,%s,%s,%s,%d\n" % (
+                        mu, rho, kind, "" if m is None else m, "" if n is None else n,
+                        "" if err is None else "%.17g" % err, iterations,
+                    )
                 )
-
-    stream.writelines(lines())
+        if not lines:
+            return
+        stream.write("".join(lines))
 
 
 def write_interval_csv(rows: Sequence[IntervalRow], stream: IO[str]) -> int:

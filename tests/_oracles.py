@@ -13,7 +13,9 @@ oracle reads a piecewise-linear map's envelopes off its knots.  The
 hand-written Fraction twins of the piecewise-linear families and their
 envelopes check the twins the library derives from rational knots.  The
 staircase CSV oracle formats every field of every row with an f-string, as
-the writer did before it reused each plateau's text.  evaluate applies a
+the writer did before it reused each plateau's text, and the mu-grid oracle
+accumulates the step in a Python loop, as mu_grid did before it used
+itertools.  evaluate applies a
 lifting's gluing rule in floats, and tau is the pwl family's triangle wave as
 a function: the references the family maps are compared against.
 """
@@ -422,6 +424,18 @@ def disc_envelope_exact_oracles(omega: Fraction, c: Fraction):
     upper = _clamped_oracle(line, qu, omega + c, 1, line(1))
     lower = _clamped_oracle(line, 0, line(0), pl, omega + 1)
     return upper, lower, qu, pl
+
+
+def mu_grid_oracle(step: float) -> list[float]:
+    """The staircase's mu grid as a Python loop: count - 1 accumulated steps after 0.0, then 1.0."""
+    count = max(round(1.0 / step), 1)
+    grid = [0.0] * count
+    mu = 0.0
+    for i in range(1, count):
+        mu += step
+        grid[i] = mu
+    grid.append(1.0)
+    return grid
 
 
 def staircase_csv_oracle(rows) -> str:

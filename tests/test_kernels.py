@@ -235,7 +235,7 @@ CSB_CELLS = [
 
 
 def _section_call(env):
-    """rho_constant_section's arguments after the lifting for env's widest section, as rho_csb passes them."""
+    """rho_constant_section's arguments after the lifting for env's (or a lifting's) widest section, as rho_csb passes them."""
     sec = widest_section(env.sections)
     tol = 1e-10
     return ((sec.beta - sec.alpha) - 2.0 * tol,), {"shift": sec.alpha + tol}
@@ -252,14 +252,15 @@ def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
 
 # the fixed frames of one staircase cell, hit or exhaust alike; the f_mu
 # fundamental itself runs no frame.  The sweep resolves the cell's one
-# estimator call once (csb's section rule on f_mu's stated section), so every
-# cell runs _staircase_cell, families._fmu_lifting and f_mu's step factory
-# and then one estimator and its kernel: rho_constant_section for csb,
-# rho_direct for direct and for csb with no section wider than 2*tol.  A simo
-# cell whose orbit ties adds rho_simo, its kernel, Fraction's __new__,
-# PeriodicOrbitDetected.__init__ and Fraction.as_integer_ratio.  The
+# estimator call once (csb's section rule on f_mu's stated section), and the
+# cell builds f_mu's record itself in C calls (FunctionType on the step's code
+# object, tuple.__new__), so every cell runs _staircase_cell and then one
+# estimator and its kernel: rho_constant_section for csb, rho_direct for
+# direct and for csb with no section wider than 2*tol, rho_simo for simo,
+# whose tied orbit adds Fraction's __new__, PeriodicOrbitDetected.__init__
+# and Fraction.as_integer_ratio.  The
 # lifting, the estimate and the row are built without their NamedTuple's __new__
-STAIRCASE_CELL_FRAMES = {"csb": 5, "direct": 5, "simo": 8}
+STAIRCASE_CELL_FRAMES = {"csb": 3, "direct": 3, "simo": 6}
 
 
 @pytest.mark.parametrize(
@@ -378,6 +379,34 @@ def test_compiled_kernels_match_the_called_step_at_segment_edges():
     assert rho_constant_section(counted, 1e-9, 1e-3).kind == "approx"
     assert count[0] == 32 + 8
     _assert_kernel_matches_call(rho_constant_section, staircase, 1e-9, 1e-3)
+
+
+# budgets n = ceil(1/error) about the first segment's end, FIRST_SEGMENT = 16:
+# a csb kernel iterates its prebuilt first range only for n > 16
+BOUNDARY_BUDGETS = ((1.0, 1), (0.07, 15), (0.0625, 16), (0.06, 17))
+# f_mu's csb estimate on its section hits at iterate 7, 15, 16 and 17
+BOUNDARY_HITS = {0.3: 7, 7 / 2048: 15, 3 / 1024: 16, 1 / 512: 17}
+
+
+def test_compiled_kernels_match_the_called_step_about_the_first_segment_end():
+    assert rotnum.FIRST_SEGMENT == 16
+    side = lower_map(standard_map(4 / 15, 8 * math.pi / 15))  # a standard tongue envelope side
+    cases = [(F, F.sections) for F in (*map(f_mu, BOUNDARY_HITS), counterexample_map())]
+    cases.append((side.lifting, side.sections))
+    (beta,), kw = _section_call(f_mu(0.5))  # every f_mu has the section [3/4, 1]
+    for error, n in BOUNDARY_BUDGETS:
+        assert math.ceil(1.0 / error) == n
+        for G, sections in cases:
+            # rho_simo's budget is its n itself, and it takes no fewer than 2 iterates
+            _every_kernel(G, error, max(n, 2), sections)
+        for mu, hit in BOUNDARY_HITS.items():
+            counted, count = _counting(f_mu(mu))
+            est = rho_constant_section(counted, beta, error, **kw)
+            assert est.kind == ("exact" if hit <= n else "approx") and est.iterations_used == min(hit, n)
+            assert count[0] == min(hit, n)  # no more iterates than the budget, and none past the hit
+        # the counterexample's section meets no cycle: every budget exhausts
+        (cbeta,), ckw = _section_call(counterexample_map())
+        assert rho_constant_section(counterexample_map(), cbeta, error, **ckw).kind == "approx"
 
 
 def test_the_segmented_loops_two_fills_agree_where_no_state_hits():

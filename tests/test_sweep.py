@@ -10,6 +10,7 @@ from rotkit.rotnum import PeriodicOrbitDetected, rho_csb, rho_direct, rho_simo
 from rotkit.sweep import (
     BENCH_HEADER,
     INTERVAL_HEADER,
+    STAIRCASE_CHUNK,
     STAIRCASE_HEADER,
     TONGUE_HEADER,
     IntervalRow,
@@ -29,7 +30,7 @@ from rotkit.sweep import (
     write_staircase_csv,
     write_tongue_csv,
 )
-from _oracles import staircase_csv_oracle
+from _oracles import mu_grid_oracle, staircase_csv_oracle
 
 FAST = dict(error=1e-4, tol=1e-10)
 
@@ -81,6 +82,12 @@ def _ranged_mu_grid(lo, hi, step):
 def test_mu_grid_is_the_ranged_grid_over_0_1_bit_for_bit(step):
     grid = mu_grid(_cfg(mu_step=step))
     assert [mu.hex() for mu in grid] == [mu.hex() for mu in _ranged_mu_grid(0.0, 1.0, step)]
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-5, 1 / 3, 0.4, 0.7, 3.0])
+def test_mu_grid_is_the_accumulating_loop_bit_for_bit(step):
+    grid = mu_grid(_cfg(mu_step=step))
+    assert [mu.hex() for mu in grid] == [mu.hex() for mu in mu_grid_oracle(step)]
 
 
 def test_config_has_no_mu_range():
@@ -708,6 +715,30 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
         assert buf.getvalue() == staircase_csv_oracle(rows)
     assert {r.kind for r in csb + simo + direct + edges} == {"exact", "approx"}
     assert staircase_csv_oracle(moved[:2]).splitlines()[1].startswith("-0,")
+
+    # the writer reuses the previous exact row's text while (m, n, iterations)
+    # repeats and writes STAIRCASE_CHUNK rows at a time
+    approx = [r for r in csb + simo + direct if r.kind == "approx"]
+    a, b = exact[100], exact[-100]
+    assert (a.m, a.n) != (b.m, b.n)
+    recurring = [a, b, a, a._replace(mu=0.5), approx[0], a, b, b, approx[1], approx[2], b, a]
+    twin = next(r for r in simo if r.kind == "exact" and (r.m, r.n) in {(e.m, e.n) for e in exact})
+    csb_twin = next(r for r in exact if (r.m, r.n) == (twin.m, twin.n))
+    assert csb_twin.iterations != twin.iterations
+    mixed = [csb_twin, twin, csb_twin, twin, twin, csb_twin]
+    chunk = STAIRCASE_CHUNK
+    filler = (exact * (3 * chunk // len(exact) + 1))[: 2 * chunk + 7]
+    for edge in (chunk, 2 * chunk):
+        # approx rows on both sides of each chunk edge, between rows of one plateau
+        filler[edge - 2 : edge + 2] = [approx[0], approx[1], approx[2], approx[0]]
+    filler[chunk - 3] = filler[chunk + 2] = a
+    assert len(filler) > 2 * chunk
+    for rows in (recurring, mixed, filler, filler[:chunk], filler[: chunk + 1], recurring + mixed + filler):
+        want = staircase_csv_oracle(rows)
+        for given in (rows, (r for r in rows), iter(rows)):
+            buf = io.StringIO()
+            write_staircase_csv(given, buf)
+            assert buf.getvalue() == want
 
 
 def test_failed_cells_are_flagged_and_counted():
