@@ -9,9 +9,9 @@ emitted CSV is byte-identical for any worker count.  Floats are printed with
 up to 17 significant digits (lossless round-trip).  The writers format each
 CSV line directly and stream the lines out, without the csv module: no field
 ever needs quoting, so the bytes are the ones csv.writer would write.  The
-staircase writer formats an exact row's text after mu once per (m, n,
-iterations) and reuses it along the plateau, where only mu changes, and
-writes its lines joined in chunks of a bounded number of rows.
+staircase writer builds an exact row's format once per (m, n, iterations)
+and reuses it along the plateau, where only mu changes; it formats and
+writes a bounded chunk of rows at a time, with one % per chunk.
 
 A cell's task is a shared head followed by its grid point.  An interval
 graph's is (cfg, a) (omega is cfg.omega) and a tongue's (cfg, a, omega,
@@ -23,10 +23,12 @@ domain [0, 1].  So the cell builds f_mu's record itself, with no check and
 no knots: its fundamental is a function made in C from the step's code
 object, with no Python frame, and the kernels still write that step in.
 Its rows are bit for bit those of rho_csb, rho_direct or rho_simo on
-f_mu(mu), the library path.  The mu grid and the staircase's tasks are built
-by C-level iterators (itertools.accumulate, zip and repeat), with no Python
-loop.  A pooled chunk of tasks pickles the shared head once.  Every row a
-sweep returns is a typing.NamedTuple.
+f_mu(mu), the library path.  The mu grid is built by C-level iterators
+(itertools.accumulate and repeat), with no Python loop.  The staircase's
+tasks are not held in a list: a sized view zips the call with the grid, so
+each task is made as its cell reads it, and a pool gets the same chunks of
+(call, mu) tuples a list would give it.  A pooled chunk of tasks pickles the
+shared head once.  Every row a sweep returns is a typing.NamedTuple.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import time
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from types import FunctionType
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Collection, Iterable, NamedTuple, Sequence
 
 from . import rotnum
 from .families import _FMU, _FMU_SECTIONS, CIRCLE_FAMILIES, InvalidParam, build_lifting, f_mu
@@ -254,7 +256,8 @@ def _pool_size(workers: int, n_tasks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, n_tasks))
 
 
-def _run_ordered(worker, tasks: Sequence, workers: int) -> list:
+def _run_ordered(worker, tasks: Collection, workers: int) -> list:
+    """worker(task) for each task, in order; tasks is sized and iterable, a list or a _StaircaseTasks."""
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
         return [worker(t) for t in tasks]
@@ -295,6 +298,31 @@ def _staircase_call(cfg: SweepConfig) -> StaircaseCall:
     return StaircaseCall(cfg.algorithm, cfg.error, beta, shift, cfg.simo_n)
 
 
+class _StaircaseTasks:
+    """A staircase's tasks, (call, mu) for each mu of the grid, each made as it is read.
+
+    A sized, re-iterable view: len is the grid's, and each iteration zips the
+    one shared call with the grid, so no per-cell tuple outlives its cell.
+    Pool.map chunks and pickles the same (call, mu) tuples a list would hold,
+    and the view itself pickles as that list.
+    """
+
+    __slots__ = ("call", "grid")
+
+    def __init__(self, call: StaircaseCall, grid: list[float]) -> None:
+        self.call = call
+        self.grid = grid
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    def __iter__(self):
+        return zip(repeat(self.call), self.grid)
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 # what f_mu's step factory, _FMU.make, gives its fundamental: the step's code and globals
 _FMU_CODE = _FMU.code
 _FMU_GLOBALS = _FMU.make.__globals__
@@ -332,9 +360,7 @@ def _staircase_cell(task: tuple[StaircaseCall, float]) -> StaircaseRow:
 def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
     """Rotation number of the staircase family over the mu grid, in mu order."""
     cfg.validate("staircase")
-    grid = mu_grid(cfg)
-    tasks = list(zip(repeat(_staircase_call(cfg), len(grid)), grid))  # (call, mu), one shared call
-    return _run_ordered(_staircase_cell, tasks, cfg.workers)
+    return _run_ordered(_staircase_cell, _StaircaseTasks(_staircase_call(cfg), mu_grid(cfg)), cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -512,46 +538,53 @@ def _header(names: list[str]) -> str:
     return ",".join(names) + "\n"
 
 
-# rows a staircase writer joins into one write: memory stays bounded for any grid
+# rows a staircase writer formats with one % and writes at once: memory stays bounded for any grid
 STAIRCASE_CHUNK = 1024
+
+# an approx row's format; its error bound comes preformatted, "" when it has none
+_APPROX_LINE = "%.17g,%.17g,%s,%s,%s,%s,%d\n"
 
 
 def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
-    """Emit staircase rows; an exact row's text after mu is formatted once per (m, n, iterations).
+    """Emit staircase rows; an exact row's format is built once per (m, n, iterations).
 
     An exact row's rho is m / n and its error bound empty, so the rows of a
-    plateau share that text.  A row whose (m, n, iterations) is the previous
-    exact row's reuses its text; any other exact row looks its text up by
-    that triple.  The lines are written joined, STAIRCASE_CHUNK rows at a
-    time, so no more than a chunk of them is held.
+    plateau share one format, "%.17g" for mu followed by their common text.
+    A row whose (m, n, iterations) is the previous exact row's reuses its
+    format; any other exact row looks it up by that triple.  Each chunk of
+    STAIRCASE_CHUNK rows joins its rows' formats and applies them with one %
+    to the chunk's values, then is written, so no more than a chunk is held.
     """
     stream.write(_header(STAIRCASE_HEADER))
-    tails: dict[tuple[int, int, int], str] = {}
-    mu_text = "%.17g".__mod__
+    formats: dict[tuple[int, int, int], str] = {}
     rows = iter(rows)
-    tail = last_m = last_n = last_iterations = None  # the previous exact row's text and triple
+    fmt = last_m = last_n = last_iterations = None  # the previous exact row's format and triple
     while True:
-        lines = []
-        line = lines.append
+        fmts = []
+        add_fmt = fmts.append
+        values = []
+        add_value = values.append
         for mu, rho, kind, m, n, err, iterations in islice(rows, STAIRCASE_CHUNK):
             if kind == "exact":
                 if m != last_m or n != last_n or iterations != last_iterations:
                     last_m, last_n, last_iterations = m, n, iterations
                     key = (m, n, iterations)
-                    tail = tails.get(key)
-                    if tail is None:
-                        tail = tails[key] = ",%.17g,exact,%d,%d,,%d\n" % (rho, m, n, iterations)
-                line(mu_text(mu) + tail)
+                    fmt = formats.get(key)
+                    if fmt is None:
+                        # the text after mu holds no "%" to escape: a %.17g float is digits,
+                        # a sign, ".", "e", "inf" or "nan", and a %d integer digits and a sign
+                        fmt = formats[key] = "%.17g" + ",%.17g,exact,%d,%d,,%d\n" % (rho, m, n, iterations)
+                add_fmt(fmt)
+                add_value(mu)
             else:
-                line(
-                    "%.17g,%.17g,%s,%s,%s,%s,%d\n" % (
-                        mu, rho, kind, "" if m is None else m, "" if n is None else n,
-                        "" if err is None else "%.17g" % err, iterations,
-                    )
+                add_fmt(_APPROX_LINE)
+                values += (
+                    mu, rho, kind, "" if m is None else m, "" if n is None else n,
+                    "" if err is None else "%.17g" % err, iterations,
                 )
-        if not lines:
+        if not fmts:
             return
-        stream.write("".join(lines))
+        stream.write("".join(fmts) % tuple(values))
 
 
 def write_interval_csv(rows: Sequence[IntervalRow], stream: IO[str]) -> int:

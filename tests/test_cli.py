@@ -125,7 +125,8 @@ def test_import_leaves_dataclasses_out():
 @pytest.mark.parametrize(
     "base",
     [
-        pytest.param(["staircase", "--mu-step", "0.002", "--error", "1e-4"], id="staircase"),
+        # 2,001 rows, more than one staircase writer chunk
+        pytest.param(["staircase", "--mu-step", "5e-4", "--error", "1e-4"], id="staircase"),
         pytest.param(["interval", "--family", "standard", "--steps", "24", "--error", "1e-4"], id="interval"),
         pytest.param(
             ["tongue", "--family", "pwl", "--rho", "1/2", "--steps", "6", "--error", "1e-4"],
@@ -138,12 +139,14 @@ def test_import_leaves_dataclasses_out():
     ],
 )
 def test_threads_are_byte_identical(base, tmp_path):
-    # pooled tasks carry the SweepConfig and, for a tongue, a Fraction or float target
-    out1 = tmp_path / "t1.csv"
-    out8 = tmp_path / "t8.csv"
-    assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--threads", "8", "--out", str(out8)]) == 0
-    assert out1.read_bytes() == out8.read_bytes()
+    # pooled tasks carry the SweepConfig and, for a tongue, a Fraction or float
+    # target; a staircase's come from its task view, (call, mu) per cell
+    outs = []
+    for threads in ("1", "2", "8"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(base + ["--threads", threads, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import io
 import math
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -716,6 +718,18 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
     assert {r.kind for r in csb + simo + direct + edges} == {"exact", "approx"}
     assert staircase_csv_oracle(moved[:2]).splitlines()[1].startswith("-0,")
 
+    # hand-built rows: a negative m and rho, and an iteration count past any machine integer
+    hand = [
+        StaircaseRow(0.25, -2 / 3, "exact", -2, 3, None, 10**30),
+        StaircaseRow(0.5, -2 / 3, "exact", -2, 3, None, 10**30),
+        StaircaseRow(0.75, -1.5, "approx", None, None, 5e-324, 10**30),
+        StaircaseRow(1.0, math.inf, "approx", None, None, None, -(10**30)),
+    ]
+    buf = io.StringIO()
+    write_staircase_csv(hand + exact[:2] + hand, buf)
+    assert buf.getvalue() == staircase_csv_oracle(hand + exact[:2] + hand)
+    assert buf.getvalue().splitlines()[1] == "0.25,-0.66666666666666663,exact,-2,3,,1000000000000000000000000000000"
+
     # the writer reuses the previous exact row's text while (m, n, iterations)
     # repeats and writes STAIRCASE_CHUNK rows at a time
     approx = [r for r in csb + simo + direct if r.kind == "approx"]
@@ -739,6 +753,47 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
             buf = io.StringIO()
             write_staircase_csv(given, buf)
             assert buf.getvalue() == want
+
+
+def test_staircase_tasks_are_a_sized_view_made_as_read(monkeypatch):
+    # the sweep hands _run_ordered a view of (call, mu) tasks, not a list: each
+    # iteration makes them afresh around one shared call, and the view pickles
+    # as the list a pool would move
+    import rotkit.sweep as sweep
+
+    cfg = _cfg(mu_step=1e-3)
+    seen = []
+    real = sweep._run_ordered
+    monkeypatch.setattr(sweep, "_run_ordered", lambda worker, tasks, workers: seen.append(tasks) or real(worker, tasks, workers))
+    rows = devils_staircase(cfg)
+    (tasks,) = seen
+    grid = mu_grid(cfg)
+    assert not isinstance(tasks, list)
+    assert len(tasks) == len(grid) == len(rows)
+    first, second = list(tasks), list(tasks)
+    call = first[0][0]
+    assert call == _staircase_call(cfg)
+    assert first == second == [(call, mu) for mu in grid]
+    assert {id(head) for head, _ in first + second} == {id(call)}
+    assert [float.hex(mu) for _, mu in first] == [float.hex(mu) for mu in grid]
+    as_list = pickle.dumps(first, pickle.HIGHEST_PROTOCOL)
+    as_view = pickle.dumps(tasks, pickle.HIGHEST_PROTOCOL)
+    assert pickle.loads(as_view) == first
+    assert abs(len(as_view) - len(as_list)) <= 0.01 * len(as_list)
+
+
+def test_staircase_sweep_holds_no_task_list():
+    # a sweep's peak traced memory stays close to the rows it returns: a list
+    # of one (call, mu) tuple per cell, alive through the sweep, reads about 1.35
+    devils_staircase(_cfg(mu_step=0.25))  # the kernels compile outside the trace
+    tracemalloc.start()
+    try:
+        rows = devils_staircase(SweepConfig(mu_step=1e-4, error=1e-5))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 10_001
+    assert peak / retained <= 1.15
 
 
 def test_failed_cells_are_flagged_and_counted():
