@@ -28,7 +28,16 @@ f_mu(mu), the library path.  The mu grid is built by C-level iterators
 tasks are not held in a list: a sized view zips the call with the grid, so
 each task is made as its cell reads it, and a pool gets the same chunks of
 (call, mu) tuples a list would give it.  A pooled chunk of tasks pickles the
-shared head once.  Every row a sweep returns is a typing.NamedTuple.
+shared head once.
+
+A cell returns a plain tuple in its record's field order, and a sweep returns
+its list of tuples wrapped in Rows, a read-only sequence of records
+(StaircaseRow, IntervalRow or TongueCell): a record is built, in C, only
+when a row is read, and list(rows) gives the list of records.  The writers
+read a Rows' tuples by position, so the CLI writes every CSV without
+building a record.  A plain tuple of atomic fields, as every staircase and
+tongue row is, is one the cyclic collector untracks; a tuple subclass never
+is.  Every other record is a typing.NamedTuple.
 """
 
 from __future__ import annotations
@@ -39,9 +48,10 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice, repeat
 from types import FunctionType
-from typing import IO, Collection, Iterable, NamedTuple, Sequence
+from typing import IO, Collection, Iterable, NamedTuple
 
 from . import rotnum
 from .families import _FMU, _FMU_SECTIONS, CIRCLE_FAMILIES, InvalidParam, build_lifting, f_mu
@@ -204,6 +214,46 @@ class TongueCell(NamedTuple):
     status: str
 
 
+class Rows:
+    """A sweep's rows: a read-only sequence of cls records, stored as plain tuples.
+
+    len, iteration and an index read the tuples and build each record with
+    tuple.__new__, in C; a slice is a list of records.  repr, == and pickling
+    are those of the list of records it stands for.
+    """
+
+    __slots__ = ("cls", "tuples")
+
+    def __init__(self, cls: type, tuples: list[tuple]) -> None:
+        self.cls = cls
+        self.tuples = tuples
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def __iter__(self):
+        return map(partial(tuple.__new__, self.cls), self.tuples)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(Rows(self.cls, self.tuples[index]))
+        return tuple.__new__(self.cls, self.tuples[index])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def _tuples(rows: Iterable[tuple]) -> Iterable[tuple]:
+    """What a writer reads by position: a Rows' stored tuples, or any other iterable of rows as it is."""
+    return rows.tuples if isinstance(rows, Rows) else rows
+
+
 class InvertResult(NamedTuple):
     status: str  # "ok" or "ill_conditioned"
     mu: float
@@ -328,13 +378,14 @@ _FMU_CODE = _FMU.code
 _FMU_GLOBALS = _FMU.make.__globals__
 
 
-def _staircase_cell(task: tuple[StaircaseCall, float]) -> StaircaseRow:
+def _staircase_cell(task: tuple[StaircaseCall, float]) -> tuple:
     # f_mu's record, built here with no check (mu_grid keeps every mu in [0, 1])
-    # and no knots, then one estimator call.  The fundamental is _FMU.make(mu)'s
-    # twin, made by FunctionType from the same code object, so the kernels
-    # still write the step in; it, the lifting and the row are built in C
-    # (tuple.__new__ skips the NamedTuple's Python-level __new__), so a cell
-    # runs no Python frame but its own, the estimator's and the kernel's
+    # and no knots, then one estimator call; the row is a plain tuple in
+    # StaircaseRow's field order.  The fundamental is _FMU.make(mu)'s twin, made
+    # by FunctionType from the same code object, so the kernels still write the
+    # step in; it and the lifting are built in C (tuple.__new__ skips the
+    # NamedTuple's Python-level __new__), so a cell runs no Python frame but its
+    # own, the estimator's and the kernel's
     (algorithm, error, beta, shift, simo_n), mu = task
     fund = FunctionType(_FMU_CODE, _FMU_GLOBALS, "f_mu", (mu,))
     F = tuple.__new__(Lifting, (fund, True, "F_mu", None, None, _FMU_SECTIONS))
@@ -347,20 +398,19 @@ def _staircase_cell(task: tuple[StaircaseCall, float]) -> StaircaseRow:
             rho_min, rho_max, _ = rho_simo(F, simo_n)
         except PeriodicOrbitDetected as hit:
             m, n = hit.rotation.as_integer_ratio()
-            return tuple.__new__(StaircaseRow, (mu, m / n, "exact", m, n, None, simo_n))
-        return tuple.__new__(
-            StaircaseRow, (mu, 0.5 * (rho_min + rho_max), "approx", None, None, 0.5 * (rho_max - rho_min), simo_n)
-        )
+            return mu, m / n, "exact", m, n, None, simo_n
+        return mu, 0.5 * (rho_min + rho_max), "approx", None, None, 0.5 * (rho_max - rho_min), simo_n
     else:
         # direct, or csb with no usable section, whose fallback stops at a repeated state as rho_csb's does
         kind, value, error_bound, iterations, m, n = rho_direct(F, error, stop_on_repeat=algorithm == "csb")
-    return tuple.__new__(StaircaseRow, (mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations))
+    return mu, value, kind, m, n, None if kind == "exact" else error_bound, iterations
 
 
-def devils_staircase(cfg: SweepConfig) -> list[StaircaseRow]:
-    """Rotation number of the staircase family over the mu grid, in mu order."""
+def devils_staircase(cfg: SweepConfig) -> Rows:
+    """Rotation number of the staircase family over the mu grid, in mu order, as StaircaseRow records."""
     cfg.validate("staircase")
-    return _run_ordered(_staircase_cell, _StaircaseTasks(_staircase_call(cfg), mu_grid(cfg)), cfg.workers)
+    tasks = _StaircaseTasks(_staircase_call(cfg), mu_grid(cfg))
+    return Rows(StaircaseRow, _run_ordered(_staircase_cell, tasks, cfg.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +435,29 @@ def _interval_or_none(cfg: SweepConfig, a: float, omega: float) -> RotationInter
         return None
 
 
-def _interval_cell(task: tuple[SweepConfig, float]) -> IntervalRow:
+def _interval_cell(task: tuple[SweepConfig, float]) -> tuple:
+    # a plain tuple in IntervalRow's field order
     cfg, a = task
     ri = _interval_or_none(cfg, a, cfg.omega)
     if ri is None:
-        return IntervalRow(a=a, omega=cfg.omega, lo=None, hi=None, status="error")
-    return IntervalRow(a=a, omega=cfg.omega, lo=ri.lower, hi=ri.upper, status="ok")
+        return a, cfg.omega, None, None, "error"
+    lo, hi = ri
+    return a, cfg.omega, lo, hi, "ok"
 
 
-def rotation_interval_graph(cfg: SweepConfig) -> list[IntervalRow]:
-    """Rotation-interval endpoints as a function of a, at fixed omega."""
+def rotation_interval_graph(cfg: SweepConfig) -> Rows:
+    """Rotation-interval endpoints as a function of a, at fixed omega, as IntervalRow records."""
     cfg.validate("interval")
     tasks = [(cfg, a) for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)]
-    return _run_ordered(_interval_cell, tasks, cfg.workers)
+    return Rows(IntervalRow, _run_ordered(_interval_cell, tasks, cfg.workers))
 
 
-def _tongue_cell(task: tuple[SweepConfig, float, float, float | Fraction]) -> TongueCell:
+def _tongue_cell(task: tuple[SweepConfig, float, float, float | Fraction]) -> tuple:
+    # a plain tuple in TongueCell's field order
     cfg, a, omega, target = task
-    # each cell is built with tuple.__new__, which skips the NamedTuple's Python-level __new__
     ri = _interval_or_none(cfg, a, omega)
     if ri is None:
-        return tuple.__new__(TongueCell, (a, omega, None, None, None, None, None, "error"))
+        return a, omega, None, None, None, None, None, "error"
     lo, hi = ri
     if isinstance(target, Fraction) and lo.kind == "exact" == hi.kind:
         # lo.m/lo.n <= p/q <= hi.m/hi.n in integers: every n and q is positive, so
@@ -415,11 +467,11 @@ def _tongue_cell(task: tuple[SweepConfig, float, float, float | Fraction]) -> To
     else:
         t = float(target)  # an inexact interval is compared in floats, also for a Fraction target
         member = (lo.value - lo.error_bound) <= t <= (hi.value + hi.error_bound)
-    return tuple.__new__(TongueCell, (a, omega, member, lo.value, hi.value, lo.error_bound, hi.error_bound, "ok"))
+    return a, omega, member, lo.value, hi.value, lo.error_bound, hi.error_bound, "ok"
 
 
-def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCell]:
-    """Membership grid of the target rotation number over (a, omega).
+def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> Rows:
+    """Membership grid of the target rotation number over (a, omega), as TongueCell records.
 
     When both interval endpoints are exact and the target is rational the
     membership test is an exact rational comparison; otherwise the interval
@@ -432,7 +484,7 @@ def arnold_tongue(cfg: SweepConfig, target: "float | Fraction") -> list[TongueCe
         for a in _linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
         for omega in _linspace(cfg.omega_min, cfg.omega_max, cfg.omega_steps)
     ]
-    return _run_ordered(_tongue_cell, tasks, cfg.workers)
+    return Rows(TongueCell, _run_ordered(_tongue_cell, tasks, cfg.workers))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +597,7 @@ STAIRCASE_CHUNK = 1024
 _APPROX_LINE = "%.17g,%.17g,%s,%s,%s,%s,%d\n"
 
 
-def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
+def write_staircase_csv(rows: Iterable[tuple], stream: IO[str]) -> None:
     """Emit staircase rows; an exact row's format is built once per (m, n, iterations).
 
     An exact row's rho is m / n and its error bound empty, so the rows of a
@@ -557,7 +609,7 @@ def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
     """
     stream.write(_header(STAIRCASE_HEADER))
     formats: dict[tuple[int, int, int], str] = {}
-    rows = iter(rows)
+    rows = iter(_tuples(rows))
     fmt = last_m = last_n = last_iterations = None  # the previous exact row's format and triple
     while True:
         fmts = []
@@ -587,29 +639,35 @@ def write_staircase_csv(rows: Iterable[StaircaseRow], stream: IO[str]) -> None:
         stream.write("".join(fmts) % tuple(values))
 
 
-def write_interval_csv(rows: Sequence[IntervalRow], stream: IO[str]) -> int:
-    """Emit interval rows; returns the number of failed cells."""
+def write_interval_csv(rows: Iterable[tuple], stream: IO[str]) -> int:
+    """Emit interval rows; returns the number of failed cells, counted as they are written."""
     stream.write(_header(INTERVAL_HEADER))
-    stream.writelines(
-        f"{a:.17g},{omega:.17g},{lo.value:.17g},{lo.kind},{lo.error_bound:.17g},"
-        f"{hi.value:.17g},{hi.kind},{hi.error_bound:.17g}\n"
-        if status == "ok"
-        else f"{a:.17g},{omega:.17g},,error,,,error,\n"
-        for a, omega, lo, hi, status in rows
-    )
-    return sum(1 for r in rows if r.status != "ok")
+    write = stream.write
+    failed = 0
+    for a, omega, lo, hi, status in _tuples(rows):
+        if status == "ok":
+            write(
+                f"{a:.17g},{omega:.17g},{lo.value:.17g},{lo.kind},{lo.error_bound:.17g},"
+                f"{hi.value:.17g},{hi.kind},{hi.error_bound:.17g}\n"
+            )
+        else:
+            failed += 1
+            write(f"{a:.17g},{omega:.17g},,error,,,error,\n")
+    return failed
 
 
-def write_tongue_csv(rows: Sequence[TongueCell], stream: IO[str]) -> int:
-    """Emit tongue cells, member as 0 or 1; returns the number of failed cells."""
+def write_tongue_csv(rows: Iterable[tuple], stream: IO[str]) -> int:
+    """Emit tongue cells, member as 0 or 1; returns the number of failed cells, counted as they are written."""
     stream.write(_header(TONGUE_HEADER))
-    stream.writelines(
-        f"{a:.17g},{omega:.17g},{member:d},{lo:.17g},{hi:.17g}\n"
-        if status == "ok"
-        else f"{a:.17g},{omega:.17g},error,,\n"
-        for a, omega, member, lo, hi, _, _, status in rows
-    )
-    return sum(1 for r in rows if r.status != "ok")
+    write = stream.write
+    failed = 0
+    for a, omega, member, lo, hi, _, _, status in _tuples(rows):
+        if status == "ok":
+            write(f"{a:.17g},{omega:.17g},{member:d},{lo:.17g},{hi:.17g}\n")
+        else:
+            failed += 1
+            write(f"{a:.17g},{omega:.17g},error,,\n")
+    return failed
 
 
 def write_benchmark_csv(rows: Iterable[BenchmarkRow], stream: IO[str]) -> None:

@@ -39,7 +39,7 @@ from rotkit import (
 from rotkit import families, rotnum
 from rotkit.envelope import _root_on_increasing
 from rotkit.lifting import STEPS, Step
-from rotkit.sweep import SweepConfig, _staircase_call, _staircase_cell
+from rotkit.sweep import StaircaseRow, SweepConfig, _staircase_call, _staircase_cell
 from _oracles import _clamped_oracle, tau
 
 TWO_PI = 2.0 * math.pi
@@ -278,7 +278,8 @@ STAIRCASE_CELL_FRAMES = {"csb": 3, "direct": 3, "simo": 6}
 )
 def test_staircase_cell_runs_a_fixed_few_frames(algorithm, mu, tol, kind):
     task = (_staircase_call(SweepConfig(error=1e-5, tol=tol, algorithm=algorithm)), mu)
-    assert _staircase_cell(task).kind == kind
+    row = _staircase_cell(task)  # a plain tuple in StaircaseRow's field order
+    assert type(row) is tuple and StaircaseRow(*row).kind == kind
     calls = _python_calls(_staircase_cell, task)
     assert calls[f_mu(mu).fundamental.__code__] == 0  # every f_mu fundamental shares its code object
     assert sum(calls.values()) == STAIRCASE_CELL_FRAMES[algorithm]

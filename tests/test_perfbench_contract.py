@@ -170,22 +170,27 @@ def test_each_tongue_cell_builds_each_envelope_side_once_through_the_traced_name
         assert events == expected
 
 
-def test_sweeps_hand_the_harness_lists_of_readable_picklable_rows():
-    # perfbench/child.py captures the rows passed to write_*_csv as one list
-    # and reads these attributes; a worker pool pickles rows and estimates
+def test_sweeps_hand_the_harness_sized_reiterable_picklable_readable_rows():
+    # perfbench/child.py keeps the rows passed to write_*_csv, takes their
+    # len (the tracer), iterates them after main returns and reads these
+    # attributes; a worker pool pickles rows and estimates
     import pickle
     from fractions import Fraction
 
     from rotkit.rotnum import RotationEstimate
-    from rotkit.sweep import SweepConfig, arnold_tongue, devils_staircase
+    from rotkit.sweep import StaircaseRow, SweepConfig, TongueCell, arnold_tongue, devils_staircase
 
     stairs = devils_staircase(SweepConfig(mu_step=0.25, error=1e-3))
     simo = devils_staircase(SweepConfig(mu_step=0.25, algorithm="simo", simo_n=50))
     tongue = arnold_tongue(SweepConfig(family="pwl", a_steps=2, omega_steps=2, error=1e-3), Fraction(1, 2))
-    for rows in (stairs, simo, tongue):
-        assert type(rows) is list and rows
-        assert pickle.loads(pickle.dumps(rows)) == rows
-    for r in stairs + simo:
+    for rows, cls in ((stairs, StaircaseRow), (simo, StaircaseRow), (tongue, TongueCell)):
+        records = list(rows)
+        assert len(rows) == len(records) > 0
+        assert all(type(r) is cls for r in records)
+        assert list(rows) == records  # re-iterable
+        back = pickle.loads(pickle.dumps(rows))
+        assert type(back) is list and back == records and all(type(r) is cls for r in back)
+    for r in [*stairs, *simo]:
         assert isinstance(r.kind, str) and isinstance(r.rho, float) and isinstance(r.iterations, int)
     for c in tongue:
         assert c.status == "ok"
@@ -224,13 +229,16 @@ def test_interval_csv_text():
         IntervalRow(1e-05, -0.0, RotationEstimate.exact(1, 2), RotationEstimate("approx", 0.1, 5e-324, 10), "ok"),
         IntervalRow(0.1, 3.31, None, None, "error"),
     ]
-    buf = io.StringIO()
-    assert write_interval_csv(rows, buf) == 1
-    assert buf.getvalue() == (
-        "a,omega,lo,lo_kind,lo_err,hi,hi_kind,hi_err\n"
-        "1.0000000000000001e-05,-0,0.5,exact,0,0.10000000000000001,approx,4.9406564584124654e-324\n"
-        "0.10000000000000001,3.3100000000000001,,error,,,error,\n"
-    )
+    # the writer reads any iterable of rows by position, one-shot generators
+    # too, and counts the failed cells in the pass that writes them
+    for given in (rows, [tuple(r) for r in rows], iter(rows), (r for r in rows)):
+        buf = io.StringIO()
+        assert write_interval_csv(given, buf) == 1
+        assert buf.getvalue() == (
+            "a,omega,lo,lo_kind,lo_err,hi,hi_kind,hi_err\n"
+            "1.0000000000000001e-05,-0,0.5,exact,0,0.10000000000000001,approx,4.9406564584124654e-324\n"
+            "0.10000000000000001,3.3100000000000001,,error,,,error,\n"
+        )
 
 
 def test_tongue_csv_text():
@@ -243,14 +251,17 @@ def test_tongue_csv_text():
         TongueCell(1e-05, 5e-324, False, 0.1, 0.25, 1e-04, 1e-04, "ok"),
         TongueCell(2.0, 3.31, None, None, None, None, None, "error"),
     ]
-    buf = io.StringIO()
-    assert write_tongue_csv(rows, buf) == 1
-    assert buf.getvalue() == (
-        "a,omega,member,lo,hi\n"
-        "0.10000000000000001,-0,1,0.5,0.5\n"
-        "1.0000000000000001e-05,4.9406564584124654e-324,0,0.10000000000000001,0.25\n"
-        "2,3.3100000000000001,error,,\n"
-    )
+    # the writer reads any iterable of rows by position, one-shot generators
+    # too, and counts the failed cells in the pass that writes them
+    for given in (rows, [tuple(r) for r in rows], iter(rows), (r for r in rows)):
+        buf = io.StringIO()
+        assert write_tongue_csv(given, buf) == 1
+        assert buf.getvalue() == (
+            "a,omega,member,lo,hi\n"
+            "0.10000000000000001,-0,1,0.5,0.5\n"
+            "1.0000000000000001e-05,4.9406564584124654e-324,0,0.10000000000000001,0.25\n"
+            "2,3.3100000000000001,error,,\n"
+        )
 
 
 def test_benchmark_csv_text():
@@ -291,8 +302,8 @@ def test_invert_csv_text():
 
 def test_stamped_cells_and_captured_rows_see_each_cell_once_in_grid_order(tmp_path, monkeypatch):
     # perfbench/child.py --stamp replaces sweep._staircase_cell and
-    # sweep._tongue_cell with a one-argument wrapper, and captures the list
-    # main hands to rotkit.cli.write_*_csv; both must see every cell once
+    # sweep._tongue_cell with a one-argument wrapper, and keeps the rows main
+    # hands to rotkit.cli.write_*_csv; both must see every cell once
     import rotkit.cli as cli
     import rotkit.sweep as sweep
     from rotkit.sweep import SweepConfig, _linspace, mu_grid
@@ -328,9 +339,13 @@ def test_stamped_cells_and_captured_rows_see_each_cell_once_in_grid_order(tmp_pa
         monkeypatch.setattr(sweep, cell, recorder)
         monkeypatch.setattr(cli, writer, capture)
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-        assert len(written) == 1 and type(written[0]) is list
-        assert written[0] == recorded
-        assert [point(row) for row in recorded] == grid
+        # the cells return plain tuples; the writer gets a sized, re-iterable
+        # sequence of the same rows as records, which the child reads after main
+        (rows,) = written
+        records = list(rows)
+        assert len(rows) == len(recorded) and list(rows) == records == recorded
+        assert all(type(row) is tuple for row in recorded)
+        assert [point(row) for row in records] == grid
 
 
 def test_every_sweep_calls_the_stamped_cell_names_once_per_cell_in_grid_order(monkeypatch):

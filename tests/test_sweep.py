@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import pickle
@@ -16,8 +17,10 @@ from rotkit.sweep import (
     STAIRCASE_HEADER,
     TONGUE_HEADER,
     IntervalRow,
+    Rows,
     StaircaseRow,
     SweepConfig,
+    TongueCell,
     UsageError,
     _pool_size,
     _staircase_call,
@@ -464,7 +467,9 @@ def test_staircase_cell_equals_the_library_path_at_edge_mus(algorithm, tol):
     call = _staircase_call(cfg)
     assert (call.beta is None) == (algorithm != "csb" or tol >= 0.125)
     for mu in EDGE_MUS:
-        assert repr(_staircase_cell((call, mu))) == repr(_library_row(cfg, mu))
+        # the cell returns a plain tuple in StaircaseRow's field order
+        row = _staircase_cell((call, mu))
+        assert type(row) is tuple and repr(row) == repr(tuple(_library_row(cfg, mu)))
 
 
 @pytest.mark.parametrize(
@@ -483,6 +488,65 @@ def test_staircase_worker_determinism():
     rows1 = devils_staircase(_cfg(workers=1))
     rows2 = devils_staircase(_cfg(workers=2))
     assert rows1 == rows2
+
+
+# one small sweep of each kind, keyed by name: (sweep, config, record type)
+SWEEPS = {
+    "staircase": (devils_staircase, dict(mu_step=1e-2), StaircaseRow),
+    "simo": (devils_staircase, dict(mu_step=1e-2, algorithm="simo", simo_n=200), StaircaseRow),
+    "interval": (rotation_interval_graph, dict(family="pwl", a_min=0.0, a_max=2.0, a_steps=5, error=1e-3), IntervalRow),
+    "tongue": (
+        lambda cfg: arnold_tongue(cfg, Fraction(1, 2)),
+        dict(family="pwl", a_min=0.0, a_max=4.0, a_steps=4, omega_steps=4, error=1e-3),
+        TongueCell,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_one_two_and_eight_workers_return_equal_rows(name):
+    sweep, kw, _ = SWEEPS[name]
+    rows = [sweep(_cfg(workers=workers, **kw)) for workers in (1, 2, 8)]
+    assert rows[0] == rows[1] == rows[2] and len(rows[0]) > 1
+    assert [row.tuples for row in rows[1:]] == [rows[0].tuples] * 2
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_rows_read_like_the_list_of_records_they_stand_for(name):
+    sweep, kw, cls = SWEEPS[name]
+    rows = sweep(_cfg(**kw))
+    assert type(rows) is Rows and all(type(t) is tuple for t in rows.tuples)
+    records = [cls(*t) for t in rows.tuples]
+    n = len(records)
+    assert len(rows) == n > 1
+    # iterates twice, each time handing out records
+    assert list(rows) == list(rows) == records
+    assert all(type(r) is cls for r in rows)
+    for i in range(-n, n):
+        assert type(rows[i]) is cls and rows[i] == records[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    for part in (slice(None), slice(1, -1), slice(None, None, -2), slice(3, 1), slice(-2, None)):
+        got = rows[part]
+        assert type(got) is list and got == records[part] and all(type(r) is cls for r in got)
+    assert rows == records and records == rows and not rows != records
+    assert rows == Rows(cls, list(rows.tuples))
+    assert rows != records[:-1] and rows != tuple(records) and rows != records + records[:1]
+    assert repr(rows) == repr(records)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rows, protocol))
+        assert type(back) is list and back == records and all(type(r) is cls for r in back)
+
+
+@pytest.mark.parametrize("name", ["staircase", "simo", "tongue"])
+def test_stored_staircase_and_tongue_rows_are_untracked_by_the_collector(name):
+    # their fields are all atomic (floats, ints, str, bool, None), and a plain
+    # tuple of atomic fields is untracked at a collection; a tuple subclass never is
+    sweep, kw, _ = SWEEPS[name]
+    rows = sweep(_cfg(**kw))
+    gc.collect()
+    assert rows.tuples and not any(gc.is_tracked(t) for t in rows.tuples)
 
 
 def test_staircase_rejects_a_circle_family():
@@ -585,7 +649,7 @@ def test_tongue_integer_membership_equals_the_fraction_comparison(monkeypatch):
             ri = RotationInterval(RotationEstimate.exact(lo_m, lo_n), RotationEstimate.exact(hi_m, hi_n))
             monkeypatch.setattr(sweep, "_interval_or_none", lambda cfg, a, omega, ri=ri: ri)
             for target in targets:
-                cell = sweep._tongue_cell((cfg, 0.0, 0.0, target))
+                cell = TongueCell(*sweep._tongue_cell((cfg, 0.0, 0.0, target)))  # a plain tuple in TongueCell's field order
                 want = Fraction(lo_m, lo_n) <= target <= Fraction(hi_m, hi_n)
                 assert cell.member is want, (lo_m, lo_n, hi_m, hi_n, target)
                 seen.add((want, target == Fraction(lo_m, lo_n), target == Fraction(hi_m, hi_n)))
@@ -704,6 +768,7 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
     # one (m, n) with two iteration counts: csb reports the hit's n, simo its simo_n
     simo_pairs = {(r.m, r.n) for r in simo if r.kind == "exact"}
     assert any((r.m, r.n) in simo_pairs for r in exact)
+    # the cells' plain tuples, in StaircaseRow's field order
     edges = [
         _staircase_cell((_staircase_call(_cfg(algorithm=algorithm)), mu))
         for algorithm in ("csb", "simo", "direct")
@@ -711,11 +776,11 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
     ]
     # exact rows at a negative zero and a subnormal mu, next to the cached text of their plateau
     moved = [r._replace(mu=mu) for r in exact[:3] for mu in (-0.0, 5e-324)]
-    for rows in (csb, simo, direct, edges, csb + simo + moved + edges + direct):
+    for rows in (csb, simo, direct, edges, [*csb, *simo, *moved, *edges, *direct]):
         buf = io.StringIO()
         write_staircase_csv(rows, buf)
         assert buf.getvalue() == staircase_csv_oracle(rows)
-    assert {r.kind for r in csb + simo + direct + edges} == {"exact", "approx"}
+    assert {StaircaseRow(*r).kind for r in [*csb, *simo, *direct, *edges]} == {"exact", "approx"}
     assert staircase_csv_oracle(moved[:2]).splitlines()[1].startswith("-0,")
 
     # hand-built rows: a negative m and rho, and an iteration count past any machine integer
@@ -732,7 +797,7 @@ def test_staircase_writer_matches_the_field_by_field_oracle():
 
     # the writer reuses the previous exact row's text while (m, n, iterations)
     # repeats and writes STAIRCASE_CHUNK rows at a time
-    approx = [r for r in csb + simo + direct if r.kind == "approx"]
+    approx = [r for r in [*csb, *simo, *direct] if r.kind == "approx"]
     a, b = exact[100], exact[-100]
     assert (a.m, a.n) != (b.m, b.n)
     recurring = [a, b, a, a._replace(mu=0.5), approx[0], a, b, b, approx[1], approx[2], b, a]
