@@ -14,8 +14,8 @@ None is scanned for them on every call (source "numeric").  Any other
 family map registers a builder, called as builder(F, upper), that states
 one envelope and its sections in closed form and computes nothing for the
 other side; nothing is cached, so asking for a side twice builds it twice.
-A piecewise-linear family's envelopes carry knots too: _exact_envelope_knots
-of the map's rational knots, run when read.  A map with neither takes the
+A piecewise-linear family's envelopes carry knots too, derived in
+rotkit.lifting from the map's knots when read.  A map with neither takes the
 numeric constructor (uniform grid, running maximum, local refinement of
 every flat-run boundary), source "numeric".  Every envelope lifting states
 its own sections.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .lifting import Lifting
@@ -278,37 +277,6 @@ def _certify(env: Lifting, F: Lifting, n: int, upper: bool) -> tuple[bool, str]:
     if abs(e(1.0) - e(0.0) - 1.0) > 1e-10:
         return False, "degree-one gluing violated"
     return True, ""
-
-
-# ---------------------------------------------------------------------------
-# exact envelopes of piecewise-linear maps
-
-
-def _exact_envelope_knots(knots, upper: bool) -> list[tuple[Fraction, Fraction]]:
-    """Rational knots of the upper (or lower) map of a continuous or heavy PL map with knots as in Lifting.knots.
-
-    The upper map is a running maximum seeded with max y - 1, the sup of F
-    over y <= 0, that leaves each flat at the rational point where a piece
-    climbs back through it.  The lower map is the reflected upper map, as in
-    _numeric_envelope.
-    """
-    knots = [(Fraction(x), Fraction(y)) for x, y in knots]
-    if not upper:
-        mirrored = _exact_envelope_knots([(1 - x, 1 - y) for x, y in reversed(knots)], True)
-        return [(1 - x, 1 - y) for x, y in reversed(mirrored)]
-    level = max(y for _, y in knots) - 1
-    out = [(knots[0][0], level)]
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        if y1 > level:
-            # y0 <= level: the piece meets the running maximum at x0 or inside
-            cross = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
-            if cross > out[-1][0]:
-                out.append((cross, level))
-            out.append((x1, y1))
-            level = y1
-    if out[-1][0] < knots[-1][0]:
-        out.append((knots[-1][0], level))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,12 @@ non-decreasing map states its constant sections and is its own envelope;
 any other map has an envelope builder: a function of (F, upper) bound with
 functools.partial to what both sides share, which builds the one side asked
 for, a flat-branch-flat float map that states its section, and caches
-nothing.  A
-piecewise-linear map states its exact side once, as the Lifting's knots: a
-knots function bound with functools.partial to the raw parameters, which
-takes their twins (a float's binary value) only when read, and its
-envelopes' knots are derived from it by _exact_envelope_knots the same way.
-So a float sweep builds no Fraction.  Non-finite parameters raise
-InvalidParam.
+nothing.  A piecewise-linear map states its exact side once, as the
+Lifting's knots: a knots function bound with functools.partial to the raw
+parameters, which takes their twins (a float's binary value) only when read.
+Its envelopes' knots bind lifting._exact_envelope_knots to the map and the
+side, so they too are derived from the map's knots only when read, and a
+float sweep builds no Fraction.  Non-finite parameters raise InvalidParam.
 
 Each family map and each envelope side states its step once, as a
 lifting.Step: one Python expression over x and named float constants, from
@@ -45,8 +44,8 @@ import math
 from fractions import Fraction
 from functools import partial
 
-from .envelope import ConstantSection, MonotoneEnvelope, _exact_envelope_knots, _root_on_increasing
-from .lifting import Lifting, Step
+from .envelope import ConstantSection, MonotoneEnvelope, _root_on_increasing
+from .lifting import Lifting, Step, _exact_envelope_knots
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,15 +105,11 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
 
 def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection):
     """Analytic upper (or lower) envelope of F from its fundamental and section; its knots from F's, if any."""
-    knots = None if F.knots is None else partial(_envelope_knots, F.knots, upper)
+    knots = None if F.knots is None else partial(_exact_envelope_knots, F, upper)
     sections = (section,)
     # tuple.__new__ skips the NamedTuples' Python-level __new__: a tongue cell builds two envelopes
     lifting = tuple.__new__(Lifting, (fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots, None, sections))
     return tuple.__new__(MonotoneEnvelope, (lifting, sections, "analytic"))
-
-
-def _envelope_knots(knots, upper: bool):
-    return _exact_envelope_knots(knots(), upper)
 
 
 # ---------------------------------------------------------------------------

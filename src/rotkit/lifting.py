@@ -8,9 +8,11 @@ restriction to the fundamental domain [0, 1] together with the gluing rule
 which gives F(x + 1) = F(x) + 1 for all x.  The estimators in rotnum apply
 that rule in floats, in floor/fraction loops into which they write the
 expression of a fundamental built from a Step.  A piecewise-linear F may
-also give its rational knots, and evaluate_exact applies the rule to them in
-rationals, reading them anew on every call.  F may jump, but only downward (a heavy lifting), so its
-monotone envelopes stay continuous.  A Lifting is an immutable
+also give its knots, which only this module reads: _knots takes each as a
+Fraction (a float at its binary value) and checks them, on every call, for
+evaluate_exact, rotnum's exact section orbit and _exact_envelope_knots, the
+envelopes' exact twin.  F may jump, but only downward (a heavy lifting), so
+its monotone envelopes stay continuous.  A Lifting is an immutable
 typing.NamedTuple holding no state and every operation is pure, so liftings
 can be shared freely between worker processes.
 """
@@ -32,10 +34,10 @@ class Lifting(NamedTuple):
 
     fundamental evaluates F|[0,1] in floats; the orbit estimators require
     is_non_decreasing.  knots, when present, is called with no arguments and
-    returns the rational knots [(x_0, y_0), ..., (x_k, y_k)] of the same
+    returns the knots [(x_0, y_0), ..., (x_k, y_k)] of the same
     piecewise-linear restriction, 0 = x_0 < ... < x_k = 1, where y_k may be a
-    left limit (a heavy jump); evaluate_exact and the exact checks read them,
-    and reject knots whose x's do not run from 0 up to 1.
+    left limit (a heavy jump); only _knots calls it, and rejects a NaN or
+    infinite knot and x's that do not run from 0 up to 1.
     envelope_builder, read only for a map that is not non-decreasing, is
     called as envelope_builder(F, upper) and returns F's upper envelope when
     upper is true, its lower one otherwise.  sections, for a non-decreasing
@@ -88,15 +90,24 @@ class Step:
 
 
 def evaluate_exact(F: Lifting, x: Fraction | float) -> Fraction:
-    """Evaluate the lifting through its knots at a rational point (a float is taken at its binary value)."""
-    return _knot_value(_knots(F), Fraction(x))
+    """Evaluate the lifting through its knots at a rational x; a float is taken at its binary value, NaN or inf raise ValueError."""
+    return _knot_value(_knots(F), _fraction(x, "x"))
+
+
+def _fraction(value, name: str, error: type[ValueError] = ValueError) -> Fraction:
+    """value as a Fraction, a float at its binary value; error, naming name, if it is NaN or infinite."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise error(f"{name} must be a finite number, got {value!r}") from None
 
 
 def _knots(F: Lifting) -> list[tuple[Fraction, Fraction]]:
-    """F's rational knots, checked to run 0 = x_0 < ... < x_k = 1."""
+    """F's knots as finite Fractions, a float at its binary value, checked to run 0 = x_0 < ... < x_k = 1."""
     if F.knots is None:
         raise ValueError(f"lifting {F.label!r} has no rational knots")
-    knots = F.knots()
+    name = f"a knot of lifting {F.label!r}"
+    knots = [(_fraction(x, name), _fraction(y, name)) for x, y in F.knots()]
     xs = [x for x, _ in knots]
     if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or any(a >= b for a, b in zip(xs, xs[1:])):
         raise ValueError(f"lifting {F.label!r} has knots at x = {', '.join(map(str, xs))}, not 0 = x_0 < ... < x_k = 1")
@@ -110,3 +121,27 @@ def _knot_value(knots, x: Fraction) -> Fraction:
     i = bisect_right(knots, q, key=itemgetter(0))
     (x0, y0), (x1, y1) = knots[i - 1], knots[i]
     return y0 + (y1 - y0) * (q - x0) / (x1 - x0) + whole
+
+
+def _exact_envelope_knots(F: Lifting, upper: bool) -> list[tuple[Fraction, Fraction]]:
+    """Rational knots of F's upper (or lower) map, F a continuous or heavy PL map; an envelope's knots bind F and upper.
+
+    The upper map is a running maximum seeded with max y - 1, the sup of F
+    over y <= 0, that leaves each flat at the rational point where a piece
+    climbs back through it; the lower map is that of the reflected knots,
+    reflected back, as in envelope._numeric_envelope.
+    """
+    knots = _knots(F) if upper else [(1 - x, 1 - y) for x, y in reversed(_knots(F))]
+    level = max(y for _, y in knots) - 1
+    out = [(knots[0][0], level)]
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        if y1 > level:
+            # y0 <= level: the piece meets the running maximum at x0 or inside
+            cross = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+            if cross > out[-1][0]:
+                out.append((cross, level))
+            out.append((x1, y1))
+            level = y1
+    if out[-1][0] < knots[-1][0]:
+        out.append((knots[-1][0], level))
+    return out if upper else [(1 - x, 1 - y) for x, y in reversed(out)]

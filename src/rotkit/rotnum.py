@@ -73,7 +73,7 @@ from operator import index, length_hint
 from typing import NamedTuple
 
 from .envelope import lower_map, upper_map, widest_section
-from .lifting import STEPS, Lifting, _knot_value, _knots
+from .lifting import STEPS, Lifting, _fraction, _knot_value, _knots
 
 DEFAULT_ERROR = 1e-6
 DEFAULT_TOL = 1e-10
@@ -86,7 +86,7 @@ FIRST_SEGMENT = 16
 
 
 class InvalidSection(ValueError):
-    """Constant-section estimator called with a test bound outside (0, 1), a shift that is not finite, or an exact section that is empty or 1 or more wide.
+    """Constant-section estimator called with a test bound outside (0, 1), a shift that is not finite, or an exact section that is empty, 1 or more wide, or not finite.
 
     A bound that is zero, negative or NaN names no section.  Nor does one of
     1 or more (infinity too), nor an exact section that wide: no constant
@@ -611,14 +611,14 @@ def rho_constant_section_exact(
     """Exact-rational twin of the constant-section algorithm.
 
     [alpha, beta] must be a true constant section of F (no tolerance padding:
-    rational arithmetic has no rounding error), so narrower than 1; a float
-    endpoint is taken at its binary value.  Iterates the section orbit
+    rational arithmetic has no rounding error), narrower than 1 and finite; a
+    float end is taken at its binary value.  Iterates the section orbit
     F^n(alpha) through F's knots, read once; a hit certifies rho = m/n
     unconditionally.  Returns None when no cycle through the section shows up
     within max_iter iterates, a positive integer.
     """
-    alpha = Fraction(alpha)
-    width = Fraction(beta) - alpha
+    alpha = _fraction(alpha, "section end alpha", InvalidSection)
+    width = _fraction(beta, "section end beta", InvalidSection) - alpha
     if not 0 < width < 1:  # a width of 1 or more would take the first iterate as a hit
         raise InvalidSection(f"section must be non-degenerate and narrower than 1, got width {width}")
     try:

@@ -21,9 +21,9 @@ from rotkit import (
     upper_map,
     widest_section,
 )
-from rotkit.envelope import _certify, _exact_envelope_knots, _numeric_envelope
+from rotkit.envelope import _certify, _numeric_envelope
 from rotkit.families import _disc_knots, _pwl_knots
-from rotkit.lifting import Lifting, _knot_value
+from rotkit.lifting import Lifting, _exact_envelope_knots, _knot_value, _knots
 from _oracles import (
     _shifted,
     counterexample_exact_oracle,
@@ -49,7 +49,7 @@ def _plain(F, label="plain"):
 
 def _exact_values(F, points):
     """evaluate_exact(F, q) for each q, with F's knots read once, as rho_constant_section_exact reads them."""
-    knots = F.knots()
+    knots = _knots(F)
     return [_knot_value(knots, q) for q in points]
 
 
@@ -433,7 +433,7 @@ def test_knots_of_non_decreasing_maps_match_hand_written_twins():
 def test_registered_sections_are_the_exact_flats(family, omega, kw):
     F, knots, _, (_, _, x_up, x_low) = _pl_case(family, omega, kw)
     for upper, env in ((True, upper_map(F)), (False, lower_map(F))):
-        exact = _exact_envelope_knots(knots, upper)
+        exact = _exact_envelope_knots(F._replace(knots=lambda: knots), upper)
         flats = [(x0, x1) for (x0, y0), (x1, y1) in zip(exact, exact[1:]) if y0 == y1]
         assert (x_up if upper else x_low) in {x for flat in flats for x in flat}  # the hand-written crossing
         if len(flats) == 2 and flats[0][0] == 0 and flats[1][1] == 1:

@@ -303,7 +303,10 @@ def _fraction_constructors() -> set:
 
 
 def _count_knot_reads(monkeypatch) -> list:
-    """Route every family knots function and the envelope knots routine through a log of their names."""
+    """Route every family knots function and the envelope knots routine through a log of their names.
+
+    A name is logged when its call returns, so an envelope's knots log the map's first.
+    """
     import rotkit.families as families
 
     calls = []
@@ -311,8 +314,9 @@ def _count_knot_reads(monkeypatch) -> list:
         real = getattr(families, name)
 
         def counting(*args, _name=name, _real=real):
+            knots = _real(*args)
             calls.append(_name)
-            return _real(*args)
+            return knots
 
         monkeypatch.setattr(families, name, counting)
     return calls

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,12 +13,13 @@ from rotkit import (
     counterexample_map,
     evaluate_exact,
     f_mu,
+    rho_constant_section_exact,
     rho_direct,
     rho_simo,
     rotation_interval,
     standard_map,
 )
-from rotkit.lifting import Lifting
+from rotkit.lifting import Lifting, _exact_envelope_knots
 from rotkit.sweep import SweepConfig
 from _oracles import evaluate
 
@@ -148,14 +150,49 @@ def test_exact_evaluator_missing():
     ],
 )
 def test_exact_evaluation_rejects_knots_that_do_not_run_from_0_to_1(knots):
-    from rotkit import rho_constant_section_exact
-
     F = Lifting(lambda x: x, True, "user map", lambda: knots)
     for x in (Fraction(1, 20), Fraction(19, 20)):
         with pytest.raises(ValueError, match="lifting 'user map' has knots at x = "):
             evaluate_exact(F, x)
     with pytest.raises(ValueError, match="'user map'"):
         rho_constant_section_exact(F, 0.0, 0.5, 10)
+
+
+@pytest.mark.parametrize("at", ["x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_readers_reject_knots_that_are_not_finite(bad, at):
+    # a NaN or infinite y passed the order check, and evaluate_exact returned the float nan
+    knot = (bad, Fraction(1, 2)) if at == "x" else (Fraction(1, 2), bad)
+    F = Lifting(lambda x: x, True, "user map", lambda: [(0, 0), knot, (1, 1)])
+    readers = [
+        partial(evaluate_exact, F, Fraction(1, 4)),
+        partial(rho_constant_section_exact, F, 0, Fraction(1, 10), 10),
+        *(partial(_exact_envelope_knots, F, upper) for upper in (True, False)),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=f"^a knot of lifting 'user map' must be a finite number, got {bad}$"):
+            read()
+
+
+def test_float_knots_are_read_at_their_binary_values():
+    # these made evaluate_exact return the float 0.35 and the section orbit raise an AttributeError
+    floats = [(0.0, 0.1), (0.5, 0.6), (1.0, 1.1)]
+    exact = [(Fraction(x), Fraction(y)) for x, y in floats]
+    K, Q = (Lifting(lambda x: x, True, "user map", lambda knots=knots: knots) for knots in (floats, exact))
+    value = evaluate_exact(K, Fraction(1, 4))
+    assert type(value) is Fraction and value == (Fraction(0.1) + Fraction(0.6)) / 2 == evaluate_exact(Q, Fraction(1, 4))
+    # the binary 0.1 is a little above 1/10, so the orbit first falls back into [0, 1/10] at n = 10
+    cert = rho_constant_section_exact(K, 0, Fraction(1, 10), 20)
+    assert cert.kind == "exact" and (cert.m, cert.n) == (1, 10)
+    for upper in (True, False):
+        assert _exact_envelope_knots(K, upper) == _exact_envelope_knots(Q, upper)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_exact_evaluation_rejects_a_point_that_is_not_finite(x):
+    # inf raised an OverflowError, and NaN a bare "cannot convert NaN to integer ratio"
+    with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
+        evaluate_exact(f_mu(Fraction(3, 10)), x)
 
 
 def test_records_are_immutable_picklable_named_tuples():

@@ -29,8 +29,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rotkit import PeriodicOrbitDetected, lower_map, rho_constant_section, rho_direct, rho_simo, upper_map  # noqa: E402
-from rotkit.envelope import _exact_envelope_knots  # noqa: E402
-from rotkit.lifting import Lifting, _knot_value  # noqa: E402
+from rotkit.lifting import Lifting, _exact_envelope_knots, _knot_value  # noqa: E402
 from _oracles import (  # noqa: E402
     _shifted,
     direct_value_oracle,
@@ -215,13 +214,18 @@ def rational_pl_knots(draw) -> list:
     return list(zip(xs, ys + [ys[0] + 1 + jump]))
 
 
+def _envelope_knots(knots, upper: bool) -> list:
+    """The exact envelope's knots of the PL lifting through knots, read as a lifting's knots."""
+    return _exact_envelope_knots(Lifting(partial(_knot_value, knots), False, "knots", lambda: knots), upper)
+
+
 @PROPERTY
 @given(knots=rational_pl_knots())
 def test_exact_envelopes_of_random_rational_pl_maps(knots):
     f = partial(_knot_value, knots)
     xs = [x for x, _ in knots]
     ys = [y for _, y in knots]
-    envelopes = {upper: _exact_envelope_knots(knots, upper) for upper in (True, False)}
+    envelopes = {upper: _envelope_knots(knots, upper) for upper in (True, False)}
     breaks = {x for k in (knots, *envelopes.values()) for x, _ in k}
     grid = sorted(breaks | {Fraction(i, 256) for i in range(257)})
     for upper, env_knots in envelopes.items():
@@ -233,5 +237,5 @@ def test_exact_envelopes_of_random_rational_pl_maps(knots):
             assert v >= f(q) if upper else v <= f(q)
             assert v == pl_envelope_oracle(f, xs, ys, q, upper)
         # idempotent: the envelope of a non-decreasing map is that map
-        assert _exact_envelope_knots(env_knots, upper) == env_knots
-        assert _exact_envelope_knots(env_knots, not upper) == env_knots
+        assert _envelope_knots(env_knots, upper) == env_knots
+        assert _envelope_knots(env_knots, not upper) == env_knots

@@ -665,6 +665,15 @@ def test_csb_exact_rejects_a_section_of_width_one_or_more(alpha, beta):
         rho_constant_section_exact(F, alpha, beta, 10)
 
 
+@pytest.mark.parametrize("end", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_csb_exact_rejects_a_section_end_that_is_not_finite(end, value):
+    # an infinite end raised an OverflowError, and a NaN one a bare "cannot convert NaN to integer ratio"
+    section = {"alpha": Fraction(3, 4), "beta": Fraction(1), end: value}
+    with pytest.raises(InvalidSection, match=f"^section end {end} must be a finite number, got {value}$"):
+        rho_constant_section_exact(f_mu(Fraction(3, 10)), section["alpha"], section["beta"], 10)
+
+
 @pytest.mark.parametrize("max_iter", [-5, 0, 2.5, 10.0, "10"])
 def test_csb_exact_rejects_a_max_iter_that_is_not_a_positive_integer(max_iter):
     # -5 returned None with no iterate run, 2.5 raised a bare TypeError from range
