@@ -131,14 +131,12 @@ def f_mu(mu) -> Lifting:
     rotation number as a function of mu draws a Devil's staircase.  The label
     is the constant "F_mu", which a float sweep never formats; mu shows in
     repr(F) through the knots, partial(_fmu_knots, mu).  No error message can
-    show the label: F_mu is non-decreasing and has knots.  A float mu, what
-    a sweep passes, is read as is; any other type goes through _as_float.
-    A staircase cell builds the same record itself, from the step's code
-    object, with no check and no knots (see rotkit.sweep).
+    show the label: F_mu is non-decreasing and has knots.  A staircase cell
+    builds the same record itself, its fundamental from the same factory,
+    _FMU.make, with no check and no knots (see rotkit.sweep).
     """
-    mu_f = mu if type(mu) is float else _as_float(mu, "mu")
+    mu_f = _as_float(mu, "mu")
     if not 0.0 <= mu_f <= 1.0:
-        _as_float(mu_f, "mu")  # a NaN or infinite float mu raises its "must be finite" message
         raise InvalidParam(f"mu must lie in [0, 1], got {mu_f}")
     return tuple.__new__(Lifting, (_FMU.make(mu_f), True, "F_mu", partial(_fmu_knots, mu), None, _FMU_SECTIONS))
 

@@ -37,7 +37,8 @@ class Lifting(NamedTuple):
     returns the knots [(x_0, y_0), ..., (x_k, y_k)] of the same
     piecewise-linear restriction, 0 = x_0 < ... < x_k = 1, where y_k may be a
     left limit (a heavy jump); only _knots calls it, and rejects a NaN or
-    infinite knot and x's that do not run from 0 up to 1.
+    infinite knot, x's that do not run from 0 up to 1 and a y_k below
+    y_0 + 1 (an upward jump).
     envelope_builder, read only for a map that is not non-decreasing, is
     called as envelope_builder(F, upper) and returns F's upper envelope when
     upper is true, its lower one otherwise.  sections, for a non-decreasing
@@ -103,7 +104,7 @@ def _fraction(value, name: str, error: type[ValueError] = ValueError) -> Fractio
 
 
 def _knots(F: Lifting) -> list[tuple[Fraction, Fraction]]:
-    """F's knots as finite Fractions, a float at its binary value, checked to run 0 = x_0 < ... < x_k = 1."""
+    """F's knots as finite Fractions, a float at its binary value, checked to run 0 = x_0 < ... < x_k = 1 with y_k >= y_0 + 1."""
     if F.knots is None:
         raise ValueError(f"lifting {F.label!r} has no rational knots")
     name = f"a knot of lifting {F.label!r}"
@@ -111,6 +112,8 @@ def _knots(F: Lifting) -> list[tuple[Fraction, Fraction]]:
     xs = [x for x, _ in knots]
     if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or any(a >= b for a, b in zip(xs, xs[1:])):
         raise ValueError(f"lifting {F.label!r} has knots at x = {', '.join(map(str, xs))}, not 0 = x_0 < ... < x_k = 1")
+    if knots[-1][1] < knots[0][1] + 1:  # F(1-) below F(1) = F(0) + 1: an upward jump, which no lifting may have
+        raise ValueError(f"lifting {F.label!r} has knots at x = {', '.join(map(str, xs))} that jump up at 1, y_k < y_0 + 1")
     return knots
 
 

@@ -35,19 +35,22 @@ Three estimators for non-decreasing degree-one liftings:
 
 Each of the four orbit loops (rho_direct's plain and stopping loops,
 rho_simo's and rho_constant_section's) is one template, a kernel's source
-with the orbit step left open.  The stopping and csb loops are built by
-one function, _segmented_loop (Brent's cycle detection in segments), from
-each loop's step and, for csb, its hit test; the three loops that stop at
-a repeat wrap a state into [0, 1) by one fragment, _WRAP.  Both are
-described where they are written.  The csb loop runs its first segment as
-a plain pass with no repeat test: that segment's checkpoint is the start
-state 0.0, which lies in the section, so it can recur only as a hit.  A
+with the orbit step left open, joined at import from shared fragments:
+the three that iterate F itself share one prologue and one step, the three
+that return an approximate estimate one return line, and all four wrap a
+state into [0, 1) by one fragment, _WRAP.  The stopping and csb loops are
+built by one function, _segmented_loop (Brent's cycle detection in
+segments), from each loop's step and, for csb, its hit test; the plain
+loop, with no repeat test, and rho_simo's, which stores its orbit, are
+templates of their own.  The csb loop runs its first segment as a plain
+pass with no repeat test: that segment's checkpoint is the start state
+0.0, which lies in the section, so it can recur only as a hit.  A
 fundamental built from a lifting.Step has its expression written into the
 loop, compiled the first time that step needs the template and cached,
 and runs no Python frame per iterate; any other fundamental is called as
-fund(x) by the same template.  The kernel is chosen by the fundamental's code object, so a
-lifting copied with a new fundamental runs that fundamental, and either
-way every iterate runs the same float operations.
+fund(x) by the same template.  The kernel is chosen by the fundamental's
+code object, so a lifting copied with a new fundamental runs that
+fundamental, and either way every iterate runs the same float operations.
 
 The rotation interval of an arbitrary lifting is [rho(lower map),
 rho(upper map)]; rotation_interval wires the envelope module to the
@@ -209,23 +212,25 @@ def _indented(fragment: str, depth: int) -> str:
     return fragment.replace("\n", "\n" + " " * depth)
 
 
-# the shift by floor(F(0)) is inlined as step - k (float(k0) is the operand
-# Python converts the int to, so the bits agree with step - k0; at k0 == 0,
-# - 0.0 keeps every float as is), and the iteration starts in [0, 1)
-_DIRECT_LOOP = """
+# the prologue of the loops that iterate F itself: the shift by floor(F(0)) is
+# inlined in their step as step - k (float(k0) is the operand Python converts
+# the int to, so the bits agree with step - k0; at k0 == 0, - 0.0 keeps every
+# float as is), and the iteration starts in [0, 1)
+_PROLOGUE = """\
 def kernel(fund, n):
     {unpack}
     x = 0.0
     k0 = floor({step})
-    k = float(k0)
+    k = float(k0)"""
+_STEP = "\nx = {step} - k"
+# the estimate after n steps, its value written in at %s
+_APPROX = '\nreturn tuple_new(RotationEstimate, ("approx", %s, 1.0 / n, n, None, None))'
+
+# rho_direct's plain loop, the paper's baseline: all n steps, no repeat test
+_DIRECT_LOOP = f"""
+{_PROLOGUE}
     m = 0
-    for _ in range(n):
-        x = {step} - k
-        if not 0.0 <= x < 1.0:
-            s = floor(x)
-            m += s
-            x -= s
-    return tuple_new(RotationEstimate, ("approx", (m + x) / n + k0, 1.0 / n, n, None, None))
+    for _ in range(n):{_indented(_STEP + _WRAP, 8)}{_indented(_APPROX % "(m + x) / n + k0", 4)}
 """
 
 # The estimate after n steps of the orbit of 0, stopped at its first repeated
@@ -304,22 +309,12 @@ def _segmented_loop(prologue: str, advance: str, value: str, hit: str = "") -> s
         m += periods * (m - cm)
         cx = -1.0  # no wrapped state, x >= 0, meets it
         ci = n - rem
-        end = n
-    return tuple_new(RotationEstimate, ("approx", {value}, 1.0 / n, n, None, None))
+        end = n{_indented(_APPROX % value, 4)}
 """
 
 
-# rho_direct's stopping loop: the direct loop's prologue and step, no hit
-_STOPPING_LOOP = _segmented_loop(
-    prologue="""\
-def kernel(fund, n):
-    {unpack}
-    x = 0.0
-    k0 = floor({step})
-    k = float(k0)""",
-    advance="\nx = {step} - k",
-    value="(m + x) / n + k0",
-)
+# rho_direct's stopping loop: the plain loop's prologue and step, no hit
+_STOPPING_LOOP = _segmented_loop(_PROLOGUE, _STEP, "(m + x) / n + k0")
 
 # rho_constant_section's loop: G's gluing rule at y = x + shift, conjugated
 # back by -shift, with the floor written out for y in [-1, 2) (see
@@ -355,23 +350,15 @@ else:
 
 # fractional and integer parts of iterates 0, 1, ... up to the first repeat,
 # with the Brent checkpoint, the state cx after ci steps, moved at i == nxt
-_SIMO_LOOP = (
-    """
-def kernel(fund, n):
-    {unpack}
-    x = 0.0
-    k0 = floor({step})
-    k = float(k0)
+_SIMO_LOOP = f"""
+{_PROLOGUE}
     alphas = [0.0]
     ks = [0]
     m = 0
     cx = 0.0
     ci = 0
     nxt = 1
-    for i in range(1, n + 1):
-        x = {step} - k"""
-    + _indented(_WRAP, 8)
-    + """
+    for i in range(1, n + 1):{_indented(_STEP + _WRAP, 8)}
         if x == cx:
             break
         alphas.append(x)
@@ -382,7 +369,6 @@ def kernel(fund, n):
             nxt = 2 * i
     return alphas, ks, m, ci, k0
 """
-)
 
 
 class _Kernels(dict):
@@ -685,8 +671,7 @@ def _csb_section(sections, tol: float) -> tuple[float, float] | None:
     """
     if not 0.0 <= tol < inf:
         raise _bad_tol(tol)
-    # a family states at most one section, read directly; none or several go through widest_section
-    sec = sections[0] if len(sections) == 1 else widest_section(sections)
+    sec = widest_section(sections)
     if sec is not None:
         alpha, beta = sec
         width = beta - alpha

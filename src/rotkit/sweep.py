@@ -20,15 +20,14 @@ staircase's is (call, mu): every cell makes the same one estimator call,
 resolved once per sweep into a StaircaseCall (csb's section rule on f_mu's
 stated section, the error and simo_n), and mu_grid keeps every mu in f_mu's
 domain [0, 1].  So the cell builds f_mu's record itself, with no check and
-no knots: its fundamental is a function made in C from the step's code
-object, with no Python frame, and the kernels still write that step in.
-Its rows are bit for bit those of rho_csb, rho_direct or rho_simo on
-f_mu(mu), the library path.  The mu grid is built by C-level iterators
-(itertools.accumulate and repeat), with no Python loop.  The staircase's
-tasks are not held in a list: a sized view zips the call with the grid, so
-each task is made as its cell reads it, and a pool gets the same chunks of
-(call, mu) tuples a list would give it.  A pooled chunk of tasks pickles the
-shared head once.
+no knots: its fundamental comes from f_mu's step factory, _FMU.make, the
+one f_mu calls, and the kernels write that step in.  Its rows are bit for
+bit those of rho_csb, rho_direct or rho_simo on f_mu(mu), the library
+path.  The mu grid is built by C-level iterators (itertools.accumulate and
+repeat), with no Python loop.  The staircase's tasks are not held in a
+list: a sized view zips the call with the grid, so each task is made as
+its cell reads it, and a pool gets the same chunks of (call, mu) tuples a
+list would give it.  A pooled chunk of tasks pickles the shared head once.
 
 A cell returns a plain tuple in its record's field order, and a sweep returns
 its list of tuples wrapped in Rows, a read-only sequence of records
@@ -50,7 +49,6 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice, repeat
-from types import FunctionType
 from typing import IO, Collection, Iterable, NamedTuple
 
 from . import rotnum
@@ -373,22 +371,16 @@ class _StaircaseTasks:
         return list, (list(self),)
 
 
-# what f_mu's step factory, _FMU.make, gives its fundamental: the step's code and globals
-_FMU_CODE = _FMU.code
-_FMU_GLOBALS = _FMU.make.__globals__
-
-
 def _staircase_cell(task: tuple[StaircaseCall, float]) -> tuple:
     # f_mu's record, built here with no check (mu_grid keeps every mu in [0, 1])
     # and no knots, then one estimator call; the row is a plain tuple in
-    # StaircaseRow's field order.  The fundamental is _FMU.make(mu)'s twin, made
-    # by FunctionType from the same code object, so the kernels still write the
-    # step in; it and the lifting are built in C (tuple.__new__ skips the
-    # NamedTuple's Python-level __new__), so a cell runs no Python frame but its
-    # own, the estimator's and the kernel's
+    # StaircaseRow's field order.  The fundamental comes from f_mu's step
+    # factory, _FMU.make, so the kernels write the step in, and the lifting is
+    # built in C (tuple.__new__ skips the NamedTuple's Python-level __new__):
+    # a cell runs no Python frame but its own, the factory's, the estimator's
+    # and the kernel's
     (algorithm, error, beta, shift, simo_n), mu = task
-    fund = FunctionType(_FMU_CODE, _FMU_GLOBALS, "f_mu", (mu,))
-    F = tuple.__new__(Lifting, (fund, True, "F_mu", None, None, _FMU_SECTIONS))
+    F = tuple.__new__(Lifting, (_FMU.make(mu), True, "F_mu", None, None, _FMU_SECTIONS))
     if beta is not None:
         # looked up on rotnum at each call, where perfbench's tracer wraps it
         kind, value, error_bound, iterations, m, n = rotnum.rho_constant_section(F, beta, error, shift=shift)

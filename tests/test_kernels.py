@@ -253,14 +253,15 @@ def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
 # the fixed frames of one staircase cell, hit or exhaust alike; the f_mu
 # fundamental itself runs no frame.  The sweep resolves the cell's one
 # estimator call once (csb's section rule on f_mu's stated section), and the
-# cell builds f_mu's record itself in C calls (FunctionType on the step's code
-# object, tuple.__new__), so every cell runs _staircase_cell and then one
-# estimator and its kernel: rho_constant_section for csb, rho_direct for
-# direct and for csb with no section wider than 2*tol, rho_simo for simo,
-# whose tied orbit adds Fraction's __new__, PeriodicOrbitDetected.__init__
-# and Fraction.as_integer_ratio.  The
-# lifting, the estimate and the row are built without their NamedTuple's __new__
-STAIRCASE_CELL_FRAMES = {"csb": 3, "direct": 3, "simo": 6}
+# cell builds f_mu's record itself (its fundamental from f_mu's step factory,
+# _FMU.make, one frame; the lifting by tuple.__new__), so every cell runs
+# _staircase_cell and _FMU.make and then one estimator and its kernel:
+# rho_constant_section for csb, rho_direct for direct and for csb with no
+# section wider than 2*tol, rho_simo for simo, whose tied orbit adds
+# Fraction's __new__, PeriodicOrbitDetected.__init__ and
+# Fraction.as_integer_ratio.  The lifting, the estimate and the row are built
+# without their NamedTuple's __new__
+STAIRCASE_CELL_FRAMES = {"csb": 4, "direct": 4, "simo": 7}
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,8 @@ def test_exact_evaluator_missing():
         [(0, 0), (Fraction(9, 10), 1)],  # ends before 1: used to raise a bare IndexError at 19/20
         [(0, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 1), (1, 1)],  # a repeated x
         [(0, 0)],
+        # an upward jump at the integers, y_k < y_0 + 1: its envelopes used to leave F's graph
+        [(0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, Fraction(1, 2))],
     ],
 )
 def test_exact_evaluation_rejects_knots_that_do_not_run_from_0_to_1(knots):
