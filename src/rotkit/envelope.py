@@ -9,9 +9,9 @@ rotation-number algorithm feeds on, so this module also extracts maximal
 sections; rotnum's estimator rotates the chosen one to the origin itself.
 
 A non-decreasing map is its own envelope: a family map states its
-sections on the Lifting (source "analytic"), and a map that leaves them
-None is scanned for them on every call (source "numeric").  Any other
-family map registers a builder, called as builder(F, upper), that states
+sections on the Lifting (source "analytic"); a map that leaves them None
+is scanned on every call and comes back with them (source "numeric").
+Any other family map registers a builder(F, upper) that states
 one envelope and its sections in closed form and computes nothing for the
 other side; nothing is cached, so asking for a side twice builds it twice.
 A piecewise-linear family's envelopes carry knots too, derived in
@@ -70,14 +70,13 @@ class ConstantSection(NamedTuple("_Section", [("alpha", float), ("beta", float)]
 
 
 class MonotoneEnvelope(NamedTuple):
-    """A non-decreasing envelope lifting plus its maximal constant sections.
+    """A non-decreasing envelope lifting, which states its own maximal constant sections, and its source.
 
     A NamedTuple, like RotationEstimate: a non-decreasing map builds one on
     every upper_map call, and a tuple is the cheapest record to build.
     """
 
     lifting: Lifting
-    sections: tuple[ConstantSection, ...]
     source: str  # "analytic" (stated by the map or its builder) or "numeric" (scanned or constructed)
 
 
@@ -96,11 +95,11 @@ def lower_map(F: Lifting) -> MonotoneEnvelope:
 
 
 def _self_envelope(F: Lifting) -> MonotoneEnvelope:
-    """A non-decreasing map is its own envelope, with its stated sections or else scanned ones."""
+    """A non-decreasing map is its own envelope: F if it states its sections, else F with scanned ones."""
     if F.sections is None:
-        return MonotoneEnvelope(F, tuple(find_maximal_sections(F)), "numeric")
+        return MonotoneEnvelope(F._replace(sections=tuple(find_maximal_sections(F))), "numeric")
     # tuple.__new__ skips the NamedTuple's Python-level __new__, as ConstantSection.__new__ does
-    return tuple.__new__(MonotoneEnvelope, (F, F.sections, "analytic"))
+    return tuple.__new__(MonotoneEnvelope, (F, "analytic"))
 
 
 def widest_section(sections: "list[ConstantSection] | tuple[ConstantSection, ...]") -> ConstantSection | None:
@@ -255,8 +254,7 @@ def _numeric_envelope(F: Lifting, upper: bool) -> MonotoneEnvelope:
         )
         ok, last_error = _certify(lifting, F, 2 * n, upper)
         if ok:
-            sections = tuple(find_maximal_sections(lifting))
-            return MonotoneEnvelope(lifting._replace(sections=sections), sections, "numeric")
+            return MonotoneEnvelope(lifting._replace(sections=tuple(find_maximal_sections(lifting))), "numeric")
     raise NumericEnvelopeFailure(f"{F.label}: {last_error}")
 
 

@@ -106,10 +106,9 @@ def _coefficient(a, a_over_2pi) -> tuple[float, float, object]:
 def _envelope(F: Lifting, upper: bool, fund, section: ConstantSection):
     """Analytic upper (or lower) envelope of F from its fundamental and section; its knots from F's, if any."""
     knots = None if F.knots is None else partial(_exact_envelope_knots, F, upper)
-    sections = (section,)
     # tuple.__new__ skips the NamedTuples' Python-level __new__: a tongue cell builds two envelopes
-    lifting = tuple.__new__(Lifting, (fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots, None, sections))
-    return tuple.__new__(MonotoneEnvelope, (lifting, sections, "analytic"))
+    lifting = tuple.__new__(Lifting, (fund, True, f"{F.label}.{'upper' if upper else 'lower'}", knots, None, (section,)))
+    return tuple.__new__(MonotoneEnvelope, (lifting, "analytic"))
 
 
 # ---------------------------------------------------------------------------

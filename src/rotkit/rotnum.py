@@ -480,7 +480,7 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
     short at n), since a value recurs in the full orbit exactly when it
     recurs one period after its first iterate, inside that lap.  The sorted
     lap-long window therefore has the full orbit's first tie at the same
-    iterates, and the integer part is rebuilt by whole laps for the tie's
+    iterates, and the integer part is rebuilt by one lap for the tie's
     second iterate only.  Every result is bit-identical to the full n-iterate
     loop's, and memory and time are O(preperiod + period) whatever n is; a
     repeat always ties, so a bracket only ever comes from a full orbit,
@@ -525,8 +525,8 @@ def rho_simo(F: Lifting, n: int = DEFAULT_SIMO_N) -> SimoBracket:
         if alphas[i1] - alphas[i0] <= SIMO_TIE_EPS:
             i, j = (i0, i1) if i0 < i1 else (i1, i0)
             # every value is stored at its first iterate, so only j can lie
-            # past the stored ones: whole laps after its stored twin
-            kj = ks[j] if j < stored else ks[ci + (j - ci) % period] + (j - ci) // period * gain
+            # past the stored ones: one lap after its stored twin
+            kj = ks[j] if j < stored else ks[j - period] + gain
             # one Fraction: (kj - ks[i]) / (j - i) + k0 over the common denominator
             raise PeriodicOrbitDetected(Fraction(kj - ks[i] + k0 * (j - i), j - i), i, j)
 
@@ -630,13 +630,12 @@ def rho_csb(F: Lifting, error: float = DEFAULT_ERROR, tol: float = DEFAULT_TOL) 
     Rotates the widest of F's stated sections (ties to the leftmost) to the
     origin and runs rho_constant_section; falls back to rho_direct with
     stop_on_repeat when no section wider than 2*tol exists.  A map that
-    states no sections (F.sections is None) is scanned for them by
-    upper_map, once per call.
+    states its sections builds no envelope; one that leaves them None runs
+    as upper_map's lifting, which carries one grid scan per call.
     """
     if not F.is_non_decreasing:
         raise _non_decreasing_required(F, "rho_csb")
-    sections = F.sections
-    return _rho_of_sections(F, upper_map(F).sections if sections is None else sections, error, tol)
+    return _rho_of_envelope(F if F.sections is not None else upper_map(F).lifting, error, tol)
 
 
 def rotation_interval(
@@ -644,8 +643,8 @@ def rotation_interval(
 ) -> RotationInterval:
     """rot(F) = [rho of the lower map, rho of the upper map].
 
-    With method="csb" each envelope goes through the constant-section
-    algorithm when it has a section wider than 2*tol and through the direct
+    With method="csb" each envelope lifting goes through the constant-section
+    algorithm when it states a section wider than 2*tol and through the direct
     estimator with stop_on_repeat otherwise; method="direct" forces the plain
     n-iterate direct estimator (used for benchmarking).  Works for continuous
     liftings and for heavy (downward-jumping) ones, whose envelopes are
@@ -657,8 +656,8 @@ def rotation_interval(
     # estimator; with no section the upper call returns rho_direct's record
     # of the lower one's estimate, the same object, without iterating
     hi_env = lo_env if F.is_non_decreasing else upper_map(F)
-    lo = _rho_of_sections(lo_env.lifting, lo_env.sections, error, tol, method)
-    hi = _rho_of_sections(hi_env.lifting, hi_env.sections, error, tol, method)
+    lo = _rho_of_envelope(lo_env.lifting, error, tol, method)
+    hi = _rho_of_envelope(hi_env.lifting, error, tol, method)
     return tuple.__new__(RotationInterval, (lo, hi))
 
 
@@ -681,10 +680,10 @@ def _csb_section(sections, tol: float) -> tuple[float, float] | None:
     return None
 
 
-def _rho_of_sections(G: Lifting, sections, error: float, tol: float, method: str = "csb") -> RotationEstimate:
-    """rho of the non-decreasing G with the maximal constant sections given: csb's section choice."""
+def _rho_of_envelope(G: Lifting, error: float, tol: float, method: str = "csb") -> RotationEstimate:
+    """rho of the non-decreasing G, which states its maximal constant sections: csb's section choice."""
     if method == "csb":
-        call = _csb_section(sections, tol)
+        call = _csb_section(G.sections, tol)
         if call is not None:
             beta, shift = call
             return rho_constant_section(G, beta, error, shift=shift)

@@ -58,7 +58,7 @@ def test_monotone_map_is_its_own_envelope():
     up = upper_map(F)
     lo = lower_map(F)
     assert up.lifting is F and lo.lifting is F
-    assert [(s.alpha, s.beta) for s in up.sections] == [(0.8, 1.0)]
+    assert [(s.alpha, s.beta) for s in up.lifting.sections] == [(0.8, 1.0)]
 
 
 def test_envelope_source_says_where_the_envelope_came_from():
@@ -67,14 +67,14 @@ def test_envelope_source_says_where_the_envelope_came_from():
     scanned = F._replace(sections=None)
     assert upper_map(F).source == lower_map(F).source == "analytic"
     assert upper_map(scanned).source == lower_map(scanned).source == "numeric"
-    assert upper_map(scanned).lifting is scanned
-    assert upper_map(scanned).sections == upper_map(F).sections == (ConstantSection(0.75, 1.0),)
+    assert upper_map(scanned).lifting == scanned._replace(sections=(ConstantSection(0.75, 1.0),))
+    assert upper_map(scanned).lifting.sections == upper_map(F).lifting.sections == (ConstantSection(0.75, 1.0),)
 
 
 def test_invertible_standard_map_is_its_own_envelope():
     S = standard_map(0.3, 0.8)
     assert lower_map(S).lifting is S
-    assert upper_map(S).sections == ()
+    assert upper_map(S).lifting.sections == ()
 
 
 def test_pwl_envelope_closed_form():
@@ -82,10 +82,10 @@ def test_pwl_envelope_closed_form():
     up = upper_map(T)
     lo = lower_map(T)
     assert up.lifting.fundamental(0.0) == pytest.approx(1.0, abs=1e-12)
-    (sec_u,) = up.sections
+    (sec_u,) = up.lifting.sections
     assert sec_u.alpha == pytest.approx(-0.25, abs=1e-12)
     assert sec_u.beta == pytest.approx(7.0 / 12.0, abs=1e-12)
-    (sec_l,) = lo.sections
+    (sec_l,) = lo.lifting.sections
     assert sec_l.alpha == pytest.approx(5.0 / 12.0 - 1.0, abs=1e-12)
     assert sec_l.beta == pytest.approx(0.25, abs=1e-12)
 
@@ -120,7 +120,7 @@ def test_standard_envelope_section_endpoints():
     S = standard_map(0, TWO_PI)
     up = upper_map(S)
     x1 = math.acos(1.0 / TWO_PI) / TWO_PI
-    (sec,) = up.sections
+    (sec,) = up.lifting.sections
     assert sec.alpha == pytest.approx((1.0 - x1) - 1.0, abs=1e-12)
     s = S.fundamental
     # flat level matches the local max, and the flat ends where s climbs back
@@ -145,8 +145,8 @@ def test_numeric_envelope_matches_analytic():
             x = i / 1000
             assert up_n.lifting.fundamental(x) == pytest.approx(up_a.lifting.fundamental(x), abs=tol)
             assert lo_n.lifting.fundamental(x) == pytest.approx(lo_a.lifting.fundamental(x), abs=tol)
-        (sa,) = up_a.sections
-        (sn,) = up_n.sections
+        (sa,) = up_a.lifting.sections
+        (sn,) = up_n.lifting.sections
         assert sn.alpha == pytest.approx(sa.alpha, abs=alpha_tol)
         assert sn.beta == pytest.approx(sa.beta, abs=1e-9)
 
@@ -180,7 +180,7 @@ def test_numeric_lower_envelope_when_the_minimum_ties_with_f_of_zero():
     ys = [0.22, 0.55, math.nextafter(0.22, 0.0), 1.22]
     F = pl_lifting(xs, ys)
     lo = lower_map(F)
-    assert [(s.alpha, s.beta) for s in lo.sections] == [(0.0, 0.78)]
+    assert [(s.alpha, s.beta) for s in lo.lifting.sections] == [(0.0, 0.78)]
     assert lo.lifting.fundamental(0.0) == ys[2]
 
 
@@ -218,7 +218,7 @@ def test_envelope_idempotence():
 
 
 def test_find_maximal_sections_examples():
-    assert [(s.alpha, s.beta) for s in upper_map(f_mu(0.4)).sections] == [(0.75, 1.0)]
+    assert [(s.alpha, s.beta) for s in upper_map(f_mu(0.4)).lifting.sections] == [(0.75, 1.0)]
     # numeric scan agrees with the registration
     (sec,) = find_maximal_sections(f_mu(0.4))
     assert sec.alpha == pytest.approx(0.75, abs=1e-12)
@@ -367,7 +367,7 @@ def test_exact_envelope_twins_match_float_envelopes(F):
         assert knots[-1][1] - knots[0][1] == 1
         assert E.fundamental(1.0) - E.fundamental(0.0) == pytest.approx(1.0, abs=1e-12)
         # the registered section is a flat of the exact twin
-        (sec,) = env.sections
+        (sec,) = env.lifting.sections
         inside = [Fraction(sec.alpha) + k * Fraction(sec.width) / 8 for k in range(1, 8)]
         assert len({evaluate_exact(E, x) for x in inside}) == 1
 
@@ -441,7 +441,7 @@ def test_registered_sections_are_the_exact_flats(family, omega, kw):
             expected = [(float(flats[1][0]) - 1.0, float(flats[0][1]))]
         else:
             expected = [(float(x0), float(x1)) for x0, x1 in flats]
-        assert [(s.alpha, s.beta) for s in env.sections] == expected
+        assert [(s.alpha, s.beta) for s in env.lifting.sections] == expected
         # the float map passes through the floats of the exact knots
         for x, y in exact:
             assert env.lifting.fundamental(float(x)) == pytest.approx(float(y), abs=1e-12)

@@ -143,7 +143,7 @@ DIGESTS = {
 
 def _digest(env, exact: bool) -> str:
     h = hashlib.sha256(env.source.encode())
-    for sec in env.sections:
+    for sec in env.lifting.sections:
         h.update(f"|{sec.alpha.hex()},{sec.beta.hex()}".encode())
     fund = env.lifting.fundamental
     for i in range(1025):

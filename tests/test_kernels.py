@@ -145,7 +145,7 @@ def test_flat_closures_match_the_composed_reference(make, reference, a_values):
             for upper, envelope_map in ((True, upper_map), (False, lower_map)):
                 side_ref, (alpha, beta), specials = sides[upper]
                 env = envelope_map(F)
-                assert [(s.alpha, s.beta) for s in env.sections] == [(alpha, beta)]
+                assert [(s.alpha, s.beta) for s in env.lifting.sections] == [(alpha, beta)]
                 _assert_bitwise(env.lifting.fundamental, side_ref, _points(alpha, beta, *specials))
 
 
@@ -216,7 +216,7 @@ def test_no_section_fallback_runs_a_fixed_few_frames(make, a, omega):
     # a non-decreasing map with no section: rho_direct with stop_on_repeat,
     # which evaluates F(0) once before its loop and once per iterate
     F = make(omega, a)
-    assert F.is_non_decreasing and not upper_map(F).sections
+    assert F.is_non_decreasing and not upper_map(F).lifting.sections
     _, evaluations = _assert_frames(rho_direct, lambda: make(omega, a), 1e-4, stop_on_repeat=True)
     assert evaluations == 10**4 + 1  # no float repeat: every iterate runs
 
@@ -234,9 +234,9 @@ CSB_CELLS = [
 ]
 
 
-def _section_call(env):
-    """rho_constant_section's arguments after the lifting for env's (or a lifting's) widest section, as rho_csb passes them."""
-    sec = widest_section(env.sections)
+def _section_call(G):
+    """rho_constant_section's arguments after the lifting for G's widest section, as rho_csb passes them."""
+    sec = widest_section(G.sections)
     tol = 1e-10
     return ((sec.beta - sec.alpha) - 2.0 * tol,), {"shift": sec.alpha + tol}
 
@@ -244,7 +244,7 @@ def _section_call(env):
 @pytest.mark.parametrize("make, omega, a, upper", CSB_CELLS)
 def test_csb_kernel_runs_a_fixed_few_frames(make, omega, a, upper):
     side = upper_map if upper else lower_map
-    (beta,), kw = _section_call(side(make(omega, a)))
+    (beta,), kw = _section_call(side(make(omega, a)).lifting)
     est, evaluations = _assert_frames(rho_constant_section, lambda: side(make(omega, a)).lifting, beta, 1e-4, **kw)
     # one evaluation per executed iterate: a hit's n of them, or all 10^4
     assert evaluations == (est.n if est.kind == "exact" else 10**4) and evaluations >= 9
@@ -336,8 +336,8 @@ def _every_kernel(G, error: float, simo_n: int, sections=()) -> list[tuple]:
 def _liftings(F):
     """(lifting, sections) of F if it is non-decreasing, else of both its envelope sides."""
     if F.is_non_decreasing:
-        return [(F, upper_map(F).sections)]
-    return [(env.lifting, env.sections) for env in (upper_map(F), lower_map(F))]
+        return [(F, upper_map(F).lifting.sections)]
+    return [(env.lifting, env.lifting.sections) for env in (upper_map(F), lower_map(F))]
 
 
 @pytest.mark.parametrize("make, a_values", [(make, a_values) for make, _, a_values in CASES], ids=["standard", "pwl", "disc"])
@@ -357,7 +357,7 @@ def test_compiled_kernels_match_the_called_step(make, a_values):
 def test_compiled_csb_cells_match_the_called_step(make, omega, a, upper):
     for k in SHIFTS:
         env = (upper_map if upper else lower_map)(make(omega + k, a))
-        _every_kernel(env.lifting, 1e-4, 1000, env.sections)
+        _every_kernel(env.lifting, 1e-4, 1000, env.lifting.sections)
 
 
 def test_compiled_kernels_match_the_called_step_at_segment_edges():
@@ -394,7 +394,7 @@ def test_compiled_kernels_match_the_called_step_about_the_first_segment_end():
     assert rotnum.FIRST_SEGMENT == 16
     side = lower_map(standard_map(4 / 15, 8 * math.pi / 15))  # a standard tongue envelope side
     cases = [(F, F.sections) for F in (*map(f_mu, BOUNDARY_HITS), counterexample_map())]
-    cases.append((side.lifting, side.sections))
+    cases.append((side.lifting, side.lifting.sections))
     (beta,), kw = _section_call(f_mu(0.5))  # every f_mu has the section [3/4, 1]
     for error, n in BOUNDARY_BUDGETS:
         assert math.ceil(1.0 / error) == n

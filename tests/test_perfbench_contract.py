@@ -68,7 +68,7 @@ def test_no_section_endpoints_reach_the_traced_direct_estimator(monkeypatch):
                 no_section = [
                     env.lifting.label
                     for env in (lower_map(F), upper_map(F))
-                    if (sec := widest_section(env.sections)) is None or sec.width <= 2.0 * tol
+                    if (sec := widest_section(env.lifting.sections)) is None or sec.width <= 2.0 * tol
                 ]
                 if F.is_non_decreasing and no_section:
                     assert no_section == [F.label, F.label]

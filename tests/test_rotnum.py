@@ -212,7 +212,7 @@ def _kernel_runs(F, error):
 @pytest.mark.parametrize("make, a", NO_SECTION_MAPS)
 def test_a_non_decreasing_map_with_no_section_runs_its_orbit_once(make, a):
     F = make(0.37, a)
-    assert F.is_non_decreasing and not upper_map(F).sections
+    assert F.is_non_decreasing and not upper_map(F).lifting.sections
     single, once = _counting(F)
     rho_direct(single, 1e-4, stop_on_repeat=True)
     counted, count = _counting(F)
@@ -824,12 +824,12 @@ def test_shift_bit_identical_on_envelopes(make, a):
     for omega in (0.0, 0.13, 0.5, 0.71):
         F = make(omega, a)
         for env in (upper_map(F), lower_map(F)):
-            sec = widest_section(env.sections)
+            sec = widest_section(env.lifting.sections)
             est = _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta)
             # the sweeps' path builds the same shift and bound from the section,
             # and the envelope lifting states that section itself
-            assert rotnum._rho_of_sections(env.lifting, env.sections, 1e-4, 1e-10) == est
-            assert env.lifting.sections == env.sections and rho_csb(env.lifting, 1e-4, 1e-10) == est
+            assert rotnum._rho_of_envelope(env.lifting, 1e-4, 1e-10) == est
+            assert rho_csb(env.lifting, 1e-4, 1e-10) == est
 
 
 def test_shift_bit_identical_on_counterexample_and_random_pl_maps():
@@ -874,7 +874,7 @@ def test_shift_bit_identical_on_envelopes_whole_periods_away(make, a, k):
     for omega in (0.13, 0.5, 0.71):
         F = make(omega + k, a)
         for env in (upper_map(F), lower_map(F)):
-            sec = widest_section(env.sections)
+            sec = widest_section(env.lifting.sections)
             for tol in (1e-10, 0.0):
                 _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta, tol=tol)
 
@@ -902,8 +902,8 @@ def test_leftover_steps_after_a_repeat_are_bit_identical():
     # 2): at error 1e-3 no step is left over, at 1/1001 one step is
     F = _two_cycle_map()
     env = upper_map(F)  # a non-decreasing map that states no sections: scanned
-    assert env.lifting is F
-    sec = widest_section(env.sections)
+    assert env.lifting._replace(sections=None) == F
+    sec = widest_section(env.lifting.sections)
     assert sec.alpha == pytest.approx(0.4) and sec.beta == 0.5
     shift, beta = _section_origin(sec.alpha, sec.beta)
     csb_calls, direct_calls = [], []
@@ -976,7 +976,7 @@ def test_monotone_family_maps_state_their_sections(F, sections, monkeypatch):
     monkeypatch.undo()
     for side in (upper_map, lower_map):
         env = side(F)
-        assert env == (F, F.sections, "analytic") and env.lifting is F
+        assert env == (F, "analytic") and env.lifting is F
 
 
 @pytest.mark.parametrize("omega, m, n", [(0.0, 0, 1), (1.0, 1, 1), (0.25, 1, 4)])
@@ -1057,7 +1057,7 @@ def test_csb_kernel_matches_oracle_at_segment_lengths(n):
         F, beta, shift = _fmu_section(mu)
         _assert_matches_oracle(F, beta, error, shift=shift)
     env = lower_map(standard_map(4 / 15, 8 * math.pi / 15))  # a parabolic-line exhaust
-    sec = widest_section(env.sections)
+    sec = widest_section(env.lifting.sections)
     _assert_shift_matches_oracle(env.lifting, sec.alpha, sec.beta, error)
     _assert_matches_oracle(_two_cycle_map(), 0.05, error, shift=0.425)
     _assert_matches_oracle(_rigid(GOLDEN_MEAN), 1e-3, error, shift=0.3)
@@ -1178,6 +1178,11 @@ def test_rotation_interval_builds_self_envelope_once(monkeypatch):
     ri = rotation_interval(unstated, 1e-4)
     assert len(scans) == 1
     assert ri.lower == ri.upper
+    # the envelope's lifting carries its scan, so rho_csb of it runs none
+    scans.clear()
+    env = upper_map(unstated)
+    assert rho_csb(env.lifting, 1e-4) == ri.upper
+    assert len(scans) == 1
 
 
 def test_invertible_standard_map_runs_no_section_scan(monkeypatch):
@@ -1191,7 +1196,7 @@ def test_invertible_standard_map_runs_no_section_scan(monkeypatch):
     monkeypatch.setattr(envelope, "find_maximal_sections", no_scan)
     for omega, a in ((0.3, 0.5), (0.0, 1.0), (1e9, 1.0)):
         S = standard_map(omega, a)
-        assert upper_map(S).sections == () and lower_map(S).sections == ()
+        assert upper_map(S).lifting.sections == () and lower_map(S).lifting.sections == ()
         ri = rotation_interval(S, 1e-4)
         assert ri.lower == ri.upper == rho_direct(S, 1e-4)
 
@@ -1342,4 +1347,4 @@ def test_widest_section_feeds_csb():
     est = rho_csb(f_mu(0.5), 1e-4, 1e-10)
     assert est.kind == "exact" and est.as_fraction == Fraction(17, 27)
     env = upper_map(f_mu(0.5))
-    assert env.sections[0].width == pytest.approx(0.25, abs=1e-12)
+    assert env.lifting.sections[0].width == pytest.approx(0.25, abs=1e-12)
